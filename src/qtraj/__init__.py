@@ -12,7 +12,6 @@ from .core import (
     CalibrationParams,
     DistributionSnapshot,
     ModelParams,
-    QubitState,
     TrajectoryEnsemble,
     build_histogram,
     to_logodds,
@@ -20,18 +19,12 @@ from .core import (
 )
 from .rng import SeedSpec
 from .sde import (
-    StepBudget,
     simulate_ensemble,
     simulate_ensemble_euler,
-    step_diffusion_exact,
-    step_euler_maruyama,
-    step_relaxation_exact,
-    step_trotter,
 )
 from .fokker_planck import (
     DensityGrid,
     FPSolverError,
-    analytic_distribution_rho,
     analytic_distribution_z,
     fp_snapshot_to_bins,
     solve_fp,
@@ -40,7 +33,6 @@ from .bayesian import (
     CalibrationSeries,
     EfficiencyModel,
     FitFailureError,
-    MeasurementRecord,
     RecordSet,
     estimate_T1,
     estimate_efficiency,
@@ -49,9 +41,6 @@ from .bayesian import (
     preparation_uncertainty,
     preprocess_calibration,
     reconstruct_ensemble,
-    reconstruct_trajectory,
-    update_measurement,
-    update_relaxation,
 )
 from .fitting import (
     ErrorBudget,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,26 +41,21 @@ from .core import (
     Z_CAP,
     CalibrationParams,
     ModelParams,
-    QubitState,
     TrajectoryEnsemble,
     to_logodds,
     to_rho,
 )
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
-from .sde import CHUNK, _relax_z, step_relaxation_exact
+from .sde import _relax_z, _run_chunks
 
 __all__ = [
     "FitFailureError",
-    "MeasurementRecord",
     "RecordSet",
     "EfficiencyModel",
     "CalibrationSeries",
     "EffectiveCalibration",
     "GaussianCurrentFit",
     "T1Estimate",
-    "update_measurement",
-    "update_relaxation",
-    "reconstruct_trajectory",
     "reconstruct_ensemble",
     "generate_records",
     "fit_gaussian_current",
@@ -77,29 +71,12 @@ class FitFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """Per-step integrated currents of a single run."""
-
-    currents: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        c = np.asarray(self.currents, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("currents must be a 1-D array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("currents must be finite")
-        object.__setattr__(self, "currents", c)
-        c.setflags(write=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.currents.size
-
-
-@dataclass(frozen=True)
 class RecordSet:
-    """An ensemble of measurement records with shared calibration."""
+    """An ensemble of measurement records with shared calibration.
+
+    Every current must be finite: a NaN would poison its trajectory and
+    an infinite one would act as a projective measurement.
+    """
 
     currents: np.ndarray  # shape (n_traj, n_steps)
     cal: CalibrationParams
@@ -110,6 +87,11 @@ class RecordSet:
         c = self.currents
         if c.ndim != 2:
             raise ValueError("currents must be a 2-D array (n_traj, n_steps)")
+        if not np.isfinite(c).all():
+            i, s = np.argwhere(~np.isfinite(c))[0]
+            raise ValueError(
+                f"currents must be finite: record {i}, step {s} is {c[i, s]}"
+            )
         c.setflags(write=False)
 
     @property
@@ -123,9 +105,6 @@ class RecordSet:
     @property
     def dt(self) -> float:
         return self.cal.dt
-
-    def record(self, i: int) -> MeasurementRecord:
-        return MeasurementRecord(currents=self.currents[i].copy(), dt=self.cal.dt)
 
 
 @dataclass(frozen=True)
@@ -207,81 +186,38 @@ class T1Estimate:
     amplitude: float
 
 
-def _meas_z(z, Im, cal: CalibrationParams):
-    """Vectorized log-odds update for record(s) Im; caps stay fixed."""
+def _meas_z(z, im, i0: float, i1: float, sigma: float):
+    """Bayesian log-odds update for record(s) im from eigenstate current
+    distributions N(i0, sigma^2), N(i1, sigma^2); caps stay fixed."""
     z = np.asarray(z, dtype=float)
-    coeff = (cal.I0 - cal.I1) / (4.0 * cal.sigma**2)
-    znew = np.clip(z + coeff * (2.0 * np.asarray(Im, dtype=float) - cal.I0 - cal.I1),
+    coeff = (i0 - i1) / (4.0 * sigma**2)
+    znew = np.clip(z + coeff * (2.0 * np.asarray(im, dtype=float) - i0 - i1),
                    -Z_CAP, Z_CAP)
     return np.where(np.abs(z) >= Z_CAP, z, znew)
 
 
-def update_measurement(state: QubitState, Im: float, cal: CalibrationParams) -> QubitState:
-    """Bayesian update of the state for one integrated-current sample.
-
-    Multiplies the population ratio by the Gaussian likelihood ratio of
-    the two eigenstate hypotheses; any real Im is admissible.  A state at
-    the absorption cap is an eigenstate and stays fixed.
-    """
-    return QubitState(z=float(_meas_z(state.z, Im, cal)))
-
-
-def update_relaxation(state: QubitState, dt: float, T1: float) -> QubitState:
-    """Exact relaxation over dt; shares the simulator implementation."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    return step_relaxation_exact(state, dt / T1)
-
-
-def _per_step_cals(cal: CalibrationParams, effective, n_steps: int):
-    """Per-step calibration list; constant unless an effective I0/I1
-    series (from transient preprocessing) is supplied."""
+def _per_step_centers(cal: CalibrationParams, effective, n_steps: int):
+    """Per-step I0, I1 arrays; constant unless an effective series (from
+    transient preprocessing) is supplied."""
     if effective is None:
-        return [cal] * n_steps
+        return np.full(n_steps, cal.I0), np.full(n_steps, cal.I1)
     if effective.I0.size < n_steps or effective.I1.size < n_steps:
         raise ValueError("effective calibration shorter than the record")
-    return [
-        CalibrationParams(
-            I0=float(effective.I0[s]), I1=float(effective.I1[s]),
-            sigma=cal.sigma, dt=cal.dt, T1=cal.T1, dts=cal.dts,
-        )
-        for s in range(n_steps)
-    ]
+    i0 = np.asarray(effective.I0[:n_steps], dtype=float)
+    i1 = np.asarray(effective.I1[:n_steps], dtype=float)
+    if np.any(i0 == i1):
+        raise ValueError("effective I0 and I1 must differ at every step")
+    return i0, i1
 
 
-def _reconstruct_chunk(out, lo, hi, currents, z0, cals, half):
+def _reconstruct_chunk(out, lo, hi, currents, z0, i0, i1, sigma, half):
     z = np.full(hi - lo, z0, dtype=float)
     out[lo:hi, 0] = to_rho(z)
     for s in range(currents.shape[1]):
         z = _relax_z(z, half)
-        z = _meas_z(z, currents[lo:hi, s], cals[s])
+        z = _meas_z(z, currents[lo:hi, s], i0[s], i1[s], sigma)
         z = _relax_z(z, half)
         out[lo:hi, s + 1] = to_rho(z)
-
-
-def reconstruct_trajectory(
-    record: MeasurementRecord,
-    cal: CalibrationParams,
-    x0: float,
-    effective: EffectiveCalibration | None = None,
-) -> np.ndarray:
-    """Trajectory of rho00 from one record (initial value included).
-
-    Each step applies relax(dt/2T1), measurement, relax(dt/2T1), the
-    same symmetric layout the generator uses.  When ``effective`` is
-    given (output of :func:`preprocess_calibration`, one entry per
-    step), its I0/I1 values replace the constant calibration centers
-    step by step.
-    """
-    if not math.isclose(record.dt, cal.dt, rel_tol=1e-12):
-        raise ValueError("record and calibration dt mismatch")
-    out = np.empty((1, record.n_steps + 1))
-    cals = _per_step_cals(cal, effective, record.n_steps)
-    _reconstruct_chunk(
-        out, 0, 1, record.currents[None, :], to_logodds(x0), cals,
-        0.5 * cal.dt / cal.T1,
-    )
-    return out[0]
 
 
 def reconstruct_ensemble(
@@ -292,9 +228,10 @@ def reconstruct_ensemble(
 ) -> TrajectoryEnsemble:
     """Reconstruct every record of a RecordSet into a TrajectoryEnsemble.
 
-    Deterministic: the same records and calibration give bitwise
-    identical trajectories for any worker count.  ``effective``
-    optionally supplies per-step I0/I1 values (transient repair).
+    Each step is relax(dt/2T1), measurement update, relax(dt/2T1), as in
+    the generator.  Deterministic: the same records and calibration give
+    bitwise identical trajectories for any worker count.  ``effective``
+    (from :func:`preprocess_calibration`) supplies per-step I0/I1 values.
     """
     x0 = records.x0 if x0 is None else x0
     cal = records.cal
@@ -302,19 +239,12 @@ def reconstruct_ensemble(
     out = np.empty((n_traj, n_steps + 1))
     z0 = to_logodds(x0)
     half = 0.5 * cal.dt / cal.T1
-    cals = _per_step_cals(cal, effective, n_steps)
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    i0, i1 = _per_step_centers(cal, effective, n_steps)
 
-    def run(span):
-        lo, hi = span
-        _reconstruct_chunk(out, lo, hi, records.currents, z0, cals, half)
+    def run(lo, hi):
+        _reconstruct_chunk(out, lo, hi, records.currents, z0, i0, i1, cal.sigma, half)
 
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    _run_chunks(n_traj, n_workers, run)
     return TrajectoryEnsemble(
         n_traj=n_traj, n_steps=n_steps, dt=cal.dt, values=out,
         x0=x0, master_seed=records.master_seed,
@@ -332,7 +262,7 @@ def _generate_chunk(currents, latent, lo, hi, z0, cal, half, n_steps, master_see
         center = np.where(u < expit(2.0 * z), cal.I0, cal.I1)
         im = center + cal.sigma * xi
         currents[lo:hi, s] = im
-        z = _meas_z(z, im, cal)
+        z = _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
         z = _relax_z(z, half)
         latent[lo:hi, s + 1] = to_rho(z)
 
@@ -372,21 +302,13 @@ def generate_records(
     latent = np.empty((n_traj, n_steps + 1))
     z0 = to_logodds(params.x0)
     half = 0.5 * params.delta
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
 
-    def run(span):
-        lo, hi = span
+    def run(lo, hi):
         _generate_chunk(
             currents, latent, lo, hi, z0, cal, half, n_steps, seeds.master_seed
         )
 
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-
+    _run_chunks(n_traj, n_workers, run)
     recs = RecordSet(
         currents=currents, cal=cal, x0=params.x0, master_seed=seeds.master_seed
     )

@@ -28,7 +28,6 @@ from scipy.special import expit
 
 __all__ = [
     "Z_CAP",
-    "QubitState",
     "ModelParams",
     "CalibrationParams",
     "TrajectoryEnsemble",
@@ -90,41 +89,6 @@ def to_rho(z):
     if np.ndim(z) == 0:
         return float(r)
     return r
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Diagonal qubit state in the log-odds coordinate.
-
-    Attributes
-    ----------
-    z : float
-        Log-odds coordinate, always within [-Z_CAP, Z_CAP].
-    """
-
-    z: float
-
-    def __post_init__(self):
-        if math.isnan(self.z):
-            raise ValueError("z must not be NaN")
-        object.__setattr__(self, "z", float(np.clip(self.z, -Z_CAP, Z_CAP)))
-
-    @classmethod
-    def from_rho00(cls, rho00: float) -> "QubitState":
-        return cls(z=to_logodds(rho00))
-
-    @property
-    def rho00(self) -> float:
-        return to_rho(self.z)
-
-    @property
-    def rho11(self) -> float:
-        return to_rho(-self.z)
-
-    @property
-    def absorbed(self) -> bool:
-        """True when the state sits at the absorption cap."""
-        return abs(self.z) >= Z_CAP
 
 
 @dataclass(frozen=True)

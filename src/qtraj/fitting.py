@@ -146,7 +146,9 @@ def fit_tau(
     model_gen : callable
         Maps a trial tau to model snapshots aligned with ``observed``.
     scan : ndarray, optional
-        Trial tau grid (default :func:`default_tau_scan`).
+        Trial tau grid, increasing with a uniform step (default
+        :func:`default_tau_scan`); the parabolic refinement assumes one
+        step size.
 
     Returns
     -------
@@ -158,6 +160,9 @@ def fit_tau(
     scan = np.asarray(scan, dtype=float)
     if scan.size < 3:
         raise ValueError("scan grid needs at least 3 points")
+    step = np.diff(scan)
+    if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("scan grid must be increasing with a uniform step")
     n_slices = len(observed)
     chi = np.empty((scan.size, n_slices))
     for j, tau in enumerate(scan):

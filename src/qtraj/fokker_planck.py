@@ -3,8 +3,8 @@
 Without relaxation the density in the log-odds coordinate is known in
 closed form: starting from a point x0, it is a pair of Gaussians with
 centers ``atanh(2 x0 - 1) +- tau``, common variance ``tau`` and areas
-``(x0, 1 - x0)``.  :func:`analytic_distribution_z` and
-:func:`analytic_distribution_rho` expose that solution.
+``(x0, 1 - x0)``.  :func:`analytic_distribution_z` exposes that
+solution, including its exact masses on rho00 bins.
 
 With relaxation the density is evolved numerically by
 :func:`solve_fp`.  The solver works on a uniform z grid (constant
@@ -17,10 +17,11 @@ the Monte Carlo stepper:
   cell-integrated so mass is conserved identically; the branch weights
   of every source cell are corrected so the discrete population mean is
   preserved to rounding, which keeps the Born-rule martingale exact;
-* relaxation is a deterministic monotone map of z, applied as an exact
-  pushforward; each cell's mass is re-deposited between the two
-  enclosing grid cells with the split chosen in population space, so
-  the mean population follows rho11 -> rho11*e^-delta to rounding.
+* relaxation is a deterministic monotone map of z (the Monte Carlo
+  kernel), applied as an exact pushforward; each cell's mass is
+  re-deposited between the two enclosing grid cells with the split
+  chosen in population space, so the mean population follows
+  rho11 -> rho11*e^-delta to rounding.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; the rho00 = 0 bucket is re-injected by the next relaxation
@@ -43,14 +44,13 @@ from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
 from .core import DistributionSnapshot, to_logodds, to_rho
+from .sde import _relax_z
 
 __all__ = [
     "FPSolverError",
     "DensityGrid",
     "GaussianMixtureZ",
-    "AnalyticRhoDensity",
     "analytic_distribution_z",
-    "analytic_distribution_rho",
     "solve_fp",
     "fp_snapshot_to_bins",
 ]
@@ -70,13 +70,11 @@ class FPSolverError(RuntimeError):
 class DensityGrid:
     """Cell-mass representation of the trajectory density at one time.
 
-    ``weights[i]`` is the probability mass in the cell centered at
-    ``nodes[i]``; ``mass0`` / ``mass1`` are point masses at the
-    eigenstates rho00 = 0 / 1.  ``coordinate`` is ``"z"`` (log-odds,
-    uniform grid) or ``"rho"`` (population).
+    ``weights[i]`` is the probability mass in the cell centered at the
+    log-odds node ``nodes[i]`` (a uniform z grid); ``mass0`` / ``mass1``
+    are point masses at the eigenstates rho00 = 0 / 1.
     """
 
-    coordinate: str
     nodes: np.ndarray
     weights: np.ndarray
     mass0: float
@@ -84,8 +82,6 @@ class DensityGrid:
     t: float
 
     def __post_init__(self):
-        if self.coordinate not in ("z", "rho"):
-            raise ValueError("coordinate must be 'z' or 'rho'")
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be matching 1-D arrays")
         self.nodes.setflags(write=False)
@@ -98,11 +94,7 @@ class DensityGrid:
     @property
     def mean_rho(self) -> float:
         """Population mean including the boundary masses."""
-        if self.coordinate == "z":
-            rho = to_rho(self.nodes)
-        else:
-            rho = self.nodes
-        return float((rho * self.weights).sum() + self.mass1)
+        return float((to_rho(self.nodes) * self.weights).sum() + self.mass1)
 
 
 @dataclass(frozen=True)
@@ -179,40 +171,6 @@ def analytic_distribution_z(x0: float, tau: float) -> GaussianMixtureZ:
     )
 
 
-class AnalyticRhoDensity:
-    """No-relaxation density as a function of the population rho00.
-
-    Callable: ``p(rho) = p_z(z(rho)) / (2 rho (1 - rho))``; evaluates to
-    the limit 0 at rho in {0, 1} for tau > 0.
-    """
-
-    def __init__(self, x0: float, tau: float):
-        if tau <= 0:
-            raise ValueError("rho-space density requires tau > 0")
-        self.mixture = analytic_distribution_z(x0, tau)
-        self.x0 = x0
-        self.tau = tau
-
-    def __call__(self, rho):
-        r = np.asarray(rho, dtype=float)
-        out = np.zeros_like(r)
-        inner = (r > 0.0) & (r < 1.0)
-        ri = r[inner]
-        z = to_logodds(ri)
-        out[inner] = self.mixture.pdf_z(z) / (2.0 * ri * (1.0 - ri))
-        if np.ndim(rho) == 0:
-            return float(out)
-        return out
-
-    def bin_masses(self, edges_rho: np.ndarray) -> np.ndarray:
-        return self.mixture.bin_masses_rho(edges_rho)
-
-
-def analytic_distribution_rho(x0: float, tau: float) -> AnalyticRhoDensity:
-    """Density function of rho00 for the no-relaxation solution."""
-    return AnalyticRhoDensity(x0, tau)
-
-
 # ---------------------------------------------------------------------------
 # numerical solver
 
@@ -272,12 +230,7 @@ class _Solver:
         w_old = self.w
         self.w = np.zeros_like(w_old)
         live = w_old > 0.0
-        z = self.nodes[live]
-        y = np.where(
-            z >= 0.0,
-            z + 0.5 * delta + 0.5 * np.log1p(-math.expm1(-delta) * np.exp(-2.0 * z)),
-            0.5 * np.log(math.expm1(delta) + np.exp(delta + 2.0 * z)),
-        )
+        y = _relax_z(self.nodes[live], delta)
         fac = math.exp(-delta)
         self.deposit(y, self.r11[live] * fac, w_old[live])
         if self.mass0 > 0.0:
@@ -357,7 +310,6 @@ class _Solver:
 
     def snapshot(self, t: float) -> DensityGrid:
         return DensityGrid(
-            coordinate="z",
             nodes=self.nodes.copy(),
             weights=self.w.copy(),
             mass0=self.mass0,
@@ -383,8 +335,8 @@ def solve_fp(
     ----------
     initial : float or DensityGrid
         Either the initial population x0 (delta initial condition,
-        deposited mean-exactly on the grid) or an existing z-coordinate
-        grid whose uniform nodes the solver adopts.
+        deposited mean-exactly on the grid) or an existing grid whose
+        uniform nodes the solver adopts.
     g : float
         Measurement coupling (1/time), >= 0.
     T1 : float
@@ -416,8 +368,6 @@ def solve_fp(
         raise ValueError("T1 must be > 0")
 
     if isinstance(initial, DensityGrid):
-        if initial.coordinate != "z":
-            raise ValueError("solver input grid must use the z coordinate")
         solver = _Solver(initial.nodes, initial.weights, initial.mass0, initial.mass1)
         t = initial.t
     else:
@@ -472,24 +422,18 @@ def fp_snapshot_to_bins(
     """Conservatively rebin a density grid onto uniform rho00 bins.
 
     Cells falling inside one bin contribute whole; cells straddling bin
-    edges are split assuming a uniform within-cell distribution in the
-    grid's own coordinate.  Boundary point masses are carried through.
-    The result has zero per-bin errors (it is a model, not data).
+    edges are split assuming a uniform within-cell distribution in z.
+    Boundary point masses are carried through.  The result has zero
+    per-bin errors (it is a model, not data).
     """
     if n_bins * bin_width < 1.0 - 1e-12:
         raise ValueError("n_bins * bin_width must cover [0, 1]")
     nodes = grid.nodes
-    if grid.coordinate == "z":
-        half = 0.5 * float(np.diff(nodes).mean())
-        lo_c = nodes - half
-        hi_c = nodes + half
-        r_lo = to_rho(lo_c)
-        r_hi = to_rho(hi_c)
-    else:
-        half = 0.5 * float(np.diff(nodes).mean())
-        lo_c = nodes - half
-        hi_c = nodes + half
-        r_lo, r_hi = lo_c, hi_c
+    half = 0.5 * float(np.diff(nodes).mean())
+    lo_c = nodes - half
+    hi_c = nodes + half
+    r_lo = to_rho(lo_c)
+    r_hi = to_rho(hi_c)
 
     edges = np.arange(n_bins + 1) * bin_width
     b_lo = np.clip(np.searchsorted(edges, r_lo, side="right") - 1, 0, n_bins - 1)
@@ -502,13 +446,8 @@ def fp_snapshot_to_bins(
         w = grid.weights[i]
         if w == 0.0:
             continue
-        # positions of the interior bin edges inside this cell, in the
-        # grid's own coordinate
-        cut_rho = edges[b_lo[i] + 1 : b_hi[i] + 1]
-        if grid.coordinate == "z":
-            cuts = to_logodds(cut_rho)
-        else:
-            cuts = cut_rho
+        # z positions of the interior bin edges inside this cell
+        cuts = to_logodds(edges[b_lo[i] + 1 : b_hi[i] + 1])
         fracs = np.clip((cuts - lo_c[i]) / (hi_c[i] - lo_c[i]), 0.0, 1.0)
         parts = np.diff(np.concatenate([[0.0], fracs, [1.0]]))
         density[b_lo[i] : b_hi[i] + 1] += w * parts

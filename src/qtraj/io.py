@@ -168,12 +168,21 @@ def _read_records_text(path: str, raw: bytes) -> RecordSet:
 
 
 def read_records(path: str) -> RecordSet:
-    """Read a record file, binary or the text alternative."""
+    """Read a record file, binary or the text alternative.
+
+    Values the header or body parse to but the record model rejects
+    (such as a non-finite current or sigma <= 0) raise FormatError too.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[: len(RECORD_MAGIC)] == RECORD_MAGIC:
-        return _read_records_binary(path, raw)
-    return _read_records_text(path, raw)
+    try:
+        if raw[: len(RECORD_MAGIC)] == RECORD_MAGIC:
+            return _read_records_binary(path, raw)
+        return _read_records_text(path, raw)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,78 +1,51 @@
 """Monte Carlo integration of the diffusive collapse process.
 
-A single step of duration dt splits into two exactly solvable pieces:
+A step of duration dt splits into two exactly solvable pieces, each an
+array kernel over log-odds states ``z``:
 
-* **Diffusion** (measurement back-action), strength ``kappa = g*dt``.
-  The finite-step solution is a two-component Gaussian mixture for the
-  dimensionless record ``u ~ rho00*N(+1, 1/kappa) + rho11*N(-1, 1/kappa)``
-  followed by ``z <- z + kappa*u``.  The update composes exactly (two
-  steps of kappa equal one step of 2*kappa in distribution) and keeps
-  the population a martingale, which is the Born rule in this setting.
+* **Diffusion** (measurement back-action), strength ``kappa = g*dt``,
+  in :func:`_diffusion_z`.  The finite-step solution is a two-component
+  Gaussian mixture for the dimensionless record
+  ``u ~ rho00*N(+1, 1/kappa) + rho11*N(-1, 1/kappa)`` followed by
+  ``z <- z + kappa*u``.  The update composes exactly (two steps of kappa
+  equal one step of 2*kappa in distribution) and keeps the population a
+  martingale, which is the Born rule in this setting.
 
-* **Relaxation**, exponent ``delta = dt/T1``: ``rho11 <- rho11*e^-delta``
-  exactly, evaluated in z with log1p/expm1 so neither tail loses
-  precision.
+* **Relaxation**, exponent ``delta = dt/T1``, in :func:`_relax_z`:
+  ``rho11 <- rho11*e^-delta`` exactly, evaluated in z with log1p/expm1
+  so neither tail loses precision.  The record generator, the
+  reconstructor and the Fokker-Planck solver call the same kernel.
 
-:func:`step_trotter` combines them symmetrically (half relaxation,
+:func:`simulate_ensemble` applies them symmetrically (half relaxation,
 diffusion, half relaxation), giving O(dt^2) global splitting error; both
-sub-steps individually are exact.  :func:`step_euler_maruyama` is a
+sub-steps individually are exact.  :func:`simulate_ensemble_euler` is a
 plain first-order reference integrator in population space, kept only
 for convergence cross-checks.
 
 Ensembles are generated with the counter-based streams of
-:mod:`qtraj.rng` and processed in fixed-size trajectory chunks, so the
-output is byte-identical for any worker count.
+:mod:`qtraj.rng` and processed in the fixed trajectory chunks of
+:func:`_run_chunks`, so the output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .core import Z_CAP, ModelParams, QubitState, TrajectoryEnsemble, to_logodds, to_rho
+from .core import Z_CAP, ModelParams, TrajectoryEnsemble, to_logodds, to_rho
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 
-__all__ = [
-    "StepBudget",
-    "SeedSpec",
-    "step_diffusion_exact",
-    "step_relaxation_exact",
-    "step_trotter",
-    "step_euler_maruyama",
-    "simulate_ensemble",
-    "simulate_ensemble_euler",
-]
+__all__ = ["SeedSpec", "simulate_ensemble", "simulate_ensemble_euler"]
 
 # Trajectories are processed in fixed chunks of this size.  The chunk
 # grid depends only on trajectory indices, never on the worker count,
 # which keeps ensemble output byte-identical under any parallel split.
 CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class StepBudget:
-    """Dimensionless cost of one symmetric Trotter step.
-
-    kappa = g*dt (diffusion strength), delta = dt/T1 (relaxation
-    exponent); after n steps the evolution parameter is tau = n*kappa.
-    """
-
-    kappa: float
-    delta: float
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "StepBudget":
-        return cls(kappa=params.kappa, delta=params.delta)
 
 
 def _relax_z(z, delta: float):
@@ -83,6 +56,8 @@ def _relax_z(z, delta: float):
     stable in both tails.  A state at z = +Z_CAP stays put; z = -Z_CAP
     re-enters (rho00 = 0 is not absorbing under relaxation).
     """
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     if delta == 0.0:
         return z
     z = np.asarray(z, dtype=float)
@@ -100,77 +75,27 @@ def _diffusion_z(z, kappa: float, u, xi):
     ``u`` is a uniform in (0,1) choosing the mixture branch, ``xi`` a
     standard normal.  States at |z| >= Z_CAP are eigenstates and stay
     fixed (their draws are simply unused; counter-based streams make
-    that safe).
+    that safe).  kappa = 0 leaves every state unchanged.
     """
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
     z = np.asarray(z, dtype=float)
     branch = np.where(u < expit(2.0 * z), 1.0, -1.0)
     znew = np.clip(z + kappa * branch + math.sqrt(kappa) * xi, -Z_CAP, Z_CAP)
     return np.where(np.abs(z) >= Z_CAP, z, znew)
 
 
-def step_relaxation_exact(state: QubitState, delta: float) -> QubitState:
-    """Apply the exact relaxation map rho11 -> rho11*e^-delta.
-
-    Parameters
-    ----------
-    state : QubitState
-    delta : float
-        Dimensionless relaxation exponent dt/T1, >= 0.
-    """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if delta == 0.0:
-        return state
-    return QubitState(z=float(_relax_z(state.z, delta)))
-
-
-def step_diffusion_exact(
-    state: QubitState, kappa: float, rng: np.random.Generator
-) -> QubitState:
-    """One exact finite-size diffusion step of strength kappa = g*dt.
-
-    Draws the dimensionless record from the two-component Gaussian
-    mixture N(+1, 1/kappa) weighted by rho00 and N(-1, 1/kappa) weighted
-    by rho11, then shifts z by kappa times the record.  kappa = 0
-    returns the state unchanged without consuming randomness.
-    """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    if kappa == 0.0 or state.absorbed:
-        return state
-    u = rng.random()
-    xi = rng.standard_normal()
-    return QubitState(z=float(_diffusion_z(state.z, kappa, u, xi)))
-
-
-def step_trotter(
-    state: QubitState, budget: StepBudget, rng: np.random.Generator
-) -> QubitState:
-    """Symmetric Trotter step: half relaxation, diffusion, half relaxation."""
-    s = step_relaxation_exact(state, 0.5 * budget.delta)
-    s = step_diffusion_exact(s, budget.kappa, rng)
-    return step_relaxation_exact(s, 0.5 * budget.delta)
-
-
-def step_euler_maruyama(
-    state: QubitState, g: float, dt: float, T1: float, rng: np.random.Generator
-) -> QubitState:
-    """First-order reference step in population space.
-
-    rho00 <- rho00 + 2*sqrt(g)*rho00*rho11*sqrt(dt)*xi + (rho11/T1)*dt,
-    clamped to [0, 1] (the eigenstate boundaries are absorbing).  Valid
-    only for g*dt << 1; keep g*dt <= 1e-3.  For convergence cross-checks
-    against the exact stepper, not production use.
-    """
-    if g == 0.0 and math.isinf(T1):
-        return state
-    rho = state.rho00
-    rho11 = state.rho11
-    xi = rng.standard_normal()
-    rho_new = rho + 2.0 * math.sqrt(g) * rho * rho11 * math.sqrt(dt) * xi
-    if not math.isinf(T1):
-        rho_new += rho11 / T1 * dt
-    return QubitState.from_rho00(min(1.0, max(0.0, rho_new)))
+def _run_chunks(n_traj: int, n_workers: int, fn: Callable[[int, int], None]) -> None:
+    """Call ``fn(lo, hi)`` on each CHUNK-sized trajectory span, on up to
+    ``n_workers`` threads; ``fn`` writes only rows [lo, hi), so results
+    do not depend on the worker count."""
+    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    if n_workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(lambda span: fn(*span), spans))
+    else:
+        for lo, hi in spans:
+            fn(lo, hi)
 
 
 def _simulate_chunk(
@@ -225,22 +150,14 @@ def simulate_ensemble(
         raise ValueError("n_traj must be >= 1")
     out = np.empty((n_traj, params.n_steps + 1), dtype=float)
     z0 = to_logodds(params.x0)
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
 
-    def run(span):
-        lo, hi = span
+    def run(lo, hi):
         _simulate_chunk(
             out, lo, hi, z0, params.kappa, params.delta, params.n_steps,
             seeds.master_seed,
         )
 
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-
+    _run_chunks(n_traj, n_workers, run)
     return TrajectoryEnsemble(
         n_traj=n_traj,
         n_steps=params.n_steps,

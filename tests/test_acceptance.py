@@ -264,7 +264,7 @@ def test_criterion_08_reconstruction_simulation_equivalence():
     u = counter_uniform(88, traj, 0, STREAM_BRANCH)
     xi = counter_normal(88, traj, 0, STREAM_NOISE)
     center = np.where(u < 0.5, cal.I0, cal.I1)
-    dz_bayes = _meas_z(np.full(n, z0), center + cal.sigma * xi, cal) - z0
+    dz_bayes = _meas_z(np.full(n, z0), center + cal.sigma * xi, cal.I0, cal.I1, cal.sigma) - z0
     u2 = counter_uniform(89, traj, 0, STREAM_BRANCH)
     xi2 = counter_normal(89, traj, 0, STREAM_NOISE)
     dz_diff = _diffusion_z(np.full(n, z0), kappa, u2, xi2) - z0

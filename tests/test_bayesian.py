@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from qtraj.bayesian import (
     EffectiveCalibration,
     EfficiencyModel,
     FitFailureError,
-    MeasurementRecord,
+    RecordSet,
     _meas_z,
     estimate_T1,
     estimate_efficiency,
@@ -19,13 +18,10 @@ from qtraj.bayesian import (
     preparation_uncertainty,
     preprocess_calibration,
     reconstruct_ensemble,
-    reconstruct_trajectory,
-    update_measurement,
-    update_relaxation,
 )
-from qtraj.core import Z_CAP, CalibrationParams, ModelParams, QubitState, to_logodds
+from qtraj.core import Z_CAP, CalibrationParams, ModelParams, to_logodds, to_rho
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
-from qtraj.sde import _diffusion_z
+from qtraj.sde import _diffusion_z, _relax_z
 
 CAL_SYM = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5)
 CAL_WEAK = CalibrationParams(I0=128.443, I1=127.856, sigma=5.56, dt=0.5)
@@ -35,59 +31,68 @@ def make_params(cal, x0, n_steps, T1=math.inf):
     return ModelParams(g=cal.kappa / cal.dt, T1=T1, dt=cal.dt, x0=x0, n_steps=n_steps)
 
 
+def meas(z, im, cal):
+    """Measurement update of state(s) z by record(s) im under cal."""
+    return _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
+
+
+def reconstruct1(currents, cal, x0, effective=None):
+    """Trajectory of rho00 reconstructed from one record."""
+    recs = RecordSet(currents=np.asarray(currents, float)[None, :], cal=cal, x0=x0)
+    return reconstruct_ensemble(recs, effective=effective).values[0]
+
+
 class TestUpdateMeasurement:
     def test_symmetric_likelihoods_cancel(self):
-        s = QubitState.from_rho00(0.5)
-        out = update_measurement(s, 0.0, CAL_SYM)
-        assert out.rho00 == 0.5
+        out = meas(np.array([to_logodds(0.5)]), 0.0, CAL_SYM)
+        assert to_rho(out[0]) == 0.5
 
     def test_two_hypothesis_bayes(self):
         # brute-force posterior: rho' = rho L0 / (rho L0 + (1-rho) L1)
-        s = QubitState.from_rho00(0.5)
-        out = update_measurement(s, 1.0, CAL_SYM)
+        out = to_rho(meas(np.array([to_logodds(0.5)]), 1.0, CAL_SYM)[0])
         l0 = math.exp(-0.0)
         l1 = math.exp(-(1.0 - -1.0) ** 2 / 2.0)
         expected = 0.5 * l0 / (0.5 * l0 + 0.5 * l1)
         assert math.isclose(expected, math.exp(2) / (1 + math.exp(2)), rel_tol=1e-14)
-        assert math.isclose(out.rho00, expected, rel_tol=1e-12)
-        assert math.isclose(out.rho00, 0.8807970779778823, rel_tol=1e-12)
+        assert math.isclose(out, expected, rel_tol=1e-12)
+        assert math.isclose(out, 0.8807970779778823, rel_tol=1e-12)
 
     def test_eigenstate_fixed(self):
-        s = QubitState(z=Z_CAP)
-        for im in (-50.0, 0.0, 127.0, 1e6):
-            assert update_measurement(s, im, CAL_WEAK).rho00 == 1.0
+        im = np.array([-50.0, 0.0, 127.0, 1e6])
+        out = meas(np.full(4, Z_CAP), im, CAL_WEAK)
+        assert np.all(to_rho(out) == 1.0)
 
     def test_brute_force_random_cases(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            rho = rng.uniform(0.01, 0.99)
-            im = rng.normal(128.0, 6.0)
-            s = QubitState.from_rho00(rho)
-            out = update_measurement(s, im, CAL_WEAK)
-            l0 = math.exp(-((im - CAL_WEAK.I0) ** 2) / (2 * CAL_WEAK.sigma**2))
-            l1 = math.exp(-((im - CAL_WEAK.I1) ** 2) / (2 * CAL_WEAK.sigma**2))
-            expected = rho * l0 / (rho * l0 + (1 - rho) * l1)
-            assert math.isclose(out.rho00, expected, rel_tol=1e-10)
+        rho = rng.uniform(0.01, 0.99, 50)
+        im = rng.normal(128.0, 6.0, 50)
+        out = to_rho(meas(to_logodds(rho), im, CAL_WEAK))
+        l0 = np.exp(-((im - CAL_WEAK.I0) ** 2) / (2 * CAL_WEAK.sigma**2))
+        l1 = np.exp(-((im - CAL_WEAK.I1) ** 2) / (2 * CAL_WEAK.sigma**2))
+        expected = rho * l0 / (rho * l0 + (1 - rho) * l1)
+        assert np.allclose(out, expected, rtol=1e-10, atol=0)
 
 
 class TestUpdateRelaxation:
+    """Reconstruction relaxes with the simulator's exact kernel; a
+    midpoint current (I0 + I1)/2 carries no information."""
+
+    CAL = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=45.0)
+
     def test_shared_contract(self):
-        s = QubitState.from_rho00(0.305)
-        out = update_relaxation(s, 0.5, 45.0)
-        assert math.isclose(out.rho11, 0.695 * math.exp(-1.0 / 90.0), rel_tol=1e-12)
+        traj = reconstruct1([0.0], self.CAL, 0.305)
+        assert math.isclose(1.0 - traj[1], 0.695 * math.exp(-1.0 / 90.0), rel_tol=1e-12)
 
     def test_trivials(self):
-        s = QubitState.from_rho00(1.0)
-        assert update_relaxation(s, 0.5, 45.0).rho00 == 1.0
-        s2 = QubitState.from_rho00(0.3)
-        assert update_relaxation(s2, 0.0, 45.0) is s2
+        assert np.all(reconstruct1(np.zeros(5), self.CAL, 1.0) == 1.0)
+        z = np.array([to_logodds(0.3)])
+        assert _relax_z(z, 0.0) is z
 
 
 class TestReconstruct:
     def test_null_records_constant(self):
         n = 30
-        rec = MeasurementRecord(currents=np.zeros(n), dt=0.5)
-        traj = reconstruct_trajectory(rec, CAL_SYM, 0.305)
+        traj = reconstruct1(np.zeros(n), CAL_SYM, 0.305)
         assert traj.shape == (n + 1,)
         assert np.allclose(traj, traj[0], rtol=0, atol=1e-15)
 
@@ -95,8 +100,7 @@ class TestReconstruct:
         # kappa = 0.25 so 40 steps stay below the absorption cap
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
         n = 40
-        rec = MeasurementRecord(currents=np.full(n, cal.I0), dt=0.5)
-        traj = reconstruct_trajectory(rec, cal, 0.5)
+        traj = reconstruct1(np.full(n, cal.I0), cal, 0.5)
         # z after k steps = k * kappa exactly (additivity in z)
         z = to_logodds(traj)
         expected = np.arange(n + 1) * cal.kappa
@@ -105,8 +109,7 @@ class TestReconstruct:
     def test_all_i0_saturates_at_cap(self):
         # with kappa = 1 the walk reaches the absorption cap and stays
         n = 40
-        rec = MeasurementRecord(currents=np.full(n, CAL_SYM.I0), dt=0.5)
-        traj = reconstruct_trajectory(rec, CAL_SYM, 0.5)
+        traj = reconstruct1(np.full(n, CAL_SYM.I0), CAL_SYM, 0.5)
         z = to_logodds(traj)
         # the emitted population view quantizes near 1: z reads exactly
         # only while rho00 has headroom, and saturates to the cap once
@@ -117,21 +120,22 @@ class TestReconstruct:
         assert np.all(z[19:] == Z_CAP)
 
     def test_dt_mismatch(self):
-        rec = MeasurementRecord(currents=np.zeros(5), dt=1.0)
-        with pytest.raises(ValueError):
-            reconstruct_trajectory(rec, CAL_SYM, 0.5)
+        # records and their calibration share one step duration
+        params = ModelParams(g=CAL_SYM.kappa, T1=math.inf, dt=1.0, x0=0.5, n_steps=5)
+        with pytest.raises(ValueError, match="dt"):
+            generate_records(params, CAL_SYM, 10, SeedSpec(1))
 
     def test_reversal_returns_initial(self):
         # zero relaxation: reversing the record and negating increments
         # walks back to the start (additivity in z)
         rng = np.random.default_rng(8)
         rec = rng.normal(0.0, 1.5, 25)
-        fwd = reconstruct_trajectory(MeasurementRecord(rec, 0.5), CAL_SYM, 0.4)
+        fwd = reconstruct1(rec, CAL_SYM, 0.4)
         mirrored = (CAL_SYM.I0 + CAL_SYM.I1) - rec[::-1]
-        z = to_logodds(fwd[-1])
+        z = np.array([to_logodds(fwd[-1])])
         for im in mirrored:
-            z = float(_meas_z(z, im, CAL_SYM))
-        assert math.isclose(z, to_logodds(0.4), abs_tol=1e-12)
+            z = meas(z, im, CAL_SYM)
+        assert math.isclose(z[0], to_logodds(0.4), abs_tol=1e-12)
 
     def test_roundtrip_bitwise(self):
         cal = CalibrationParams(I0=128.44, I1=127.68, sigma=5.50, dt=0.5, T1=45.0)
@@ -144,20 +148,8 @@ class TestReconstruct:
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
         params = make_params(cal, 0.4, 10)
         recs, latent = generate_records(params, cal, 20, SeedSpec(5))
-        traj = reconstruct_trajectory(recs.record(3), cal, 0.4)
+        traj = reconstruct1(recs.currents[3], cal, 0.4)
         assert np.array_equal(traj, latent.values[3])
-
-    def test_determinism_across_workers(self):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5, T1=30.0)
-        params = make_params(cal, 0.4, 8, T1=30.0)
-        recs, _ = generate_records(params, cal, 70_000, SeedSpec(55))
-        digests = {
-            hashlib.sha256(
-                reconstruct_ensemble(recs, n_workers=w).values.tobytes()
-            ).hexdigest()
-            for w in (1, 3)
-        }
-        assert len(digests) == 1
 
     def test_effective_calibration_constant_is_identity(self):
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5, T1=30.0)
@@ -173,34 +165,37 @@ class TestReconstruct:
 
     def test_effective_calibration_per_step(self):
         # time-varying I0/I1 must be applied step by step; oracle is a
-        # scalar walk with per-step calibrations
+        # walk with per-step centers
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
         rng = np.random.default_rng(6)
         currents = rng.normal(0.0, 2.0, 10)
-        rec = MeasurementRecord(currents=currents, dt=0.5)
         t = (np.arange(10) + 0.5) * 0.5
         i0_t = 1.0 + 0.1 * np.exp(-t / 0.8)
         i1_t = -1.0 - 0.05 * np.exp(-t / 1.2)
         eff = EffectiveCalibration(times=t, I0=i0_t, I1=i1_t)
-        traj = reconstruct_trajectory(rec, cal, 0.5, effective=eff)
-        state = QubitState.from_rho00(0.5)
-        expected = [state.rho00]
+        traj = reconstruct1(currents, cal, 0.5, effective=eff)
+        z = np.array([to_logodds(0.5)])
+        expected = [to_rho(z[0])]
         for s in range(10):
-            step_cal = CalibrationParams(
-                I0=float(i0_t[s]), I1=float(i1_t[s]), sigma=2.0, dt=0.5
-            )
-            state = update_measurement(state, float(currents[s]), step_cal)
-            expected.append(state.rho00)
+            z = _meas_z(z, currents[s], float(i0_t[s]), float(i1_t[s]), 2.0)
+            expected.append(to_rho(z[0]))
         assert np.allclose(traj, expected, rtol=0, atol=1e-15)
 
     def test_effective_calibration_too_short(self):
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
-        rec = MeasurementRecord(currents=np.zeros(10), dt=0.5)
         eff = EffectiveCalibration(
             times=np.arange(5.0), I0=np.ones(5), I1=-np.ones(5)
         )
-        with pytest.raises(ValueError):
-            reconstruct_trajectory(rec, cal, 0.5, effective=eff)
+        with pytest.raises(ValueError, match="shorter"):
+            reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
+
+    def test_effective_calibration_equal_centers_rejected(self):
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        i1 = -np.ones(10)
+        i1[7] = 1.0
+        eff = EffectiveCalibration(times=np.arange(10.0), I0=np.ones(10), I1=i1)
+        with pytest.raises(ValueError, match="every step"):
+            reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
 
 
 class TestGenerate:
@@ -237,7 +232,7 @@ class TestGenerate:
         z0 = 0.0
         center = np.where(u < 0.5, cal.I0, cal.I1)
         im = center + cal.sigma * xi
-        dz_meas = _meas_z(np.full(n, z0), im, cal) - z0
+        dz_meas = meas(np.full(n, z0), im, cal) - z0
         branch = np.where(u < 0.5, 1.0, -1.0)
         dz_ident = kappa * branch + math.sqrt(kappa) * xi
         assert np.allclose(dz_meas, dz_ident, atol=1e-12)

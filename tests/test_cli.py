@@ -202,6 +202,13 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "offset" in err or "line" in err
 
+    def test_nonfinite_records_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,nan\n0.3,inf\n")
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "reconstructed.qens").exists()
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert run(["reconstruct", f"--out={tmp_path}", "--input=/nope.qrec"]) == 2
 

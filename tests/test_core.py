@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qtraj.bayesian import _meas_z
 from qtraj.core import (
     Z_CAP,
     CalibrationParams,
     ModelParams,
-    QubitState,
     TrajectoryEnsemble,
     build_histogram,
     to_logodds,
@@ -78,26 +78,30 @@ class TestLogOdds:
 
 
 class TestQubitState:
+    """The state is one log-odds float z per trajectory, viewed as rho00."""
+
     def test_views(self):
-        s = QubitState.from_rho00(0.305)
-        assert math.isclose(s.rho00, 0.305, rel_tol=1e-14)
-        assert math.isclose(s.rho00 + s.rho11, 1.0, abs_tol=3e-16)
-        assert not s.absorbed
+        z = to_logodds(0.305)
+        assert math.isclose(to_rho(z), 0.305, rel_tol=1e-14)
+        assert math.isclose(to_rho(z) + to_rho(-z), 1.0, abs_tol=3e-16)
+        assert abs(z) < Z_CAP
 
     def test_absorbed_flag(self):
-        assert QubitState(z=Z_CAP).absorbed
-        assert QubitState(z=-40.0).z == -Z_CAP  # clamped on construction
-        assert QubitState(z=Z_CAP).rho00 == 1.0
+        # the update kernels clamp to the cap, where rho00 reads exactly 1
+        z = _meas_z(np.array([Z_CAP - 1.0, -Z_CAP + 1.0]), np.array([1e6, -1e6]),
+                    1.0, -1.0, 1.0)
+        assert np.array_equal(z, [Z_CAP, -Z_CAP])
+        assert np.array_equal(to_rho(z), [1.0, 0.0])
 
     def test_population_sum(self):
-        rng = np.random.default_rng(7)
-        for z in rng.uniform(-25, 25, 200):
-            s = QubitState(z=z)
-            assert abs(s.rho00 + s.rho11 - 1.0) <= 3e-16
+        z = np.random.default_rng(7).uniform(-25, 25, 200)
+        assert np.max(np.abs(to_rho(z) + to_rho(-z) - 1.0)) <= 3e-16
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            QubitState(z=math.nan)
+            to_logodds(math.nan)
+        with pytest.raises(ValueError):
+            ModelParams(g=0.03, T1=45.0, dt=0.5, x0=math.nan, n_steps=1)
 
 
 class TestParams:

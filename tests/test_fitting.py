@@ -162,6 +162,14 @@ class TestFitTau:
             errs.append(res.tau_error)
         assert abs(np.mean(bests) - 0.5) < np.mean(errs)
 
+    def test_nonuniform_scan_rejected(self):
+        # the parabolic refinement assumes one step size
+        obs = sample_mixture_hist(0.305, 0.5, 10_000, 24)
+        gen = make_analytic_model_gen(0.305, 1)
+        for scan in ([0.0, 0.2, 0.45, 0.5, 0.7, 1.0], [0.5, 0.4, 0.3]):
+            with pytest.raises(ValueError, match="uniform"):
+                fit_tau([obs], gen, np.array(scan))
+
     def test_model_gen_slice_mismatch(self):
         obs = sample_mixture_hist(0.5, 0.4, 5000, 30)
         gen = make_analytic_model_gen(0.5, 2)

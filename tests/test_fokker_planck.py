@@ -7,7 +7,6 @@ from scipy import integrate
 from qtraj.core import ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.fokker_planck import (
     DensityGrid,
-    analytic_distribution_rho,
     analytic_distribution_z,
     fp_snapshot_to_bins,
     solve_fp,
@@ -65,20 +64,31 @@ class TestAnalyticZ:
             assert np.all(m >= 0)
 
 
+def rho_density(mix, lo, hi, n):
+    """Density of rho00 on n cells of [lo, hi], from exact bin masses."""
+    edges = np.linspace(lo, hi, n + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), mix.bin_masses_rho(edges) / np.diff(edges)
+
+
 class TestAnalyticRho:
+    """The no-relaxation solution seen as a distribution of rho00."""
+
     def test_symmetry(self):
-        p = analytic_distribution_rho(0.5, 0.8)
-        r = np.linspace(0.01, 0.99, 99)
-        assert np.allclose(p(r), p(1 - r), rtol=1e-10)
+        mix = analytic_distribution_z(0.5, 0.8)
+        z = np.linspace(-6.0, 6.0, 121)
+        assert np.allclose(mix.pdf_z(z), mix.pdf_z(-z), rtol=1e-10)
+        m = mix.bin_masses_rho(EDGES)
+        assert np.allclose(m, m[::-1], rtol=1e-9, atol=1e-15)
 
     def test_normalization_quadrature(self):
-        p = analytic_distribution_rho(0.305, 0.6)
-        val, err = integrate.quad(p, 0.0, 1.0, limit=200)
+        mix = analytic_distribution_z(0.305, 0.6)
+        val, err = integrate.quad(mix.pdf_z, -np.inf, np.inf, limit=200)
         assert abs(val - 1.0) <= max(1e-8, 10 * err)
 
     def test_boundary_limit_zero(self):
-        p = analytic_distribution_rho(0.4, 0.5)
-        assert p(0.0) == 0.0 and p(1.0) == 0.0
+        # no mass collects near the eigenstates in finite tau
+        m = analytic_distribution_z(0.4, 0.5).bin_masses_rho([0.0, 1e-6, 1 - 1e-6, 1.0])
+        assert m[0] < 1e-15 and m[2] < 1e-15
 
     def test_modes_match_stationarity_oracle(self):
         # the Jacobian 1/(2 rho (1-rho)) moves the rho-space maxima off
@@ -88,10 +98,8 @@ class TestAnalyticRho:
         # is checked against this oracle, not against to_rho(centers).
         from scipy.optimize import brentq
 
-        p = analytic_distribution_rho(0.305, 1.2)
-        mix = p.mixture
-        r = np.linspace(1e-6, 1 - 1e-6, 2_000_001)
-        dens = p(r)
+        mix = analytic_distribution_z(0.305, 1.2)
+        r, dens = rho_density(mix, 1e-6, 1 - 1e-6, 2_000_000)
         lo_mode = r[np.argmax(np.where(r < 0.5, dens, -1.0))]
         hi_mode = r[np.argmax(np.where(r >= 0.5, dens, -1.0))]
         for mu, mode in ((mix.z_minus, lo_mode), (mix.z_plus, hi_mode)):
@@ -106,10 +114,8 @@ class TestAnalyticRho:
     def test_modes_match_pushforward_weak_limit(self):
         # for small tau the mode shift is O(tau) and the pushed-forward
         # centers are good to within one 0.01 bin
-        p = analytic_distribution_rho(0.305, 0.01)
-        mix = p.mixture
-        r = np.linspace(1e-4, 1 - 1e-4, 500_001)
-        dens = p(r)
+        mix = analytic_distribution_z(0.305, 0.01)
+        r, dens = rho_density(mix, 1e-4, 1 - 1e-4, 500_000)
         mode = r[np.argmax(dens)]
         assert abs(mode - to_rho(mix.z_minus)) < 0.01
 
@@ -192,10 +198,10 @@ class TestSolveFP:
         assert l1_bins(fp_snapshot_to_bins(cont[0]), ref) < 1e-3
         assert l1_bins(fp_snapshot_to_bins(direct[0]), ref) < 1e-3
         with pytest.raises(ValueError):
+            # the solver adopts only uniform grids
             solve_fp(
                 DensityGrid(
-                    coordinate="rho",
-                    nodes=np.linspace(0.05, 0.95, 16),
+                    nodes=np.linspace(-3.0, 3.0, 16) ** 3,
                     weights=np.full(16, 1 / 16),
                     mass0=0.0,
                     mass1=0.0,
@@ -238,7 +244,7 @@ class TestRebinning:
         weights = mix.cell_masses(z_edges)
         nodes = 0.5 * (z_edges[:-1] + z_edges[1:])
         grid = DensityGrid(
-            coordinate="z", nodes=nodes, weights=weights,
+            nodes=nodes, weights=weights,
             mass0=float(mix.cdf_z(-12.0)), mass1=float(1.0 - mix.cdf_z(12.0)),
             t=0.0,
         )
@@ -246,11 +252,3 @@ class TestRebinning:
         direct = mix.bin_masses_rho(EDGES)
         assert np.max(np.abs(snap.density - direct)) < 1e-6
 
-    def test_rho_coordinate_grid(self):
-        nodes = (np.arange(200) + 0.5) / 200.0
-        weights = np.full(200, 1.0 / 200.0)
-        grid = DensityGrid(
-            coordinate="rho", nodes=nodes, weights=weights, mass0=0.0, mass1=0.0, t=0.0
-        )
-        snap = fp_snapshot_to_bins(grid)
-        assert np.allclose(snap.density, 0.01, atol=1e-15)

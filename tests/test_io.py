@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ class TestRecordFiles:
         p.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,0.2\n0.3,oops\n")
         with pytest.raises(io.FormatError, match="line 3"):
             io.read_records(str(p))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_nonfinite_current_diagnostic(self, tmp_path, records, value):
+        # binary: overwrite record 4, step 6 in place
+        p = tmp_path / "r.qrec"
+        io.write_records(str(p), records)
+        raw = bytearray(file_bytes(p))
+        off = len(raw) - records.currents.nbytes + (4 * records.n_steps + 6) * 8
+        raw[off : off + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        t = tmp_path / "r.txt"
+        t.write_text(f"1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,0.2\n0.3,{value!r}\n")
+        for path in (p, t):
+            with pytest.raises(io.FormatError, match=f"{path.name}: currents must be finite"):
+                io.read_records(str(path))
 
 
 class TestEnsembleFiles:

@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qtraj.core import Z_CAP, ModelParams, QubitState, build_histogram, to_logodds, to_rho
+from qtraj.bayesian import generate_records, reconstruct_ensemble
+from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.fokker_planck import analytic_distribution_z
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 from qtraj.sde import (
     CHUNK,
-    StepBudget,
     _diffusion_z,
     _relax_z,
     simulate_ensemble,
     simulate_ensemble_euler,
-    step_diffusion_exact,
-    step_euler_maruyama,
-    step_relaxation_exact,
-    step_trotter,
 )
 
 
@@ -31,41 +27,47 @@ def sample_diffusion_increments(seed, n, kappa, x0=0.5, step=0):
     return _diffusion_z(np.full(n, z0), kappa, u, xi) - z0
 
 
+def relax1(z, delta):
+    """One exact relaxation step of a size-1 state array."""
+    return _relax_z(np.array([z]), delta)[0]
+
+
+def draws(seed, n, step):
+    traj = np.arange(n, dtype=np.uint64)
+    return (counter_uniform(seed, traj, step, STREAM_BRANCH),
+            counter_normal(seed, traj, step, STREAM_NOISE))
+
+
 class TestRelaxation:
     def test_ground_state_unchanged(self):
-        s = QubitState.from_rho00(1.0)  # rho11 = 0
-        out = step_relaxation_exact(s, 0.37)
-        assert out.rho00 == 1.0
+        out = relax1(to_logodds(1.0), 0.37)  # rho11 = 0
+        assert to_rho(out) == 1.0
 
     def test_half_life(self):
-        s = QubitState.from_rho00(0.0)  # rho11 = 1
-        out = step_relaxation_exact(s, math.log(2.0))
-        assert math.isclose(out.rho11, 0.5, rel_tol=1e-12)
+        out = relax1(to_logodds(0.0), math.log(2.0))  # rho11 = 1
+        assert math.isclose(to_rho(-out), 0.5, rel_tol=1e-12)
 
     def test_experiment_scale_step(self):
         # oracle: rho11' = 0.695 * exp(-dt/T1) with dt=0.5, T1=45
-        s = QubitState.from_rho00(0.305)
-        out = step_relaxation_exact(s, 0.5 / 45.0)
+        out = relax1(to_logodds(0.305), 0.5 / 45.0)
         expected = 0.695 * math.exp(-1.0 / 90.0)
         assert math.isclose(expected, 0.687320520559276, rel_tol=1e-14)
-        assert math.isclose(out.rho11, expected, rel_tol=1e-12)
+        assert math.isclose(to_rho(-out), expected, rel_tol=1e-12)
 
     def test_delta_zero_identity(self):
-        s = QubitState(z=1.3)
-        assert step_relaxation_exact(s, 0.0) is s
+        z = np.array([1.3])
+        assert _relax_z(z, 0.0) is z
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            step_relaxation_exact(QubitState(z=0.0), -0.1)
+            _relax_z(np.zeros(1), -0.1)
 
     def test_cap_reentry(self):
         # rho00 = 0 is not absorbing under relaxation
-        s = QubitState(z=-Z_CAP)
-        out = step_relaxation_exact(s, 0.01)
-        assert math.isclose(out.rho00, -math.expm1(-0.01), rel_tol=1e-9)
+        out = relax1(-Z_CAP, 0.01)
+        assert math.isclose(to_rho(out), -math.expm1(-0.01), rel_tol=1e-9)
         # rho00 = 1 stays put
-        top = step_relaxation_exact(QubitState(z=Z_CAP), 0.01)
-        assert top.z == Z_CAP
+        assert relax1(Z_CAP, 0.01) == Z_CAP
 
     def test_half_steps_compose(self):
         rng = np.random.default_rng(0)
@@ -76,28 +78,25 @@ class TestRelaxation:
         assert np.allclose(direct, halves, rtol=1e-12, atol=1e-12)
 
     def test_matches_rho_space_rule(self):
-        rng = np.random.default_rng(1)
-        for rho in rng.random(100):
-            s = QubitState.from_rho00(rho)
-            out = step_relaxation_exact(s, 0.2)
-            assert math.isclose(out.rho11, s.rho11 * math.exp(-0.2), rel_tol=1e-12)
+        z = to_logodds(np.random.default_rng(1).random(100))
+        out = _relax_z(z, 0.2)
+        assert np.allclose(to_rho(-out), to_rho(-z) * math.exp(-0.2), rtol=1e-12, atol=0)
 
 
 class TestDiffusion:
     def test_zero_kappa(self):
-        s = QubitState(z=0.7)
-        assert step_diffusion_exact(s, 0.0, np.random.default_rng(0)) is s
+        z = np.full(1000, 0.7)
+        assert np.array_equal(_diffusion_z(z, 0.0, *draws(0, 1000, 0)), z)
 
     def test_negative_kappa(self):
         with pytest.raises(ValueError):
-            step_diffusion_exact(QubitState(z=0.0), -1.0, np.random.default_rng(0))
+            _diffusion_z(np.zeros(1), -1.0, *draws(0, 1, 0))
 
     def test_eigenstate_fixed(self):
-        rng = np.random.default_rng(2)
-        s = QubitState.from_rho00(1.0)
-        for _ in range(100):
-            s = step_diffusion_exact(s, 0.5, rng)
-            assert s.rho00 == 1.0
+        z = np.array([to_logodds(1.0)])
+        for step in range(100):
+            z = _diffusion_z(z, 0.5, *draws(2, 1, step))
+            assert to_rho(z[0]) == 1.0
 
     def test_moments_at_pinned_state(self):
         # pinned branch (rho00 = 1 in float, z below the cap): the
@@ -146,39 +145,34 @@ class TestDiffusion:
 
 
 class TestTrotter:
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            StepBudget(kappa=-1.0, delta=0.0)
-        with pytest.raises(ValueError):
-            StepBudget(kappa=0.0, delta=-1.0)
-        b = StepBudget.from_params(ModelParams(g=0.03, T1=45.0, dt=0.5, x0=0.5, n_steps=1))
-        assert math.isclose(b.kappa, 0.015) and math.isclose(b.delta, 0.5 / 45)
+    """simulate_ensemble's step: half relaxation, diffusion, half relaxation."""
 
     def test_no_relaxation_reduces_to_diffusion(self):
-        s = QubitState(z=0.3)
-        a = step_trotter(s, StepBudget(kappa=0.2, delta=0.0), np.random.default_rng(8))
-        b = step_diffusion_exact(s, 0.2, np.random.default_rng(8))
-        assert a.z == b.z
+        params = ModelParams(g=0.4, T1=math.inf, dt=0.5, x0=0.57, n_steps=3)
+        ens = simulate_ensemble(params, 50, SeedSpec(8))
+        z = np.full(50, to_logodds(0.57))
+        for step in range(3):
+            z = _diffusion_z(z, 0.2, *draws(8, 50, step))
+            assert np.array_equal(ens.slice_values(step + 1), to_rho(z))
 
     def test_no_diffusion_reduces_to_relaxation(self):
-        s = QubitState(z=-0.4)
-        a = step_trotter(s, StepBudget(kappa=0.0, delta=0.08), np.random.default_rng(9))
-        b = step_relaxation_exact(s, 0.08)
-        assert math.isclose(a.z, b.z, rel_tol=1e-12)
+        params = ModelParams(g=0.0, T1=6.25, dt=0.5, x0=0.4, n_steps=1)
+        ens = simulate_ensemble(params, 1, SeedSpec(9))
+        expected = to_rho(relax1(to_logodds(0.4), 0.08))
+        assert math.isclose(ens.values[0, 1], expected, rel_tol=1e-12)
 
 
 class TestEulerMaruyama:
     def test_frozen_dynamics(self):
-        s = QubitState(z=0.25)
-        out = step_euler_maruyama(s, 0.0, 0.5, math.inf, np.random.default_rng(0))
-        assert out is s
+        params = ModelParams(g=0.0, T1=math.inf, dt=0.5, x0=0.56, n_steps=10)
+        rho = simulate_ensemble_euler(params, 100, np.random.default_rng(0))
+        assert np.all(rho == 0.56)
 
     def test_eigenstates_fixed(self):
-        rng = np.random.default_rng(1)
-        for rho in (0.0, 1.0):
-            s = QubitState.from_rho00(rho)
-            out = step_euler_maruyama(s, 0.1, 0.5, math.inf, rng)
-            assert out.rho00 == rho
+        for x0 in (0.0, 1.0):
+            params = ModelParams(g=0.1, T1=math.inf, dt=0.5, x0=x0, n_steps=10)
+            rho = simulate_ensemble_euler(params, 100, np.random.default_rng(1))
+            assert np.all(rho == x0)
 
     def test_matches_exact_distribution(self):
         # tau = 0.25 with g*dt = 1e-4: TV against the exact stepper < 0.02
@@ -249,15 +243,6 @@ class TestSimulateEnsemble:
         assert abs(snap.mass1 - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n) + 0.002
         assert abs(snap.mass0 - 0.7) < 4 * math.sqrt(0.3 * 0.7 / n) + 0.002
 
-    def test_determinism_across_workers(self):
-        params = ModelParams(g=0.05, T1=30.0, dt=0.5, x0=0.4, n_steps=10)
-        n = CHUNK + 1234  # crosses a chunk boundary
-        digests = set()
-        for workers in (1, 2, 4):
-            ens = simulate_ensemble(params, n, SeedSpec(123), n_workers=workers)
-            digests.add(hashlib.sha256(ens.values.tobytes()).hexdigest())
-        assert len(digests) == 1
-
     def test_trajectory_keyed_by_index(self):
         params = ModelParams(g=0.05, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
         big = simulate_ensemble(params, 300, SeedSpec(9))
@@ -268,3 +253,32 @@ class TestSimulateEnsemble:
         params = ModelParams(g=0.05, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
         with pytest.raises(ValueError):
             simulate_ensemble(params, 0, SeedSpec(9))
+
+
+CAL_CHUNKS = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5, T1=30.0)
+PARAMS_CHUNKS = ModelParams(g=CAL_CHUNKS.kappa / 0.5, T1=30.0, dt=0.5, x0=0.4, n_steps=8)
+
+
+def chunked_outputs(pipeline, workers):
+    """Arrays one chunked pipeline writes, on n_traj across a chunk boundary."""
+    n = CHUNK + 1234
+    if pipeline == "simulate_ensemble":
+        return [simulate_ensemble(PARAMS_CHUNKS, n, SeedSpec(123), n_workers=workers).values]
+    gen_workers = workers if pipeline == "generate_records" else 1
+    recs, latent = generate_records(
+        PARAMS_CHUNKS, CAL_CHUNKS, n, SeedSpec(55), n_workers=gen_workers
+    )
+    if pipeline == "generate_records":
+        return [recs.currents, latent.values]
+    return [reconstruct_ensemble(recs, n_workers=workers).values]
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["simulate_ensemble", "generate_records", "reconstruct_ensemble"]
+)
+def test_determinism_across_workers(pipeline):
+    digests = {
+        tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in chunked_outputs(pipeline, w))
+        for w in (1, 2, 4)
+    }
+    assert len(digests) == 1
