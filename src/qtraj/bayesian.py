@@ -75,7 +75,8 @@ class RecordSet:
     """An ensemble of measurement records with shared calibration.
 
     Every current must be finite: a NaN would poison its trajectory and
-    an infinite one would act as a projective measurement.
+    an infinite one would act as a projective measurement.  The initial
+    population ``x0`` must be a finite value in [0, 1].
     """
 
     currents: np.ndarray  # shape (n_traj, n_steps)
@@ -92,6 +93,8 @@ class RecordSet:
             raise ValueError(
                 f"currents must be finite: record {i}, step {s} is {c[i, s]}"
             )
+        if not 0.0 <= self.x0 <= 1.0:
+            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
         c.setflags(write=False)
 
     @property

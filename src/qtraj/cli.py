@@ -260,6 +260,7 @@ def _fit_ensemble(cfg: RunConfig, ens):
         gen = fitting.make_fp_model_gen(
             x0, cfg.t1_us, times, cfg.n_bins, cfg.bin_width,
             n_cells=cfg.fp_cells, dt=(cfg.fp_dt_us or None),
+            z_min=cfg.fp_zmin, z_max=cfg.fp_zmax,
         )
     else:
         raise UsageError(f"unknown model {cfg.model!r} (use analytic or fp)")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bayesian import RecordSet, preparation_uncertainty, reconstruct_ensemble
 from .core import CalibrationParams, DistributionSnapshot, ModelParams, build_histogram
-from .fokker_planck import analytic_distribution_z, fp_snapshot_to_bins, solve_fp
+from .fokker_planck import _grid_nodes, _rebin, _rebin_map, analytic_distribution_z, solve_fp
 from .rng import SeedSpec
 from .sde import simulate_ensemble
 
@@ -239,21 +239,29 @@ def make_fp_model_gen(
     bin_width: float = 0.01,
     n_cells: int = 2048,
     dt: float | None = None,
+    z_min: float = -12.0,
+    z_max: float = 12.0,
 ) -> Callable[[float], list[DistributionSnapshot]]:
     """Model generator backed by the Fokker-Planck solver.
 
     For slice time t and trial tau the model is the density evolved with
-    the constant coupling g = tau/t up to t, including relaxation.
+    the constant coupling g = tau/t up to t, including relaxation, on
+    ``n_cells`` cells of [z_min, z_max].  Every solve shares that grid,
+    so the rebinning map onto the rho00 bins is built once here; each
+    solve builds its own substep operators once per interval.
     """
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("slice times must be positive")
+    rebin_map = _rebin_map(_grid_nodes(z_min, z_max, n_cells), n_bins, bin_width)
 
     def gen(tau: float) -> list[DistributionSnapshot]:
         out = []
         for t in times:
-            sols = solve_fp(x0, tau / t, T1, [t], n_cells=n_cells, dt=dt)
-            out.append(fp_snapshot_to_bins(sols[0], n_bins, bin_width))
+            sols = solve_fp(
+                x0, tau / t, T1, [t], z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt
+            )
+            out.append(_rebin(sols[0], rebin_map, n_bins, bin_width))
         return out
 
     return gen

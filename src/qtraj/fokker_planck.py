@@ -23,6 +23,11 @@ the Monte Carlo stepper:
   chosen in population space, so the mean population follows
   rho11 -> rho11*e^-delta to rounding.
 
+Both sub-evolutions are linear operators fixed by the grid and the
+substep size, so :func:`solve_fp` builds them (kernels and their FFT
+spectra, branch weights, deposit cells and splits) once per ``t_grid``
+interval and applies them to every substep of it.
+
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; the rho00 = 0 bucket is re-injected by the next relaxation
 application when T1 is finite (the left boundary is only absorbing
@@ -40,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
@@ -60,6 +66,8 @@ _NEG_TOL = -1e-12
 # Gaussian kernels are truncated at this many sigma; the cut mass
 # (~2e-17 per side) is routed to the boundary buckets, not dropped.
 _KERNEL_TAIL = 8.5
+# convolutions up to this many multiply-adds run directly, longer ones by FFT
+_DIRECT_MAX = 3_000_000
 
 
 class FPSolverError(RuntimeError):
@@ -175,6 +183,12 @@ def analytic_distribution_z(x0: float, tau: float) -> GaussianMixtureZ:
 # numerical solver
 
 
+def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
+    """Cell centers of the uniform z grid of a delta initial condition."""
+    dz = (z_max - z_min) / n_cells
+    return z_min + (np.arange(n_cells) + 0.5) * dz
+
+
 class _Solver:
     """Mutable working state of one solve (grid plus masses)."""
 
@@ -194,119 +208,42 @@ class _Solver:
 
     # -- deposits ----------------------------------------------------------
 
-    def deposit(self, y: np.ndarray, r11_target: np.ndarray, mass: np.ndarray) -> None:
-        """Drop point masses at z positions y onto the grid.
+    def split(self, y: np.ndarray, r11_target: np.ndarray):
+        """Enclosing cells of z positions y and their mean-exact splits.
 
-        The split between the two enclosing cells is chosen in
-        population space (r11 is monotone in z), so the deposited
-        population mean equals the exact one.  Positions beyond the last
-        cell go to the rho00 = 1 bucket; positions below the first cell
-        pile into cell 0 (only reachable within ~1e-10 of the edge).
+        Returns the masks of positions below the first cell and beyond
+        the last, and for the positions in between (``mid``) the lower
+        enclosing cell ``k`` and the fraction ``alpha`` that goes to cell
+        k + 1.  The split is chosen in population space (r11 is monotone
+        in z), so a deposit's population mean equals the exact one.
         """
         pos = (y - self.nodes[0]) / self.dz
         k = np.floor(pos).astype(int)
         below = k < 0
         above = k >= self.nodes.size - 1
         mid = ~(below | above)
-        if np.any(above):
-            self.mass1 += float(mass[above].sum())
-        if np.any(below):
-            np.add.at(self.w, 0, mass[below].sum())
         km = k[mid]
         denom = self.r11[km] - self.r11[km + 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha = (self.r11[km] - r11_target[mid]) / denom
         alpha = np.clip(np.where(denom > 0.0, alpha, 0.5), 0.0, 1.0)
+        return below, above, mid, km, alpha
+
+    def deposit(self, y: np.ndarray, r11_target: np.ndarray, mass: np.ndarray) -> None:
+        """Drop point masses at z positions y onto the grid.
+
+        Positions beyond the last cell go to the rho00 = 1 bucket;
+        positions below the first cell pile into cell 0 (only reachable
+        within ~1e-10 of the edge).
+        """
+        below, above, mid, km, alpha = self.split(y, r11_target)
+        if np.any(above):
+            self.mass1 += float(mass[above].sum())
+        if np.any(below):
+            np.add.at(self.w, 0, mass[below].sum())
         mm = mass[mid]
         np.add.at(self.w, km, mm * (1.0 - alpha))
         np.add.at(self.w, km + 1, mm * alpha)
-
-    # -- relaxation --------------------------------------------------------
-
-    def relax(self, delta: float) -> None:
-        """Exact pushforward of rho11 -> rho11*e^-delta."""
-        if delta == 0.0:
-            return
-        w_old = self.w
-        self.w = np.zeros_like(w_old)
-        live = w_old > 0.0
-        y = _relax_z(self.nodes[live], delta)
-        fac = math.exp(-delta)
-        self.deposit(y, self.r11[live] * fac, w_old[live])
-        if self.mass0 > 0.0:
-            # the rho00 = 0 point mass re-enters at rho11 = e^-delta
-            y0 = 0.5 * math.log(math.expm1(delta))
-            self.deposit(
-                np.array([y0]), np.array([fac]), np.array([self.mass0])
-            )
-            self.mass0 = 0.0
-
-    # -- diffusion ---------------------------------------------------------
-
-    def diffuse(self, kappa: float) -> None:
-        """Exact two-Gaussian spreading over evolution interval kappa."""
-        if kappa == 0.0:
-            return
-        sig = math.sqrt(kappa)
-        lo = int(math.floor((-kappa - _KERNEL_TAIL * sig) / self.dz)) - 1
-        hi = int(math.ceil((kappa + _KERNEL_TAIL * sig) / self.dz)) + 1
-        edges_rel = (np.arange(lo, hi + 2) - 0.5) * self.dz
-        n = self.nodes.size
-
-        def branch_kernel(shift):
-            cdf = ndtr((edges_rel - shift) / sig)
-            return np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])
-
-        kp, kp_tail_lo, kp_tail_hi = branch_kernel(+kappa)
-        km, km_tail_lo, km_tail_hi = branch_kernel(-kappa)
-
-        # discrete post-step population means of each branch; beyond the
-        # grid the population saturates at the eigenstates (+-1 in phi)
-        pos = np.arange(lo, n + hi)
-        phi_ext = np.where(
-            pos < 0, -1.0, np.where(pos >= n, 1.0, self.phi[np.clip(pos, 0, n - 1)])
-        )
-        mp = self._correlate(phi_ext, kp) - kp_tail_lo + kp_tail_hi
-        mm = self._correlate(phi_ext, km) - km_tail_lo + km_tail_hi
-
-        # branch weights, corrected so the discrete mean is conserved
-        denom = mp - mm
-        with np.errstate(invalid="ignore", divide="ignore"):
-            xt = (self.phi - mm) / denom
-        xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * self.nodes))
-        xt = np.clip(xt, 0.0, 1.0)
-
-        wp = xt * self.w
-        wm = self.w - wp
-        full = self._convolve(wp, kp) + self._convolve(wm, km)
-        if np.any(full < _NEG_TOL):
-            raise FPSolverError(
-                f"negative density {full.min():.3e} from diffusion step"
-            )
-        np.maximum(full, 0.0, out=full)
-        # full[j'] is the mass landing on grid index j = j' + lo
-        j_lo = max(0, -lo)          # first j' on the grid
-        j_hi = min(full.size, n - lo)  # one past the last j' on the grid
-        self.w = np.zeros(n)
-        self.w[j_lo + lo : j_hi + lo] = full[j_lo:j_hi]
-        self.mass0 += float(full[:j_lo].sum())
-        self.mass1 += float(full[j_hi:].sum())
-        # truncated kernel tails (couple of 1e-17) go to the buckets too
-        self.mass0 += float(wp.sum() * kp_tail_lo + wm.sum() * km_tail_lo)
-        self.mass1 += float(wp.sum() * kp_tail_hi + wm.sum() * km_tail_hi)
-
-    @staticmethod
-    def _convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        if a.size * k.size <= 3_000_000:
-            return np.convolve(a, k)
-        out = fftconvolve(a, k)
-        return np.maximum(out, 0.0)
-
-    @staticmethod
-    def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        if a.size * k.size <= 3_000_000:
-            return np.convolve(a, k[::-1], mode="valid")
-        return fftconvolve(a, k[::-1], mode="valid")
 
     def snapshot(self, t: float) -> DensityGrid:
         return DensityGrid(
@@ -316,6 +253,144 @@ class _Solver:
             mass1=self.mass1,
             t=t,
         )
+
+
+class _Relaxation:
+    """Exact pushforward of rho11 -> rho11*e^-delta on one grid.
+
+    Where each node lands and how its mass splits between the two
+    enclosing cells depend on the grid and delta only, so they are
+    computed once; each application selects the cells holding mass and
+    deposits them with one ``bincount``.
+    """
+
+    def __init__(self, s: _Solver, delta: float):
+        self.delta = delta
+        if delta == 0.0:
+            return
+        self.fac = math.exp(-delta)
+        y = _relax_z(s.nodes, delta)
+        _, self.above, self.mid, km, alpha = s.split(y, s.r11 * self.fac)
+        # per-node lower cell and split (unused where not mid)
+        self.k = np.zeros(s.nodes.size, dtype=km.dtype)
+        self.k[self.mid] = km
+        self.alpha = np.zeros(s.nodes.size)
+        self.alpha[self.mid] = alpha
+
+    def apply(self, s: _Solver) -> None:
+        if self.delta == 0.0:
+            return
+        w_old = s.w
+        live = w_old > 0.0
+        up = live & self.above
+        if np.any(up):
+            s.mass1 += float(w_old[up].sum())
+        sel = live & self.mid
+        k = self.k[sel]
+        m = w_old[sel]
+        alpha = self.alpha[sel]
+        # the same additions, in the same order, as depositing onto zeros;
+        # relaxation moves every node up in z, so none lands below cell 0
+        s.w = np.bincount(
+            np.concatenate((k, k + 1)),
+            np.concatenate((m * (1.0 - alpha), m * alpha)),
+            minlength=s.nodes.size,
+        )
+        if s.mass0 > 0.0:
+            # the rho00 = 0 point mass re-enters at rho11 = e^-delta
+            y0 = 0.5 * math.log(math.expm1(self.delta))
+            s.deposit(np.array([y0]), np.array([self.fac]), np.array([s.mass0]))
+            s.mass0 = 0.0
+
+
+class _Diffusion:
+    """Exact two-Gaussian spreading over evolution interval kappa.
+
+    The kernel pair, its truncated tails and the mean-preserving branch
+    weights depend on the grid and kappa only, so they are built once;
+    on the FFT path the kernel spectra are kept too.  Each application
+    then convolves the two weighted branches.
+    """
+
+    def __init__(self, s: _Solver, kappa: float):
+        self.kappa = kappa
+        if kappa == 0.0:
+            return
+        sig = math.sqrt(kappa)
+        lo = int(math.floor((-kappa - _KERNEL_TAIL * sig) / s.dz)) - 1
+        hi = int(math.ceil((kappa + _KERNEL_TAIL * sig) / s.dz)) + 1
+        edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
+        n = s.nodes.size
+
+        def branch_kernel(shift):
+            cdf = ndtr((edges_rel - shift) / sig)
+            return np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])
+
+        kp, self.kp_tail_lo, self.kp_tail_hi = branch_kernel(+kappa)
+        km, self.km_tail_lo, self.km_tail_hi = branch_kernel(-kappa)
+
+        # discrete post-step population means of each branch; beyond the
+        # grid the population saturates at the eigenstates (+-1 in phi)
+        pos = np.arange(lo, n + hi)
+        phi_ext = np.where(
+            pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)])
+        )
+        mp = _correlate(phi_ext, kp) - self.kp_tail_lo + self.kp_tail_hi
+        mm = _correlate(phi_ext, km) - self.km_tail_lo + self.km_tail_hi
+
+        # branch weights, corrected so the discrete mean is conserved
+        denom = mp - mm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            xt = (s.phi - mm) / denom
+        xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes))
+        self.xt = np.clip(xt, 0.0, 1.0)
+
+        self.lo = lo
+        self.kernels = (kp, km)
+        self.full_size = n + kp.size - 1
+        if n * kp.size <= _DIRECT_MAX:
+            self.spectra = None
+        else:
+            # the length fftconvolve would pick, so each branch keeps its bits
+            self.fft_len = next_fast_len(self.full_size, real=True)
+            self.spectra = (rfft(kp, self.fft_len), rfft(km, self.fft_len))
+
+    def _convolve(self, a: np.ndarray, branch: int) -> np.ndarray:
+        if self.spectra is None:
+            return np.convolve(a, self.kernels[branch])
+        spec = rfft(a, self.fft_len) * self.spectra[branch]
+        out = irfft(spec, self.fft_len)[: self.full_size]
+        return np.maximum(out, 0.0)
+
+    def apply(self, s: _Solver) -> None:
+        if self.kappa == 0.0:
+            return
+        n = s.nodes.size
+        lo = self.lo
+        wp = self.xt * s.w
+        wm = s.w - wp
+        full = self._convolve(wp, 0) + self._convolve(wm, 1)
+        if np.any(full < _NEG_TOL):
+            raise FPSolverError(
+                f"negative density {full.min():.3e} from diffusion step"
+            )
+        np.maximum(full, 0.0, out=full)
+        # full[j'] is the mass landing on grid index j = j' + lo
+        j_lo = max(0, -lo)          # first j' on the grid
+        j_hi = min(full.size, n - lo)  # one past the last j' on the grid
+        s.w = np.zeros(n)
+        s.w[j_lo + lo : j_hi + lo] = full[j_lo:j_hi]
+        s.mass0 += float(full[:j_lo].sum())
+        s.mass1 += float(full[j_hi:].sum())
+        # truncated kernel tails (couple of 1e-17) go to the buckets too
+        s.mass0 += float(wp.sum() * self.kp_tail_lo + wm.sum() * self.km_tail_lo)
+        s.mass1 += float(wp.sum() * self.kp_tail_hi + wm.sum() * self.km_tail_hi)
+
+
+def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    if a.size * k.size <= _DIRECT_MAX:
+        return np.convolve(a, k[::-1], mode="valid")
+    return fftconvolve(a, k[::-1], mode="valid")
 
 
 def solve_fp(
@@ -349,7 +424,9 @@ def solve_fp(
     dt : float, optional
         Trotter substep duration with finite T1.  Defaults to
         min(T1/100, interval).  Pure diffusion (infinite T1) is a single
-        exact application per interval regardless of dt.
+        exact application per interval regardless of dt.  The substep
+        operators are built once per interval between snapshot times,
+        so memory beyond the grid is one interval's operators.
 
     Returns
     -------
@@ -372,9 +449,7 @@ def solve_fp(
         t = initial.t
     else:
         x0 = float(initial)
-        dz = (z_max - z_min) / n_cells
-        nodes = z_min + (np.arange(n_cells) + 0.5) * dz
-        solver = _Solver(nodes, np.zeros(n_cells), 0.0, 0.0)
+        solver = _Solver(_grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
         z0 = to_logodds(x0)
         if not (z_min < z0 < z_max):
             raise ValueError("x0 maps outside the z grid")
@@ -393,16 +468,20 @@ def solve_fp(
         span = float(t_next - t)
         if span > 0.0:
             if math.isinf(T1):
-                solver.diffuse(g * span)
+                _Diffusion(solver, g * span).apply(solver)
             else:
                 sub = dt if dt is not None else min(T1 / 100.0, span)
                 n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
                 h = span / n_sub
                 delta = h / T1
-                solver.relax(0.5 * delta)
+                # the operators of this interval, shared by its substeps
+                diffuse = _Diffusion(solver, g * h)
+                half = _Relaxation(solver, 0.5 * delta)
+                relax = _Relaxation(solver, delta) if n_sub > 1 else half
+                half.apply(solver)
                 for j in range(n_sub):
-                    solver.diffuse(g * h)
-                    solver.relax(delta if j < n_sub - 1 else 0.5 * delta)
+                    diffuse.apply(solver)
+                    (relax if j < n_sub - 1 else half).apply(solver)
             t = float(t_next)
         wmin = solver.w.min()
         if wmin < _NEG_TOL:
@@ -412,6 +491,52 @@ def solve_fp(
             raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
         out.append(solver.snapshot(t))
     return out
+
+
+def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):
+    """Conservative rebinning of z cells onto uniform rho00 bins.
+
+    Returns ``(cell, bin, frac)``: cell ``cell[i]`` puts the fraction
+    ``frac[i]`` of its mass into bin ``bin[i]``.  Cells inside one bin
+    come first (fraction 1), then the cells straddling bin edges in index
+    order, each split assuming a uniform within-cell distribution in z.
+    """
+    if n_bins * bin_width < 1.0 - 1e-12:
+        raise ValueError("n_bins * bin_width must cover [0, 1]")
+    half = 0.5 * float(np.diff(nodes).mean())
+    lo_c = nodes - half
+    hi_c = nodes + half
+    r_lo = to_rho(lo_c)
+    r_hi = to_rho(hi_c)
+
+    edges = np.arange(n_bins + 1) * bin_width
+    b_lo = np.clip(np.searchsorted(edges, r_lo, side="right") - 1, 0, n_bins - 1)
+    b_hi = np.clip(np.searchsorted(edges, r_hi, side="right") - 1, 0, n_bins - 1)
+
+    whole = np.flatnonzero(b_lo == b_hi)
+    cells, bins, fracs = [whole], [b_lo[whole]], [np.ones(whole.size)]
+    for i in np.flatnonzero(b_lo != b_hi):
+        # z positions of the interior bin edges inside this cell
+        cuts = to_logodds(edges[b_lo[i] + 1 : b_hi[i] + 1])
+        f = np.clip((cuts - lo_c[i]) / (hi_c[i] - lo_c[i]), 0.0, 1.0)
+        cells.append(np.full(f.size + 1, i))
+        bins.append(np.arange(b_lo[i], b_hi[i] + 1))
+        fracs.append(np.diff(np.concatenate([[0.0], f, [1.0]])))
+    return np.concatenate(cells), np.concatenate(bins), np.concatenate(fracs)
+
+
+def _rebin(grid: DensityGrid, rebin_map, n_bins: int, bin_width: float) -> DistributionSnapshot:
+    """Apply a :func:`_rebin_map` of the grid's nodes to its weights."""
+    cell, bins, frac = rebin_map
+    return DistributionSnapshot(
+        n_bins=n_bins,
+        bin_width=bin_width,
+        density=np.bincount(bins, grid.weights[cell] * frac, minlength=n_bins),
+        errors=np.zeros(n_bins),
+        mass0=grid.mass0,
+        mass1=grid.mass1,
+        t=grid.t,
+    )
 
 
 def fp_snapshot_to_bins(
@@ -426,38 +551,4 @@ def fp_snapshot_to_bins(
     Boundary point masses are carried through.  The result has zero
     per-bin errors (it is a model, not data).
     """
-    if n_bins * bin_width < 1.0 - 1e-12:
-        raise ValueError("n_bins * bin_width must cover [0, 1]")
-    nodes = grid.nodes
-    half = 0.5 * float(np.diff(nodes).mean())
-    lo_c = nodes - half
-    hi_c = nodes + half
-    r_lo = to_rho(lo_c)
-    r_hi = to_rho(hi_c)
-
-    edges = np.arange(n_bins + 1) * bin_width
-    b_lo = np.clip(np.searchsorted(edges, r_lo, side="right") - 1, 0, n_bins - 1)
-    b_hi = np.clip(np.searchsorted(edges, r_hi, side="right") - 1, 0, n_bins - 1)
-
-    density = np.zeros(n_bins)
-    same = b_lo == b_hi
-    np.add.at(density, b_lo[same], grid.weights[same])
-    for i in np.nonzero(~same)[0]:
-        w = grid.weights[i]
-        if w == 0.0:
-            continue
-        # z positions of the interior bin edges inside this cell
-        cuts = to_logodds(edges[b_lo[i] + 1 : b_hi[i] + 1])
-        fracs = np.clip((cuts - lo_c[i]) / (hi_c[i] - lo_c[i]), 0.0, 1.0)
-        parts = np.diff(np.concatenate([[0.0], fracs, [1.0]]))
-        density[b_lo[i] : b_hi[i] + 1] += w * parts
-
-    return DistributionSnapshot(
-        n_bins=n_bins,
-        bin_width=bin_width,
-        density=density,
-        errors=np.zeros(n_bins),
-        mass0=grid.mass0,
-        mass1=grid.mass1,
-        t=grid.t,
-    )
+    return _rebin(grid, _rebin_map(grid.nodes, n_bins, bin_width), n_bins, bin_width)

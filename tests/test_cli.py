@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from qtraj import io
+from qtraj import fitting, io
 from qtraj.cli import config_from_items, main, parse_args
+from qtraj.core import build_histogram
 
 
 def run(argv):
@@ -173,6 +174,36 @@ class TestPipeline:
             for ln in rows[:3]:
                 assert len(ln.split(",")) == 5
 
+    def test_fit_uses_fp_z_range(self, tmp_path):
+        sim_dir = tmp_path / "sim"
+        rc = run(
+            [
+                "simulate", f"--out={sim_dir}", "--seed=5", "--n_traj=2000",
+                "--g_per_us=0.03", "--t1_us=45.0", "--n_steps=20", "--x0=0.305",
+            ]
+        )
+        assert rc == 0
+        common = [
+            f"--input={sim_dir / 'ensemble.qens'}", "--t1_us=45.0", "--slices=20",
+            "--tau_min=0.0", "--tau_max=1.0", "--tau_step=0.05",
+            "--fp_cells=512", "--fp_dt_us=2.5",
+        ]
+        reports = {}
+        for name, extra in (("wide", []), ("narrow", ["--fp_zmin=-2.5", "--fp_zmax=2.5"])):
+            assert run(["fit", f"--out={tmp_path / name}"] + common + extra) == 0
+            reports[name] = io.read_fit_report(str(tmp_path / name / "fit_report.txt"))[0]
+        # the narrow grid's model, fitted directly
+        ens = io.read_ensemble(str(sim_dir / "ensemble.qens"))
+        gen = fitting.make_fp_model_gen(
+            0.305, 45.0, [10.0], n_cells=512, dt=2.5, z_min=-2.5, z_max=2.5
+        )
+        (r,) = fitting.fit_tau(
+            [build_histogram(ens, 20)], gen, fitting.default_tau_scan(0.0, 1.0, 0.05)
+        )
+        assert reports["narrow"].chi2_min == r.chi2_min
+        assert reports["narrow"].tau_best == r.tau_best
+        assert reports["narrow"].chi2_min != reports["wide"].chi2_min
+
     def test_calibrate(self, tmp_path):
         gdir, edir, cdir = tmp_path / "g", tmp_path / "e", tmp_path / "c"
         common = [
@@ -207,6 +238,14 @@ class TestPipeline:
         bad.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,nan\n0.3,inf\n")
         assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rec" / "reconstructed.qens").exists()
+
+    def test_bad_x0_records_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,1.5,0\n0.1,0.2\n0.3,0.4\n")
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert "bad.txt" in err and "x0" in err
         assert not (tmp_path / "rec" / "reconstructed.qens").exists()
 
     def test_missing_input_exit_code(self, tmp_path, capsys):

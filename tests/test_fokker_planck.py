@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.signal import fftconvolve
+from scipy.special import expit, ndtr
 
+from qtraj import fokker_planck as fp
 from qtraj.core import ModelParams, build_histogram, to_logodds, to_rho
+from qtraj.fitting import make_fp_model_gen
 from qtraj.fokker_planck import (
     DensityGrid,
     analytic_distribution_z,
@@ -12,7 +16,7 @@ from qtraj.fokker_planck import (
     solve_fp,
 )
 from qtraj.rng import SeedSpec
-from qtraj.sde import simulate_ensemble
+from qtraj.sde import _relax_z, simulate_ensemble
 
 EDGES = np.arange(101) * 0.01
 
@@ -252,3 +256,213 @@ class TestRebinning:
         direct = mix.bin_masses_rho(EDGES)
         assert np.max(np.abs(snap.density - direct)) < 1e-6
 
+
+
+# ---------------------------------------------------------------------------
+# per-substep references: the solver as it was before its operators were
+# built once per interval.  They rebuild everything on every substep and
+# deposit with np.add.at; the solver must agree with them bitwise.
+
+
+def ref_convolve(a, k):
+    if a.size * k.size <= 3_000_000:
+        return np.convolve(a, k)
+    return np.maximum(fftconvolve(a, k), 0.0)
+
+
+def ref_correlate(a, k):
+    if a.size * k.size <= 3_000_000:
+        return np.convolve(a, k[::-1], mode="valid")
+    return fftconvolve(a, k[::-1], mode="valid")
+
+
+def ref_diffuse(s, kappa):
+    if kappa == 0.0:
+        return
+    sig = math.sqrt(kappa)
+    lo = int(math.floor((-kappa - fp._KERNEL_TAIL * sig) / s.dz)) - 1
+    hi = int(math.ceil((kappa + fp._KERNEL_TAIL * sig) / s.dz)) + 1
+    edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
+    n = s.nodes.size
+
+    def branch_kernel(shift):
+        cdf = ndtr((edges_rel - shift) / sig)
+        return np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])
+
+    kp, kp_tail_lo, kp_tail_hi = branch_kernel(+kappa)
+    km, km_tail_lo, km_tail_hi = branch_kernel(-kappa)
+    pos = np.arange(lo, n + hi)
+    phi_ext = np.where(
+        pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)])
+    )
+    mp = ref_correlate(phi_ext, kp) - kp_tail_lo + kp_tail_hi
+    mm = ref_correlate(phi_ext, km) - km_tail_lo + km_tail_hi
+    denom = mp - mm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xt = (s.phi - mm) / denom
+    xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes))
+    xt = np.clip(xt, 0.0, 1.0)
+    wp = xt * s.w
+    wm = s.w - wp
+    full = ref_convolve(wp, kp) + ref_convolve(wm, km)
+    assert not np.any(full < fp._NEG_TOL)
+    np.maximum(full, 0.0, out=full)
+    j_lo = max(0, -lo)
+    j_hi = min(full.size, n - lo)
+    s.w = np.zeros(n)
+    s.w[j_lo + lo : j_hi + lo] = full[j_lo:j_hi]
+    s.mass0 += float(full[:j_lo].sum())
+    s.mass1 += float(full[j_hi:].sum())
+    s.mass0 += float(wp.sum() * kp_tail_lo + wm.sum() * km_tail_lo)
+    s.mass1 += float(wp.sum() * kp_tail_hi + wm.sum() * km_tail_hi)
+
+
+def ref_deposit(s, y, r11_target, mass):
+    pos = (y - s.nodes[0]) / s.dz
+    k = np.floor(pos).astype(int)
+    below = k < 0
+    above = k >= s.nodes.size - 1
+    mid = ~(below | above)
+    if np.any(above):
+        s.mass1 += float(mass[above].sum())
+    if np.any(below):
+        np.add.at(s.w, 0, mass[below].sum())
+    km = k[mid]
+    denom = s.r11[km] - s.r11[km + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = (s.r11[km] - r11_target[mid]) / denom
+    alpha = np.clip(np.where(denom > 0.0, alpha, 0.5), 0.0, 1.0)
+    mm = mass[mid]
+    np.add.at(s.w, km, mm * (1.0 - alpha))
+    np.add.at(s.w, km + 1, mm * alpha)
+
+
+def ref_relax(s, delta):
+    if delta == 0.0:
+        return
+    w_old = s.w
+    s.w = np.zeros_like(w_old)
+    live = w_old > 0.0
+    y = _relax_z(s.nodes[live], delta)
+    fac = math.exp(-delta)
+    ref_deposit(s, y, s.r11[live] * fac, w_old[live])
+    if s.mass0 > 0.0:
+        y0 = 0.5 * math.log(math.expm1(delta))
+        ref_deposit(s, np.array([y0]), np.array([fac]), np.array([s.mass0]))
+        s.mass0 = 0.0
+
+
+def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=None):
+    """Delta initial condition, then per-substep diffuse/relax; returns
+    (weights, mass0, mass1) per snapshot time."""
+    dz = (z_max - z_min) / n_cells
+    nodes = z_min + (np.arange(n_cells) + 0.5) * dz
+    s = fp._Solver(nodes, np.zeros(n_cells), 0.0, 0.0)
+    ref_deposit(s, np.array([to_logodds(x0)]), np.array([1.0 - x0]), np.array([1.0]))
+    t = 0.0
+    out = []
+    for t_next in t_grid:
+        span = float(t_next - t)
+        if span > 0.0:
+            if math.isinf(T1):
+                ref_diffuse(s, g * span)
+            else:
+                sub = dt if dt is not None else min(T1 / 100.0, span)
+                n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
+                h = span / n_sub
+                delta = h / T1
+                ref_relax(s, 0.5 * delta)
+                for j in range(n_sub):
+                    ref_diffuse(s, g * h)
+                    ref_relax(s, delta if j < n_sub - 1 else 0.5 * delta)
+            t = float(t_next)
+        out.append((s.w.copy(), s.mass0, s.mass1))
+    return out
+
+
+def ref_rebin(grid, n_bins=100, bin_width=0.01):
+    """Per-cell rebinning loop; returns the bin masses."""
+    nodes = grid.nodes
+    half = 0.5 * float(np.diff(nodes).mean())
+    lo_c = nodes - half
+    hi_c = nodes + half
+    edges = np.arange(n_bins + 1) * bin_width
+    b_lo = np.clip(np.searchsorted(edges, to_rho(lo_c), side="right") - 1, 0, n_bins - 1)
+    b_hi = np.clip(np.searchsorted(edges, to_rho(hi_c), side="right") - 1, 0, n_bins - 1)
+    density = np.zeros(n_bins)
+    same = b_lo == b_hi
+    np.add.at(density, b_lo[same], grid.weights[same])
+    for i in np.nonzero(~same)[0]:
+        w = grid.weights[i]
+        if w == 0.0:
+            continue
+        cuts = to_logodds(edges[b_lo[i] + 1 : b_hi[i] + 1])
+        fracs = np.clip((cuts - lo_c[i]) / (hi_c[i] - lo_c[i]), 0.0, 1.0)
+        parts = np.diff(np.concatenate([[0.0], fracs, [1.0]]))
+        density[b_lo[i] : b_hi[i] + 1] += w * parts
+    return density
+
+
+def uses_fft(n_cells, kappa, z_min=-12.0, z_max=12.0):
+    s = fp._Solver(fp._grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
+    return fp._Diffusion(s, kappa).spectra is not None
+
+
+# (x0, g, T1, t_grid, solver keywords, FFT path expected); T1 = 20 with the
+# default substep min(T1/100, t) = 0.2, so kappa = 0.2 g.  The narrow grids
+# push mass into both boundary buckets, and the rho00 = 0 bucket re-enters
+# through the relaxation.
+ORACLE_CASES = {
+    "fft": (0.305, 0.03, 20.0, [5.0, 10.0, 20.0], dict(n_cells=8192), True),
+    "direct": (0.305, 0.03, 20.0, [5.0, 10.0, 20.0], dict(n_cells=2048), False),
+    "fft-boundary": (0.2, 0.5, 20.0, [2.0, 4.0], dict(n_cells=8192, z_min=-3.0, z_max=3.0), True),
+    "direct-boundary": (0.2, 0.5, 20.0, [2.0, 4.0], dict(n_cells=512, z_min=-3.0, z_max=3.0), False),
+    "no-relaxation": (0.305, 0.05, math.inf, [5.0, 20.0, 40.0], dict(n_cells=8192), True),
+}
+
+
+class TestBitwiseOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_solve_fp_matches_per_substep_reference(self, case, monkeypatch):
+        x0, g, T1, t_grid, kw, fft = ORACLE_CASES[case]
+        kappa = g * (t_grid[0] if math.isinf(T1) else T1 / 100.0)
+        assert uses_fft(kw["n_cells"], kappa, kw.get("z_min", -12.0), kw.get("z_max", 12.0)) == fft
+        deposits = []
+        deposit = fp._Solver.deposit
+
+        def counting_deposit(s, *args):
+            deposits.append(args)
+            deposit(s, *args)
+
+        monkeypatch.setattr(fp._Solver, "deposit", counting_deposit)
+        sols = solve_fp(x0, g, T1, t_grid, **kw)
+        refs = ref_solve_fp(x0, g, T1, t_grid, **kw)
+        for sol, (w, mass0, mass1) in zip(sols, refs):
+            assert np.array_equal(sol.weights, w)
+            assert sol.mass0 == mass0 and sol.mass1 == mass1
+            assert np.array_equal(fp_snapshot_to_bins(sol).density, ref_rebin(sol))
+        if "boundary" in case:
+            assert len(deposits) > 1  # rho00 = 0 re-entries after the initial one
+            assert sols[-1].mass1 > 0.01
+
+    def test_rebin_matches_per_cell_reference(self):
+        # a coarse grid whose cells straddle several bins, and a fine one
+        for n_cells, n_bins, width in ((16, 50, 0.02), (32768, 100, 0.01)):
+            nodes = fp._grid_nodes(-5.0, 5.0, n_cells)
+            weights = np.random.default_rng(n_cells).random(n_cells)
+            weights[::3] = 0.0
+            grid = DensityGrid(nodes=nodes, weights=weights, mass0=0.1, mass1=0.2, t=1.0)
+            snap = fp_snapshot_to_bins(grid, n_bins, width)
+            assert np.array_equal(snap.density, ref_rebin(grid, n_bins, width))
+            assert (snap.mass0, snap.mass1, snap.t) == (0.1, 0.2, 1.0)
+
+    @pytest.mark.parametrize("n_cells", [8192, 2048])
+    def test_model_gen_matches_solve_and_rebin(self, n_cells):
+        times = [0.625, 1.25, 2.5]
+        gen = make_fp_model_gen(0.305, 20.0, times, n_cells=n_cells)
+        for tau in (0.15, 1.15):
+            for t, snap in zip(times, gen(tau)):
+                sol = solve_fp(0.305, tau / t, 20.0, [t], n_cells=n_cells)[0]
+                ref = fp_snapshot_to_bins(sol)
+                assert np.array_equal(snap.density, ref.density)
+                assert (snap.mass0, snap.mass1, snap.t) == (ref.mass0, ref.mass1, ref.t)

@@ -105,6 +105,23 @@ class TestRecordFiles:
             with pytest.raises(io.FormatError, match=f"{path.name}: currents must be finite"):
                 io.read_records(str(path))
 
+    @pytest.mark.parametrize("x0", [1.5, -0.25, math.nan])
+    def test_bad_x0_diagnostic(self, tmp_path, records, x0):
+        # binary: overwrite the header's x0 field (after version, n_traj,
+        # n_steps, dt, I0, I1, sigma and T1) in place
+        p = tmp_path / "r.qrec"
+        io.write_records(str(p), records)
+        raw = bytearray(file_bytes(p))
+        off = len(io.RECORD_MAGIC) + struct.calcsize("<IQQddddd")
+        assert struct.unpack_from("<d", raw, off)[0] == records.x0
+        raw[off : off + 8] = struct.pack("<d", x0)
+        p.write_bytes(bytes(raw))
+        t = tmp_path / "r.txt"
+        t.write_text(f"1,2,2,0.5,1.0,-1.0,2.0,inf,{x0!r},0\n0.1,0.2\n0.3,0.4\n")
+        for path in (p, t):
+            with pytest.raises(io.FormatError, match=f"{path.name}: x0 must lie in"):
+                io.read_records(str(path))
+
 
 class TestEnsembleFiles:
     def test_round_trip(self, tmp_path, ensemble):
