@@ -7,18 +7,19 @@ likelihood ratio, which in log-odds form is the single addition
 
     z <- z + (I0 - I1) * (2*I_m - I0 - I1) / (4 sigma^2).
 
-Interleaving that with exact relaxation half-steps (the same symmetric
-Trotter layout as the simulator) turns a current record into a quantum
-trajectory.  With records drawn from the honest generative mixture
-``rho00*N(I0, sigma^2) + rho11*N(I1, sigma^2)`` the update is the
-diffusive collapse step in disguise, with per-step strength
-``kappa = (I0 - I1)^2 / (4 sigma^2)``.
+Interleaving that with exact relaxation half-steps turns a current
+record into a quantum trajectory.  With records drawn from the honest
+generative mixture ``rho00*N(I0, sigma^2) + rho11*N(I1, sigma^2)`` the
+update is the diffusive collapse step in disguise, with per-step
+strength ``kappa = (I0 - I1)^2 / (4 sigma^2)``.
 
 Synthetic generation (:func:`generate_records`) draws the mixture weight
 from the state *after* the leading relaxation half-step and advances the
-latent state through the identical update kernels, so
-record generation and reconstruction are exactly adjoint: reconstructing
-generated records reproduces the latent trajectories bit for bit.
+latent state through the identical update.  Generator and reconstructor
+both run the simulator's one step loop, :func:`qtraj.sde._evolve`, and
+differ only in the middle update they pass it, so they are exactly
+adjoint: reconstructing generated records reproduces the latent
+trajectories bit for bit.
 
 Calibration helpers extract (I0, I1, sigma) by closed-form Gaussian ML
 fits, T1 from the decay of the ensemble-averaged current of an
@@ -42,11 +43,9 @@ from .core import (
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
-    to_logodds,
-    to_rho,
 )
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
-from .sde import _relax_z, _run_chunks
+from .sde import _evolve
 
 __all__ = [
     "FitFailureError",
@@ -165,7 +164,11 @@ class CalibrationSeries:
 
 @dataclass(frozen=True)
 class EffectiveCalibration:
-    """I0/I1 values to use per step after transient preprocessing."""
+    """I0/I1 values to use per step after transient preprocessing.
+
+    ``times`` must hold the step midpoints (s + 0.5) * dt of the records
+    it is applied to (rtol 1e-9); any other time base is rejected.
+    """
 
     times: np.ndarray
     I0: np.ndarray
@@ -210,64 +213,34 @@ def _per_step_centers(cal: CalibrationParams, effective, n_steps: int):
     i1 = np.asarray(effective.I1[:n_steps], dtype=float)
     if np.any(i0 == i1):
         raise ValueError("effective I0 and I1 must differ at every step")
+    t, mid = effective.times[:n_steps], (np.arange(n_steps) + 0.5) * cal.dt
+    if t.size < n_steps or not np.allclose(t, mid, rtol=1e-9, atol=0.0):
+        raise ValueError("effective calibration times must be the step midpoints")
     return i0, i1
-
-
-def _reconstruct_chunk(out, lo, hi, currents, z0, i0, i1, sigma, half):
-    z = np.full(hi - lo, z0, dtype=float)
-    out[lo:hi, 0] = to_rho(z)
-    for s in range(currents.shape[1]):
-        z = _relax_z(z, half)
-        z = _meas_z(z, currents[lo:hi, s], i0[s], i1[s], sigma)
-        z = _relax_z(z, half)
-        out[lo:hi, s + 1] = to_rho(z)
 
 
 def reconstruct_ensemble(
     records: RecordSet,
-    x0: float | None = None,
     n_workers: int = 1,
     effective: EffectiveCalibration | None = None,
 ) -> TrajectoryEnsemble:
     """Reconstruct every record of a RecordSet into a TrajectoryEnsemble.
 
-    Each step is relax(dt/2T1), measurement update, relax(dt/2T1), as in
-    the generator.  Deterministic: the same records and calibration give
-    bitwise identical trajectories for any worker count.  ``effective``
-    (from :func:`preprocess_calibration`) supplies per-step I0/I1 values.
+    Each step is relax(dt/2T1), measurement update, relax(dt/2T1): the
+    generator's step loop :func:`qtraj.sde._evolve` with the recorded
+    current in the middle.  Deterministic: the same records and
+    calibration give bitwise identical trajectories for any worker
+    count.  ``effective`` (from :func:`preprocess_calibration`) supplies
+    per-step I0/I1 values.
     """
-    x0 = records.x0 if x0 is None else x0
     cal = records.cal
-    n_traj, n_steps = records.currents.shape
-    out = np.empty((n_traj, n_steps + 1))
-    z0 = to_logodds(x0)
-    half = 0.5 * cal.dt / cal.T1
-    i0, i1 = _per_step_centers(cal, effective, n_steps)
+    i0, i1 = _per_step_centers(cal, effective, records.n_steps)
 
-    def run(lo, hi):
-        _reconstruct_chunk(out, lo, hi, records.currents, z0, i0, i1, cal.sigma, half)
+    def measure(z, s, rows, traj):
+        return _meas_z(z, records.currents[rows, s], i0[s], i1[s], cal.sigma)
 
-    _run_chunks(n_traj, n_workers, run)
-    return TrajectoryEnsemble(
-        n_traj=n_traj, n_steps=n_steps, dt=cal.dt, values=out,
-        x0=x0, master_seed=records.master_seed,
-    )
-
-
-def _generate_chunk(currents, latent, lo, hi, z0, cal, half, n_steps, master_seed):
-    traj = np.arange(lo, hi, dtype=np.uint64)
-    z = np.full(hi - lo, z0, dtype=float)
-    latent[lo:hi, 0] = to_rho(z)
-    for s in range(n_steps):
-        z = _relax_z(z, half)
-        u = counter_uniform(master_seed, traj, s, STREAM_BRANCH)
-        xi = counter_normal(master_seed, traj, s, STREAM_NOISE)
-        center = np.where(u < expit(2.0 * z), cal.I0, cal.I1)
-        im = center + cal.sigma * xi
-        currents[lo:hi, s] = im
-        z = _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
-        z = _relax_z(z, half)
-        latent[lo:hi, s + 1] = to_rho(z)
+    return _evolve(records.n_traj, records.n_steps, cal.dt, records.x0,
+                   cal.dt / cal.T1, n_workers, measure, records.master_seed)
 
 
 def generate_records(
@@ -281,9 +254,9 @@ def generate_records(
 
     Per step the current is sampled from the eigenstate mixture weighted
     by the latent population after the leading relaxation half-step,
-    then the latent state is advanced by the same measurement and
-    relaxation kernels reconstruction uses, so a reconstruction round
-    trip is bitwise exact.
+    then the latent state is advanced by the same measurement update
+    and step loop reconstruction uses, so a reconstruction round trip is
+    bitwise exact.
 
     The calibration must be consistent with the model: the record-implied
     strength (I0-I1)^2/(4 sigma^2) defines g*dt.
@@ -300,26 +273,19 @@ def generate_records(
     if not (params.T1 == cal.T1 or math.isclose(params.T1, cal.T1, rel_tol=1e-12)):
         raise ValueError("params.T1 != cal.T1")
 
-    n_steps = params.n_steps
-    currents = np.empty((n_traj, n_steps))
-    latent = np.empty((n_traj, n_steps + 1))
-    z0 = to_logodds(params.x0)
-    half = 0.5 * params.delta
+    seed = seeds.master_seed
+    currents = np.empty((n_traj, params.n_steps))
 
-    def run(lo, hi):
-        _generate_chunk(
-            currents, latent, lo, hi, z0, cal, half, n_steps, seeds.master_seed
-        )
+    def record(z, s, rows, traj):
+        u = counter_uniform(seed, traj, s, STREAM_BRANCH)
+        xi = counter_normal(seed, traj, s, STREAM_NOISE)
+        im = np.where(u < expit(2.0 * z), cal.I0, cal.I1) + cal.sigma * xi
+        currents[rows, s] = im
+        return _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
 
-    _run_chunks(n_traj, n_workers, run)
-    recs = RecordSet(
-        currents=currents, cal=cal, x0=params.x0, master_seed=seeds.master_seed
-    )
-    ens = TrajectoryEnsemble(
-        n_traj=n_traj, n_steps=n_steps, dt=params.dt, values=latent,
-        x0=params.x0, master_seed=seeds.master_seed,
-    )
-    return recs, ens
+    latent = _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
+                     n_workers, record, seed)
+    return RecordSet(currents=currents, cal=cal, x0=params.x0, master_seed=seed), latent
 
 
 def fit_gaussian_current(samples) -> GaussianCurrentFit:

@@ -42,10 +42,11 @@ modes:
 keys (any key is also a --key=value flag; --config=FILE loads a file first):
   out=DIR seed=INT n_traj=INT n_steps=INT dt_us=F g_per_us=F t1_us=F x0=F
   i0=F i1=F sigma=F dts_us=F n_bins=INT bin_width=F slices=K1,K2,...
-  t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F model=analytic|fp
+  t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F model=auto|analytic|fp
   input=FILE ground=FILE excited=FILE n_workers=INT
   fp_cells=INT fp_zmin=F fp_zmax=F fp_dt_us=F
 
+model=auto (the default) is analytic at t1_us=inf and fp otherwise.
 --seed is mandatory for generate and simulate (no silent entropy).
 """
 
@@ -263,7 +264,7 @@ def _fit_ensemble(cfg: RunConfig, ens):
             z_min=cfg.fp_zmin, z_max=cfg.fp_zmax,
         )
     else:
-        raise UsageError(f"unknown model {cfg.model!r} (use analytic or fp)")
+        raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
     results = fitting.fit_tau(observed, gen, cfg.tau_scan())
     return slices, observed, results, gen
 

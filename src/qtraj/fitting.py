@@ -24,7 +24,7 @@ recipe: rebuild the reconstructed histograms once per shifted parameter
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -361,11 +361,7 @@ def _histogram_stack(
     n_workers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reconstruct and histogram; returns (density, masses, stat errors)."""
-    ens = reconstruct_ensemble(
-        RecordSet(currents=records.currents, cal=cal, x0=x0,
-                  master_seed=records.master_seed),
-        n_workers=n_workers,
-    )
+    ens = reconstruct_ensemble(replace(records, cal=cal, x0=x0), n_workers=n_workers)
     dens = np.empty((len(slices), n_bins))
     masses = np.empty((len(slices), 2))
     stat = np.empty((len(slices), n_bins))

@@ -81,45 +81,51 @@ def fmt_float(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# binary container shared by record and ensemble files
+
+
+def _write_binary(path: str, magic: bytes, header: struct.Struct, values, *meta) -> None:
+    """Magic, header (version, n_traj, n_cols, *meta), row-major <f8 body."""
+    body = np.ascontiguousarray(values, dtype="<f8")
+    head = magic + header.pack(FORMAT_VERSION, *body.shape, *meta)
+    atomic_write_bytes(path, head + body.tobytes())
+
+
+def _read_binary(path: str, raw: bytes, magic: bytes, header: struct.Struct, kind: str):
+    """Inverse of :func:`_write_binary` on a file whose magic is checked;
+    returns (body array, header fields after n_cols)."""
+    off = len(magic)
+    if len(raw) < off + header.size:
+        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
+    version, n_traj, n_cols, *meta = header.unpack(raw[off : off + header.size])
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported {kind} format version {version}")
+    off += header.size
+    expected = n_traj * n_cols * 8
+    if len(raw) - off != expected:
+        raise FormatError(
+            f"{path}: body has {len(raw) - off} bytes at offset {off}, "
+            f"expected {expected}"
+        )
+    return np.frombuffer(raw[off:], dtype="<f8").reshape(n_traj, n_cols).copy(), meta
+
+
+# ---------------------------------------------------------------------------
 # record files
 
 
 def write_records(path: str, records: RecordSet) -> None:
     """Write a RecordSet in the binary record format."""
     cal = records.cal
-    header = RECORD_MAGIC + _REC_HEADER.pack(
-        FORMAT_VERSION,
-        records.n_traj,
-        records.n_steps,
-        cal.dt,
-        cal.I0,
-        cal.I1,
-        cal.sigma,
-        cal.T1,
-        records.x0,
-        records.master_seed if records.master_seed is not None else 0,
-    )
-    body = np.ascontiguousarray(records.currents, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + body)
+    seed = records.master_seed if records.master_seed is not None else 0
+    _write_binary(path, RECORD_MAGIC, _REC_HEADER, records.currents,
+                  cal.dt, cal.I0, cal.I1, cal.sigma, cal.T1, records.x0, seed)
 
 
 def _read_records_binary(path: str, raw: bytes) -> RecordSet:
-    off = len(RECORD_MAGIC)
-    if len(raw) < off + _REC_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    (version, n_traj, n_steps, dt, i0, i1, sigma, t1, x0, seed) = _REC_HEADER.unpack(
-        raw[off : off + _REC_HEADER.size]
+    currents, (dt, i0, i1, sigma, t1, x0, seed) = _read_binary(
+        path, raw, RECORD_MAGIC, _REC_HEADER, "record"
     )
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported record format version {version}")
-    off += _REC_HEADER.size
-    expected = n_traj * n_steps * 8
-    if len(raw) - off != expected:
-        raise FormatError(
-            f"{path}: body has {len(raw) - off} bytes at offset {off}, "
-            f"expected {expected}"
-        )
-    currents = np.frombuffer(raw[off:], dtype="<f8").reshape(n_traj, n_steps).copy()
     cal = CalibrationParams(I0=i0, I1=i1, sigma=sigma, dt=dt, T1=t1)
     return RecordSet(currents=currents, cal=cal, x0=x0, master_seed=seed)
 
@@ -190,16 +196,9 @@ def read_records(path: str) -> RecordSet:
 
 
 def write_ensemble(path: str, ens: TrajectoryEnsemble) -> None:
-    header = ENSEMBLE_MAGIC + _ENS_HEADER.pack(
-        FORMAT_VERSION,
-        ens.n_traj,
-        ens.n_steps + 1,
-        ens.dt,
-        ens.x0 if ens.x0 is not None else math.nan,
-        ens.master_seed if ens.master_seed is not None else 0,
-    )
-    body = np.ascontiguousarray(ens.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + body)
+    x0 = ens.x0 if ens.x0 is not None else math.nan
+    seed = ens.master_seed if ens.master_seed is not None else 0
+    _write_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, ens.values, ens.dt, x0, seed)
 
 
 def read_ensemble(path: str) -> TrajectoryEnsemble:
@@ -207,25 +206,10 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
         raw = f.read()
     if raw[: len(ENSEMBLE_MAGIC)] != ENSEMBLE_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
-    off = len(ENSEMBLE_MAGIC)
-    if len(raw) < off + _ENS_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    version, n_traj, n_slices, dt, x0, seed = _ENS_HEADER.unpack(
-        raw[off : off + _ENS_HEADER.size]
-    )
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported ensemble format version {version}")
-    off += _ENS_HEADER.size
-    expected = n_traj * n_slices * 8
-    if len(raw) - off != expected:
-        raise FormatError(
-            f"{path}: body has {len(raw) - off} bytes at offset {off}, "
-            f"expected {expected}"
-        )
-    values = np.frombuffer(raw[off:], dtype="<f8").reshape(n_traj, n_slices).copy()
+    values, (dt, x0, seed) = _read_binary(path, raw, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble")
     return TrajectoryEnsemble(
-        n_traj=n_traj,
-        n_steps=n_slices - 1,
+        n_traj=values.shape[0],
+        n_steps=values.shape[1] - 1,
         dt=dt,
         values=values,
         x0=None if math.isnan(x0) else x0,

@@ -18,14 +18,16 @@ array kernel over log-odds states ``z``:
 
 :func:`simulate_ensemble` applies them symmetrically (half relaxation,
 diffusion, half relaxation), giving O(dt^2) global splitting error; both
-sub-steps individually are exact.  :func:`simulate_ensemble_euler` is a
-plain first-order reference integrator in population space, kept only
-for convergence cross-checks.
+sub-steps individually are exact.  That layout is one step loop,
+:func:`_evolve`, which the record generator and the reconstructor of
+:mod:`qtraj.bayesian` drive too, each passing only its middle update;
+this is what makes their trajectories agree bit for bit.
+:func:`simulate_ensemble_euler` is a plain first-order reference
+integrator in population space, kept only for convergence cross-checks.
 
-Ensembles are generated with the counter-based streams of
-:mod:`qtraj.rng` and processed in the fixed trajectory chunks of
-:func:`_run_chunks`, so the output is byte-identical for any worker
-count.
+Ensembles use the counter-based streams of :mod:`qtraj.rng` and run in
+the fixed trajectory chunks of :func:`_evolve`, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -85,41 +87,52 @@ def _diffusion_z(z, kappa: float, u, xi):
     return np.where(np.abs(z) >= Z_CAP, z, znew)
 
 
-def _run_chunks(n_traj: int, n_workers: int, fn: Callable[[int, int], None]) -> None:
-    """Call ``fn(lo, hi)`` on each CHUNK-sized trajectory span, on up to
-    ``n_workers`` threads; ``fn`` writes only rows [lo, hi), so results
-    do not depend on the worker count."""
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
-    if n_workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda span: fn(*span), spans))
-    else:
-        for lo, hi in spans:
-            fn(lo, hi)
-
-
-def _simulate_chunk(
-    out: np.ndarray,
-    lo: int,
-    hi: int,
-    z0: float,
-    kappa: float,
-    delta: float,
+def _evolve(
+    n_traj: int,
     n_steps: int,
-    master_seed: int,
-) -> None:
-    """Run trajectories [lo, hi) and write population slices into out."""
-    traj = np.arange(lo, hi, dtype=np.uint64)
-    z = np.full(hi - lo, z0, dtype=float)
-    out[lo:hi, 0] = to_rho(z)
+    dt: float,
+    x0: float,
+    delta: float,
+    n_workers: int,
+    update: Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray],
+    master_seed: int | None,
+) -> TrajectoryEnsemble:
+    """The one step loop: every trajectory starts at rho00 = x0 and runs
+    ``n_steps`` symmetric Trotter steps relax(delta/2), ``update``,
+    relax(delta/2), storing rho00 after each.
+
+    ``update(z, s, rows, traj)`` returns the states of the trajectories
+    ``rows`` (a slice, with indices ``traj``) after the middle update of
+    step ``s``.  Trajectories run in fixed CHUNK-sized row slices on up to
+    ``n_workers`` threads; an update touches only its own rows, so the
+    output does not depend on the worker count.
+    """
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+    out = np.empty((n_traj, n_steps + 1))
+    z0 = to_logodds(x0)
     half = 0.5 * delta
-    for s in range(n_steps):
-        z = _relax_z(z, half)
-        u = counter_uniform(master_seed, traj, s, STREAM_BRANCH)
-        xi = counter_normal(master_seed, traj, s, STREAM_NOISE)
-        z = _diffusion_z(z, kappa, u, xi)
-        z = _relax_z(z, half)
-        out[lo:hi, s + 1] = to_rho(z)
+
+    def run(lo: int) -> None:
+        rows = slice(lo, min(lo + CHUNK, n_traj))
+        traj = np.arange(rows.start, rows.stop, dtype=np.uint64)
+        z = np.full(traj.size, z0, dtype=float)
+        out[rows, 0] = to_rho(z)
+        for s in range(n_steps):
+            z = _relax_z(z, half)
+            z = update(z, s, rows, traj)
+            z = _relax_z(z, half)
+            out[rows, s + 1] = to_rho(z)
+
+    starts = range(0, n_traj, CHUNK)
+    if n_workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
+    return TrajectoryEnsemble(n_traj=n_traj, n_steps=n_steps, dt=dt, values=out,
+                              x0=x0, master_seed=master_seed)
 
 
 def simulate_ensemble(
@@ -146,26 +159,15 @@ def simulate_ensemble(
     n_workers : int
         Thread count for chunk-parallel execution.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    out = np.empty((n_traj, params.n_steps + 1), dtype=float)
-    z0 = to_logodds(params.x0)
+    seed, kappa = seeds.master_seed, params.kappa
 
-    def run(lo, hi):
-        _simulate_chunk(
-            out, lo, hi, z0, params.kappa, params.delta, params.n_steps,
-            seeds.master_seed,
-        )
+    def diffuse(z, s, rows, traj):
+        u = counter_uniform(seed, traj, s, STREAM_BRANCH)
+        xi = counter_normal(seed, traj, s, STREAM_NOISE)
+        return _diffusion_z(z, kappa, u, xi)
 
-    _run_chunks(n_traj, n_workers, run)
-    return TrajectoryEnsemble(
-        n_traj=n_traj,
-        n_steps=params.n_steps,
-        dt=params.dt,
-        values=out,
-        x0=params.x0,
-        master_seed=seeds.master_seed,
-    )
+    return _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
+                   n_workers, diffuse, seed)
 
 
 def simulate_ensemble_euler(

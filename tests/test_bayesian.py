@@ -197,6 +197,17 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="every step"):
             reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
 
+    def test_effective_calibration_wrong_time_base_rejected(self):
+        # a 0.05-us series on 0.5-us records, and one sampled at the step
+        # starts, would each be applied to the wrong steps
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        for t in ((np.arange(100) + 0.5) * 0.05, np.arange(10) * 0.5):
+            eff = EffectiveCalibration(
+                times=t, I0=1.0 + 0.5 * np.exp(-t), I1=-np.ones(t.size)
+            )
+            with pytest.raises(ValueError, match="step midpoints"):
+                reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
+
 
 class TestGenerate:
     def test_consistency_enforced(self):

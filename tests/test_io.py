@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -121,6 +122,34 @@ class TestRecordFiles:
         for path in (p, t):
             with pytest.raises(io.FormatError, match=f"{path.name}: x0 must lie in"):
                 io.read_records(str(path))
+
+
+@pytest.mark.parametrize("kind", ["record", "ensemble"])
+def test_binary_container_diagnostics(tmp_path, records, ensemble, kind):
+    # record and ensemble files share one container: magic, header
+    # (version u32, n_traj u64, n_cols u64, ...), row-major <f8 body
+    write, read, obj, body = {
+        "record": (io.write_records, io.read_records, records, records.currents),
+        "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
+    }[kind]
+    good = tmp_path / "good.bin"
+    write(str(good), obj)
+    raw = file_bytes(good)
+    magic_end = len(io.RECORD_MAGIC)
+    head_end = len(raw) - body.nbytes
+    cases = {
+        "version": (raw[:magic_end] + struct.pack("<I", 2) + raw[magic_end + 4 :],
+                    f"unsupported {kind} format version 2"),
+        "short_header": (raw[: head_end - 1],
+                         f"truncated header at byte offset {head_end - 1}"),
+        "long_body": (raw + bytes(8), f"body has {body.nbytes + 8} bytes at offset "
+                      f"{head_end}, expected {body.nbytes}"),
+    }
+    for name, (data, message) in cases.items():
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(data)
+        with pytest.raises(io.FormatError, match=re.escape(f"{bad.name}: {message}")):
+            read(str(bad))
 
 
 class TestEnsembleFiles:
