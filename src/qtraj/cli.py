@@ -303,7 +303,7 @@ def cmd_report(cfg: RunConfig) -> None:
     )
     fmt = io.fmt_float
     for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
-        best = gen(res.tau_best)[i]
+        best = gen(res.tau_best, (i,))[0]
         norelax = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)(
             res.tau_best
         )[0]

@@ -203,6 +203,12 @@ class TrajectoryEnsemble:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("ensemble must hold at least one trajectory")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if self.x0 is not None and not 0.0 <= self.x0 <= 1.0:
+            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
         v = self.values
         if v.shape != (self.n_traj, self.n_steps + 1):
             raise ValueError(

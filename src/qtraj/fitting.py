@@ -5,10 +5,14 @@ evolution parameter tau: a chi-square between the observed histogram and
 a model histogram is scanned over a tau grid, the minimum refined
 parabolically, and the error bar taken from the delta-chi2 = 100
 convention (the conventional one-parameter delta-chi2 = 1 interval is
-reported alongside; it is 10x smaller for a parabolic minimum).
+reported alongside; it is 10x smaller for a parabolic minimum).  The
+scan is coarse-to-fine: a strided pass over every slice, then per slice
+only the grid points its minimum depends on.
 
 Model histograms come either from the closed-form no-relaxation
-solution, the Fokker-Planck solver, or a simulated ensemble; when the
+solution, the Fokker-Planck solver, or a simulated ensemble.  Every
+generator is called as ``gen(tau)`` for all slices or ``gen(tau, which)``
+for the slice indices in ``which`` only, in that order; when the
 model itself carries Monte Carlo noise its per-bin errors are added in
 quadrature to the observed ones so chi-square stays unbiased.
 
@@ -60,7 +64,8 @@ class FitResult:
     ``at_edge`` flags a scan minimum on the grid boundary (widen the
     scan); ``err_bracketed`` records whether the delta-chi2 = 100
     crossings lie inside the scanned range (otherwise the quoted error
-    is a parabolic extrapolation).
+    is a parabolic extrapolation).  ``scan`` holds (tau, chi2) rows for
+    the whole grid; chi2 is NaN where :func:`fit_tau` did not evaluate it.
     """
 
     tau_best: float
@@ -118,7 +123,7 @@ def _refine(scan: np.ndarray, c: np.ndarray) -> tuple[float, float, float, bool]
     coefficient a of chi2 ~ chi2_min + a (tau - tau_best)^2, or nan when
     the three-point parabola is degenerate.
     """
-    j = int(np.argmin(c))
+    j = int(np.nanargmin(c))
     if j == 0 or j == c.size - 1:
         return float(scan[j]), float(c[j]), math.nan, True
     h = float(scan[j + 1] - scan[j])
@@ -134,7 +139,7 @@ def _refine(scan: np.ndarray, c: np.ndarray) -> tuple[float, float, float, bool]
 
 def fit_tau(
     observed: Sequence[DistributionSnapshot],
-    model_gen: Callable[[float], Sequence[DistributionSnapshot]],
+    model_gen: Callable[..., Sequence[DistributionSnapshot]],
     scan: np.ndarray | None = None,
 ) -> list[FitResult]:
     """Fit the evolution parameter independently for every time slice.
@@ -144,7 +149,9 @@ def fit_tau(
     observed : sequence of DistributionSnapshot
         One observed histogram per time slice.
     model_gen : callable
-        Maps a trial tau to model snapshots aligned with ``observed``.
+        ``model_gen(tau)`` maps a trial tau to model snapshots aligned
+        with ``observed``; ``model_gen(tau, which)`` returns those of the
+        slice indices in the tuple ``which`` only.
     scan : ndarray, optional
         Trial tau grid, increasing with a uniform step (default
         :func:`default_tau_scan`); the parabolic refinement assumes one
@@ -154,6 +161,16 @@ def fit_tau(
     -------
     list of FitResult, one per slice.  A minimum on the scan edge is
     flagged in ``at_edge``, never silently interpolated.
+
+    Notes
+    -----
+    Each slice's chi2 is assumed unimodal on the grid (non-increasing,
+    then non-decreasing).  A coarse pass evaluates all slices at index
+    0, every m-th index (m = round(sqrt(n)) on n points) and n - 1; then
+    each slice's bracket shrinks until the neighbours of its minimum, and
+    all points up to the first larger value right of it, are evaluated.
+    A slice whose evaluated values are not unimodal gets its whole grid
+    evaluated.  Every field then equals that of the full scan.
     """
     if scan is None:
         scan = default_tau_scan()
@@ -163,14 +180,40 @@ def fit_tau(
     step = np.diff(scan)
     if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
         raise ValueError("scan grid must be increasing with a uniform step")
-    n_slices = len(observed)
-    chi = np.empty((scan.size, n_slices))
-    for j, tau in enumerate(scan):
-        models = model_gen(float(tau))
-        if len(models) != n_slices:
+    n, n_slices = scan.size, len(observed)
+    chi = np.full((n, n_slices), np.nan)
+    done = np.zeros((n, n_slices), dtype=bool)
+
+    def evaluate(j: int, *which: tuple[int, ...]) -> None:
+        models = model_gen(float(scan[j]), *which)
+        ks = which[0] if which else range(n_slices)
+        if len(models) != len(ks):
             raise ValueError("model_gen returned wrong number of slices")
-        for k in range(n_slices):
-            chi[j, k] = chi2(observed[k], models[k])
+        for k, model in zip(ks, models):
+            chi[j, k] = chi2(observed[k], model)
+            done[j, k] = True
+
+    for j in sorted({*range(0, n, max(1, round(math.sqrt(n)))), n - 1}):
+        evaluate(j)
+    for k in range(n_slices):
+        c, ok = chi[:, k], done[:, k]
+        while True:
+            idx = np.flatnonzero(ok)
+            i = int(np.argmin(c[idx]))
+            j, lo = idx[i], (idx[i - 1] if i > 0 else -1)
+            right = idx[i + 1 :]
+            hi = right[c[right] > c[j]][:1]  # a plateau at c[j] may hide a lower value
+            gap = np.arange(lo + 1, j)
+            if gap.size == 0:
+                gap = j + 1 + np.flatnonzero(~ok[j + 1 : hi[0] if hi.size else n])
+            if gap.size == 0:
+                break
+            evaluate(int(gap[gap.size // 2]), (k,))
+        d = np.diff(c[ok])
+        rise = np.flatnonzero(d > 0.0)
+        if rise.size and np.any(d[rise[0] :] < 0.0):  # not unimodal: scan the rest
+            for j in np.flatnonzero(~ok):
+                evaluate(int(j), (k,))
 
     results = []
     for k in range(n_slices):
@@ -183,7 +226,7 @@ def fit_tau(
             err100 = math.sqrt(100.0 / a)
             err1 = math.sqrt(1.0 / a)
         thresh = chi2_min + 100.0
-        jmin = int(np.argmin(c))
+        jmin = int(np.nanargmin(c))
         bracketed = bool(np.any(c[: jmin + 1] >= thresh) and np.any(c[jmin:] >= thresh))
         results.append(
             FitResult(
@@ -206,16 +249,17 @@ def fit_tau(
 
 def make_analytic_model_gen(
     x0: float, n_slices: int, n_bins: int = 100, bin_width: float = 0.01
-) -> Callable[[float], list[DistributionSnapshot]]:
+) -> Callable[..., list[DistributionSnapshot]]:
     """Model generator from the closed-form no-relaxation solution.
 
     The distribution depends on tau only, so every slice shares one
     snapshot per trial value.  Bin masses are exact integrals, with zero
-    model errors.
+    model errors.  ``gen(tau, which)`` returns one copy per index in
+    ``which`` instead of ``n_slices``.
     """
     edges = np.arange(n_bins + 1) * bin_width
 
-    def gen(tau: float) -> list[DistributionSnapshot]:
+    def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         masses = analytic_distribution_z(x0, tau).bin_masses_rho(edges)
         snap = DistributionSnapshot(
             n_bins=n_bins,
@@ -226,7 +270,7 @@ def make_analytic_model_gen(
             mass1=0.0,
             t=0.0,
         )
-        return [snap] * n_slices
+        return [snap] * (n_slices if which is None else len(which))
 
     return gen
 
@@ -241,7 +285,7 @@ def make_fp_model_gen(
     dt: float | None = None,
     z_min: float = -12.0,
     z_max: float = 12.0,
-) -> Callable[[float], list[DistributionSnapshot]]:
+) -> Callable[..., list[DistributionSnapshot]]:
     """Model generator backed by the Fokker-Planck solver.
 
     For slice time t and trial tau the model is the density evolved with
@@ -249,15 +293,17 @@ def make_fp_model_gen(
     ``n_cells`` cells of [z_min, z_max].  Every solve shares that grid,
     so the rebinning map onto the rho00 bins is built once here; each
     solve builds its own substep operators once per interval.
+    ``gen(tau, which)`` solves only the slices ``times[k]`` for k in
+    ``which``, bitwise equal to the matching entries of ``gen(tau)``.
     """
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("slice times must be positive")
     rebin_map = _rebin_map(_grid_nodes(z_min, z_max, n_cells), n_bins, bin_width)
 
-    def gen(tau: float) -> list[DistributionSnapshot]:
+    def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         out = []
-        for t in times:
+        for t in times if which is None else [times[k] for k in which]:
             sols = solve_fp(
                 x0, tau / t, T1, [t], z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt
             )
@@ -277,19 +323,21 @@ def make_ensemble_model_gen(
     n_bins: int = 100,
     bin_width: float = 0.01,
     n_workers: int = 1,
-) -> Callable[[float], list[DistributionSnapshot]]:
+) -> Callable[..., list[DistributionSnapshot]]:
     """Model generator backed by simulated ensembles.
 
     The default ensemble size is 1e7 trajectories; the resulting model
     histograms carry statistical errors, which :func:`chi2` folds into
     the denominator.  Far slower than the analytic or Fokker-Planck
     generators; prefer those unless an independent route is wanted.
+    ``gen(tau, which)`` simulates only the slices ``times[k]``, k in
+    ``which``, bitwise equal to the matching entries of ``gen(tau)``.
     """
     times = [float(t) for t in times]
 
-    def gen(tau: float) -> list[DistributionSnapshot]:
+    def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         out = []
-        for t in times:
+        for t in times if which is None else [times[k] for k in which]:
             n_steps = max(1, int(round(t / dt)))
             g = tau / (n_steps * dt)
             params = ModelParams(g=g, T1=T1, dt=dt, x0=x0, n_steps=n_steps)

@@ -202,19 +202,24 @@ def write_ensemble(path: str, ens: TrajectoryEnsemble) -> None:
 
 
 def read_ensemble(path: str) -> TrajectoryEnsemble:
+    """Read an ensemble file; header values the ensemble model rejects
+    (no trajectories or slices, a bad dt or x0) raise FormatError too."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[: len(ENSEMBLE_MAGIC)] != ENSEMBLE_MAGIC:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     values, (dt, x0, seed) = _read_binary(path, raw, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble")
-    return TrajectoryEnsemble(
-        n_traj=values.shape[0],
-        n_steps=values.shape[1] - 1,
-        dt=dt,
-        values=values,
-        x0=None if math.isnan(x0) else x0,
-        master_seed=seed,
-    )
+    try:
+        return TrajectoryEnsemble(
+            n_traj=values.shape[0],
+            n_steps=values.shape[1] - 1,
+            dt=dt,
+            values=values,
+            x0=None if math.isnan(x0) else x0,
+            master_seed=seed,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 
@@ -247,6 +248,15 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "bad.txt" in err and "x0" in err
         assert not (tmp_path / "rec" / "reconstructed.qens").exists()
+
+    @pytest.mark.parametrize("n_traj, n_slices", [(0, 3), (4, 0)])
+    def test_bad_ensemble_header_exit_code(self, tmp_path, capsys, n_traj, n_slices):
+        bad = tmp_path / "bad.qens"
+        head = struct.pack("<IQQddQ", io.FORMAT_VERSION, n_traj, n_slices, 0.5, 0.305, 0)
+        bad.write_bytes(io.ENSEMBLE_MAGIC + head + bytes(8 * n_traj * n_slices))
+        assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={bad}"]) == 1
+        assert "bad.qens" in capsys.readouterr().err
+        assert not (tmp_path / "fit" / "fit_report.txt").exists()
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert run(["reconstruct", f"--out={tmp_path}", "--input=/nope.qrec"]) == 2

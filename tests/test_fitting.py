@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj.bayesian import RecordSet, generate_records
 from qtraj.core import (
@@ -24,6 +26,9 @@ from qtraj.fitting import (
     systematic_errors,
 )
 from qtraj.rng import SeedSpec
+
+FIELDS = ("tau_best", "chi2_min", "tau_error", "tau_error_dchi2_1", "n_bins", "at_edge",
+          "err_bracketed")
 
 
 def sample_mixture_hist(x0, tau, n, seed, n_bins=100, bin_width=0.01):
@@ -199,6 +204,146 @@ class TestFitTau:
         assert tv < 0.02
         # the MC route carries statistical errors, the FP route does not
         assert b.errors.max() > 0 and a.errors.max() == 0
+
+
+def full_scan_fit_tau(observed, model_gen, scan):
+    """The full-grid scan: every grid point for every slice, argmin
+    refinement and bracketing on the complete chi2 column."""
+    scan = np.asarray(scan, dtype=float)
+    chi = np.array([[chi2(o, m) for o, m in zip(observed, model_gen(float(tau)))]
+                    for tau in scan])
+    out = []
+    for k, c in enumerate(chi.T):
+        j = int(np.argmin(c))
+        at_edge = j == 0 or j == c.size - 1
+        tau_best, chi2_min, a = float(scan[j]), float(c[j]), math.nan
+        if not at_edge and c[j - 1] - 2.0 * c[j] + c[j + 1] > 0.0:
+            h = float(scan[j + 1] - scan[j])
+            d2 = c[j - 1] - 2.0 * c[j] + c[j + 1]
+            dx = 0.5 * (c[j - 1] - c[j + 1]) / d2
+            tau_best = float(scan[j] + dx * h)
+            chi2_min = float(c[j] - 0.25 * (c[j - 1] - c[j + 1]) * dx)
+            a = float(d2 / (2.0 * h * h))
+        err100 = math.inf if math.isnan(a) else math.sqrt(100.0 / a)
+        err1 = math.inf if math.isnan(a) else math.sqrt(1.0 / a)
+        thresh = chi2_min + 100.0
+        out.append(dict(
+            tau_best=tau_best, chi2_min=chi2_min, tau_error=err100, tau_error_dchi2_1=err1,
+            n_bins=observed[k].n_bins, at_edge=at_edge, scan=np.column_stack([scan, c]),
+            err_bracketed=bool(np.any(c[: j + 1] >= thresh) and np.any(c[j:] >= thresh)),
+        ))
+    return out
+
+
+def assert_matches_full_scan(results, oracle):
+    for r, o in zip(results, oracle, strict=True):
+        for f in FIELDS:
+            assert getattr(r, f) == o[f], f
+        assert np.array_equal(r.scan[:, 0], o["scan"][:, 0])
+        seen = ~np.isnan(r.scan[:, 1])
+        assert np.array_equal(r.scan[seen, 1], o["scan"][seen, 1])
+
+
+class TableGen:
+    """Model generator whose chi2 against ``table_observed`` is
+    ``table[j, k]`` at grid point j, slice k; counts slice evaluations."""
+
+    def __init__(self, table, scan):
+        self.table = np.asarray(table, dtype=float)
+        self.index = {float(t): j for j, t in enumerate(scan)}
+        self.evals = []
+
+    def observed(self):
+        return [DistributionSnapshot(n_bins=1, bin_width=1.0, density=np.zeros(1),
+                                     errors=np.ones(1), mass0=0.0, mass1=0.0, t=0.0)
+                for _ in range(self.table.shape[1])]
+
+    def __call__(self, tau, which=None):
+        j = self.index[tau]
+        ks = range(self.table.shape[1]) if which is None else which
+        self.evals.extend((j, k) for k in ks)
+        return [DistributionSnapshot(n_bins=1, bin_width=1.0,
+                                     density=np.array([math.sqrt(self.table[j, k])]),
+                                     errors=np.zeros(1), mass0=0.0, mass1=0.0, t=0.0)
+                for k in ks]
+
+
+@st.composite
+def unimodal_tables(draw):
+    """Chi2 columns that are non-increasing, then non-decreasing, with
+    the minimum first, last or inside, plateaus and ties included."""
+    n = draw(st.integers(3, 300))
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from([0, n - 1, None]))
+        m = draw(st.integers(1, n - 2)) if m is None else m
+        inc = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 30.0, 400.0]),
+                                     min_size=n - 1, max_size=n - 1)))
+        c = np.full(n, draw(st.floats(0.0, 1e3)))
+        c[:m] += inc[:m][::-1].cumsum()[::-1]
+        c[m + 1 :] += inc[m:].cumsum()
+        cols.append(c)
+    return np.column_stack(cols)
+
+
+class TestCoarseToFineScan:
+    @settings(max_examples=200, deadline=None)
+    @given(unimodal_tables())
+    def test_unimodal_matches_full_scan(self, table):
+        scan = 0.01 * np.arange(table.shape[0])
+        gen = TableGen(table, scan)
+        results = fit_tau(gen.observed(), gen, scan)
+        assert len(set(gen.evals)) == len(gen.evals)  # no point evaluated twice
+        assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
+
+    def test_multimodal_falls_back_to_full_scan(self):
+        # two dips, both visible to the coarse pass (stride 16 on 251 points)
+        i = np.arange(251.0)
+        table = np.column_stack([np.minimum((i - 40) ** 2, (i - 200) ** 2 + 5.0),
+                                 (i - 120) ** 2])
+        scan = default_tau_scan()
+        gen = TableGen(table, scan)
+        results = fit_tau(gen.observed(), gen, scan)
+        assert not np.isnan(results[0].scan[:, 1]).any()
+        assert np.isnan(results[1].scan[:, 1]).any()
+        assert sorted(j for j, k in gen.evals if k == 0) == list(range(251))
+        assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
+
+    def test_default_grid_evaluation_count(self):
+        # three slices at tau = 0.25, 0.5, 1.0 on the default 251-point grid
+        observed = [sample_mixture_hist(0.305, tau, 100_000, 40 + i)
+                    for i, tau in enumerate((0.25, 0.5, 1.0))]
+        base = make_analytic_model_gen(0.305, 3)
+        evals = []
+
+        def counting(tau, which=None):
+            out = base(tau, which)
+            evals.append(len(out))
+            return out
+
+        results = fit_tau(observed, counting, default_tau_scan())
+        assert sum(evals) <= 90
+        assert evals[:17] == [3] * 17 and set(evals[17:]) == {1}
+        assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
+
+    @pytest.mark.parametrize("kind", ["analytic", "fp", "ensemble"])
+    def test_slice_selector_bitwise(self, kind):
+        times = [0.5, 1.0, 2.0]
+        gen = {
+            "analytic": lambda: make_analytic_model_gen(0.305, 3),
+            "fp": lambda: make_fp_model_gen(0.305, 20.0, times, n_cells=512),
+            "ensemble": lambda: make_ensemble_model_gen(0.305, 20.0, times, dt=0.25,
+                                                        seeds=SeedSpec(11), n_traj=2000),
+        }[kind]()
+        full = gen(0.7)
+        for which in [(k,) for k in range(3)] + [(2, 0)]:
+            part = gen(0.7, which)
+            assert len(part) == len(which)
+            for snap, k in zip(part, which):
+                want = full[k]
+                assert np.array_equal(snap.density, want.density)
+                assert np.array_equal(snap.errors, want.errors)
+                assert (snap.mass0, snap.mass1, snap.t) == (want.mass0, want.mass1, want.t)
 
 
 class TestSystematicErrors:

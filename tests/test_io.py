@@ -163,6 +163,29 @@ class TestEnsembleFiles:
         io.write_ensemble(str(p2), back)
         assert file_bytes(p) == file_bytes(p2)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_cols": 0}, "n_steps must be >= 0, got -1"),
+        ({"n_traj": 0}, "ensemble must hold at least one trajectory"),
+        ({"dt": -0.5}, "dt must be finite and > 0, got -0.5"),
+        ({"dt": 0.0}, "dt must be finite and > 0, got 0.0"),
+        ({"dt": math.inf}, "dt must be finite and > 0, got inf"),
+        ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
+        ({"x0": 7.0}, "x0 must lie in [0, 1], got 7.0"),
+        ({"x0": -0.25}, "x0 must lie in [0, 1], got -0.25"),
+    ])
+    def test_bad_header_diagnostic(self, tmp_path, fields, message):
+        # hand-packed header: version, n_traj, n_cols (slices), dt, x0, seed
+        def packed(n_traj=3, n_cols=2, dt=0.5, x0=0.305):
+            head = struct.pack("<IQQddQ", io.FORMAT_VERSION, n_traj, n_cols, dt, x0, 0)
+            return io.ENSEMBLE_MAGIC + head + bytes(8 * n_traj * n_cols)
+
+        p = tmp_path / "bad.qens"
+        p.write_bytes(packed())
+        assert io.read_ensemble(str(p)).x0 == 0.305
+        p.write_bytes(packed(**fields))
+        with pytest.raises(io.FormatError, match=re.escape(f"{p.name}: {message}")):
+            io.read_ensemble(str(p))
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "no.qens"
         p.write_bytes(b"NOTMAGIC" + b"\0" * 64)
