@@ -18,10 +18,7 @@ from .core import (
     to_rho,
 )
 from .rng import SeedSpec
-from .sde import (
-    simulate_ensemble,
-    simulate_ensemble_euler,
-)
+from .sde import simulate_ensemble
 from .fokker_planck import (
     DensityGrid,
     FPSolverError,
@@ -31,7 +28,6 @@ from .fokker_planck import (
 )
 from .bayesian import (
     CalibrationSeries,
-    EfficiencyModel,
     FitFailureError,
     RecordSet,
     estimate_T1,

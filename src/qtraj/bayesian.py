@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 from scipy.special import expit
 
 from .core import (
@@ -50,7 +49,6 @@ from .sde import _evolve
 __all__ = [
     "FitFailureError",
     "RecordSet",
-    "EfficiencyModel",
     "CalibrationSeries",
     "EffectiveCalibration",
     "GaussianCurrentFit",
@@ -107,44 +105,6 @@ class RecordSet:
     @property
     def dt(self) -> float:
         return self.cal.dt
-
-
-@dataclass(frozen=True)
-class EfficiencyModel:
-    """Split of the observed record variance into signal and added noise.
-
-    sigma_obs^2 = sigma_ideal^2 + sigma_noise^2 and
-    eta = sigma_ideal^2 / sigma_obs^2.
-    """
-
-    sigma_obs: float
-    sigma_ideal: float
-    sigma_noise: float
-    eta: float
-
-    def __post_init__(self):
-        if not (self.sigma_obs > 0 and self.sigma_ideal > 0):
-            raise ValueError("sigma_obs and sigma_ideal must be > 0")
-        if self.sigma_noise < 0:
-            raise ValueError("sigma_noise must be >= 0")
-        if not math.isclose(
-            self.sigma_obs**2, self.sigma_ideal**2 + self.sigma_noise**2, rel_tol=1e-9
-        ):
-            raise ValueError("sigma_obs^2 != sigma_ideal^2 + sigma_noise^2")
-        if not math.isclose(self.eta, self.sigma_ideal**2 / self.sigma_obs**2, rel_tol=1e-9):
-            raise ValueError("eta != sigma_ideal^2 / sigma_obs^2")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-
-    @classmethod
-    def from_split(cls, sigma_ideal: float, sigma_noise: float) -> "EfficiencyModel":
-        obs = math.hypot(sigma_ideal, sigma_noise)
-        return cls(
-            sigma_obs=obs,
-            sigma_ideal=sigma_ideal,
-            sigma_noise=sigma_noise,
-            eta=sigma_ideal**2 / obs**2,
-        )
 
 
 @dataclass(frozen=True)
@@ -334,6 +294,8 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
         p0 = (cal.I0, cal.I1 - cal.I0, max(cal.T1, t[-1]) if math.isfinite(cal.T1) else t[-1])
     else:
         p0 = (y[-1], y[0] - y[-1], (t[-1] - t[0]) / 2.0)
+    from scipy.optimize import curve_fit  # deferred: a slow import only fits need
+
     try:
         popt, pcov = curve_fit(
             _exp_decay, t, y, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14
@@ -371,6 +333,8 @@ def preprocess_calibration(
         if float(yt.max() - yt.min()) == 0.0:
             return float(yt[0])  # already constant, nothing to repair
         p0 = (yt[-1], yt[0] - yt[-1], (t[-1] - t_anomaly) / 2.0)
+        from scipy.optimize import curve_fit  # deferred, as in estimate_T1
+
         try:
             popt, _ = curve_fit(_exp_decay, t[tail], yt, p0=p0, maxfev=20000)
         except (RuntimeError, ValueError):

@@ -188,9 +188,15 @@ def _require_input(path: str, what: str) -> str:
 def cmd_generate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
     cal = cfg.cal()
+    g = cal.kappa / cfg.dt_us
+    # the records fix g through kappa = (i0 - i1)^2 / (4 sigma^2); 0 derives it
+    if cfg.g_per_us != 0.0 and not math.isclose(cfg.g_per_us, g, rel_tol=1e-12):
+        raise UsageError(
+            f"g_per_us={cfg.g_per_us!r} disagrees with the calibration's "
+            f"kappa/dt_us = {g!r}; leave it 0 to derive it"
+        )
     params = ModelParams(
-        g=cal.kappa / cfg.dt_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0,
-        n_steps=cfg.n_steps,
+        g=g, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps,
     )
     recs, latent = bayesian.generate_records(
         params, cal, cfg.n_traj, seeds, n_workers=cfg.workers()

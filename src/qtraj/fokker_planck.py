@@ -26,7 +26,9 @@ the Monte Carlo stepper:
 Both sub-evolutions are linear operators fixed by the grid and the
 substep size, so :func:`solve_fp` builds them (kernels and their FFT
 spectra, branch weights, deposit cells and splits) once per ``t_grid``
-interval and applies them to every substep of it.
+interval and applies them to every substep of it.  Long convolutions
+go through one real-FFT helper, :func:`_fft_convolve`, padded to
+``next_fast_len(size, real=True)``; short ones run directly.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; the rho00 = 0 bucket is re-injected by the next relaxation
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
 from .core import DistributionSnapshot, to_logodds, to_rho
@@ -347,20 +348,18 @@ class _Diffusion:
 
         self.lo = lo
         self.kernels = (kp, km)
-        self.full_size = n + kp.size - 1
         if n * kp.size <= _DIRECT_MAX:
             self.spectra = None
         else:
-            # the length fftconvolve would pick, so each branch keeps its bits
-            self.fft_len = next_fast_len(self.full_size, real=True)
-            self.spectra = (rfft(kp, self.fft_len), rfft(km, self.fft_len))
+            # at the length _fft_convolve picks for a grid-sized input
+            fft_len = next_fast_len(n + kp.size - 1, real=True)
+            self.spectra = (rfft(kp, fft_len), rfft(km, fft_len))
 
     def _convolve(self, a: np.ndarray, branch: int) -> np.ndarray:
+        k = self.kernels[branch]
         if self.spectra is None:
-            return np.convolve(a, self.kernels[branch])
-        spec = rfft(a, self.fft_len) * self.spectra[branch]
-        out = irfft(spec, self.fft_len)[: self.full_size]
-        return np.maximum(out, 0.0)
+            return np.convolve(a, k)
+        return np.maximum(_fft_convolve(a, k, self.spectra[branch]), 0.0)
 
     def apply(self, s: _Solver) -> None:
         if self.kappa == 0.0:
@@ -387,10 +386,28 @@ class _Diffusion:
         s.mass1 += float(wp.sum() * self.kp_tail_hi + wm.sum() * self.km_tail_hi)
 
 
+def _fft_convolve(a: np.ndarray, k: np.ndarray, k_spec: np.ndarray | None = None) -> np.ndarray:
+    """Full linear convolution of 1-D real arrays through real FFTs.
+
+    Both inputs are transformed at ``next_fast_len(a.size + k.size - 1,
+    real=True)``, multiplied and transformed back, which is bit for bit
+    what ``scipy.signal.fftconvolve(a, k)`` computes for kernels of two
+    or more taps (it multiplies by a one-tap kernel).  ``k_spec``, when
+    given, is ``rfft(k, that length)``, kept by a caller that convolves
+    with the same kernel many times.
+    """
+    size = a.size + k.size - 1
+    n = next_fast_len(size, real=True)
+    if k_spec is None:
+        k_spec = rfft(k, n)
+    return irfft(rfft(a, n) * k_spec, n)[:size]
+
+
 def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The "valid" cross-correlation of a with the shorter k."""
     if a.size * k.size <= _DIRECT_MAX:
         return np.convolve(a, k[::-1], mode="valid")
-    return fftconvolve(a, k[::-1], mode="valid")
+    return _fft_convolve(a, k[::-1])[k.size - 1 : a.size]
 
 
 def solve_fp(

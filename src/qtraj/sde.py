@@ -22,8 +22,6 @@ sub-steps individually are exact.  That layout is one step loop,
 :func:`_evolve`, which the record generator and the reconstructor of
 :mod:`qtraj.bayesian` drive too, each passing only its middle update;
 this is what makes their trajectories agree bit for bit.
-:func:`simulate_ensemble_euler` is a plain first-order reference
-integrator in population space, kept only for convergence cross-checks.
 
 Ensembles use the counter-based streams of :mod:`qtraj.rng` and run in
 the fixed trajectory chunks of :func:`_evolve`, so the output is
@@ -42,7 +40,7 @@ from scipy.special import expit
 from .core import Z_CAP, ModelParams, TrajectoryEnsemble, to_logodds, to_rho
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 
-__all__ = ["SeedSpec", "simulate_ensemble", "simulate_ensemble_euler"]
+__all__ = ["SeedSpec", "simulate_ensemble"]
 
 # Trajectories are processed in fixed chunks of this size.  The chunk
 # grid depends only on trajectory indices, never on the worker count,
@@ -168,25 +166,3 @@ def simulate_ensemble(
 
     return _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
                    n_workers, diffuse, seed)
-
-
-def simulate_ensemble_euler(
-    params: ModelParams, n_traj: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Final-slice populations from the Euler-Maruyama reference scheme.
-
-    Returns only the last time slice (the scheme needs many small steps,
-    so storing every slice would be wasteful).  Not covered by the
-    determinism contract; pass a seeded Generator for repeatability.
-    """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    rho = np.full(n_traj, params.x0, dtype=float)
-    amp = 2.0 * math.sqrt(params.g * params.dt)
-    rel = params.dt / params.T1 if not math.isinf(params.T1) else 0.0
-    for _ in range(params.n_steps):
-        xi = rng.standard_normal(n_traj)
-        rho11 = 1.0 - rho
-        rho = rho + amp * rho * rho11 * xi + rel * rho11
-        np.clip(rho, 0.0, 1.0, out=rho)
-    return rho

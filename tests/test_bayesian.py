@@ -7,7 +7,6 @@ from scipy import stats
 from qtraj.bayesian import (
     CalibrationSeries,
     EffectiveCalibration,
-    EfficiencyModel,
     FitFailureError,
     RecordSet,
     _meas_z,
@@ -361,13 +360,6 @@ class TestEfficiency:
         with pytest.warns(UserWarning):
             eta = estimate_efficiency(0.5 * 80 * CAL_WEAK.kappa, CAL_WEAK, 80)
         assert math.isclose(eta, 2.0)
-
-    def test_model_invariants(self):
-        m = EfficiencyModel.from_split(sigma_ideal=3.0, sigma_noise=4.0)
-        assert math.isclose(m.sigma_obs, 5.0)
-        assert math.isclose(m.eta, 9.0 / 25.0)
-        with pytest.raises(ValueError):
-            EfficiencyModel(sigma_obs=5.0, sigma_ideal=3.0, sigma_noise=1.0, eta=0.36)
 
     def test_preparation_uncertainty(self):
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=45.0, dts=0.5)

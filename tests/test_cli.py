@@ -1,7 +1,9 @@
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,19 @@ class TestPipeline:
         assert abs(r.tau_best - 0.5) < 0.03
         assert r.tau_err_dchi2_100 > r.tau_err_dchi2_1 > 0
         assert r.t_us == n_steps * 0.5
+
+    def test_generate_rejects_inconsistent_g(self, tmp_path, capsys):
+        # i0=1, i1=-1, sigma=5 give kappa = 0.04 per 0.5 us step: g = 0.08/us
+        argv = ["generate", "--seed=3", "--n_traj=10", "--n_steps=4"]
+        assert run(argv + [f"--out={tmp_path / 'bad'}", "--g_per_us=0.2"]) == 2
+        assert "g_per_us" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        for g in ("0", "0.08"):
+            assert run(argv + [f"--out={tmp_path / g}", f"--g_per_us={g}"]) == 0
+        assert (
+            (tmp_path / "0" / "records.qrec").read_bytes()
+            == (tmp_path / "0.08" / "records.qrec").read_bytes()
+        )
 
     def test_solve_fp_outputs(self, tmp_path):
         out = tmp_path / "fp"
@@ -269,3 +284,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # a cold `qtraj` process pays only for the scipy modules its numerics use
+    code = (
+        "import sys, qtraj, qtraj.cli\n"
+        "heavy = ('scipy.signal', 'scipy.optimize', 'scipy.stats', 'scipy.interpolate')\n"
+        "print(','.join(m for m in heavy if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.fft import next_fast_len, rfft
 from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
@@ -256,6 +257,35 @@ class TestRebinning:
         direct = mix.bin_masses_rho(EDGES)
         assert np.max(np.abs(snap.density - direct)) < 1e-6
 
+
+
+def diffusion_lengths():
+    """(input, kernel) lengths of the convolutions `_Diffusion` makes."""
+    out = []
+    for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
+        s = fp._Solver(fp._grid_nodes(-12.0, 12.0, n_cells), np.zeros(n_cells), 0.0, 0.0)
+        k = fp._Diffusion(s, kappa).kernels[0].size
+        out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
+    return out
+
+
+# three diffusion operators' lengths, then prime lengths, a prime full
+# length (1009), one just past a fast length (8193) and equal lengths (a
+# one-point "valid" part)
+FFT_LENGTHS = diffusion_lengths() + [(8191, 509), (10007, 3), (1000, 10), (8000, 194), (37, 37)]
+
+
+class TestFFTConvolve:
+    @pytest.mark.parametrize("na, nk", FFT_LENGTHS)
+    def test_matches_scipy_signal(self, na, nk, monkeypatch):
+        rng = np.random.default_rng(na * 7919 + nk)
+        a, k = rng.random(na) - 0.25, rng.random(nk)
+        full = fftconvolve(a, k)
+        assert np.array_equal(fp._fft_convolve(a, k), full)
+        spec = rfft(k, next_fast_len(na + nk - 1, real=True))
+        assert np.array_equal(fp._fft_convolve(a, k, spec), full)
+        monkeypatch.setattr(fp, "_DIRECT_MAX", 0)  # force the FFT path
+        assert np.array_equal(fp._correlate(a, k), fftconvolve(a, k[::-1], mode="valid"))
 
 
 # ---------------------------------------------------------------------------
