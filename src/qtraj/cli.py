@@ -87,13 +87,18 @@ class RunConfig:
     fp_zmax: float = 12.0
     fp_dt_us: float = 0.0
 
-    def slice_list(self, default):
+    def slice_list(self, n_steps: int, first: int) -> list[int]:
+        """The slices to histogram, each in first..n_steps (default n_steps)."""
         if not self.slices:
-            return list(default)
+            return [n_steps]
         try:
-            return [int(s) for s in self.slices.split(",") if s.strip()]
+            slices = [int(s) for s in self.slices.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad slices value: {exc}") from exc
+        for k in slices:
+            if not first <= k <= n_steps:
+                raise UsageError(f"slice {k} out of range {first}..{n_steps}")
+        return slices
 
     def t_grid(self):
         try:
@@ -209,23 +214,20 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 def cmd_simulate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
-    if cfg.g_per_us < 0:
-        raise UsageError("simulate requires g_per_us >= 0")
     params = ModelParams(
         g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
     )
+    slices = cfg.slice_list(cfg.n_steps, first=0)
     ens = simulate_ensemble(params, cfg.n_traj, seeds, n_workers=cfg.workers())
     cfg.n_workers = cfg.workers()
     _write_manifest(cfg)
     io.write_ensemble(os.path.join(cfg.out, "ensemble.qens"), ens)
-    for k in cfg.slice_list([cfg.n_steps]):
+    for k in slices:
         snap = build_histogram(ens, k, cfg.n_bins, cfg.bin_width)
         io.write_histogram(os.path.join(cfg.out, f"hist_{k:05d}.txt"), snap)
 
 
 def cmd_solve_fp(cfg: RunConfig) -> None:
-    if cfg.g_per_us < 0:
-        raise UsageError("g_per_us must be >= 0")
     t_grid = cfg.t_grid()
     if not t_grid:
         raise UsageError("solve-fp requires t_grid_us")
@@ -251,10 +253,7 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
 
 
 def _fit_ensemble(cfg: RunConfig, ens):
-    slices = cfg.slice_list([ens.n_steps])
-    for k in slices:
-        if not 0 < k <= ens.n_steps:
-            raise UsageError(f"slice {k} out of range 1..{ens.n_steps}")
+    slices = cfg.slice_list(ens.n_steps, first=1)
     observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
     x0 = ens.x0 if ens.x0 is not None else cfg.x0
     model = cfg.model
@@ -272,7 +271,7 @@ def _fit_ensemble(cfg: RunConfig, ens):
     else:
         raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
     results = fitting.fit_tau(observed, gen, cfg.tau_scan())
-    return slices, observed, results, gen
+    return slices, observed, results, gen, x0
 
 
 def _report_slices(slices, results, ens):
@@ -291,7 +290,7 @@ def _report_slices(slices, results, ens):
 
 def cmd_fit(cfg: RunConfig) -> None:
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
-    slices, _, results, _ = _fit_ensemble(cfg, ens)
+    slices, _, results, _, _ = _fit_ensemble(cfg, ens)
     _write_manifest(cfg)
     io.write_fit_report(
         os.path.join(cfg.out, "fit_report.txt"), _report_slices(slices, results, ens)
@@ -301,8 +300,8 @@ def cmd_fit(cfg: RunConfig) -> None:
 def cmd_report(cfg: RunConfig) -> None:
     """Observed / best-fit / no-relaxation (T1 -> infinity) overlays."""
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
-    slices, observed, results, gen = _fit_ensemble(cfg, ens)
-    x0 = ens.x0 if ens.x0 is not None else cfg.x0
+    slices, observed, results, gen, x0 = _fit_ensemble(cfg, ens)
+    norelax_gen = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)
     _write_manifest(cfg)
     io.write_fit_report(
         os.path.join(cfg.out, "fit_report.txt"), _report_slices(slices, results, ens)
@@ -310,9 +309,7 @@ def cmd_report(cfg: RunConfig) -> None:
     fmt = io.fmt_float
     for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
         best = gen(res.tau_best, (i,))[0]
-        norelax = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)(
-            res.tau_best
-        )[0]
+        norelax = norelax_gen(res.tau_best)[0]
         lines = [
             f"# t_us={fmt(k * ens.dt)}",
             f"# tau_best={fmt(res.tau_best)}",

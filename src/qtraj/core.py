@@ -98,7 +98,7 @@ class ModelParams:
     Attributes
     ----------
     g : float
-        Measurement coupling, units 1/time (>= 0).
+        Measurement coupling, units 1/time (finite, >= 0).
     T1 : float
         Excited-state relaxation time; ``math.inf`` disables relaxation.
     dt : float
@@ -116,8 +116,8 @@ class ModelParams:
     n_steps: int
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
+        if not (self.g >= 0 and math.isfinite(self.g)):
+            raise ValueError("g must be finite and >= 0")
         if not self.T1 > 0:
             raise ValueError("T1 must be > 0 (use math.inf for no relaxation)")
         if not self.dt > 0:

@@ -10,11 +10,10 @@ scan is coarse-to-fine: a strided pass over every slice, then per slice
 only the grid points its minimum depends on.
 
 Model histograms come either from the closed-form no-relaxation
-solution, the Fokker-Planck solver, or a simulated ensemble.  Every
-generator is called as ``gen(tau)`` for all slices or ``gen(tau, which)``
-for the slice indices in ``which`` only, in that order; when the
-model itself carries Monte Carlo noise its per-bin errors are added in
-quadrature to the observed ones so chi-square stays unbiased.
+solution or from the Fokker-Planck solver.  Every generator is called
+as ``gen(tau)`` for all slices or ``gen(tau, which)`` for the slice
+indices in ``which`` only, in that order; a model that carries per-bin
+errors has them added in quadrature to the observed ones.
 
 With ideal synthetic data (constant coupling) the fitted tau(t) is a
 straight line through the origin; the slower initial build-up seen in
@@ -34,10 +33,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bayesian import RecordSet, preparation_uncertainty, reconstruct_ensemble
-from .core import CalibrationParams, DistributionSnapshot, ModelParams, build_histogram
+from .core import CalibrationParams, DistributionSnapshot, build_histogram
 from .fokker_planck import _grid_nodes, _rebin, _rebin_map, analytic_distribution_z, solve_fp
-from .rng import SeedSpec
-from .sde import simulate_ensemble
 
 __all__ = [
     "FitResult",
@@ -49,7 +46,6 @@ __all__ = [
     "systematic_errors",
     "make_analytic_model_gen",
     "make_fp_model_gen",
-    "make_ensemble_model_gen",
 ]
 
 SHIFT_PARAMS = ("x0", "T1", "I0", "I1")
@@ -112,6 +108,10 @@ def default_tau_scan(
     tau_min: float = 0.0, tau_max: float = 2.5, tau_step: float = 0.01
 ) -> np.ndarray:
     """The default tau grid: 0 to 2.5 in steps of 0.01."""
+    if not (math.isfinite(tau_min) and math.isfinite(tau_max)):
+        raise ValueError(f"tau_min={tau_min!r} and tau_max={tau_max!r} must be finite")
+    if not 0 < tau_step < math.inf:
+        raise ValueError(f"tau_step={tau_step!r} must be finite and > 0")
     n = int(round((tau_max - tau_min) / tau_step))
     return tau_min + tau_step * np.arange(n + 1)
 
@@ -313,41 +313,6 @@ def make_fp_model_gen(
     return gen
 
 
-def make_ensemble_model_gen(
-    x0: float,
-    T1: float,
-    times: Sequence[float],
-    dt: float,
-    seeds: SeedSpec,
-    n_traj: int = 10_000_000,
-    n_bins: int = 100,
-    bin_width: float = 0.01,
-    n_workers: int = 1,
-) -> Callable[..., list[DistributionSnapshot]]:
-    """Model generator backed by simulated ensembles.
-
-    The default ensemble size is 1e7 trajectories; the resulting model
-    histograms carry statistical errors, which :func:`chi2` folds into
-    the denominator.  Far slower than the analytic or Fokker-Planck
-    generators; prefer those unless an independent route is wanted.
-    ``gen(tau, which)`` simulates only the slices ``times[k]``, k in
-    ``which``, bitwise equal to the matching entries of ``gen(tau)``.
-    """
-    times = [float(t) for t in times]
-
-    def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
-        out = []
-        for t in times if which is None else [times[k] for k in which]:
-            n_steps = max(1, int(round(t / dt)))
-            g = tau / (n_steps * dt)
-            params = ModelParams(g=g, T1=T1, dt=dt, x0=x0, n_steps=n_steps)
-            ens = simulate_ensemble(params, n_traj, seeds, n_workers=n_workers)
-            out.append(build_histogram(ens, n_steps, n_bins, bin_width))
-        return out
-
-    return gen
-
-
 # ---------------------------------------------------------------------------
 # systematic error budget
 
@@ -461,19 +426,13 @@ def systematic_errors(
             shifts[p] = np.zeros_like(base_dens)
             mass_shifts[p] = np.zeros_like(base_mass)
             continue
-        x0 = records.x0
-        kw = dict(I0=cal.I0, I1=cal.I1, sigma=cal.sigma, dt=cal.dt, T1=cal.T1,
-                  dts=cal.dts)
+        x0, shifted = records.x0, cal
         if p == "x0":
             x0 = min(1.0, max(0.0, x0 + d))
-        elif p == "T1":
-            kw["T1"] = cal.T1 + d
-        elif p == "I0":
-            kw["I0"] = cal.I0 + d
-        elif p == "I1":
-            kw["I1"] = cal.I1 + d
+        else:
+            shifted = replace(cal, **{p: getattr(cal, p) + d})
         dens, mass, _ = _histogram_stack(
-            records, x0, CalibrationParams(**kw), slices, n_bins, bin_width, n_workers
+            records, x0, shifted, slices, n_bins, bin_width, n_workers
         )
         shifts[p] = np.abs(dens - base_dens)
         mass_shifts[p] = np.abs(mass - base_mass)

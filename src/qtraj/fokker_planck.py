@@ -194,11 +194,8 @@ class _Solver:
     """Mutable working state of one solve (grid plus masses)."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, mass0: float, mass1: float):
-        dz = np.diff(nodes)
-        if nodes.size < 8 or not np.allclose(dz, dz[0], rtol=1e-9, atol=0.0):
-            raise ValueError("solver requires a uniform z grid with >= 8 cells")
         self.nodes = nodes.astype(float)
-        self.dz = float(dz[0])
+        self.dz = float(nodes[1] - nodes[0])
         self.w = weights.astype(float).copy()
         self.mass0 = float(mass0)
         self.mass1 = float(mass1)
@@ -411,7 +408,7 @@ def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def solve_fp(
-    initial,
+    x0: float,
     g: float,
     T1: float,
     t_grid,
@@ -425,19 +422,17 @@ def solve_fp(
 
     Parameters
     ----------
-    initial : float or DensityGrid
-        Either the initial population x0 (delta initial condition,
-        deposited mean-exactly on the grid) or an existing grid whose
-        uniform nodes the solver adopts.
+    x0 : float
+        Initial population rho00 in [0, 1]; the delta initial condition
+        at t = 0 is deposited mean-exactly on the grid.
     g : float
-        Measurement coupling (1/time), >= 0.
+        Measurement coupling (1/time), finite and >= 0.
     T1 : float
         Relaxation time; ``math.inf`` for pure diffusion.
     t_grid : sequence of float
-        Nondecreasing snapshot times, starting at or after the initial
-        time (0 for a delta initial condition).
+        Nondecreasing snapshot times, all >= 0.
     z_min, z_max, n_cells :
-        Grid extent and resolution (ignored when a DensityGrid is given).
+        Extent and resolution (>= 8 cells) of the uniform z grid.
     dt : float, optional
         Trotter substep duration with finite T1.  Defaults to
         min(T1/100, interval).  Pure diffusion (infinite T1) is a single
@@ -456,28 +451,26 @@ def solve_fp(
         If mass conservation drifts beyond 1e-8 or densities go negative
         beyond -1e-12.
     """
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    if not (g >= 0 and math.isfinite(g)):
+        raise ValueError("g must be finite and >= 0")
     if not T1 > 0:
         raise ValueError("T1 must be > 0")
+    if n_cells < 8:
+        raise ValueError("n_cells must be >= 8")
 
-    if isinstance(initial, DensityGrid):
-        solver = _Solver(initial.nodes, initial.weights, initial.mass0, initial.mass1)
-        t = initial.t
-    else:
-        x0 = float(initial)
-        solver = _Solver(_grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
-        z0 = to_logodds(x0)
-        if not (z_min < z0 < z_max):
-            raise ValueError("x0 maps outside the z grid")
-        solver.deposit(np.array([z0]), np.array([1.0 - x0]), np.array([1.0]))
-        t = 0.0
+    x0 = float(x0)
+    solver = _Solver(_grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
+    z0 = to_logodds(x0)
+    if not (z_min < z0 < z_max):
+        raise ValueError("x0 maps outside the z grid")
+    solver.deposit(np.array([z0]), np.array([1.0 - x0]), np.array([1.0]))
+    t = 0.0
 
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return []
     if np.any(np.diff(t_grid) < 0) or t_grid[0] < t - 1e-12:
-        raise ValueError("t_grid must be nondecreasing and start at/after t0")
+        raise ValueError("t_grid must be nondecreasing and start at/after 0")
 
     total0 = solver.w.sum() + solver.mass0 + solver.mass1
     out: list[DensityGrid] = []

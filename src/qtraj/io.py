@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -308,39 +308,33 @@ class FitReportSlice:
 
 
 def write_fit_report(path: str, slices: list[FitReportSlice]) -> None:
-    """Key-value tree, one dotted block per slice."""
-    lines = [f"n_slices = {len(slices)}"]
+    """Config file with ``n_slices`` and one dotted block per slice."""
+    items = {"n_slices": str(len(slices))}
     for i, s in enumerate(slices):
-        p = f"slice.{i}"
-        lines.append(f"{p}.t_us = {fmt_float(s.t_us)}")
-        lines.append(f"{p}.tau_best = {fmt_float(s.tau_best)}")
-        lines.append(f"{p}.chi2_min = {fmt_float(s.chi2_min)}")
-        lines.append(f"{p}.tau_err_dchi2_100 = {fmt_float(s.tau_err_dchi2_100)}")
-        lines.append(f"{p}.tau_err_dchi2_1 = {fmt_float(s.tau_err_dchi2_1)}")
-        lines.append(f"{p}.n_bins = {s.n_bins}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        for f in fields(FitReportSlice):
+            v = getattr(s, f.name)
+            items[f"slice.{i}.{f.name}"] = fmt_float(v) if f.type == "float" else str(v)
+    write_config(path, items)
 
 
 def read_fit_report(path: str) -> list[FitReportSlice]:
     kv = read_config(path)
-    try:
-        n = int(kv["n_slices"])
-        out = []
-        for i in range(n):
-            p = f"slice.{i}"
-            out.append(
-                FitReportSlice(
-                    t_us=float(kv[f"{p}.t_us"]),
-                    tau_best=float(kv[f"{p}.tau_best"]),
-                    chi2_min=float(kv[f"{p}.chi2_min"]),
-                    tau_err_dchi2_100=float(kv[f"{p}.tau_err_dchi2_100"]),
-                    tau_err_dchi2_1=float(kv[f"{p}.tau_err_dchi2_1"]),
-                    n_bins=int(kv[f"{p}.n_bins"]),
-                )
-            )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing fit-report key {exc}") from exc
-    return out
+
+    def get(key: str, conv):
+        if key not in kv:
+            raise FormatError(f"{path}: missing fit-report key '{key}'")
+        try:
+            return conv(kv[key])
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad value for fit-report key '{key}' ({exc})") from exc
+
+    return [
+        FitReportSlice(**{
+            f.name: get(f"slice.{i}.{f.name}", float if f.type == "float" else int)
+            for f in fields(FitReportSlice)
+        })
+        for i in range(get("n_slices", int))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,38 @@ class TestSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestInputChecks:
+    """Bad inputs exit 2 with a message before any output file is written
+    (an uncaught exception would propagate out of main() here)."""
+
+    SMALL = ["--seed=1", "--n_traj=100", "--n_steps=4"]
+
+    @pytest.mark.parametrize("g", ["nan", "inf"])
+    @pytest.mark.parametrize("mode, extra", [("simulate", SMALL), ("solve-fp", ["--t_grid_us=1"])])
+    def test_nonfinite_coupling(self, tmp_path, capsys, mode, extra, g):
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", f"--g_per_us={g}", *extra]) == 2
+        assert "g must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("slices", ["2,9", "a"])
+    def test_simulate_checks_slices_first(self, tmp_path, capsys, slices):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["simulate", f"--out={out}", *self.SMALL, f"--slices={slices}"]) == 2
+        assert "slice" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--tau_step=0", "--tau_max=inf"])
+    def test_bad_tau_scan(self, tmp_path, capsys, flag):
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", *self.SMALL, "--g_per_us=0.03"]) == 0
+        fit = tmp_path / "fit"
+        assert run(["fit", f"--out={fit}", f"--input={sim / 'ensemble.qens'}", flag]) == 2
+        assert flag[2:].split("=")[0] in capsys.readouterr().err
+        assert not fit.exists()
+
+
 class TestPipeline:
     def test_generate_reconstruct_fit_round_trip(self, tmp_path):
         kappa = 0.025

@@ -124,6 +124,8 @@ class TestParams:
             dict(dt=0.0),
             dict(x0=1.5),
             dict(n_steps=-1),
+            dict(g=math.nan),
+            dict(g=math.inf),
         ],
     )
     def test_model_params_validation(self, kw):

@@ -1,8 +1,10 @@
-"""Smoke tests: the Fokker-Planck demos run to completion."""
+"""Smoke tests: every demo runs to completion, and the top-level package
+exports exactly the names the demos and the README quick start import."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["03_fokker_planck_relaxation.py", "05_tau_fitting.py"]
-)
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -20,3 +20,24 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TOP_LEVEL = {
+    "ModelParams", "CalibrationParams", "SeedSpec",
+    "simulate_ensemble", "build_histogram",
+    "analytic_distribution_z", "solve_fp", "fp_snapshot_to_bins",
+    "CalibrationSeries", "estimate_T1", "estimate_efficiency", "fit_gaussian_current",
+    "preprocess_calibration",
+    "generate_records", "reconstruct_ensemble",
+    "fit_tau", "make_analytic_model_gen", "systematic_errors",
+}
+
+
+def test_top_level_names():
+    import qtraj
+
+    public = {n: v for n, v in vars(qtraj).items() if not n.startswith("_")}
+    modules = {n for n, v in public.items() if isinstance(v, types.ModuleType)}
+    assert set(public) - modules == TOP_LEVEL
+    assert all(public[n].__name__ == f"qtraj.{n}" for n in modules)
+    assert isinstance(qtraj.__version__, str)

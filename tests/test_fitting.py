@@ -21,7 +21,6 @@ from qtraj.fitting import (
     default_tau_scan,
     fit_tau,
     make_analytic_model_gen,
-    make_ensemble_model_gen,
     make_fp_model_gen,
     systematic_errors,
 )
@@ -188,23 +187,6 @@ class TestFitTau:
         b = gen_an(0.6)[0]
         assert np.abs(a.density - b.density).sum() < 1e-3
 
-    def test_ensemble_and_fp_model_gens_agree(self):
-        # the two supported model routes describe the same distribution
-        gen_fp = make_fp_model_gen(0.305, 45.0, [20.0], n_cells=2048, dt=0.5)
-        gen_mc = make_ensemble_model_gen(
-            0.305, 45.0, [20.0], dt=0.5, seeds=SeedSpec(2718), n_traj=100_000
-        )
-        a = gen_fp(0.6)[0]
-        b = gen_mc(0.6)[0]
-        tv = 0.5 * (
-            np.abs(a.density - b.density).sum()
-            + abs(a.mass0 - b.mass0)
-            + abs(a.mass1 - b.mass1)
-        )
-        assert tv < 0.02
-        # the MC route carries statistical errors, the FP route does not
-        assert b.errors.max() > 0 and a.errors.max() == 0
-
 
 def full_scan_fit_tau(observed, model_gen, scan):
     """The full-grid scan: every grid point for every slice, argmin
@@ -326,14 +308,12 @@ class TestCoarseToFineScan:
         assert evals[:17] == [3] * 17 and set(evals[17:]) == {1}
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
 
-    @pytest.mark.parametrize("kind", ["analytic", "fp", "ensemble"])
+    @pytest.mark.parametrize("kind", ["analytic", "fp"])
     def test_slice_selector_bitwise(self, kind):
         times = [0.5, 1.0, 2.0]
         gen = {
             "analytic": lambda: make_analytic_model_gen(0.305, 3),
             "fp": lambda: make_fp_model_gen(0.305, 20.0, times, n_cells=512),
-            "ensemble": lambda: make_ensemble_model_gen(0.305, 20.0, times, dt=0.25,
-                                                        seeds=SeedSpec(11), n_traj=2000),
         }[kind]()
         full = gen(0.7)
         for which in [(k,) for k in range(3)] + [(2, 0)]:

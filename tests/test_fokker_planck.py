@@ -194,28 +194,19 @@ class TestSolveFP:
         with pytest.raises(ValueError):
             # x0 outside the grid's z range
             solve_fp(1e-9, 0.1, math.inf, [1.0], z_min=-4, z_max=4)
+        for g in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="g must be finite"):
+                solve_fp(0.5, g, 20.0, [1.0])
+        with pytest.raises(ValueError, match="n_cells"):
+            solve_fp(0.5, 0.1, 20.0, [1.0], n_cells=4)
 
     def test_grid_initial_condition(self):
-        sols = solve_fp(0.4, 0.05, math.inf, [4.0])
-        cont = solve_fp(sols[0], 0.05, math.inf, [8.0])
+        # the second snapshot continues from the first one's grid
+        cont = solve_fp(0.4, 0.05, math.inf, [4.0, 8.0])
         direct = solve_fp(0.4, 0.05, math.inf, [8.0])
         ref = analytic_distribution_z(0.4, 0.4).bin_masses_rho(EDGES)
-        assert l1_bins(fp_snapshot_to_bins(cont[0]), ref) < 1e-3
+        assert l1_bins(fp_snapshot_to_bins(cont[1]), ref) < 1e-3
         assert l1_bins(fp_snapshot_to_bins(direct[0]), ref) < 1e-3
-        with pytest.raises(ValueError):
-            # the solver adopts only uniform grids
-            solve_fp(
-                DensityGrid(
-                    nodes=np.linspace(-3.0, 3.0, 16) ** 3,
-                    weights=np.full(16, 1 / 16),
-                    mass0=0.0,
-                    mass1=0.0,
-                    t=0.0,
-                ),
-                0.05,
-                math.inf,
-                [1.0],
-            )
 
 
 class TestRebinning:

@@ -252,6 +252,16 @@ class TestFitReportFiles:
         with pytest.raises(io.FormatError, match="slice.0.tau_best"):
             io.read_fit_report(str(p))
 
+    @pytest.mark.parametrize("key", ["n_slices", "slice.0.tau_best", "slice.0.n_bins"])
+    def test_bad_value(self, tmp_path, key):
+        p = tmp_path / "fit.txt"
+        io.write_fit_report(str(p), [io.FitReportSlice(5.0, 0.15, 103.5, 0.04, 0.004, 100)])
+        items = io.read_config(str(p))
+        items[key] = "abc"
+        io.write_config(str(p), items)
+        with pytest.raises(io.FormatError, match=f"fit.txt.*'{key}'"):
+            io.read_fit_report(str(p))
+
 
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
