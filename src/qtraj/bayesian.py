@@ -42,6 +42,7 @@ from .core import (
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
+    require_memory,
 )
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 from .sde import _evolve
@@ -85,7 +86,8 @@ class RecordSet:
         c = self.currents
         if c.ndim != 2:
             raise ValueError("currents must be a 2-D array (n_traj, n_steps)")
-        if not np.isfinite(c).all():
+        # min and max propagate NaN: no temporary the size of the records
+        if c.size and not (np.isfinite(c.min()) and np.isfinite(c.max())):
             i, s = np.argwhere(~np.isfinite(c))[0]
             raise ValueError(
                 f"currents must be finite: record {i}, step {s} is {c[i, s]}"
@@ -234,6 +236,8 @@ def generate_records(
         raise ValueError("params.T1 != cal.T1")
 
     seed = seeds.master_seed
+    require_memory(n_traj * (2 * params.n_steps + 1) * 8,
+                   f"{n_traj} records of {params.n_steps} steps with their latent ensemble")
     currents = np.empty((n_traj, params.n_steps))
 
     def record(z, s, rows, traj):

@@ -18,10 +18,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bayesian, fitting, io
-from .core import CalibrationParams, ModelParams, build_histogram
+from .core import (
+    CalibrationParams,
+    ModelParams,
+    build_histogram,
+    check_binning,
+    histogram_counts,
+    histogram_from_counts,
+)
 from .fokker_planck import FPSolverError, fp_snapshot_to_bins, solve_fp
 from .rng import SeedSpec
-from .sde import simulate_ensemble
+from .sde import simulate_batches
 
 __all__ = ["RunConfig", "main"]
 
@@ -217,13 +224,25 @@ def cmd_simulate(cfg: RunConfig) -> None:
     params = ModelParams(
         g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
     )
-    slices = cfg.slice_list(cfg.n_steps, first=0)
-    ens = simulate_ensemble(params, cfg.n_traj, seeds, n_workers=cfg.workers())
+    counts = dict.fromkeys(cfg.slice_list(cfg.n_steps, first=0), 0)
+    check_binning(cfg.n_bins, cfg.bin_width)
     cfg.n_workers = cfg.workers()
+    batches = simulate_batches(params, cfg.n_traj, seeds, n_workers=cfg.n_workers)
+
+    def counted(block):
+        # integer bin counts, so their sum over blocks is the whole slice's
+        for k in counts:
+            counts[k] += histogram_counts(block[:, k], cfg.n_bins, cfg.bin_width)
+        return block
+
+    # the ensemble goes to its file one batch at a time: memory holds
+    # O(n_workers * CHUNK * n_steps) values for any n_traj
+    os.makedirs(cfg.out, exist_ok=True)
+    io.write_ensemble_blocks(os.path.join(cfg.out, "ensemble.qens"), map(counted, batches),
+                             cfg.n_traj, params.n_steps, params.dt, params.x0, seeds.master_seed)
     _write_manifest(cfg)
-    io.write_ensemble(os.path.join(cfg.out, "ensemble.qens"), ens)
-    for k in slices:
-        snap = build_histogram(ens, k, cfg.n_bins, cfg.bin_width)
+    for k, c in counts.items():
+        snap = histogram_from_counts(c, k * params.dt, cfg.bin_width)
         io.write_histogram(os.path.join(cfg.out, f"hist_{k:05d}.txt"), snap)
 
 

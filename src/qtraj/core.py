@@ -35,6 +35,11 @@ __all__ = [
     "to_logodds",
     "to_rho",
     "build_histogram",
+    "check_binning",
+    "histogram_counts",
+    "histogram_from_counts",
+    "available_memory",
+    "require_memory",
 ]
 
 # Absorption cap for the log-odds coordinate. tanh(30) rounds to 1.0 in
@@ -89,6 +94,33 @@ def to_rho(z):
     if np.ndim(z) == 0:
         return float(r)
     return r
+
+
+_MEMINFO = "/proc/meminfo"
+
+
+def available_memory() -> int | None:
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes; None where the
+    kernel does not report it."""
+    try:
+        with open(_MEMINFO, "rb") as f:
+            for line in f:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse, with a ValueError naming both sizes, to allocate ``nbytes``
+    for ``what`` when the system reports less memory available; this
+    replaces a kill by the out-of-memory killer with a message."""
+    avail = available_memory()
+    if avail is not None and nbytes > avail:
+        raise ValueError(
+            f"{what} needs {nbytes} bytes of memory but only {avail} bytes are available"
+        )
 
 
 @dataclass(frozen=True)
@@ -291,6 +323,10 @@ def build_histogram(
     sqrt(count)/n_traj, with sqrt(1)/n_traj for empty bins so that
     downstream chi-square weights never divide by zero.
 
+    This is :func:`histogram_from_counts` of :func:`histogram_counts`;
+    the counts of consecutive row blocks of the slice sum to the counts
+    of the whole slice, so a streamed ensemble gives the same snapshot.
+
     Raises
     ------
     ValueError
@@ -301,32 +337,43 @@ def build_histogram(
         raise ValueError("ensemble is empty")
     if not 0 <= slice_index <= ensemble.n_steps:
         raise ValueError(f"slice_index {slice_index} out of range")
+    counts = histogram_counts(ensemble.slice_values(slice_index), n_bins, bin_width)
+    return histogram_from_counts(counts, slice_index * ensemble.dt, bin_width)
+
+
+def check_binning(n_bins: int, bin_width: float) -> None:
+    """Raise ValueError unless ``n_bins`` bins of ``bin_width`` cover [0, 1]."""
     if n_bins * bin_width < 1.0 - 1e-12:
         raise ValueError("n_bins * bin_width must cover [0, 1]")
 
-    v = ensemble.slice_values(slice_index)
-    n = ensemble.n_traj
-    if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
-        raise ValueError("ensemble values outside [0, 1]")
-    at0 = v == 0.0
-    at1 = v == 1.0
-    interior = v[~(at0 | at1)]
-    counts = np.bincount(
-        bin_index(interior, n_bins, bin_width), minlength=n_bins
-    ).astype(float)
 
-    c0 = float(at0.sum())
-    c1 = float(at1.sum())
-    density = counts / n
-    errors = np.sqrt(np.maximum(counts, 1.0)) / n
+def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
+    """Integer counts of populations ``values``: the ``n_bins`` interior
+    bins, then the values exactly 0.0, then those exactly 1.0."""
+    check_binning(n_bins, bin_width)
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
+        raise ValueError("ensemble values outside [0, 1]")
+    at0 = values == 0.0
+    at1 = values == 1.0
+    interior = values[~(at0 | at1)]
+    counts = np.bincount(bin_index(interior, n_bins, bin_width), minlength=n_bins)
+    return np.append(counts, [np.count_nonzero(at0), np.count_nonzero(at1)])
+
+
+def histogram_from_counts(counts: np.ndarray, t: float, bin_width: float) -> DistributionSnapshot:
+    """The snapshot at time ``t`` of :func:`histogram_counts` output,
+    normalized by the total count."""
+    n = int(counts.sum())
+    bins = counts[:-2].astype(float)
+    c0, c1 = float(counts[-2]), float(counts[-1])
     return DistributionSnapshot(
-        n_bins=n_bins,
+        n_bins=bins.size,
         bin_width=bin_width,
-        density=density,
-        errors=errors,
+        density=bins / n,
+        errors=np.sqrt(np.maximum(bins, 1.0)) / n,
         mass0=c0 / n,
         mass1=c1 / n,
-        t=slice_index * ensemble.dt,
+        t=t,
         mass0_err=math.sqrt(max(c0, 1.0)) / n,
         mass1_err=math.sqrt(max(c1, 1.0)) / n,
     )

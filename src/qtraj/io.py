@@ -3,8 +3,11 @@ fit reports, and config/manifest files.
 
 All writes are atomic (temp file in the target directory, then rename)
 and all text tables use full round-trip decimal precision, so
-write -> read -> write is byte-identical for every format.  Times in
-files are microseconds.
+write -> read -> write is byte-identical for every format.  Binary
+reads and writes hold one copy of the payload: the writer sends each
+array buffer straight to the file and the reader fills one array.
+Output files get the mode ``open()`` would give them (0o666 less the
+umask).  Times in files are microseconds.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bayesian import RecordSet
-from .core import CalibrationParams, DistributionSnapshot, TrajectoryEnsemble
+from .core import CalibrationParams, DistributionSnapshot, TrajectoryEnsemble, require_memory
 
 __all__ = [
     "FormatError",
@@ -26,6 +29,7 @@ __all__ = [
     "write_records",
     "read_records",
     "write_ensemble",
+    "write_ensemble_blocks",
     "read_ensemble",
     "write_histogram",
     "read_histogram",
@@ -58,17 +62,27 @@ class FormatError(ValueError):
     """Malformed input file; the message names the byte offset or line."""
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qtraj-tmp-")
+@contextmanager
+def _atomic_file(path: str):
+    """Binary file that replaces ``path`` when the block exits cleanly
+    and is removed otherwise.  It is created with mode 0o666, as
+    ``open(path, "wb")`` creates one, so the umask applies."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".qtraj-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as f:
+        f.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -84,30 +98,54 @@ def fmt_float(x: float) -> str:
 # binary container shared by record and ensemble files
 
 
-def _write_binary(path: str, magic: bytes, header: struct.Struct, values, *meta) -> None:
-    """Magic, header (version, n_traj, n_cols, *meta), row-major <f8 body."""
-    body = np.ascontiguousarray(values, dtype="<f8")
-    head = magic + header.pack(FORMAT_VERSION, *body.shape, *meta)
-    atomic_write_bytes(path, head + body.tobytes())
+def _write_binary(path: str, magic: bytes, header: struct.Struct, shape, blocks,
+                  *meta) -> None:
+    """Magic, header (version, n_traj, n_cols, *meta), row-major <f8 body.
+
+    The body is the consecutive row ``blocks`` of a ``shape`` = (n_traj,
+    n_cols) array, each written from its own buffer (a C-contiguous
+    float64 block is not copied) and dropped before the next is taken.
+    """
+    n_rows, n_cols = shape
+    with _atomic_file(path) as f:
+        f.write(magic + header.pack(FORMAT_VERSION, n_rows, n_cols, *meta))
+        for block in blocks:
+            body = np.ascontiguousarray(block, dtype="<f8")
+            if body.shape[1:] != (n_cols,):
+                raise ValueError(f"row block of shape {body.shape} in a {n_cols}-column body")
+            f.write(body)
+            n_rows -= body.shape[0]
+            del block, body
+        if n_rows != 0:
+            raise ValueError(f"row blocks hold {shape[0] - n_rows} rows, header says {shape[0]}")
 
 
-def _read_binary(path: str, raw: bytes, magic: bytes, header: struct.Struct, kind: str):
-    """Inverse of :func:`_write_binary` on a file whose magic is checked;
-    returns (body array, header fields after n_cols)."""
+def _read_binary(path: str, f, magic: bytes, header: struct.Struct, kind: str):
+    """Inverse of :func:`_write_binary` on a file ``f`` whose magic has
+    been read and checked; returns (body array, header fields after
+    n_cols).  The body is read into one preallocated array."""
     off = len(magic)
-    if len(raw) < off + header.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    version, n_traj, n_cols, *meta = header.unpack(raw[off : off + header.size])
+    head = f.read(header.size)
+    if len(head) < header.size:
+        raise FormatError(f"{path}: truncated header at byte offset {off + len(head)}")
+    version, n_traj, n_cols, *meta = header.unpack(head)
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported {kind} format version {version}")
     off += header.size
+    size = os.fstat(f.fileno()).st_size - off
     expected = n_traj * n_cols * 8
-    if len(raw) - off != expected:
+    if size != expected:
         raise FormatError(
-            f"{path}: body has {len(raw) - off} bytes at offset {off}, "
-            f"expected {expected}"
+            f"{path}: body has {size} bytes at offset {off}, expected {expected}"
         )
-    return np.frombuffer(raw[off:], dtype="<f8").reshape(n_traj, n_cols).copy(), meta
+    try:
+        require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    body = np.empty((n_traj, n_cols), dtype="<f8")
+    if f.readinto(body) != expected:
+        raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
+    return body, meta
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +156,14 @@ def write_records(path: str, records: RecordSet) -> None:
     """Write a RecordSet in the binary record format."""
     cal = records.cal
     seed = records.master_seed if records.master_seed is not None else 0
-    _write_binary(path, RECORD_MAGIC, _REC_HEADER, records.currents,
-                  cal.dt, cal.I0, cal.I1, cal.sigma, cal.T1, records.x0, seed)
+    _write_binary(path, RECORD_MAGIC, _REC_HEADER, records.currents.shape,
+                  (records.currents,), cal.dt, cal.I0, cal.I1, cal.sigma, cal.T1,
+                  records.x0, seed)
 
 
-def _read_records_binary(path: str, raw: bytes) -> RecordSet:
+def _read_records_binary(path: str, f) -> RecordSet:
     currents, (dt, i0, i1, sigma, t1, x0, seed) = _read_binary(
-        path, raw, RECORD_MAGIC, _REC_HEADER, "record"
+        path, f, RECORD_MAGIC, _REC_HEADER, "record"
     )
     cal = CalibrationParams(I0=i0, I1=i1, sigma=sigma, dt=dt, T1=t1)
     return RecordSet(currents=currents, cal=cal, x0=x0, master_seed=seed)
@@ -177,14 +216,16 @@ def read_records(path: str) -> RecordSet:
     """Read a record file, binary or the text alternative.
 
     Values the header or body parse to but the record model rejects
-    (such as a non-finite current or sigma <= 0) raise FormatError too.
+    (such as a non-finite current or sigma <= 0) raise FormatError too,
+    as does a binary body larger than the memory the system reports
+    available.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
     try:
-        if raw[: len(RECORD_MAGIC)] == RECORD_MAGIC:
-            return _read_records_binary(path, raw)
-        return _read_records_text(path, raw)
+        with open(path, "rb") as f:
+            magic = f.read(len(RECORD_MAGIC))
+            if magic == RECORD_MAGIC:
+                return _read_records_binary(path, f)
+            return _read_records_text(path, magic + f.read())
     except FormatError:
         raise
     except ValueError as exc:
@@ -196,19 +237,30 @@ def read_records(path: str) -> RecordSet:
 
 
 def write_ensemble(path: str, ens: TrajectoryEnsemble) -> None:
-    x0 = ens.x0 if ens.x0 is not None else math.nan
-    seed = ens.master_seed if ens.master_seed is not None else 0
-    _write_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, ens.values, ens.dt, x0, seed)
+    write_ensemble_blocks(path, (ens.values,), ens.n_traj, ens.n_steps, ens.dt,
+                          ens.x0, ens.master_seed)
+
+
+def write_ensemble_blocks(path: str, blocks, n_traj: int, n_steps: int, dt: float,
+                          x0: float | None = None, master_seed: int | None = None) -> None:
+    """Write the ensemble file of ``n_traj`` trajectories whose values
+    arrive as consecutive row blocks (from :func:`qtraj.sde.simulate_batches`,
+    say); the bytes equal :func:`write_ensemble`'s of the whole ensemble."""
+    x0 = x0 if x0 is not None else math.nan
+    seed = master_seed if master_seed is not None else 0
+    _write_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, (n_traj, n_steps + 1), blocks,
+                  dt, x0, seed)
 
 
 def read_ensemble(path: str) -> TrajectoryEnsemble:
     """Read an ensemble file; header values the ensemble model rejects
-    (no trajectories or slices, a bad dt or x0) raise FormatError too."""
+    (no trajectories or slices, a bad dt or x0) raise FormatError too,
+    as does a body larger than the memory the system reports available."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(ENSEMBLE_MAGIC)] != ENSEMBLE_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    values, (dt, x0, seed) = _read_binary(path, raw, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble")
+        if f.read(len(ENSEMBLE_MAGIC)) != ENSEMBLE_MAGIC:
+            raise FormatError(f"{path}: bad magic at byte offset 0")
+        values, (dt, x0, seed) = _read_binary(path, f, ENSEMBLE_MAGIC, _ENS_HEADER,
+                                              "ensemble")
     try:
         return TrajectoryEnsemble(
             n_traj=values.shape[0],

@@ -25,7 +25,9 @@ this is what makes their trajectories agree bit for bit.
 
 Ensembles use the counter-based streams of :mod:`qtraj.rng` and run in
 the fixed trajectory chunks of :func:`_evolve`, so the output is
-byte-identical for any worker count.
+byte-identical for any worker count.  :func:`simulate_batches` yields
+the same rows in blocks of whole chunks, so an ensemble can be written
+out without ever being held in memory.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .core import Z_CAP, ModelParams, TrajectoryEnsemble, to_logodds, to_rho
+from .core import Z_CAP, ModelParams, TrajectoryEnsemble, require_memory, to_logodds, to_rho
 from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 
-__all__ = ["SeedSpec", "simulate_ensemble"]
+__all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
 
 # Trajectories are processed in fixed chunks of this size.  The chunk
 # grid depends only on trajectory indices, never on the worker count,
@@ -94,6 +96,7 @@ def _evolve(
     n_workers: int,
     update: Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray],
     master_seed: int | None,
+    first: int = 0,
 ) -> TrajectoryEnsemble:
     """The one step loop: every trajectory starts at rho00 = x0 and runs
     ``n_steps`` symmetric Trotter steps relax(delta/2), ``update``,
@@ -103,17 +106,22 @@ def _evolve(
     ``rows`` (a slice, with indices ``traj``) after the middle update of
     step ``s``.  Trajectories run in fixed CHUNK-sized row slices on up to
     ``n_workers`` threads; an update touches only its own rows, so the
-    output does not depend on the worker count.
+    output does not depend on the worker count.  Row ``i`` is trajectory
+    ``first + i``; with ``first`` a multiple of CHUNK the chunks are
+    those of one run over all trajectories, so a run split into row
+    blocks gives the same rows bit for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    require_memory(n_traj * (n_steps + 1) * 8,
+                   f"an ensemble of {n_traj} trajectories x {n_steps + 1} slices")
     out = np.empty((n_traj, n_steps + 1))
     z0 = to_logodds(x0)
     half = 0.5 * delta
 
     def run(lo: int) -> None:
         rows = slice(lo, min(lo + CHUNK, n_traj))
-        traj = np.arange(rows.start, rows.stop, dtype=np.uint64)
+        traj = np.arange(first + rows.start, first + rows.stop, dtype=np.uint64)
         z = np.full(traj.size, z0, dtype=float)
         out[rows, 0] = to_rho(z)
         for s in range(n_steps):
@@ -133,6 +141,18 @@ def _evolve(
                               x0=x0, master_seed=master_seed)
 
 
+def _diffusion(params: ModelParams, seeds: SeedSpec):
+    """The simulator's middle update: diffusion on the counter streams."""
+    seed, kappa = seeds.master_seed, params.kappa
+
+    def diffuse(z, s, rows, traj):
+        u = counter_uniform(seed, traj, s, STREAM_BRANCH)
+        xi = counter_normal(seed, traj, s, STREAM_NOISE)
+        return _diffusion_z(z, kappa, u, xi)
+
+    return diffuse
+
+
 def simulate_ensemble(
     params: ModelParams,
     n_traj: int,
@@ -145,7 +165,8 @@ def simulate_ensemble(
     ``params.x0``.  Output is bit-reproducible for a fixed ``seeds``
     regardless of ``n_workers``; on any failure (including memory
     exhaustion) the exception propagates and no partial ensemble is
-    returned.
+    returned.  An ensemble larger than the memory the system reports
+    available is refused with a ValueError before any work.
 
     Parameters
     ----------
@@ -157,12 +178,30 @@ def simulate_ensemble(
     n_workers : int
         Thread count for chunk-parallel execution.
     """
-    seed, kappa = seeds.master_seed, params.kappa
-
-    def diffuse(z, s, rows, traj):
-        u = counter_uniform(seed, traj, s, STREAM_BRANCH)
-        xi = counter_normal(seed, traj, s, STREAM_NOISE)
-        return _diffusion_z(z, kappa, u, xi)
-
     return _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
-                   n_workers, diffuse, seed)
+                   n_workers, _diffusion(params, seeds), seeds.master_seed)
+
+
+def simulate_batches(
+    params: ModelParams,
+    n_traj: int,
+    seeds: SeedSpec,
+    n_workers: int = 1,
+):
+    """``simulate_ensemble(params, n_traj, seeds, n_workers).values`` as
+    an iterator over consecutive row blocks of ``n_workers * CHUNK``
+    trajectories, each computed when the previous one is taken.
+
+    The blocks are bitwise the rows of the in-memory ensemble, and a
+    consumer that drops each block before taking the next holds
+    O(n_workers * CHUNK * n_steps) values for any ``n_traj``.
+    """
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+    batch = max(n_workers, 1) * CHUNK
+    diffuse = _diffusion(params, seeds)
+    return (
+        _evolve(min(batch, n_traj - first), params.n_steps, params.dt, params.x0,
+                params.delta, n_workers, diffuse, seeds.master_seed, first).values
+        for first in range(0, n_traj, batch)
+    )

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj import fitting, io
+from qtraj import core, fitting, io
 from qtraj.cli import config_from_items, main, parse_args
-from qtraj.core import build_histogram
+from qtraj.core import ModelParams, build_histogram
+from qtraj.rng import SeedSpec
+from qtraj.sde import CHUNK, simulate_ensemble
 
 
 def run(argv):
@@ -96,6 +98,35 @@ class TestSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestStreamedSimulate:
+    """``qtraj simulate`` streams its ensemble in batches of n_workers
+    chunks; the files equal those of the in-memory ensemble."""
+
+    N_TRAJ = 2 * CHUNK + 1234
+    ARGS = ["--seed=11", f"--n_traj={N_TRAJ}", "--n_steps=3", "--g_per_us=0.05",
+            "--t1_us=4", "--slices=0,1,3", "--n_bins=50", "--bin_width=0.02"]
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("in_memory")
+        params = ModelParams(g=0.05, T1=4.0, dt=0.5, x0=0.305, n_steps=3)
+        ens = simulate_ensemble(params, self.N_TRAJ, SeedSpec(11))
+        io.write_ensemble(str(out / "ensemble.qens"), ens)
+        for k in (0, 1, 3):
+            io.write_histogram(str(out / f"hist_{k:05d}.txt"),
+                               build_histogram(ens, k, 50, 0.02))
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_files_match_in_memory_ensemble(self, tmp_path, reference, workers):
+        out = tmp_path / "run"
+        assert run(["simulate", f"--out={out}", f"--n_workers={workers}", *self.ARGS]) == 0
+        names = sorted(p.name for p in reference.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names + ["manifest.txt"]
+        for name in names:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
 class TestInputChecks:
     """Bad inputs exit 2 with a message before any output file is written
     (an uncaught exception would propagate out of main() here)."""
@@ -117,6 +148,12 @@ class TestInputChecks:
         assert run(["simulate", f"--out={out}", *self.SMALL, f"--slices={slices}"]) == 2
         assert "slice" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_simulate_checks_binning_first(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["simulate", f"--out={out}", *self.SMALL, "--n_bins=10"]) == 2
+        assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--tau_step=0", "--tau_max=inf"])
     def test_bad_tau_scan(self, tmp_path, capsys, flag):
@@ -304,6 +341,23 @@ class TestPipeline:
         assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={bad}"]) == 1
         assert "bad.qens" in capsys.readouterr().err
         assert not (tmp_path / "fit" / "fit_report.txt").exists()
+
+    def test_memory_refusal_exit_codes(self, tmp_path, capsys, monkeypatch):
+        # a computed ensemble that cannot fit is a usage error (exit 2); a
+        # file whose body cannot fit is an input error naming it (exit 1)
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100",
+                    "--n_steps=4", "--g_per_us=0.03"]) == 0
+        monkeypatch.setattr(core, "available_memory", lambda: 1000)
+        assert run(["simulate", f"--out={tmp_path / 'big'}", "--seed=1", "--n_traj=100",
+                    "--n_steps=4"]) == 2
+        assert "needs 4000 bytes of memory but only 1000 bytes" in capsys.readouterr().err
+        assert not list((tmp_path / "big").iterdir())
+        assert run(["fit", f"--out={tmp_path / 'fit'}",
+                    f"--input={sim / 'ensemble.qens'}"]) == 1
+        err = capsys.readouterr().err
+        assert "ensemble.qens: ensemble body of 100 x 5 values needs 4000 bytes" in err
+        assert not (tmp_path / "fit").exists()
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert run(["reconstruct", f"--out={tmp_path}", "--input=/nope.qrec"]) == 2

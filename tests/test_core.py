@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from qtraj import core
 from qtraj.bayesian import _meas_z
 from qtraj.core import (
     Z_CAP,
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
+    available_memory,
     build_histogram,
+    histogram_counts,
+    histogram_from_counts,
+    require_memory,
     to_logodds,
     to_rho,
 )
@@ -215,8 +220,43 @@ class TestHistogram:
         with pytest.raises(ValueError):
             ens.values[0, 0] = 0.1
 
+    def test_row_block_counts_sum_to_snapshot(self):
+        # streamed histograms: the integer counts of consecutive row
+        # blocks add up to the whole slice's, bit for bit
+        rng = np.random.default_rng(5)
+        vals = rng.random((1001, 2))
+        vals[rng.random(1001) < 0.1, 1] = 0.0
+        vals[rng.random(1001) < 0.1, 1] = 1.0
+        ens = make_ensemble(vals, dt=0.25)
+        for k in (0, 1):
+            counts = sum(histogram_counts(vals[lo : lo + 128, k], 100, 0.01)
+                         for lo in range(0, 1001, 128))
+            assert counts.sum() == 1001
+            got, want = histogram_from_counts(counts, k * 0.25, 0.01), build_histogram(ens, k)
+            for f in ("density", "errors"):
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
+            for f in ("n_bins", "bin_width", "mass0", "mass1", "t", "mass0_err", "mass1_err"):
+                assert getattr(got, f) == getattr(want, f)
+
     @pytest.mark.parametrize("bad", [math.nan, 1.2, -0.1])
     def test_out_of_range_values_rejected(self, bad):
         ens = make_ensemble(np.array([[0.5], [bad]]))
         with pytest.raises(ValueError):
             build_histogram(ens, 0)
+
+
+class TestMemoryGuard:
+    def test_reads_mem_available(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  16 kB\nMemFree:   8 kB\nMemAvailable:   4 kB\n")
+        monkeypatch.setattr(core, "_MEMINFO", str(meminfo))
+        assert available_memory() == 4096
+        require_memory(4096, "x")
+        with pytest.raises(ValueError, match="ensemble needs 4097 bytes of memory but "
+                                             "only 4096 bytes are available"):
+            require_memory(4097, "ensemble")
+
+    def test_skipped_without_meminfo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_MEMINFO", str(tmp_path / "absent"))
+        assert available_memory() is None
+        require_memory(1 << 62, "x")

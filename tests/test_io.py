@@ -1,13 +1,20 @@
 import math
+import os
 import re
+import stat
+import string
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qtraj.bayesian import RecordSet
-from qtraj.core import CalibrationParams, TrajectoryEnsemble
-from qtraj import io
+from qtraj.core import CalibrationParams, DistributionSnapshot, TrajectoryEnsemble
+from qtraj import core, io
 
 
 @pytest.fixture
@@ -283,3 +290,204 @@ class TestConfigFiles:
         p.write_text("seed = 7\nnonsense\n")
         with pytest.raises(io.FormatError, match="line 2"):
             io.read_config(str(p))
+
+
+def binary_io(kind, records, ensemble):
+    """(writer, reader, object, body array) of one binary file kind."""
+    return {
+        "record": (io.write_records, io.read_records, records, records.currents),
+        "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
+    }[kind]
+
+
+class TestSingleCopy:
+    """Binary reads and writes hold one copy of the payload."""
+
+    @pytest.mark.parametrize("kind", ["record", "ensemble"])
+    def test_traced_peaks(self, tmp_path, kind):
+        rng = np.random.default_rng(6)
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        records = RecordSet(currents=rng.normal(size=(8192, 80)), cal=cal, x0=0.3)
+        values = rng.random((8192, 81))
+        ensemble = TrajectoryEnsemble(n_traj=8192, n_steps=80, dt=0.5, values=values)
+        write, read, obj, body = binary_io(kind, records, ensemble)
+        p = str(tmp_path / "payload.bin")
+        tracemalloc.start()
+        try:
+            peaks = []
+            for step in (lambda: write(p, obj), lambda: read(p)):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        write_peak, read_peak = peaks
+        assert write_peak < 0.01 * body.nbytes
+        assert read_peak <= 1.05 * body.nbytes
+        got = out.currents if kind == "record" else out.values
+        assert got.tobytes() == body.tobytes()
+
+    @pytest.mark.parametrize("kind", ["record", "ensemble"])
+    def test_body_beyond_available_memory_refused(self, tmp_path, monkeypatch, records,
+                                                  ensemble, kind):
+        write, read, obj, body = binary_io(kind, records, ensemble)
+        p = tmp_path / "big.bin"
+        write(str(p), obj)
+        n_traj, n_cols = body.shape
+        monkeypatch.setattr(core, "available_memory", lambda: body.nbytes - 1)
+        message = (f"big.bin: {kind} body of {n_traj} x {n_cols} values needs "
+                   f"{body.nbytes} bytes of memory but only {body.nbytes - 1} bytes "
+                   f"are available")
+        with pytest.raises(io.FormatError, match=re.escape(message)):
+            read(str(p))
+        monkeypatch.setattr(core, "available_memory", lambda: body.nbytes)
+        read(str(p))
+
+    def test_row_blocks_write_the_same_bytes(self, tmp_path, ensemble):
+        whole, blocks = tmp_path / "whole.qens", tmp_path / "blocks.qens"
+        io.write_ensemble(str(whole), ensemble)
+        v = ensemble.values
+        io.write_ensemble_blocks(str(blocks), (v[:2], v[2:2], v[2:]), ensemble.n_traj,
+                                 ensemble.n_steps, ensemble.dt, ensemble.x0,
+                                 ensemble.master_seed)
+        assert file_bytes(whole) == file_bytes(blocks)
+        for bad in ((v[:2],), (v, v[:1]), (v[:, :2],)):
+            with pytest.raises(ValueError, match="row"):
+                io.write_ensemble_blocks(str(blocks), bad, ensemble.n_traj,
+                                         ensemble.n_steps, ensemble.dt)
+        assert file_bytes(whole) == file_bytes(blocks)  # a failed write changes nothing
+        assert [q.name for q in tmp_path.iterdir() if q.name.startswith(".")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids="{:03o}".format)
+def test_output_mode_follows_umask(tmp_path, ensemble, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "ref", "wb"):
+            pass
+        io.write_ensemble(str(tmp_path / "e.qens"), ensemble)
+        io.write_config(str(tmp_path / "c.txt"), {"a": "1"})
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "ref").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("e.qens", "c.txt"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
+
+
+# ---------------------------------------------------------------------------
+# byte-exact write -> read -> write round trips of every format
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+SEEDS = st.integers(0, 2**64 - 1)
+ROUND_TRIP = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def record_sets(draw, min_steps=0):
+    shape = (draw(st.integers(0, 4)), draw(st.integers(min_steps, 5)))
+    i0 = draw(FINITE)
+    cal = CalibrationParams(I0=i0, I1=draw(FINITE.filter(lambda v: v != i0)),
+                            sigma=draw(POSITIVE), dt=draw(POSITIVE),
+                            T1=draw(POSITIVE | st.just(math.inf)))
+    return RecordSet(currents=draw(arrays(np.float64, shape, elements=FINITE)), cal=cal,
+                     x0=draw(UNIT), master_seed=draw(SEEDS))
+
+
+def record_text(recs):
+    c = recs.cal
+    head = [io.FORMAT_VERSION, recs.n_traj, recs.n_steps, c.dt, c.I0, c.I1, c.sigma,
+            c.T1, recs.x0, recs.master_seed]
+    rows = [",".join(repr(float(v)) for v in row) for row in recs.currents]
+    return "\n".join([",".join(repr(v) for v in head)] + rows) + "\n"
+
+
+def assert_same_records(got, want):
+    assert got.currents.tobytes() == want.currents.tobytes()
+    assert got.currents.shape == want.currents.shape
+    assert (got.cal, got.x0, got.master_seed) == (want.cal, want.x0, want.master_seed)
+
+
+def rewrite(tmp_path, write, read, obj):
+    """write obj, read it back, write that; returns (read, first bytes, second bytes)."""
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    write(a, obj)
+    back = read(a)
+    write(b, back)
+    return back, file_bytes(a), file_bytes(b)
+
+
+class TestRoundTrips:
+    @ROUND_TRIP
+    @given(recs=record_sets())
+    def test_records_binary(self, tmp_path, recs):
+        back, first, second = rewrite(tmp_path, io.write_records, io.read_records, recs)
+        assert_same_records(back, recs)
+        assert first == second
+
+    @ROUND_TRIP
+    @given(recs=record_sets(min_steps=1))
+    def test_records_text(self, tmp_path, recs):
+        text = tmp_path / "r.txt"
+        text.write_text(record_text(recs))
+        back, first, second = rewrite(
+            tmp_path, io.write_records, io.read_records, io.read_records(str(text))
+        )
+        assert_same_records(back, recs)
+        io.write_records(str(tmp_path / "direct"), recs)
+        assert first == second == file_bytes(tmp_path / "direct")
+
+    @ROUND_TRIP
+    @given(n_traj=st.integers(1, 4), n_steps=st.integers(0, 4), dt=POSITIVE,
+           x0=st.none() | UNIT, seed=st.none() | SEEDS, data=st.data())
+    def test_ensemble(self, tmp_path, n_traj, n_steps, dt, x0, seed, data):
+        values = data.draw(arrays(np.float64, (n_traj, n_steps + 1), elements=st.floats()))
+        ens = TrajectoryEnsemble(n_traj=n_traj, n_steps=n_steps, dt=dt, values=values,
+                                 x0=x0, master_seed=seed)
+        back, first, second = rewrite(tmp_path, io.write_ensemble, io.read_ensemble, ens)
+        assert back.values.tobytes() == values.tobytes()
+        assert (back.n_traj, back.n_steps, back.dt, back.x0) == (n_traj, n_steps, dt, x0)
+        assert back.master_seed == (seed or 0)
+        assert first == second
+
+    @ROUND_TRIP
+    @given(n_bins=st.integers(1, 12), bin_width=st.floats(1e-3, 1.0),
+           scalars=st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE), data=st.data())
+    def test_histogram(self, tmp_path, n_bins, bin_width, scalars, data):
+        density, errors = (data.draw(arrays(np.float64, n_bins, elements=FINITE))
+                           for _ in range(2))
+        mass0, mass1, t, mass0_err, mass1_err = scalars
+        snap = DistributionSnapshot(n_bins=n_bins, bin_width=bin_width, density=density,
+                                    errors=errors, mass0=mass0, mass1=mass1, t=t,
+                                    mass0_err=mass0_err, mass1_err=mass1_err)
+        back, first, second = rewrite(tmp_path, io.write_histogram, io.read_histogram, snap)
+        assert back.density.tobytes() == density.tobytes()
+        assert back.errors.tobytes() == errors.tobytes()
+        assert (back.n_bins, back.bin_width, back.mass0, back.mass1, back.t,
+                back.mass0_err, back.mass1_err) == (n_bins, bin_width, *scalars)
+        assert first == second
+
+    @ROUND_TRIP
+    @given(slices=st.lists(st.builds(io.FitReportSlice, FINITE, FINITE, FINITE, FINITE,
+                                     FINITE, st.integers(-10**9, 10**9)), max_size=3))
+    def test_fit_report(self, tmp_path, slices):
+        back, first, second = rewrite(tmp_path, io.write_fit_report, io.read_fit_report,
+                                      slices)
+        assert back == slices
+        assert first == second
+
+    @ROUND_TRIP
+    @given(items=st.dictionaries(
+        st.text(string.ascii_letters + string.digits + "._-", min_size=1),
+        st.text(string.printable.translate({ord(c): None for c in "\r\n\x0b\x0c"}))
+        .map(str.strip),
+        max_size=6,
+    ))
+    def test_config(self, tmp_path, items):
+        back, first, second = rewrite(tmp_path, io.write_config, io.read_config, items)
+        assert back == items
+        assert first == second

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qtraj import core
 from qtraj.bayesian import generate_records, reconstruct_ensemble
 from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.fokker_planck import analytic_distribution_z
@@ -13,6 +14,7 @@ from qtraj.sde import (
     CHUNK,
     _diffusion_z,
     _relax_z,
+    simulate_batches,
     simulate_ensemble,
 )
 
@@ -270,6 +272,21 @@ class TestSimulateEnsemble:
         params = ModelParams(g=0.05, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
         with pytest.raises(ValueError):
             simulate_ensemble(params, 0, SeedSpec(9))
+        with pytest.raises(ValueError):
+            simulate_batches(params, 0, SeedSpec(9))
+
+    def test_refused_beyond_available_memory(self, monkeypatch):
+        monkeypatch.setattr(core, "available_memory", lambda: 4799)
+        params = ModelParams(g=0.05, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
+        with pytest.raises(ValueError, match="ensemble of 100 trajectories x 6 slices "
+                                             "needs 4800 bytes of memory but only 4799"):
+            simulate_ensemble(params, 100, SeedSpec(9))
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        params = ModelParams(g=cal.kappa / 0.5, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
+        with pytest.raises(ValueError, match="needs 8800 bytes"):
+            generate_records(params, cal, 100, SeedSpec(9))
+        monkeypatch.setattr(core, "available_memory", lambda: 4800)
+        simulate_ensemble(params, 100, SeedSpec(9))
 
 
 CAL_CHUNKS = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5, T1=30.0)
