@@ -6,6 +6,11 @@ rerunning a command with the manifest as its config reproduces the
 outputs byte for byte.  Times on this surface are microseconds.  The
 only environment variable consulted is QTRAJ_THREADS (worker count when
 n_workers is left at 0).
+
+Every mode checks its keys before it reads or computes, so a bad key
+exits 2 and writes nothing.  Two checks come after the read, still
+before any output: the slice range of fit/report (it needs the file's
+n_steps) and the solver's check of the Fokker-Planck keys of model=fp.
 """
 
 from __future__ import annotations
@@ -94,8 +99,9 @@ class RunConfig:
     fp_zmax: float = 12.0
     fp_dt_us: float = 0.0
 
-    def slice_list(self, n_steps: int, first: int) -> list[int]:
-        """The slices to histogram, each in first..n_steps (default n_steps)."""
+    def slice_list(self, n_steps: int | None, first: int) -> list[int]:
+        """The slices to histogram, each in first..n_steps (default
+        n_steps); n_steps None checks only the list's syntax."""
         if not self.slices:
             return [n_steps]
         try:
@@ -103,7 +109,7 @@ class RunConfig:
         except ValueError as exc:
             raise UsageError(f"bad slices value: {exc}") from exc
         for k in slices:
-            if not first <= k <= n_steps:
+            if n_steps is not None and not first <= k <= n_steps:
                 raise UsageError(f"slice {k} out of range {first}..{n_steps}")
         return slices
 
@@ -199,6 +205,7 @@ def _require_input(path: str, what: str) -> str:
 
 def cmd_generate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
+    cfg.n_workers = cfg.workers()
     cal = cfg.cal()
     g = cal.kappa / cfg.dt_us
     # the records fix g through kappa = (i0 - i1)^2 / (4 sigma^2); 0 derives it
@@ -211,9 +218,8 @@ def cmd_generate(cfg: RunConfig) -> None:
         g=g, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps,
     )
     recs, latent = bayesian.generate_records(
-        params, cal, cfg.n_traj, seeds, n_workers=cfg.workers()
+        params, cal, cfg.n_traj, seeds, n_workers=cfg.n_workers
     )
-    cfg.n_workers = cfg.workers()
     _write_manifest(cfg)
     io.write_records(os.path.join(cfg.out, "records.qrec"), recs)
     io.write_ensemble(os.path.join(cfg.out, "latent.qens"), latent)
@@ -250,6 +256,7 @@ def cmd_solve_fp(cfg: RunConfig) -> None:
     t_grid = cfg.t_grid()
     if not t_grid:
         raise UsageError("solve-fp requires t_grid_us")
+    check_binning(cfg.n_bins, cfg.bin_width)
     grids = solve_fp(
         cfg.x0, cfg.g_per_us, cfg.t1_us, t_grid,
         n_cells=cfg.fp_cells,
@@ -264,73 +271,64 @@ def cmd_solve_fp(cfg: RunConfig) -> None:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
-    recs = io.read_records(_require_input(cfg.input, "input"))
-    ens = bayesian.reconstruct_ensemble(recs, n_workers=cfg.workers())
     cfg.n_workers = cfg.workers()
+    recs = io.read_records(_require_input(cfg.input, "input"))
+    ens = bayesian.reconstruct_ensemble(recs, n_workers=cfg.n_workers)
     _write_manifest(cfg)
     io.write_ensemble(os.path.join(cfg.out, "reconstructed.qens"), ens)
 
 
-def _fit_ensemble(cfg: RunConfig, ens):
-    slices = cfg.slice_list(ens.n_steps, first=1)
-    observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
-    x0 = ens.x0 if ens.x0 is not None else cfg.x0
+def cmd_fit(cfg: RunConfig):
+    """Fit tau to the slices' histograms and write ``fit_report.txt``;
+    returns what :func:`cmd_report`'s overlays need.  The keys are checked
+    before the read, but the slice range needs the file's ``n_steps``."""
+    check_binning(cfg.n_bins, cfg.bin_width)
+    scan = cfg.tau_scan()
     model = cfg.model
     if model == "auto":
         model = "analytic" if math.isinf(cfg.t1_us) else "fp"
+    if model not in ("analytic", "fp"):
+        raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
+    cfg.slice_list(None, first=1)
+    ens = io.read_ensemble(_require_input(cfg.input, "input"))
+    slices = cfg.slice_list(ens.n_steps, first=1)
+    observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
+    x0 = ens.x0 if ens.x0 is not None else cfg.x0
     if model == "analytic":
         gen = fitting.make_analytic_model_gen(x0, len(slices), cfg.n_bins, cfg.bin_width)
-    elif model == "fp":
-        times = [k * ens.dt for k in slices]
+    else:
         gen = fitting.make_fp_model_gen(
-            x0, cfg.t1_us, times, cfg.n_bins, cfg.bin_width,
+            x0, cfg.t1_us, [obs.t for obs in observed], cfg.n_bins, cfg.bin_width,
             n_cells=cfg.fp_cells, dt=(cfg.fp_dt_us or None),
             z_min=cfg.fp_zmin, z_max=cfg.fp_zmax,
         )
-    else:
-        raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
-    results = fitting.fit_tau(observed, gen, cfg.tau_scan())
-    return slices, observed, results, gen, x0
-
-
-def _report_slices(slices, results, ens):
-    return [
+    results = fitting.fit_tau(observed, gen, scan)
+    _write_manifest(cfg)
+    io.write_fit_report(os.path.join(cfg.out, "fit_report.txt"), [
         io.FitReportSlice(
-            t_us=k * ens.dt,
+            t_us=obs.t,
             tau_best=r.tau_best,
             chi2_min=r.chi2_min,
             tau_err_dchi2_100=r.tau_error,
             tau_err_dchi2_1=r.tau_error_dchi2_1,
             n_bins=r.n_bins,
         )
-        for k, r in zip(slices, results)
-    ]
-
-
-def cmd_fit(cfg: RunConfig) -> None:
-    ens = io.read_ensemble(_require_input(cfg.input, "input"))
-    slices, _, results, _, _ = _fit_ensemble(cfg, ens)
-    _write_manifest(cfg)
-    io.write_fit_report(
-        os.path.join(cfg.out, "fit_report.txt"), _report_slices(slices, results, ens)
-    )
+        for obs, r in zip(observed, results)
+    ])
+    return slices, observed, results, gen, x0
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    """Observed / best-fit / no-relaxation (T1 -> infinity) overlays."""
-    ens = io.read_ensemble(_require_input(cfg.input, "input"))
-    slices, observed, results, gen, x0 = _fit_ensemble(cfg, ens)
+    """:func:`cmd_fit`, then observed / best-fit / no-relaxation
+    (T1 -> infinity) overlays."""
+    slices, observed, results, gen, x0 = cmd_fit(cfg)
     norelax_gen = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)
-    _write_manifest(cfg)
-    io.write_fit_report(
-        os.path.join(cfg.out, "fit_report.txt"), _report_slices(slices, results, ens)
-    )
     fmt = io.fmt_float
     for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
         best = gen(res.tau_best, (i,))[0]
         norelax = norelax_gen(res.tau_best)[0]
         lines = [
-            f"# t_us={fmt(k * ens.dt)}",
+            f"# t_us={fmt(obs.t)}",
             f"# tau_best={fmt(res.tau_best)}",
             f"# chi2_min={fmt(res.chi2_min)}",
             f"# mass0={fmt(obs.mass0)}",
@@ -347,8 +345,8 @@ def cmd_report(cfg: RunConfig) -> None:
 
 
 def cmd_calibrate(cfg: RunConfig) -> None:
-    ground = io.read_records(_require_input(cfg.ground, "ground"))
-    excited = io.read_records(_require_input(cfg.excited, "excited"))
+    paths = _require_input(cfg.ground, "ground"), _require_input(cfg.excited, "excited")
+    ground, excited = map(io.read_records, paths)
     g_fit = bayesian.fit_gaussian_current(ground.currents.ravel())
     e_fit = bayesian.fit_gaussian_current(excited.currents[:, 0])
     times = (np.arange(excited.n_steps) + 0.5) * excited.dt

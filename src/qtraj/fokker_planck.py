@@ -50,7 +50,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import expit, ndtr
 
-from .core import DistributionSnapshot, to_logodds, to_rho
+from .core import DistributionSnapshot, bin_index, check_binning, to_logodds, to_rho
 from .sde import _relax_z
 
 __all__ = [
@@ -511,8 +511,7 @@ def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):
     come first (fraction 1), then the cells straddling bin edges in index
     order, each split assuming a uniform within-cell distribution in z.
     """
-    if n_bins * bin_width < 1.0 - 1e-12:
-        raise ValueError("n_bins * bin_width must cover [0, 1]")
+    check_binning(n_bins, bin_width)
     half = 0.5 * float(np.diff(nodes).mean())
     lo_c = nodes - half
     hi_c = nodes + half
@@ -520,8 +519,8 @@ def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):
     r_hi = to_rho(hi_c)
 
     edges = np.arange(n_bins + 1) * bin_width
-    b_lo = np.clip(np.searchsorted(edges, r_lo, side="right") - 1, 0, n_bins - 1)
-    b_hi = np.clip(np.searchsorted(edges, r_hi, side="right") - 1, 0, n_bins - 1)
+    b_lo = bin_index(r_lo, n_bins, bin_width)
+    b_hi = bin_index(r_hi, n_bins, bin_width)
 
     whole = np.flatnonzero(b_lo == b_hi)
     cells, bins, fracs = [whole], [b_lo[whole]], [np.ones(whole.size)]

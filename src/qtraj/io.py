@@ -138,10 +138,7 @@ def _read_binary(path: str, f, magic: bytes, header: struct.Struct, kind: str):
         raise FormatError(
             f"{path}: body has {size} bytes at offset {off}, expected {expected}"
         )
-    try:
-        require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
     body = np.empty((n_traj, n_cols), dtype="<f8")
     if f.readinto(body) != expected:
         raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
@@ -256,12 +253,12 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
     """Read an ensemble file; header values the ensemble model rejects
     (no trajectories or slices, a bad dt or x0) raise FormatError too,
     as does a body larger than the memory the system reports available."""
-    with open(path, "rb") as f:
-        if f.read(len(ENSEMBLE_MAGIC)) != ENSEMBLE_MAGIC:
-            raise FormatError(f"{path}: bad magic at byte offset 0")
-        values, (dt, x0, seed) = _read_binary(path, f, ENSEMBLE_MAGIC, _ENS_HEADER,
-                                              "ensemble")
     try:
+        with open(path, "rb") as f:
+            if f.read(len(ENSEMBLE_MAGIC)) != ENSEMBLE_MAGIC:
+                raise FormatError(f"{path}: bad magic at byte offset 0")
+            values, (dt, x0, seed) = _read_binary(path, f, ENSEMBLE_MAGIC, _ENS_HEADER,
+                                                  "ensemble")
         return TrajectoryEnsemble(
             n_traj=values.shape[0],
             n_steps=values.shape[1] - 1,
@@ -270,6 +267,8 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
             x0=None if math.isnan(x0) else x0,
             master_seed=seed,
         )
+    except FormatError:
+        raise
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

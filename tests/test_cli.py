@@ -155,14 +155,60 @@ class TestInputChecks:
         assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--tau_step=0", "--tau_max=inf"])
-    def test_bad_tau_scan(self, tmp_path, capsys, flag):
-        sim = tmp_path / "sim"
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The io readers called in the test, by name, in call order."""
+        calls = []
+        for name in ("read_ensemble", "read_records"):
+            real = getattr(io, name)
+            monkeypatch.setattr(io, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        return calls
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, tmp_path_factory):
+        sim = tmp_path_factory.mktemp("sim")
         assert run(["simulate", f"--out={sim}", *self.SMALL, "--g_per_us=0.03"]) == 0
-        fit = tmp_path / "fit"
-        assert run(["fit", f"--out={fit}", f"--input={sim / 'ensemble.qens'}", flag]) == 2
+        return sim / "ensemble.qens"
+
+    @pytest.mark.parametrize("flag", ["--n_bins=10", "--model=bogus", "--tau_step=0",
+                                      "--tau_max=inf", "--slices=a"])
+    @pytest.mark.parametrize("mode", ["fit", "report"])
+    def test_fit_and_report_check_keys_first(self, tmp_path, capsys, reads, ensemble, mode, flag):
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", f"--input={ensemble}", flag]) == 2
         assert flag[2:].split("=")[0] in capsys.readouterr().err
-        assert not fit.exists()
+        assert reads == []
+        assert not out.exists()
+
+    def test_solve_fp_checks_binning_first(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=5,10",
+                    "--n_bins=10"]) == 2
+        assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        gen = tmp_path_factory.mktemp("gen")
+        assert run(["generate", f"--out={gen}", *self.SMALL]) == 0
+        return gen / "records.qrec"
+
+    def test_reconstruct_checks_workers_first(self, tmp_path, capsys, monkeypatch, reads,
+                                              records):
+        monkeypatch.setenv("QTRAJ_THREADS", "x")
+        out = tmp_path / "out"
+        assert run(["reconstruct", f"--out={out}", f"--input={records}"]) == 2
+        assert "bad QTRAJ_THREADS value 'x'" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_calibrate_checks_inputs_first(self, tmp_path, capsys, reads, records):
+        out = tmp_path / "out"
+        assert run(["calibrate", f"--out={out}", f"--ground={records}"]) == 2
+        assert "--excited is required" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
 
 
 class TestPipeline:
