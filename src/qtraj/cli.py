@@ -8,9 +8,10 @@ only environment variable consulted is QTRAJ_THREADS (worker count when
 n_workers is left at 0).
 
 Every mode checks its keys before it reads or computes, so a bad key
-exits 2 and writes nothing.  Two checks come after the read, still
-before any output: the slice range of fit/report (it needs the file's
-n_steps) and the solver's check of the Fokker-Planck keys of model=fp.
+exits 2 and writes nothing.  Two checks need the file and come after
+the read, still before any output: the slice range of fit/report (the
+file's n_steps) and, for model=fp, that the file's x0 maps inside the
+z grid.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     histogram_counts,
     histogram_from_counts,
 )
-from .fokker_planck import FPSolverError, fp_snapshot_to_bins, solve_fp
+from .fokker_planck import FPSolverError, check_solver_args, fp_snapshot_to_bins, solve_fp
 from .rng import SeedSpec
 from .sde import simulate_batches
 
@@ -108,6 +109,8 @@ class RunConfig:
             slices = [int(s) for s in self.slices.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad slices value: {exc}") from exc
+        if not slices:
+            raise UsageError(f"slices={self.slices!r} names no slice")
         for k in slices:
             if n_steps is not None and not first <= k <= n_steps:
                 raise UsageError(f"slice {k} out of range {first}..{n_steps}")
@@ -281,7 +284,7 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
 def cmd_fit(cfg: RunConfig):
     """Fit tau to the slices' histograms and write ``fit_report.txt``;
     returns what :func:`cmd_report`'s overlays need.  The keys are checked
-    before the read, but the slice range needs the file's ``n_steps``."""
+    before the read, except the slice range and the x0 in the z grid."""
     check_binning(cfg.n_bins, cfg.bin_width)
     scan = cfg.tau_scan()
     model = cfg.model
@@ -289,6 +292,8 @@ def cmd_fit(cfg: RunConfig):
         model = "analytic" if math.isinf(cfg.t1_us) else "fp"
     if model not in ("analytic", "fp"):
         raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
+    if model == "fp":
+        check_solver_args(cfg.t1_us, cfg.fp_zmin, cfg.fp_zmax, cfg.fp_cells)
     cfg.slice_list(None, first=1)
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
@@ -323,25 +328,9 @@ def cmd_report(cfg: RunConfig) -> None:
     (T1 -> infinity) overlays."""
     slices, observed, results, gen, x0 = cmd_fit(cfg)
     norelax_gen = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)
-    fmt = io.fmt_float
     for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
-        best = gen(res.tau_best, (i,))[0]
-        norelax = norelax_gen(res.tau_best)[0]
-        lines = [
-            f"# t_us={fmt(obs.t)}",
-            f"# tau_best={fmt(res.tau_best)}",
-            f"# chi2_min={fmt(res.chi2_min)}",
-            f"# mass0={fmt(obs.mass0)}",
-            f"# mass1={fmt(obs.mass1)}",
-            "# columns=bin_center,observed,error,model_best,model_norelax",
-        ]
-        for c, d, e, mb, mn in zip(
-            obs.bin_centers, obs.density, obs.errors, best.density, norelax.density
-        ):
-            lines.append(f"{fmt(c)},{fmt(d)},{fmt(e)},{fmt(mb)},{fmt(mn)}")
-        io.atomic_write_text(
-            os.path.join(cfg.out, f"report_{k:05d}.txt"), "\n".join(lines) + "\n"
-        )
+        io.write_overlay(os.path.join(cfg.out, f"report_{k:05d}.txt"), obs, res.tau_best,
+                         res.chi2_min, gen(res.tau_best, (i,))[0], norelax_gen(res.tau_best)[0])
 
 
 def cmd_calibrate(cfg: RunConfig) -> None:

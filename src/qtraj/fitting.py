@@ -107,13 +107,24 @@ def chi2(observed: DistributionSnapshot, model: DistributionSnapshot) -> float:
 def default_tau_scan(
     tau_min: float = 0.0, tau_max: float = 2.5, tau_step: float = 0.01
 ) -> np.ndarray:
-    """The default tau grid: 0 to 2.5 in steps of 0.01."""
-    if not (math.isfinite(tau_min) and math.isfinite(tau_max)):
-        raise ValueError(f"tau_min={tau_min!r} and tau_max={tau_max!r} must be finite")
+    """The tau grid tau_min..tau_max (default 0 to 2.5 in steps of 0.01)."""
+    if not (0 <= tau_min < math.inf and math.isfinite(tau_max)):
+        raise ValueError(f"need finite tau_min={tau_min!r} >= 0 and tau_max={tau_max!r}")
     if not 0 < tau_step < math.inf:
         raise ValueError(f"tau_step={tau_step!r} must be finite and > 0")
     n = int(round((tau_max - tau_min) / tau_step))
-    return tau_min + tau_step * np.arange(n + 1)
+    return _check_scan(tau_min + tau_step * np.arange(n + 1))
+
+
+def _check_scan(scan) -> np.ndarray:
+    """``scan`` as floats, if it has 3+ points and one increasing step."""
+    scan = np.asarray(scan, dtype=float)
+    if scan.size < 3:
+        raise ValueError("scan grid needs at least 3 points")
+    step = np.diff(scan)
+    if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("scan grid must be increasing with a uniform step")
+    return scan
 
 
 def _refine(scan: np.ndarray, c: np.ndarray) -> tuple[float, float, float, bool]:
@@ -172,14 +183,7 @@ def fit_tau(
     A slice whose evaluated values are not unimodal gets its whole grid
     evaluated.  Every field then equals that of the full scan.
     """
-    if scan is None:
-        scan = default_tau_scan()
-    scan = np.asarray(scan, dtype=float)
-    if scan.size < 3:
-        raise ValueError("scan grid needs at least 3 points")
-    step = np.diff(scan)
-    if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
-        raise ValueError("scan grid must be increasing with a uniform step")
+    scan = default_tau_scan() if scan is None else _check_scan(scan)
     n, n_slices = scan.size, len(observed)
     chi = np.full((n, n_slices), np.nan)
     done = np.zeros((n, n_slices), dtype=bool)

@@ -24,15 +24,16 @@ the Monte Carlo stepper:
   rho11 -> rho11*e^-delta to rounding.
 
 Both sub-evolutions are linear operators fixed by the grid and the
-substep size, so :func:`solve_fp` builds them (kernels and their FFT
-spectra, branch weights, deposit cells and splits) once per ``t_grid``
-interval and applies them to every substep of it.  Long convolutions
-go through one real-FFT helper, :func:`_fft_convolve`, padded to
-``next_fast_len(size, real=True)``; short ones run directly.
+substep size, so :func:`solve_fp` runs one substep loop per ``t_grid``
+interval with its operators (kernels and their FFT spectra, branch
+weights, deposit cells and splits) built once; at infinite T1 the loop
+takes one substep of the interval with zero relaxation.  Long
+convolutions go through one real-FFT helper, :func:`_fft_convolve`,
+padded to ``next_fast_len(size, real=True)``; short ones run directly.
 
 Mass leaving the grid ends is accumulated in point masses at the
-eigenstates; the rho00 = 0 bucket is re-injected by the next relaxation
-application when T1 is finite (the left boundary is only absorbing
+eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
+bucket at its precomputed split (the left boundary is only absorbing
 without relaxation).
 
 An upwind finite-volume drift scheme was considered and rejected: its
@@ -59,6 +60,7 @@ __all__ = [
     "GaussianMixtureZ",
     "analytic_distribution_z",
     "solve_fp",
+    "check_solver_args",
     "fp_snapshot_to_bins",
 ]
 
@@ -190,15 +192,24 @@ def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
     return z_min + (np.arange(n_cells) + 0.5) * dz
 
 
-class _Solver:
-    """Mutable working state of one solve (grid plus masses)."""
+def check_solver_args(T1: float, z_min: float, z_max: float, n_cells: int) -> None:
+    """Raise ValueError unless :func:`solve_fp` accepts T1 and the z grid."""
+    if not T1 > 0:
+        raise ValueError("T1 must be > 0")
+    if n_cells < 8:
+        raise ValueError("n_cells must be >= 8")
+    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
+        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, mass0: float, mass1: float):
-        self.nodes = nodes.astype(float)
-        self.dz = float(nodes[1] - nodes[0])
-        self.w = weights.astype(float).copy()
-        self.mass0 = float(mass0)
-        self.mass1 = float(mass1)
+
+class _Solver:
+    """Working state of one solve: grid, cell masses, eigenstate masses."""
+
+    def __init__(self, z_min: float, z_max: float, n_cells: int):
+        self.nodes = _grid_nodes(z_min, z_max, n_cells)
+        self.dz = float(self.nodes[1] - self.nodes[0])
+        self.w = np.zeros(n_cells)
+        self.mass0 = self.mass1 = 0.0
         # population-space views of the cell centers, used by the
         # mean-preserving deposits and branch reweighting
         self.r11 = expit(-2.0 * self.nodes)
@@ -227,14 +238,14 @@ class _Solver:
         alpha = np.clip(np.where(denom > 0.0, alpha, 0.5), 0.0, 1.0)
         return below, above, mid, km, alpha
 
-    def deposit(self, y: np.ndarray, r11_target: np.ndarray, mass: np.ndarray) -> None:
-        """Drop point masses at z positions y onto the grid.
+    def deposit(self, split, mass: np.ndarray) -> None:
+        """Drop point masses onto the grid at their :meth:`split`.
 
         Positions beyond the last cell go to the rho00 = 1 bucket;
         positions below the first cell pile into cell 0 (only reachable
         within ~1e-10 of the edge).
         """
-        below, above, mid, km, alpha = self.split(y, r11_target)
+        below, above, mid, km, alpha = split
         if np.any(above):
             self.mass1 += float(mass[above].sum())
         if np.any(below):
@@ -243,37 +254,30 @@ class _Solver:
         np.add.at(self.w, km, mm * (1.0 - alpha))
         np.add.at(self.w, km + 1, mm * alpha)
 
-    def snapshot(self, t: float) -> DensityGrid:
-        return DensityGrid(
-            nodes=self.nodes.copy(),
-            weights=self.w.copy(),
-            mass0=self.mass0,
-            mass1=self.mass1,
-            t=t,
-        )
-
 
 class _Relaxation:
     """Exact pushforward of rho11 -> rho11*e^-delta on one grid.
 
     Where each node lands and how its mass splits between the two
-    enclosing cells depend on the grid and delta only, so they are
-    computed once; each application selects the cells holding mass and
-    deposits them with one ``bincount``.
+    enclosing cells depend on the grid and delta only, as does the
+    re-entry point of the rho00 = 0 bucket (rho11 = e^-delta), so all of
+    them are computed once; each application selects the cells holding
+    mass, deposits them with one ``bincount`` and re-injects the bucket.
     """
 
     def __init__(self, s: _Solver, delta: float):
         self.delta = delta
         if delta == 0.0:
             return
-        self.fac = math.exp(-delta)
+        fac = math.exp(-delta)
         y = _relax_z(s.nodes, delta)
-        _, self.above, self.mid, km, alpha = s.split(y, s.r11 * self.fac)
+        _, self.above, self.mid, km, alpha = s.split(y, s.r11 * fac)
         # per-node lower cell and split (unused where not mid)
         self.k = np.zeros(s.nodes.size, dtype=km.dtype)
         self.k[self.mid] = km
         self.alpha = np.zeros(s.nodes.size)
         self.alpha[self.mid] = alpha
+        self.reentry = s.split(np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
 
     def apply(self, s: _Solver) -> None:
         if self.delta == 0.0:
@@ -295,9 +299,7 @@ class _Relaxation:
             minlength=s.nodes.size,
         )
         if s.mass0 > 0.0:
-            # the rho00 = 0 point mass re-enters at rho11 = e^-delta
-            y0 = 0.5 * math.log(math.expm1(self.delta))
-            s.deposit(np.array([y0]), np.array([self.fac]), np.array([s.mass0]))
+            s.deposit(self.reentry, np.array([s.mass0]))
             s.mass0 = 0.0
 
 
@@ -329,10 +331,7 @@ class _Diffusion:
 
         # discrete post-step population means of each branch; beyond the
         # grid the population saturates at the eigenstates (+-1 in phi)
-        pos = np.arange(lo, n + hi)
-        phi_ext = np.where(
-            pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)])
-        )
+        phi_ext = np.concatenate((np.full(-lo, -1.0), s.phi, np.ones(hi)))
         mp = _correlate(phi_ext, kp) - self.kp_tail_lo + self.kp_tail_hi
         mm = _correlate(phi_ext, km) - self.km_tail_lo + self.km_tail_hi
 
@@ -434,11 +433,11 @@ def solve_fp(
     z_min, z_max, n_cells :
         Extent and resolution (>= 8 cells) of the uniform z grid.
     dt : float, optional
-        Trotter substep duration with finite T1.  Defaults to
-        min(T1/100, interval).  Pure diffusion (infinite T1) is a single
-        exact application per interval regardless of dt.  The substep
-        operators are built once per interval between snapshot times,
-        so memory beyond the grid is one interval's operators.
+        Substep duration with finite T1, default min(T1/100, interval).
+        Each interval between snapshot times runs one substep loop with
+        its operators built once; at infinite T1 that loop takes one
+        substep of the whole interval with zero relaxation, whatever dt
+        is.  Memory beyond the grid is one interval's operators.
 
     Returns
     -------
@@ -453,17 +452,14 @@ def solve_fp(
     """
     if not (g >= 0 and math.isfinite(g)):
         raise ValueError("g must be finite and >= 0")
-    if not T1 > 0:
-        raise ValueError("T1 must be > 0")
-    if n_cells < 8:
-        raise ValueError("n_cells must be >= 8")
+    check_solver_args(T1, z_min, z_max, n_cells)
 
     x0 = float(x0)
-    solver = _Solver(_grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
+    solver = _Solver(z_min, z_max, n_cells)
     z0 = to_logodds(x0)
     if not (z_min < z0 < z_max):
         raise ValueError("x0 maps outside the z grid")
-    solver.deposit(np.array([z0]), np.array([1.0 - x0]), np.array([1.0]))
+    solver.deposit(solver.split(np.array([z0]), np.array([1.0 - x0])), np.array([1.0]))
     t = 0.0
 
     t_grid = np.asarray(t_grid, dtype=float)
@@ -477,21 +473,19 @@ def solve_fp(
     for t_next in t_grid:
         span = float(t_next - t)
         if span > 0.0:
-            if math.isinf(T1):
-                _Diffusion(solver, g * span).apply(solver)
-            else:
-                sub = dt if dt is not None else min(T1 / 100.0, span)
-                n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
-                h = span / n_sub
-                delta = h / T1
-                # the operators of this interval, shared by its substeps
-                diffuse = _Diffusion(solver, g * h)
-                half = _Relaxation(solver, 0.5 * delta)
-                relax = _Relaxation(solver, delta) if n_sub > 1 else half
-                half.apply(solver)
-                for j in range(n_sub):
-                    diffuse.apply(solver)
-                    (relax if j < n_sub - 1 else half).apply(solver)
+            # min(inf, span) = span: one substep of the interval at T1 = inf
+            sub = min(T1 / 100.0, span) if dt is None or math.isinf(T1) else dt
+            n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
+            h = span / n_sub
+            delta = h / T1
+            # the operators of this interval, shared by its substeps
+            diffuse = _Diffusion(solver, g * h)
+            half = _Relaxation(solver, 0.5 * delta)
+            relax = _Relaxation(solver, delta) if n_sub > 1 else half
+            half.apply(solver)
+            for j in range(n_sub):
+                diffuse.apply(solver)
+                (relax if j < n_sub - 1 else half).apply(solver)
             t = float(t_next)
         wmin = solver.w.min()
         if wmin < _NEG_TOL:
@@ -499,7 +493,8 @@ def solve_fp(
         drift = abs(solver.w.sum() + solver.mass0 + solver.mass1 - total0)
         if drift > _MASS_TOL:
             raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
-        out.append(solver.snapshot(t))
+        out.append(DensityGrid(nodes=solver.nodes.copy(), weights=solver.w.copy(),
+                               mass0=solver.mass0, mass1=solver.mass1, t=t))
     return out
 
 

@@ -1,5 +1,5 @@
 """File formats for the pipeline: records, ensembles, histograms,
-fit reports, and config/manifest files.
+fit reports, report overlays, and config/manifest files.
 
 All writes are atomic (temp file in the target directory, then rename)
 and all text tables use full round-trip decimal precision, so
@@ -33,6 +33,7 @@ __all__ = [
     "read_ensemble",
     "write_histogram",
     "read_histogram",
+    "write_overlay",
     "write_fit_report",
     "read_fit_report",
     "write_config",
@@ -277,19 +278,29 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
 # histogram / density files
 
 
+def _write_table(path: str, header: dict, columns) -> None:
+    """'# key=value' header lines, then the columns as CSV rows, floats at full precision."""
+    lines = [f"# {k}={v if isinstance(v, str) else fmt_float(v)}" for k, v in header.items()]
+    lines += [",".join(map(fmt_float, row)) for row in zip(*columns)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_histogram(path: str, snap: DistributionSnapshot) -> None:
     """Text histogram: '# key=value' header lines, then center,density,error."""
-    lines = [
-        f"# t_us={fmt_float(snap.t)}",
-        f"# mass0={fmt_float(snap.mass0)}",
-        f"# mass1={fmt_float(snap.mass1)}",
-        f"# mass0_err={fmt_float(snap.mass0_err)}",
-        f"# mass1_err={fmt_float(snap.mass1_err)}",
-    ]
-    centers = snap.bin_centers
-    for c, d, e in zip(centers, snap.density, snap.errors):
-        lines.append(f"{fmt_float(c)},{fmt_float(d)},{fmt_float(e)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, {
+        "t_us": snap.t, "mass0": snap.mass0, "mass1": snap.mass1,
+        "mass0_err": snap.mass0_err, "mass1_err": snap.mass1_err,
+    }, (snap.bin_centers, snap.density, snap.errors))
+
+
+def write_overlay(path: str, observed: DistributionSnapshot, tau_best: float, chi2_min: float,
+                  best: DistributionSnapshot, norelax: DistributionSnapshot) -> None:
+    """Report overlay: observed histogram, best-fit and no-relaxation models (no reader)."""
+    _write_table(path, {
+        "t_us": observed.t, "tau_best": tau_best, "chi2_min": chi2_min,
+        "mass0": observed.mass0, "mass1": observed.mass1,
+        "columns": "bin_center,observed,error,model_best,model_norelax",
+    }, (observed.bin_centers, observed.density, observed.errors, best.density, norelax.density))
 
 
 def read_histogram(path: str) -> DistributionSnapshot:

@@ -141,7 +141,7 @@ class TestInputChecks:
         assert "g must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("slices", ["2,9", "a"])
+    @pytest.mark.parametrize("slices", ["2,9", "a", ","])
     def test_simulate_checks_slices_first(self, tmp_path, capsys, slices):
         out = tmp_path / "out"
         out.mkdir()
@@ -171,13 +171,24 @@ class TestInputChecks:
         assert run(["simulate", f"--out={sim}", *self.SMALL, "--g_per_us=0.03"]) == 0
         return sim / "ensemble.qens"
 
+    # flags whose message does not name their first key: the expected message
+    NOT_KEYED = {
+        "--tau_min=0.5 --tau_max=0.1": "at least 3 points",
+        "--tau_min=0.3 --tau_max=0.31 --tau_step=0.01": "at least 3 points",
+        "--fp_cells=4 --t1_us=20": "n_cells must be >= 8",
+        "--t1_us=-1": "T1 must be > 0",
+        "--t1_us=0": "T1 must be > 0",
+        "--model=fp --t1_us=20 --fp_zmin=5 --fp_zmax=-5": "z_min=5.0 and z_max=-5.0",
+    }
+
     @pytest.mark.parametrize("flag", ["--n_bins=10", "--model=bogus", "--tau_step=0",
-                                      "--tau_max=inf", "--slices=a"])
+                                      "--tau_max=inf", "--slices=a", "--tau_min=-0.5",
+                                      "--slices=,", *NOT_KEYED])
     @pytest.mark.parametrize("mode", ["fit", "report"])
     def test_fit_and_report_check_keys_first(self, tmp_path, capsys, reads, ensemble, mode, flag):
         out = tmp_path / "out"
-        assert run([mode, f"--out={out}", f"--input={ensemble}", flag]) == 2
-        assert flag[2:].split("=")[0] in capsys.readouterr().err
+        assert run([mode, f"--out={out}", f"--input={ensemble}", *flag.split()]) == 2
+        assert self.NOT_KEYED.get(flag, flag[2:].split("=")[0]) in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 

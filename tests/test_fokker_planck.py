@@ -199,6 +199,18 @@ class TestSolveFP:
                 solve_fp(0.5, g, 20.0, [1.0])
         with pytest.raises(ValueError, match="n_cells"):
             solve_fp(0.5, 0.1, 20.0, [1.0], n_cells=4)
+        for z_min, z_max in ((3.0, -3.0), (1.0, 1.0), (-math.inf, 4.0)):
+            with pytest.raises(ValueError, match="z_min"):
+                solve_fp(0.5, 0.1, 20.0, [1.0], z_min=z_min, z_max=z_max)
+
+    def test_pure_diffusion_ignores_dt(self):
+        # at T1 = inf each interval is one substep with zero relaxation
+        t_grid = [5.0, 20.0, 40.0]
+        ref = solve_fp(0.305, 0.05, math.inf, t_grid)
+        for dt in (0.5, 7.0):
+            for sol, r in zip(solve_fp(0.305, 0.05, math.inf, t_grid, dt=dt), ref, strict=True):
+                assert np.array_equal(sol.weights, r.weights)
+                assert (sol.mass0, sol.mass1, sol.t) == (r.mass0, r.mass1, r.t)
 
     def test_grid_initial_condition(self):
         # the second snapshot continues from the first one's grid
@@ -254,7 +266,7 @@ def diffusion_lengths():
     """(input, kernel) lengths of the convolutions `_Diffusion` makes."""
     out = []
     for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
-        s = fp._Solver(fp._grid_nodes(-12.0, 12.0, n_cells), np.zeros(n_cells), 0.0, 0.0)
+        s = fp._Solver(-12.0, 12.0, n_cells)
         k = fp._Diffusion(s, kappa).kernels[0].size
         out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
     return out
@@ -378,7 +390,8 @@ def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=No
     (weights, mass0, mass1) per snapshot time."""
     dz = (z_max - z_min) / n_cells
     nodes = z_min + (np.arange(n_cells) + 0.5) * dz
-    s = fp._Solver(nodes, np.zeros(n_cells), 0.0, 0.0)
+    s = fp._Solver(z_min, z_max, n_cells)
+    assert np.array_equal(s.nodes, nodes) and not s.w.any() and s.mass0 == s.mass1 == 0.0
     ref_deposit(s, np.array([to_logodds(x0)]), np.array([1.0 - x0]), np.array([1.0]))
     t = 0.0
     out = []
@@ -425,7 +438,7 @@ def ref_rebin(grid, n_bins=100, bin_width=0.01):
 
 
 def uses_fft(n_cells, kappa, z_min=-12.0, z_max=12.0):
-    s = fp._Solver(fp._grid_nodes(z_min, z_max, n_cells), np.zeros(n_cells), 0.0, 0.0)
+    s = fp._Solver(z_min, z_max, n_cells)
     return fp._Diffusion(s, kappa).spectra is not None
 
 
