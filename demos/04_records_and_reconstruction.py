@@ -8,26 +8,24 @@ synthetic records reproduces the latent trajectories bit for bit.
 
 The calibration workflow is also exercised: Gaussian fits for I0, I1,
 sigma; T1 from the decay of the ensemble-averaged current of an
-excited-state ensemble; the early-time transient repair; and the
-efficiency implied by a fitted tau.
+excited-state ensemble.  Two hardware-side steps are shown in plain
+numpy and scipy: repairing an early-time amplifier transient in the
+I0/I1 series by exponential fits, and the efficiency n_steps*kappa/tau
+implied by a fitted tau.
 
 Run:  python demos/04_records_and_reconstruction.py
 """
 
-import math
-
 import numpy as np
+from scipy.optimize import curve_fit
 
 from qtraj import (
     CalibrationParams,
-    CalibrationSeries,
     ModelParams,
     SeedSpec,
     estimate_T1,
-    estimate_efficiency,
     fit_gaussian_current,
     generate_records,
-    preprocess_calibration,
     reconstruct_ensemble,
 )
 
@@ -61,18 +59,33 @@ est = estimate_T1(t_centers, excited.currents.mean(axis=0), cal)
 print(f"T1 from the averaged-current decay: {est.T1:.2f} +- {est.T1_err:.2f} us "
       f"(true 45)\n")
 
-# early-time transient repair: a spurious bump in the first 2 us
+# early-time transient repair: a spurious bump in the first 2 us.  The
+# observed values are kept up to 2 us; beyond, I0 is replaced by the
+# asymptote of an exponential fit and I1 by that fit taken at 2.5 us.
 t = np.arange(80) * 0.25
 i0_obs = np.full(80, cal.I0) + 0.6 * np.exp(-t / 0.8)
 i1_obs = cal.I0 + (cal.I1 - cal.I0) * np.exp(-t / 45.0)
-eff = preprocess_calibration(CalibrationSeries(times=t, I0=i0_obs, I1=i1_obs,
-                                               sigma=np.full(80, cal.sigma)))
+tail = t > 2.0
+
+
+def exp_decay(t, a, b, s):
+    return a + b * np.exp(-t / s)
+
+
+def tail_fit(y):
+    yt = y[tail]
+    p0 = (yt[-1], yt[0] - yt[-1], (t[-1] - 2.0) / 2.0)
+    return curve_fit(exp_decay, t[tail], yt, p0=p0, maxfev=20000)[0]
+
+
+i0_eff = np.where(tail, tail_fit(i0_obs)[0], i0_obs)
+i1_eff = np.where(tail, exp_decay(2.5, *tail_fit(i1_obs)), i1_obs)
 print("transient preprocessing (first values kept, tail replaced by fits):")
-print(f"  I0 effective at t = 5 us: {eff.I0[t == 5.0][0]:.3f} (asymptote {cal.I0})")
-print(f"  I1 effective at t = 5 us: {eff.I1[t == 5.0][0]:.3f} "
+print(f"  I0 effective at t = 5 us: {i0_eff[t == 5.0][0]:.3f} (asymptote {cal.I0})")
+print(f"  I1 effective at t = 5 us: {i1_eff[t == 5.0][0]:.3f} "
       f"(fit frozen at 2.5 us)\n")
 
 tau_fitted = params.n_steps * cal.kappa  # ideal synthetic data
 print(f"efficiency implied by the fitted tau: "
-      f"{estimate_efficiency(tau_fitted, cal, params.n_steps):.3f} "
+      f"{params.n_steps * cal.kappa / tau_fitted:.3f} "
       f"(1.0 for an ideal amplifier; real hardware lands well below)")

@@ -13,15 +13,7 @@ from .core import CalibrationParams, ModelParams, build_histogram
 from .rng import SeedSpec
 from .sde import simulate_ensemble
 from .fokker_planck import analytic_distribution_z, fp_snapshot_to_bins, solve_fp
-from .bayesian import (
-    CalibrationSeries,
-    estimate_T1,
-    estimate_efficiency,
-    fit_gaussian_current,
-    generate_records,
-    preprocess_calibration,
-    reconstruct_ensemble,
-)
+from .bayesian import estimate_T1, fit_gaussian_current, generate_records, reconstruct_ensemble
 from .fitting import fit_tau, make_analytic_model_gen, systematic_errors
 
 __version__ = "0.1.0"

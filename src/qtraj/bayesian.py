@@ -22,16 +22,13 @@ adjoint: reconstructing generated records reproduces the latent
 trajectories bit for bit.
 
 Calibration helpers extract (I0, I1, sigma) by closed-form Gaussian ML
-fits, T1 from the decay of the ensemble-averaged current of an
-excited-state ensemble, an effective I0/I1 time series that replaces the
-early-time transient by exponential-fit values, and the amplifier
-efficiency implied by a fitted evolution parameter.
+fits and T1 from the decay of the ensemble-averaged current of an
+excited-state ensemble.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +47,12 @@ from .sde import _evolve
 __all__ = [
     "FitFailureError",
     "RecordSet",
-    "CalibrationSeries",
-    "EffectiveCalibration",
     "GaussianCurrentFit",
     "T1Estimate",
     "reconstruct_ensemble",
     "generate_records",
     "fit_gaussian_current",
     "estimate_T1",
-    "preprocess_calibration",
-    "estimate_efficiency",
     "preparation_uncertainty",
 ]
 
@@ -110,34 +103,6 @@ class RecordSet:
 
 
 @dataclass(frozen=True)
-class CalibrationSeries:
-    """Time-resolved calibration samples over the trajectory duration."""
-
-    times: np.ndarray
-    I0: np.ndarray
-    I1: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        n = self.times.size
-        if not (self.I0.size == n and self.I1.size == n and self.sigma.size == n):
-            raise ValueError("all series must share the time base")
-
-
-@dataclass(frozen=True)
-class EffectiveCalibration:
-    """I0/I1 values to use per step after transient preprocessing.
-
-    ``times`` must hold the step midpoints (s + 0.5) * dt of the records
-    it is applied to (rtol 1e-9); any other time base is rejected.
-    """
-
-    times: np.ndarray
-    I0: np.ndarray
-    I1: np.ndarray
-
-
-@dataclass(frozen=True)
 class GaussianCurrentFit:
     center: float
     center_err: float
@@ -164,42 +129,19 @@ def _meas_z(z, im, i0: float, i1: float, sigma: float):
     return np.where(np.abs(z) >= Z_CAP, z, znew)
 
 
-def _per_step_centers(cal: CalibrationParams, effective, n_steps: int):
-    """Per-step I0, I1 arrays; constant unless an effective series (from
-    transient preprocessing) is supplied."""
-    if effective is None:
-        return np.full(n_steps, cal.I0), np.full(n_steps, cal.I1)
-    if effective.I0.size < n_steps or effective.I1.size < n_steps:
-        raise ValueError("effective calibration shorter than the record")
-    i0 = np.asarray(effective.I0[:n_steps], dtype=float)
-    i1 = np.asarray(effective.I1[:n_steps], dtype=float)
-    if np.any(i0 == i1):
-        raise ValueError("effective I0 and I1 must differ at every step")
-    t, mid = effective.times[:n_steps], (np.arange(n_steps) + 0.5) * cal.dt
-    if t.size < n_steps or not np.allclose(t, mid, rtol=1e-9, atol=0.0):
-        raise ValueError("effective calibration times must be the step midpoints")
-    return i0, i1
-
-
-def reconstruct_ensemble(
-    records: RecordSet,
-    n_workers: int = 1,
-    effective: EffectiveCalibration | None = None,
-) -> TrajectoryEnsemble:
+def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEnsemble:
     """Reconstruct every record of a RecordSet into a TrajectoryEnsemble.
 
     Each step is relax(dt/2T1), measurement update, relax(dt/2T1): the
     generator's step loop :func:`qtraj.sde._evolve` with the recorded
     current in the middle.  Deterministic: the same records and
     calibration give bitwise identical trajectories for any worker
-    count.  ``effective`` (from :func:`preprocess_calibration`) supplies
-    per-step I0/I1 values.
+    count.
     """
     cal = records.cal
-    i0, i1 = _per_step_centers(cal, effective, records.n_steps)
 
     def measure(z, s, rows, traj):
-        return _meas_z(z, records.currents[rows, s], i0[s], i1[s], cal.sigma)
+        return _meas_z(z, records.currents[rows, s], cal.I0, cal.I1, cal.sigma)
 
     return _evolve(records.n_traj, records.n_steps, cal.dt, records.x0,
                    cal.dt / cal.T1, n_workers, measure, records.master_seed)
@@ -311,75 +253,6 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
     if s <= 0 or not math.isfinite(s) or abs(b) < 1e-9 * scale:
         raise FitFailureError("fitted series does not decay")
     return T1Estimate(T1=float(s), T1_err=float(s_err), I_inf=float(a), amplitude=float(b))
-
-
-def preprocess_calibration(
-    series: CalibrationSeries, t_anomaly: float = 2.0, t_eval: float = 2.5
-) -> EffectiveCalibration:
-    """Replace the early-time transient of I0(t), I1(t) by fit values.
-
-    Observed values are kept for t <= t_anomaly; beyond it, I0 is
-    replaced by the asymptote of an exponential fit over t > t_anomaly
-    and I1 by that fit evaluated at t_eval.  If a fit fails the raw
-    series is passed through with a warning.  Drift of sigma(t) is
-    deliberately left alone: it is absorbed by the fitted evolution
-    parameter.
-    """
-    t = series.times
-    if t[-1] < t_eval:
-        raise ValueError(f"series must span at least {t_eval}")
-    tail = t > t_anomaly
-    if tail.sum() < 4:
-        raise ValueError("too few samples beyond the anomalous window")
-
-    def fitted(y, eval_at):
-        yt = y[tail]
-        if float(yt.max() - yt.min()) == 0.0:
-            return float(yt[0])  # already constant, nothing to repair
-        p0 = (yt[-1], yt[0] - yt[-1], (t[-1] - t_anomaly) / 2.0)
-        from scipy.optimize import curve_fit  # deferred, as in estimate_T1
-
-        try:
-            popt, _ = curve_fit(_exp_decay, t[tail], yt, p0=p0, maxfev=20000)
-        except (RuntimeError, ValueError):
-            warnings.warn(
-                "calibration transient fit failed; using raw series",
-                stacklevel=3,
-            )
-            return None
-        a, b, s = popt
-        if eval_at is None:
-            return float(a)  # asymptote
-        return float(_exp_decay(eval_at, a, b, s))
-
-    i0_val = fitted(series.I0, None)
-    i1_val = fitted(series.I1, t_eval)
-    I0_eff = series.I0.astype(float).copy()
-    I1_eff = series.I1.astype(float).copy()
-    if i0_val is not None:
-        I0_eff[tail] = i0_val
-    if i1_val is not None:
-        I1_eff[tail] = i1_val
-    return EffectiveCalibration(times=t.copy(), I0=I0_eff, I1=I1_eff)
-
-
-def estimate_efficiency(tau_fitted: float, cal: CalibrationParams, n_steps: int) -> float:
-    """Amplifier efficiency implied by a fitted evolution parameter.
-
-    eta = n_steps * kappa_obs / tau_fitted with kappa_obs from the
-    observed calibration; a fitted tau already absorbs the efficiency,
-    so ideal synthetic data give eta = 1.  Values above 1 indicate model
-    mismatch and are reported with a warning, not clamped.
-    """
-    if not tau_fitted > 0:
-        raise ValueError("tau_fitted must be > 0")
-    eta = n_steps * cal.kappa / tau_fitted
-    if eta > 1.0:
-        warnings.warn(
-            f"implied efficiency {eta:.3f} > 1 indicates model mismatch",
-            stacklevel=2,
-        )
-    return eta
 
 
 def preparation_uncertainty(cal: CalibrationParams) -> float:

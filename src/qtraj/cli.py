@@ -292,8 +292,9 @@ def cmd_fit(cfg: RunConfig):
         model = "analytic" if math.isinf(cfg.t1_us) else "fp"
     if model not in ("analytic", "fp"):
         raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
+    fp_dt = cfg.fp_dt_us or None  # 0 means the default substep
     if model == "fp":
-        check_solver_args(cfg.t1_us, cfg.fp_zmin, cfg.fp_zmax, cfg.fp_cells)
+        check_solver_args(cfg.t1_us, cfg.fp_zmin, cfg.fp_zmax, cfg.fp_cells, fp_dt)
     cfg.slice_list(None, first=1)
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
@@ -304,7 +305,7 @@ def cmd_fit(cfg: RunConfig):
     else:
         gen = fitting.make_fp_model_gen(
             x0, cfg.t1_us, [obs.t for obs in observed], cfg.n_bins, cfg.bin_width,
-            n_cells=cfg.fp_cells, dt=(cfg.fp_dt_us or None),
+            n_cells=cfg.fp_cells, dt=fp_dt,
             z_min=cfg.fp_zmin, z_max=cfg.fp_zmax,
         )
     results = fitting.fit_tau(observed, gen, scan)

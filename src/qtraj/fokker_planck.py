@@ -27,9 +27,9 @@ Both sub-evolutions are linear operators fixed by the grid and the
 substep size, so :func:`solve_fp` runs one substep loop per ``t_grid``
 interval with its operators (kernels and their FFT spectra, branch
 weights, deposit cells and splits) built once; at infinite T1 the loop
-takes one substep of the interval with zero relaxation.  Long
-convolutions go through one real-FFT helper, :func:`_fft_convolve`,
-padded to ``next_fast_len(size, real=True)``; short ones run directly.
+takes one substep of the interval with zero relaxation.  Every
+convolution goes through one real-FFT helper, :func:`_fft_convolve`,
+padded to ``next_fast_len(size, real=True)``.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -69,8 +69,6 @@ _NEG_TOL = -1e-12
 # Gaussian kernels are truncated at this many sigma; the cut mass
 # (~2e-17 per side) is routed to the boundary buckets, not dropped.
 _KERNEL_TAIL = 8.5
-# convolutions up to this many multiply-adds run directly, longer ones by FFT
-_DIRECT_MAX = 3_000_000
 
 
 class FPSolverError(RuntimeError):
@@ -118,17 +116,6 @@ class GaussianMixtureZ:
     weight_plus: float
     weight_minus: float
 
-    def pdf_z(self, z):
-        """Density in z (requires variance > 0)."""
-        if self.variance <= 0:
-            raise ValueError("pdf undefined for a degenerate (delta) mixture")
-        s = math.sqrt(self.variance)
-        zz = np.asarray(z, dtype=float)
-        gp = np.exp(-0.5 * ((zz - self.z_plus) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        gm = np.exp(-0.5 * ((zz - self.z_minus) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        out = self.weight_plus * gp + self.weight_minus * gm
-        return float(out) if np.ndim(z) == 0 else out
-
     def cdf_z(self, z):
         """Cumulative mass below z (handles the degenerate case)."""
         zz = np.asarray(z, dtype=float)
@@ -143,11 +130,6 @@ class GaussianMixtureZ:
                 self.weight_minus * ndtr((zz - self.z_minus) / s)
             )
         return float(out) if np.ndim(z) == 0 else out
-
-    def cell_masses(self, edges_z: np.ndarray) -> np.ndarray:
-        """Exact mass between consecutive z edges."""
-        c = self.cdf_z(np.asarray(edges_z, dtype=float))
-        return np.diff(c)
 
     def bin_masses_rho(self, edges_rho: np.ndarray) -> np.ndarray:
         """Exact mass between consecutive rho00 bin edges."""
@@ -192,10 +174,14 @@ def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
     return z_min + (np.arange(n_cells) + 0.5) * dz
 
 
-def check_solver_args(T1: float, z_min: float, z_max: float, n_cells: int) -> None:
-    """Raise ValueError unless :func:`solve_fp` accepts T1 and the z grid."""
+def check_solver_args(T1: float, z_min: float, z_max: float, n_cells: int,
+                      dt: float | None) -> None:
+    """Raise ValueError unless :func:`solve_fp` accepts T1, the z grid and
+    the substep dt (None for the default)."""
     if not T1 > 0:
         raise ValueError("T1 must be > 0")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} must be finite and > 0")
     if n_cells < 8:
         raise ValueError("n_cells must be >= 8")
     if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
@@ -307,9 +293,9 @@ class _Diffusion:
     """Exact two-Gaussian spreading over evolution interval kappa.
 
     The kernel pair, its truncated tails and the mean-preserving branch
-    weights depend on the grid and kappa only, so they are built once;
-    on the FFT path the kernel spectra are kept too.  Each application
-    then convolves the two weighted branches.
+    weights depend on the grid and kappa only, so they are built once,
+    with the kernel spectra.  Each application then convolves the two
+    weighted branches.
     """
 
     def __init__(self, s: _Solver, kappa: float):
@@ -344,17 +330,12 @@ class _Diffusion:
 
         self.lo = lo
         self.kernels = (kp, km)
-        if n * kp.size <= _DIRECT_MAX:
-            self.spectra = None
-        else:
-            # at the length _fft_convolve picks for a grid-sized input
-            fft_len = next_fast_len(n + kp.size - 1, real=True)
-            self.spectra = (rfft(kp, fft_len), rfft(km, fft_len))
+        # at the length _fft_convolve picks for a grid-sized input
+        fft_len = next_fast_len(n + kp.size - 1, real=True)
+        self.spectra = (rfft(kp, fft_len), rfft(km, fft_len))
 
     def _convolve(self, a: np.ndarray, branch: int) -> np.ndarray:
         k = self.kernels[branch]
-        if self.spectra is None:
-            return np.convolve(a, k)
         return np.maximum(_fft_convolve(a, k, self.spectra[branch]), 0.0)
 
     def apply(self, s: _Solver) -> None:
@@ -401,8 +382,6 @@ def _fft_convolve(a: np.ndarray, k: np.ndarray, k_spec: np.ndarray | None = None
 
 def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The "valid" cross-correlation of a with the shorter k."""
-    if a.size * k.size <= _DIRECT_MAX:
-        return np.convolve(a, k[::-1], mode="valid")
     return _fft_convolve(a, k[::-1])[k.size - 1 : a.size]
 
 
@@ -433,7 +412,8 @@ def solve_fp(
     z_min, z_max, n_cells :
         Extent and resolution (>= 8 cells) of the uniform z grid.
     dt : float, optional
-        Substep duration with finite T1, default min(T1/100, interval).
+        Substep duration with finite T1 (finite and > 0), default
+        min(T1/100, interval).
         Each interval between snapshot times runs one substep loop with
         its operators built once; at infinite T1 that loop takes one
         substep of the whole interval with zero relaxation, whatever dt
@@ -452,7 +432,7 @@ def solve_fp(
     """
     if not (g >= 0 and math.isfinite(g)):
         raise ValueError("g must be finite and >= 0")
-    check_solver_args(T1, z_min, z_max, n_cells)
+    check_solver_args(T1, z_min, z_max, n_cells, dt)
 
     x0 = float(x0)
     solver = _Solver(z_min, z_max, n_cells)

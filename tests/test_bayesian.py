@@ -5,17 +5,13 @@ import pytest
 from scipy import stats
 
 from qtraj.bayesian import (
-    CalibrationSeries,
-    EffectiveCalibration,
     FitFailureError,
     RecordSet,
     _meas_z,
     estimate_T1,
-    estimate_efficiency,
     fit_gaussian_current,
     generate_records,
     preparation_uncertainty,
-    preprocess_calibration,
     reconstruct_ensemble,
 )
 from qtraj.core import Z_CAP, CalibrationParams, ModelParams, to_logodds, to_rho
@@ -35,10 +31,10 @@ def meas(z, im, cal):
     return _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
 
 
-def reconstruct1(currents, cal, x0, effective=None):
+def reconstruct1(currents, cal, x0):
     """Trajectory of rho00 reconstructed from one record."""
     recs = RecordSet(currents=np.asarray(currents, float)[None, :], cal=cal, x0=x0)
-    return reconstruct_ensemble(recs, effective=effective).values[0]
+    return reconstruct_ensemble(recs).values[0]
 
 
 class TestUpdateMeasurement:
@@ -150,63 +146,6 @@ class TestReconstruct:
         traj = reconstruct1(recs.currents[3], cal, 0.4)
         assert np.array_equal(traj, latent.values[3])
 
-    def test_effective_calibration_constant_is_identity(self):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5, T1=30.0)
-        params = make_params(cal, 0.4, 12, T1=30.0)
-        recs, _ = generate_records(params, cal, 100, SeedSpec(60))
-        t = (np.arange(12) + 0.5) * 0.5
-        eff = EffectiveCalibration(
-            times=t, I0=np.full(12, cal.I0), I1=np.full(12, cal.I1)
-        )
-        plain = reconstruct_ensemble(recs)
-        with_eff = reconstruct_ensemble(recs, effective=eff)
-        assert np.array_equal(plain.values, with_eff.values)
-
-    def test_effective_calibration_per_step(self):
-        # time-varying I0/I1 must be applied step by step; oracle is a
-        # walk with per-step centers
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
-        rng = np.random.default_rng(6)
-        currents = rng.normal(0.0, 2.0, 10)
-        t = (np.arange(10) + 0.5) * 0.5
-        i0_t = 1.0 + 0.1 * np.exp(-t / 0.8)
-        i1_t = -1.0 - 0.05 * np.exp(-t / 1.2)
-        eff = EffectiveCalibration(times=t, I0=i0_t, I1=i1_t)
-        traj = reconstruct1(currents, cal, 0.5, effective=eff)
-        z = np.array([to_logodds(0.5)])
-        expected = [to_rho(z[0])]
-        for s in range(10):
-            z = _meas_z(z, currents[s], float(i0_t[s]), float(i1_t[s]), 2.0)
-            expected.append(to_rho(z[0]))
-        assert np.allclose(traj, expected, rtol=0, atol=1e-15)
-
-    def test_effective_calibration_too_short(self):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
-        eff = EffectiveCalibration(
-            times=np.arange(5.0), I0=np.ones(5), I1=-np.ones(5)
-        )
-        with pytest.raises(ValueError, match="shorter"):
-            reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
-
-    def test_effective_calibration_equal_centers_rejected(self):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
-        i1 = -np.ones(10)
-        i1[7] = 1.0
-        eff = EffectiveCalibration(times=np.arange(10.0), I0=np.ones(10), I1=i1)
-        with pytest.raises(ValueError, match="every step"):
-            reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
-
-    def test_effective_calibration_wrong_time_base_rejected(self):
-        # a 0.05-us series on 0.5-us records, and one sampled at the step
-        # starts, would each be applied to the wrong steps
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
-        for t in ((np.arange(100) + 0.5) * 0.05, np.arange(10) * 0.5):
-            eff = EffectiveCalibration(
-                times=t, I0=1.0 + 0.5 * np.exp(-t), I1=-np.ones(t.size)
-            )
-            with pytest.raises(ValueError, match="step midpoints"):
-                reconstruct1(np.zeros(10), cal, 0.5, effective=eff)
-
 
 class TestGenerate:
     def test_consistency_enforced(self):
@@ -309,58 +248,7 @@ class TestT1Estimate:
         assert abs(est.T1 - 45.0) < 4 * est.T1_err
 
 
-class TestPreprocessCalibration:
-    @staticmethod
-    def series(i0, i1, times):
-        return CalibrationSeries(
-            times=times, I0=np.asarray(i0, float), I1=np.asarray(i1, float),
-            sigma=np.full(times.size, 5.5),
-        )
-
-    def test_constant_passthrough(self):
-        t = np.arange(20) * 0.5
-        s = self.series(np.full(20, 128.4), np.full(20, 127.7), t)
-        eff = preprocess_calibration(s)
-        assert np.array_equal(eff.I0, s.I0)
-        assert np.array_equal(eff.I1, s.I1)
-
-    def test_transient_replaced_by_fit(self):
-        t = np.arange(40) * 0.25
-        # I0 constant with an early bump; I1 decaying
-        i0 = np.full(40, 128.4)
-        i0[t <= 2.0] += 0.8 * np.exp(-t[t <= 2.0] / 0.7)
-        i1 = 128.4 + (127.7 - 128.4) * np.exp(-t / 45.0)
-        eff = preprocess_calibration(self.series(i0, i1, t))
-        tail = t > 2.0
-        # fitted I0 asymptote recovered
-        assert np.allclose(eff.I0[tail], 128.4, atol=1e-6)
-        # fitted I1 frozen at its 2.5 us value
-        expected = 128.4 + (127.7 - 128.4) * math.exp(-2.5 / 45.0)
-        assert np.allclose(eff.I1[tail], expected, atol=1e-6)
-        # observed values kept before the anomaly cut
-        assert np.array_equal(eff.I0[~tail], i0[~tail])
-
-    def test_short_series_rejected(self):
-        t = np.arange(4) * 0.5
-        with pytest.raises(ValueError):
-            preprocess_calibration(self.series(np.ones(4), np.ones(4), t))
-
-
-class TestEfficiency:
-    def test_ideal_amplifier(self):
-        # sigma_noise = 0: fitted tau equals n*kappa, eta = 1
-        tau_fitted = 80 * CAL_WEAK.kappa
-        assert math.isclose(estimate_efficiency(tau_fitted, CAL_WEAK, 80), 1.0)
-
-    def test_definitional_half(self):
-        tau_fitted = 2 * 80 * CAL_WEAK.kappa
-        assert math.isclose(estimate_efficiency(tau_fitted, CAL_WEAK, 80), 0.5)
-
-    def test_above_one_warns(self):
-        with pytest.warns(UserWarning):
-            eta = estimate_efficiency(0.5 * 80 * CAL_WEAK.kappa, CAL_WEAK, 80)
-        assert math.isclose(eta, 2.0)
-
+class TestPreparationUncertainty:
     def test_preparation_uncertainty(self):
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=45.0, dts=0.5)
         assert math.isclose(preparation_uncertainty(cal), -math.expm1(-0.5 / 45.0))

@@ -179,6 +179,9 @@ class TestInputChecks:
         "--t1_us=-1": "T1 must be > 0",
         "--t1_us=0": "T1 must be > 0",
         "--model=fp --t1_us=20 --fp_zmin=5 --fp_zmax=-5": "z_min=5.0 and z_max=-5.0",
+        "--fp_dt_us=-1 --t1_us=20": "dt=-1.0 must be finite and > 0",
+        "--fp_dt_us=inf --t1_us=20": "dt=inf must be finite and > 0",
+        "--fp_dt_us=nan --t1_us=20": "dt=nan must be finite and > 0",
     }
 
     @pytest.mark.parametrize("flag", ["--n_bins=10", "--model=bogus", "--tau_step=0",
@@ -197,6 +200,14 @@ class TestInputChecks:
         assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=5,10",
                     "--n_bins=10"]) == 2
         assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["-1", "inf", "nan"])
+    def test_solve_fp_checks_dt_first(self, tmp_path, capsys, dt):
+        out = tmp_path / "out"
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=40",
+                    "--t1_us=45", f"--fp_dt_us={dt}"]) == 2
+        assert f"dt={float(dt)!r} must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture(scope="class")

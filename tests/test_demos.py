@@ -1,5 +1,6 @@
-"""Smoke tests: every demo runs to completion, and the top-level package
-exports exactly the names the demos and the README quick start import."""
+"""Smoke tests: every demo runs to completion (and prints the values it
+pins), and the top-level package exports exactly the names the demos and
+the README quick start import."""
 
 import os
 import subprocess
@@ -11,6 +12,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# lines a demo must print: demo 04 repairs an early-time transient of
+# I0/I1 by exponential fits and computes the implied efficiency inline
+PRINTS = {
+    "04_records_and_reconstruction.py": [
+        "I0 effective at t = 5 us: 128.440",
+        "I1 effective at t = 5 us: 127.721",
+        "efficiency implied by the fitted tau: 1.000",
+    ],
+}
+
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
@@ -20,14 +31,15 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    for line in PRINTS.get(demo, []):
+        assert line in proc.stdout
 
 
 TOP_LEVEL = {
     "ModelParams", "CalibrationParams", "SeedSpec",
     "simulate_ensemble", "build_histogram",
     "analytic_distribution_z", "solve_fp", "fp_snapshot_to_bins",
-    "CalibrationSeries", "estimate_T1", "estimate_efficiency", "fit_gaussian_current",
-    "preprocess_calibration",
+    "estimate_T1", "fit_gaussian_current",
     "generate_records", "reconstruct_ensemble",
     "fit_tau", "make_analytic_model_gen", "systematic_errors",
 }
