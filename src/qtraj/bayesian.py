@@ -53,7 +53,6 @@ __all__ = [
     "generate_records",
     "fit_gaussian_current",
     "estimate_T1",
-    "preparation_uncertainty",
 ]
 
 
@@ -254,9 +253,3 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
         raise FitFailureError("fitted series does not decay")
     return T1Estimate(T1=float(s), T1_err=float(s_err), I_inf=float(a), amplitude=float(b))
 
-
-def preparation_uncertainty(cal: CalibrationParams) -> float:
-    """Initial-state uncertainty 1 - e^{-dts/T1} of the heralding step."""
-    if math.isinf(cal.T1):
-        return 0.0
-    return -math.expm1(-cal.dts / cal.T1)

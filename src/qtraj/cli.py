@@ -54,7 +54,7 @@ modes:
 
 keys (any key is also a --key=value flag; --config=FILE loads a file first):
   out=DIR seed=INT n_traj=INT n_steps=INT dt_us=F g_per_us=F t1_us=F x0=F
-  i0=F i1=F sigma=F dts_us=F n_bins=INT bin_width=F slices=K1,K2,...
+  i0=F i1=F sigma=F n_bins=INT bin_width=F slices=K1,K2,...
   t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F model=auto|analytic|fp
   input=FILE ground=FILE excited=FILE n_workers=INT
   fp_cells=INT fp_zmin=F fp_zmax=F fp_dt_us=F
@@ -82,7 +82,6 @@ class RunConfig:
     i0: float = 1.0
     i1: float = -1.0
     sigma: float = 5.0
-    dts_us: float = 0.5
     n_bins: int = 100
     bin_width: float = 0.01
     slices: str = ""
@@ -137,8 +136,7 @@ class RunConfig:
 
     def cal(self) -> CalibrationParams:
         return CalibrationParams(
-            I0=self.i0, I1=self.i1, sigma=self.sigma, dt=self.dt_us,
-            T1=self.t1_us, dts=self.dts_us,
+            I0=self.i0, I1=self.i1, sigma=self.sigma, dt=self.dt_us, T1=self.t1_us
         )
 
     def tau_scan(self) -> np.ndarray:

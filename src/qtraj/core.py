@@ -189,8 +189,6 @@ class CalibrationParams:
         Step duration.
     T1 : float
         Relaxation time (``math.inf`` allowed).
-    dts : float
-        Duration of the strong heralding measurement step.
     """
 
     I0: float
@@ -198,7 +196,6 @@ class CalibrationParams:
     sigma: float
     dt: float
     T1: float = math.inf
-    dts: float = 0.5
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -342,7 +339,12 @@ def build_histogram(
 
 
 def check_binning(n_bins: int, bin_width: float) -> None:
-    """Raise ValueError unless ``n_bins`` bins of ``bin_width`` cover [0, 1]."""
+    """Raise ValueError unless ``n_bins`` >= 1 bins of a finite positive
+    ``bin_width`` cover [0, 1]."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins={n_bins!r} must be >= 1")
+    if not 0.0 < bin_width < math.inf:  # NaN fails too
+        raise ValueError(f"bin_width={bin_width!r} must be finite and > 0")
     if n_bins * bin_width < 1.0 - 1e-12:
         raise ValueError("n_bins * bin_width must cover [0, 1]")
 

@@ -18,37 +18,27 @@ errors has them added in quadrature to the observed ones.
 With ideal synthetic data (constant coupling) the fitted tau(t) is a
 straight line through the origin; the slower initial build-up seen in
 real hardware has no counterpart here and is not reproduced.
-
-The systematic-error budget follows the shift-one-parameter-at-a-time
-recipe: rebuild the reconstructed histograms once per shifted parameter
-(x0, T1, I0, I1), take per-bin shifts, and add them in quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayesian import RecordSet, preparation_uncertainty, reconstruct_ensemble
-from .core import CalibrationParams, DistributionSnapshot, build_histogram
+from .core import DistributionSnapshot
 from .fokker_planck import _grid_nodes, _rebin, _rebin_map, analytic_distribution_z, solve_fp
 
 __all__ = [
     "FitResult",
-    "ErrorBudget",
     "chi2",
     "fit_tau",
     "default_tau_scan",
-    "default_fluctuation_ranges",
-    "systematic_errors",
     "make_analytic_model_gen",
     "make_fp_model_gen",
 ]
-
-SHIFT_PARAMS = ("x0", "T1", "I0", "I1")
 
 
 @dataclass(frozen=True)
@@ -315,146 +305,3 @@ def make_fp_model_gen(
         return out
 
     return gen
-
-
-# ---------------------------------------------------------------------------
-# systematic error budget
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Per-bin statistical and systematic errors for reconstructed data.
-
-    ``stat[k, b]`` / ``syst[k, b]`` are the errors of slice k, bin b;
-    ``shifts`` holds the per-parameter contributions that were added in
-    quadrature.  ``mass_stat`` / ``mass_syst`` cover the two boundary
-    masses (columns: rho = 0, rho = 1).
-    """
-
-    ranges: dict
-    slices: tuple
-    n_bins: int
-    bin_width: float
-    stat: np.ndarray
-    syst: np.ndarray
-    shifts: dict
-    mass_stat: np.ndarray
-    mass_syst: np.ndarray
-    mass_shifts: dict
-
-    @property
-    def total(self) -> np.ndarray:
-        """Statistical and systematic errors combined in quadrature."""
-        return np.sqrt(self.stat**2 + self.syst**2)
-
-
-def default_fluctuation_ranges(
-    cal: CalibrationParams,
-    I0_err: float = 0.0,
-    I1_err: float = 0.0,
-    T1_err: float = 0.0,
-) -> dict:
-    """Fluctuation ranges for :func:`systematic_errors`.
-
-    The initial-state range defaults to the heralding preparation
-    uncertainty 1 - e^(-dts/T1); the other entries are the measured
-    parameter errors (pass the Gaussian/T1 fit errors).
-    """
-    return {
-        "x0": preparation_uncertainty(cal),
-        "T1": T1_err,
-        "I0": I0_err,
-        "I1": I1_err,
-    }
-
-
-def _histogram_stack(
-    records: RecordSet,
-    x0: float,
-    cal: CalibrationParams,
-    slices: Sequence[int],
-    n_bins: int,
-    bin_width: float,
-    n_workers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reconstruct and histogram; returns (density, masses, stat errors)."""
-    ens = reconstruct_ensemble(replace(records, cal=cal, x0=x0), n_workers=n_workers)
-    dens = np.empty((len(slices), n_bins))
-    masses = np.empty((len(slices), 2))
-    stat = np.empty((len(slices), n_bins))
-    for i, k in enumerate(slices):
-        snap = build_histogram(ens, k, n_bins, bin_width)
-        dens[i] = snap.density
-        masses[i] = (snap.mass0, snap.mass1)
-        stat[i] = snap.errors
-    return dens, masses, stat
-
-
-def systematic_errors(
-    records: RecordSet,
-    ranges: Mapping[str, float],
-    slices: Sequence[int],
-    n_bins: int = 100,
-    bin_width: float = 0.01,
-    n_workers: int = 1,
-) -> ErrorBudget:
-    """Shift-one-parameter-at-a-time systematic error budget.
-
-    Parameters
-    ----------
-    records : RecordSet
-        Measured (or synthetic) current records.
-    ranges : mapping
-        Fluctuation ranges for exactly the keys x0, T1, I0, I1 (zero
-        entries are allowed and contribute nothing).
-    slices : sequence of int
-        Time-slice indices at which histograms are compared.
-
-    The reconstruction is rebuilt once per shifted parameter; per-bin
-    systematic errors are the quadrature sum of the per-parameter
-    density shifts, and statistical errors come from the unshifted
-    counts.
-    """
-    missing = [p for p in SHIFT_PARAMS if p not in ranges]
-    if missing:
-        raise ValueError(f"fluctuation ranges missing for: {', '.join(missing)}")
-    cal = records.cal
-    base_dens, base_mass, stat = _histogram_stack(
-        records, records.x0, cal, slices, n_bins, bin_width, n_workers
-    )
-    shifts: dict[str, np.ndarray] = {}
-    mass_shifts: dict[str, np.ndarray] = {}
-    for p in SHIFT_PARAMS:
-        d = float(ranges[p])
-        if d == 0.0:
-            shifts[p] = np.zeros_like(base_dens)
-            mass_shifts[p] = np.zeros_like(base_mass)
-            continue
-        x0, shifted = records.x0, cal
-        if p == "x0":
-            x0 = min(1.0, max(0.0, x0 + d))
-        else:
-            shifted = replace(cal, **{p: getattr(cal, p) + d})
-        dens, mass, _ = _histogram_stack(
-            records, x0, shifted, slices, n_bins, bin_width, n_workers
-        )
-        shifts[p] = np.abs(dens - base_dens)
-        mass_shifts[p] = np.abs(mass - base_mass)
-
-    syst = np.sqrt(sum(s**2 for s in shifts.values()))
-    mass_syst = np.sqrt(sum(s**2 for s in mass_shifts.values()))
-    mass_stat = np.empty_like(base_mass)
-    n = records.n_traj
-    mass_stat[:] = np.sqrt(np.maximum(base_mass * n, 1.0)) / n
-    return ErrorBudget(
-        ranges=dict(ranges),
-        slices=tuple(slices),
-        n_bins=n_bins,
-        bin_width=bin_width,
-        stat=stat,
-        syst=syst,
-        shifts=shifts,
-        mass_stat=mass_stat,
-        mass_syst=mass_syst,
-        mass_shifts=mass_shifts,
-    )

@@ -408,7 +408,7 @@ def solve_fp(
     T1 : float
         Relaxation time; ``math.inf`` for pure diffusion.
     t_grid : sequence of float
-        Nondecreasing snapshot times, all >= 0.
+        Nondecreasing finite snapshot times, all >= 0.
     z_min, z_max, n_cells :
         Extent and resolution (>= 8 cells) of the uniform z grid.
     dt : float, optional
@@ -433,6 +433,11 @@ def solve_fp(
     if not (g >= 0 and math.isfinite(g)):
         raise ValueError("g must be finite and >= 0")
     check_solver_args(T1, z_min, z_max, n_cells, dt)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
+    if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
+        raise ValueError("t_grid must be nondecreasing and start at/after 0")
 
     x0 = float(x0)
     solver = _Solver(z_min, z_max, n_cells)
@@ -441,12 +446,8 @@ def solve_fp(
         raise ValueError("x0 maps outside the z grid")
     solver.deposit(solver.split(np.array([z0]), np.array([1.0 - x0])), np.array([1.0]))
     t = 0.0
-
-    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return []
-    if np.any(np.diff(t_grid) < 0) or t_grid[0] < t - 1e-12:
-        raise ValueError("t_grid must be nondecreasing and start at/after 0")
 
     total0 = solver.w.sum() + solver.mass0 + solver.mass1
     out: list[DensityGrid] = []

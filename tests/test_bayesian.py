@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from qtraj.bayesian import (
     estimate_T1,
     fit_gaussian_current,
     generate_records,
-    preparation_uncertainty,
     reconstruct_ensemble,
 )
-from qtraj.core import Z_CAP, CalibrationParams, ModelParams, to_logodds, to_rho
+from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 from qtraj.sde import _diffusion_z, _relax_z
 
@@ -248,9 +248,20 @@ class TestT1Estimate:
         assert abs(est.T1 - 45.0) < 4 * est.T1_err
 
 
-class TestPreparationUncertainty:
-    def test_preparation_uncertainty(self):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=45.0, dts=0.5)
-        assert math.isclose(preparation_uncertainty(cal), -math.expm1(-0.5 / 45.0))
-        cal_inf = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5)
-        assert preparation_uncertainty(cal_inf) == 0.0
+class TestReconstructionMirror:
+    def test_mirror_symmetry(self):
+        # with symmetric geometry (I0 = -I1, x0 = 0.5) and a mirror-closed
+        # record ensemble, reconstructing with I0 + d gives the bin-reversed
+        # histogram of reconstructing with I1 - d: negating records and z
+        # maps the update with I0 + d onto the update with I1 - d
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        recs, _ = generate_records(make_params(cal, 0.5, 12), cal, 4000, SeedSpec(71))
+        both = np.vstack([recs.currents, -recs.currents])
+        d = 0.05
+        ens_a = reconstruct_ensemble(RecordSet(both, replace(cal, I0=cal.I0 + d), 0.5))
+        ens_b = reconstruct_ensemble(RecordSet(both, replace(cal, I1=cal.I1 - d), 0.5))
+        for k in (6, 12):
+            a, b = build_histogram(ens_a, k), build_histogram(ens_b, k)
+            assert np.array_equal(a.density, b.density[::-1])
+            assert np.array_equal(a.errors, b.errors[::-1])
+            assert (a.mass0, a.mass1) == (b.mass1, b.mass0)

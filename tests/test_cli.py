@@ -149,11 +149,20 @@ class TestInputChecks:
         assert "slice" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    # binning flags and the message each must give
+    BAD_BINNING = {
+        "--n_bins=10": "n_bins * bin_width must cover [0, 1]",
+        "--bin_width=inf": "bin_width=inf must be finite and > 0",
+        "--bin_width=nan": "bin_width=nan must be finite and > 0",
+        "--n_bins=-5 --bin_width=-1": "n_bins=-5 must be >= 1",
+    }
+
     def test_simulate_checks_binning_first(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run(["simulate", f"--out={out}", *self.SMALL, "--n_bins=10"]) == 2
-        assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
-        assert not out.exists()
+        for i, (flag, message) in enumerate(self.BAD_BINNING.items()):
+            out = tmp_path / f"out{i}"
+            assert run(["simulate", f"--out={out}", *self.SMALL, *flag.split()]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+            assert not out.exists(), flag
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -184,7 +193,7 @@ class TestInputChecks:
         "--fp_dt_us=nan --t1_us=20": "dt=nan must be finite and > 0",
     }
 
-    @pytest.mark.parametrize("flag", ["--n_bins=10", "--model=bogus", "--tau_step=0",
+    @pytest.mark.parametrize("flag", [*BAD_BINNING, "--model=bogus", "--tau_step=0",
                                       "--tau_max=inf", "--slices=a", "--tau_min=-0.5",
                                       "--slices=,", *NOT_KEYED])
     @pytest.mark.parametrize("mode", ["fit", "report"])
@@ -196,10 +205,19 @@ class TestInputChecks:
         assert not out.exists()
 
     def test_solve_fp_checks_binning_first(self, tmp_path, capsys):
+        for i, (flag, message) in enumerate(self.BAD_BINNING.items()):
+            out = tmp_path / f"out{i}"
+            assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=5,10",
+                        *flag.split()]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+            assert not out.exists(), flag
+
+    @pytest.mark.parametrize("flags", ["--t_grid_us=nan", "--t_grid_us=inf --t1_us=45",
+                                       "--t_grid_us=inf"])
+    def test_solve_fp_checks_t_grid_first(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
-        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=5,10",
-                    "--n_bins=10"]) == 2
-        assert "n_bins * bin_width must cover [0, 1]" in capsys.readouterr().err
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", *flags.split()]) == 2
+        assert "t_grid entries must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["-1", "inf", "nan"])

@@ -17,12 +17,10 @@ from qtraj.core import (
 )
 from qtraj.fitting import (
     chi2,
-    default_fluctuation_ranges,
     default_tau_scan,
     fit_tau,
     make_analytic_model_gen,
     make_fp_model_gen,
-    systematic_errors,
 )
 from qtraj.rng import SeedSpec
 
@@ -325,80 +323,3 @@ class TestCoarseToFineScan:
                 assert np.array_equal(snap.errors, want.errors)
                 assert (snap.mass0, snap.mass1, snap.t) == (want.mass0, want.mass1, want.t)
 
-
-class TestSystematicErrors:
-    @staticmethod
-    def symmetric_records(n_traj=4000, n_steps=12, sigma=2.0, seed=71):
-        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=sigma, dt=0.5)
-        params = ModelParams(
-            g=cal.kappa / cal.dt, T1=math.inf, dt=0.5, x0=0.5, n_steps=n_steps
-        )
-        recs, _ = generate_records(params, cal, n_traj, SeedSpec(seed))
-        # close the ensemble under the mirror map so the base histogram
-        # is exactly symmetric
-        both = np.vstack([recs.currents, -recs.currents])
-        return RecordSet(currents=both, cal=cal, x0=0.5, master_seed=seed)
-
-    @staticmethod
-    def ranges(**kw):
-        base = {"x0": 0.0, "T1": 0.0, "I0": 0.0, "I1": 0.0}
-        base.update(kw)
-        return base
-
-    def test_zero_ranges_zero_systematics(self):
-        recs = self.symmetric_records(n_traj=500, n_steps=6)
-        budget = systematic_errors(recs, self.ranges(), [3, 6])
-        assert np.all(budget.syst == 0.0)
-        assert np.all(budget.stat > 0.0)
-        assert np.array_equal(budget.total, budget.stat)
-
-    def test_missing_range_rejected(self):
-        recs = self.symmetric_records(n_traj=200, n_steps=4)
-        with pytest.raises(ValueError):
-            systematic_errors(recs, {"x0": 0.0}, [2])
-
-    def test_mirror_symmetry(self):
-        # with symmetric geometry (I0 = -I1, x0 = 0.5) and a mirror-closed
-        # record ensemble, shifting I0 by +d is the mirror image of
-        # shifting I1 by -d (derivation: negating records and z maps the
-        # update with I0+d onto the update with I1-d)
-        recs = self.symmetric_records()
-        d = 0.05
-        ba = systematic_errors(recs, self.ranges(I0=d), [6, 12])
-        bb = systematic_errors(recs, self.ranges(I1=-d), [6, 12])
-        assert np.allclose(ba.shifts["I0"], bb.shifts["I1"][:, ::-1], atol=1e-12)
-        assert np.allclose(ba.syst, bb.syst[:, ::-1], atol=1e-12)
-        # boundary-mass shifts swap columns under the mirror
-        assert np.allclose(ba.mass_shifts["I0"], bb.mass_shifts["I1"][:, ::-1], atol=1e-12)
-
-    def test_first_order_scaling(self):
-        # doubling one range roughly doubles its contribution (compared
-        # in aggregate; per-bin ratios blow up where shifts cross zero,
-        # and crossing counts are discrete, so this needs statistics)
-        recs = self.symmetric_records(n_traj=20_000)
-        d = 0.01
-        b1 = systematic_errors(recs, self.ranges(I0=d), [12])
-        b2 = systematic_errors(recs, self.ranges(I0=2 * d), [12])
-        l1_small = b1.shifts["I0"].sum()
-        l1_big = b2.shifts["I0"].sum()
-        assert l1_big <= 2.1 * l1_small + 1e-9
-        assert l1_big >= 1.5 * l1_small
-
-    def test_total_dominates_components(self):
-        recs = self.symmetric_records(n_traj=1000, n_steps=8)
-        budget = systematic_errors(
-            recs, self.ranges(x0=0.003, T1=0.0, I0=0.02, I1=0.03), [4, 8]
-        )
-        assert np.all(budget.total >= budget.stat - 1e-15)
-        assert np.all(budget.total >= budget.syst - 1e-15)
-
-    def test_default_ranges_from_heralding(self):
-        cal = CalibrationParams(
-            I0=128.44, I1=127.68, sigma=5.5, dt=0.5, T1=45.0, dts=0.5
-        )
-        ranges = default_fluctuation_ranges(cal, I0_err=0.02, I1_err=0.03, T1_err=4.0)
-        assert math.isclose(ranges["x0"], -math.expm1(-0.5 / 45.0))
-        assert ranges["I0"] == 0.02 and ranges["I1"] == 0.03 and ranges["T1"] == 4.0
-        recs = self.symmetric_records(n_traj=300, n_steps=4)
-        budget = systematic_errors(recs, default_fluctuation_ranges(recs.cal), [4])
-        assert np.all(budget.syst == 0.0)  # infinite T1: no prep uncertainty
