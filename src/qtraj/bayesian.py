@@ -35,14 +35,13 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (
-    Z_CAP,
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
     require_memory,
 )
-from .rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
-from .sde import _evolve
+from .rng import SeedSpec, _step_draws, _traj_key
+from .sde import _evolve, _hold_caps, _scratch
 
 __all__ = [
     "FitFailureError",
@@ -118,14 +117,21 @@ class T1Estimate:
     amplitude: float
 
 
-def _meas_z(z, im, i0: float, i1: float, sigma: float):
+def _meas_z(z, im, i0: float, i1: float, sigma: float, out=None, work=None):
     """Bayesian log-odds update for record(s) im from eigenstate current
-    distributions N(i0, sigma^2), N(i1, sigma^2); caps stay fixed."""
+    distributions N(i0, sigma^2), N(i1, sigma^2); caps stay fixed.
+
+    The result goes to ``out`` (a new array by default; ``z`` itself
+    updates in place), computed in two rows of ``work``.
+    """
     z = np.asarray(z, dtype=float)
-    coeff = (i0 - i1) / (4.0 * sigma**2)
-    znew = np.clip(z + coeff * (2.0 * np.asarray(im, dtype=float) - i0 - i1),
-                   -Z_CAP, Z_CAP)
-    return np.where(np.abs(z) >= Z_CAP, z, znew)
+    znew, tmp = _scratch(work, np.broadcast(z, im).shape, 2)
+    np.multiply(im, 2.0, out=znew)
+    np.subtract(znew, i0, out=znew)
+    np.subtract(znew, i1, out=znew)
+    np.multiply(znew, (i0 - i1) / (4.0 * sigma**2), out=znew)
+    np.add(z, znew, out=znew)
+    return _hold_caps(z, znew, tmp, out)
 
 
 def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEnsemble:
@@ -139,11 +145,16 @@ def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEn
     """
     cal = records.cal
 
-    def measure(z, s, rows, traj):
-        return _meas_z(z, records.currents[rows, s], cal.I0, cal.I1, cal.sigma)
+    def block(rows, traj, work):
+        currents = records.currents[rows]
+
+        def measure(z, s):
+            _meas_z(z, currents[:, s], cal.I0, cal.I1, cal.sigma, out=z, work=work)
+
+        return measure
 
     return _evolve(records.n_traj, records.n_steps, cal.dt, records.x0,
-                   cal.dt / cal.T1, n_workers, measure, records.master_seed)
+                   cal.dt / cal.T1, n_workers, block, records.master_seed)
 
 
 def generate_records(
@@ -181,15 +192,28 @@ def generate_records(
                    f"{n_traj} records of {params.n_steps} steps with their latent ensemble")
     currents = np.empty((n_traj, params.n_steps))
 
-    def record(z, s, rows, traj):
-        u = counter_uniform(seed, traj, s, STREAM_BRANCH)
-        xi = counter_normal(seed, traj, s, STREAM_NOISE)
-        im = np.where(u < expit(2.0 * z), cal.I0, cal.I1) + cal.sigma * xi
-        currents[rows, s] = im
-        return _meas_z(z, im, cal.I0, cal.I1, cal.sigma)
+    def block(rows, traj, work):
+        key = _traj_key(seed, traj)
+        out = currents[rows]
+        u, xi, im = work[0], work[1], work[2]
+
+        def record(z, s):
+            _step_draws(key, s, u, xi, im.view(np.uint64))
+            # im = (I0 if u < expit(2 z) else I1) + sigma * xi
+            np.multiply(z, 2.0, out=im)
+            expit(im, out=im)
+            branch = u < im
+            im.fill(cal.I1)
+            np.copyto(im, cal.I0, where=branch)
+            np.multiply(xi, cal.sigma, out=xi)
+            np.add(im, xi, out=im)
+            out[:, s] = im
+            _meas_z(z, im, cal.I0, cal.I1, cal.sigma, out=z, work=work[:2])
+
+        return record
 
     latent = _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
-                     n_workers, record, seed)
+                     n_workers, block, seed)
     return RecordSet(currents=currents, cal=cal, x0=params.x0, master_seed=seed), latent
 
 

@@ -60,7 +60,7 @@ keys (any key is also a --key=value flag; --config=FILE loads a file first):
   fp_cells=INT fp_zmin=F fp_zmax=F fp_dt_us=F
 
 model=auto (the default) is analytic at t1_us=inf and fp otherwise.
---seed is mandatory for generate and simulate (no silent entropy).
+--seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
 """
 
 
@@ -187,8 +187,10 @@ def _write_manifest(cfg: RunConfig) -> None:
 
 
 def _require_seed(cfg: RunConfig) -> SeedSpec:
-    if cfg.seed < 0:
+    if cfg.seed == RunConfig.seed:  # the unset default
         raise UsageError(f"--seed is mandatory for {cfg.mode}")
+    if not 0 <= cfg.seed < 2**64:
+        raise UsageError(f"--seed={cfg.seed} must be >= 0 and < 2**64")
     return SeedSpec(master_seed=cfg.seed)
 
 

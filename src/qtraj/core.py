@@ -80,20 +80,26 @@ def to_logodds(rho00):
     return z
 
 
-def to_rho(z):
+def to_rho(z, out=None):
     """Inverse of :func:`to_logodds`: population view of a z value.
 
     A z at the cap reports exactly 0.0 or 1.0; otherwise the logistic
     ``expit(2 z)`` is used, which is accurate to full relative precision
-    near rho00 = 0 (``(1 + tanh z)/2`` is not).
+    near rho00 = 0 (``(1 + tanh z)/2`` is not).  An array result goes to
+    ``out`` when given.
     """
     zz = np.asarray(z, dtype=float)
-    r = expit(2.0 * zz)
-    r = np.where(zz <= -Z_CAP, 0.0, r)
-    r = np.where(zz >= Z_CAP, 1.0, r)
+    lo = zz <= -Z_CAP
+    hi = zz >= Z_CAP
+    if out is None:
+        out = np.empty_like(zz)
+    np.multiply(zz, 2.0, out=out)
+    expit(out, out=out)
+    np.copyto(out, 0.0, where=lo)
+    np.copyto(out, 1.0, where=hi)
     if np.ndim(z) == 0:
-        return float(r)
-    return r
+        return float(out)
+    return out
 
 
 _MEMINFO = "/proc/meminfo"
@@ -182,9 +188,10 @@ class CalibrationParams:
     Attributes
     ----------
     I0, I1 : float
-        Eigenstate current centers (arbitrary but common units).
+        Eigenstate current centers (finite; arbitrary but common units).
     sigma : float
-        Per-step standard deviation of the integrated current (> 0).
+        Per-step standard deviation of the integrated current (finite,
+        > 0).
     dt : float
         Step duration.
     T1 : float
@@ -198,8 +205,11 @@ class CalibrationParams:
     T1: float = math.inf
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
+        for name in ("I0", "I1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)!r} must be finite")
+        if not 0.0 < self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma={self.sigma!r} must be finite and > 0")
         if self.I0 == self.I1:
             raise ValueError("I0 and I1 must differ")
         if not self.dt > 0:
@@ -299,11 +309,27 @@ class DistributionSnapshot:
 
 
 def bin_index(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
-    """Bin assignment with edges [k*w, (k+1)*w); the value 1.0 is excluded
-    upstream (boundary mass), everything else in [0, 1) gets a bin."""
+    """Bin assignment with edges ``edges[k] = k*w``, bin k holding
+    [edges[k], edges[k+1]); the value 1.0 is excluded upstream (boundary
+    mass), everything else in [0, 1) gets a bin, and values outside the
+    edges go to the end bins.
+
+    ``floor(v/w)`` is off by at most one against the rounded edges, so a
+    +-1 fix-up against ``edges`` gives exactly
+    ``clip(searchsorted(edges, v, "right") - 1, 0, n_bins - 1)`` for any
+    value that is not NaN, without a binary search.
+    """
     edges = np.arange(n_bins + 1) * bin_width
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, n_bins - 1)
+    guess = np.divide(values, bin_width)
+    np.floor(guess, out=guess)
+    np.clip(guess, 0, n_bins - 1, out=guess)
+    idx = guess.astype(np.intp)
+    edge = edges.take(idx, out=guess)
+    idx -= edge > values
+    idx += 1
+    edges.take(idx, out=edge)
+    idx -= edge > values
+    return np.clip(idx, 0, n_bins - 1, out=idx)
 
 
 def build_histogram(
@@ -353,13 +379,16 @@ def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.nd
     """Integer counts of populations ``values``: the ``n_bins`` interior
     bins, then the values exactly 0.0, then those exactly 1.0."""
     check_binning(n_bins, bin_width)
+    values = np.ascontiguousarray(values)  # one pass over a strided slice
     if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
         raise ValueError("ensemble values outside [0, 1]")
-    at0 = values == 0.0
-    at1 = values == 1.0
-    interior = values[~(at0 | at1)]
-    counts = np.bincount(bin_index(interior, n_bins, bin_width), minlength=n_bins)
-    return np.append(counts, [np.count_nonzero(at0), np.count_nonzero(at1)])
+    at0 = np.count_nonzero(values == 0.0)
+    at1 = np.count_nonzero(values == 1.0)
+    # bin every value, then take the boundary values back out of their bins
+    counts = np.bincount(bin_index(values, n_bins, bin_width), minlength=n_bins)
+    counts[0] -= at0
+    counts[bin_index(np.array([1.0]), n_bins, bin_width)[0]] -= at1
+    return np.append(counts, [at0, at1])
 
 
 def histogram_from_counts(counts: np.ndarray, t: float, bin_width: float) -> DistributionSnapshot:

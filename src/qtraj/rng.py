@@ -8,6 +8,15 @@ sequentially, any partitioning of trajectories over threads or processes
 reproduces identical numbers, and absorbed trajectories can simply
 ignore their draws without shifting anybody else's stream.
 
+The chain has three links, one round each: the trajectory key
+``mix(seed + PHI*(traj + 1))`` (:func:`_traj_key`), the step hash
+``mix(key + PHI*(step + 1))`` (:func:`_step_hash`) and the stream
+finalizer ``mix(h + PHI*(stream + 1))`` (:func:`_stream_uniform`).
+:func:`counter_uniform` and :func:`counter_normal` compose all three per
+call.  The Monte Carlo step loop computes each block's keys once and one
+step hash per step, shared by both streams (:func:`_step_draws`), with
+the same bits; the links work in place on arrays the caller owns.
+
 Uniforms keep 52 random bits and live in [2^-53, 1 - 2^-53], so the
 inverse CDF never sees 0 or 1 (normals are capped near +-8.2 sigma,
 a truncation of ~1e-16 probability mass).
@@ -50,23 +59,67 @@ class SeedSpec:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
-def _mix(h):
-    """SplitMix64 finalizer (bijective 64-bit scramble)."""
-    h = h ^ (h >> np.uint64(30))
-    h = h * _M1
-    h = h ^ (h >> np.uint64(27))
-    h = h * _M2
-    h = h ^ (h >> np.uint64(31))
+def _mix(h, tmp):
+    """SplitMix64 finalizer (bijective 64-bit scramble) of the uint64
+    array ``h``, in place; ``tmp`` is scratch of the same shape."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(h, np.uint64(shift), out=tmp)
+        np.bitwise_xor(h, tmp, out=h)
+        np.multiply(h, mult, out=h)
+    np.right_shift(h, np.uint64(31), out=tmp)
+    np.bitwise_xor(h, tmp, out=h)
     return h
 
 
-def _counter_bits(master_seed: int, traj, step: int, stream: int):
-    traj = np.asarray(traj, dtype=np.uint64)
+def _offset(i: int):
+    """``PHI*(i + 1)``, wrapping in uint64: the counter offset of step or
+    stream ``i``."""
     with np.errstate(over="ignore"):
-        h = _mix(np.uint64(master_seed) + _PHI * (traj + _ONE))
-        h = _mix(h + _PHI * np.uint64(step + 1))
-        h = _mix(h + _PHI * np.uint64(stream + 1))
-    return h
+        return _PHI * np.uint64(i + 1)
+
+
+def _traj_key(master_seed: int, traj):
+    """Per-trajectory key ``mix(master_seed + PHI*(traj + 1))``, a new
+    uint64 array; it is the same for every step and stream, so a block
+    of trajectories computes it once."""
+    key = np.array(traj, dtype=np.uint64)
+    np.add(key, _ONE, out=key)
+    np.multiply(key, _PHI, out=key)
+    np.add(key, np.uint64(master_seed), out=key)
+    return _mix(key, np.empty_like(key))
+
+
+def _step_hash(key, step: int, out, tmp):
+    """``mix(key + PHI*(step + 1))`` into ``out``: the hash of one step,
+    shared by both streams."""
+    np.add(key, _offset(step), out=out)
+    return _mix(out, tmp)
+
+
+def _stream_uniform(h, stream: int, out, tmp):
+    """Stream finalizer: the uniforms ``mix(h + PHI*(stream + 1))`` of
+    step hash ``h``, written to the float64 array ``out`` (which may be
+    ``h`` itself in float64 view).  The top 52 bits become
+    ``(bits + 0.5) * 2^-52``."""
+    bits = out.view(np.uint64)
+    np.add(h, _offset(stream), out=bits)
+    _mix(bits, tmp)
+    np.right_shift(bits, np.uint64(12), out=bits)
+    np.add(bits, 0.5, out=out)
+    np.multiply(out, 2.0**-52, out=out)
+    return out
+
+
+def _step_draws(key, step: int, u, xi, tmp):
+    """One step's branch uniforms into ``u`` and noise normals into
+    ``xi`` (float64 arrays of ``key``'s shape, ``tmp`` scratch): bitwise
+    ``counter_uniform(seed, traj, step, STREAM_BRANCH)`` and
+    ``counter_normal(seed, traj, step, STREAM_NOISE)`` for the
+    trajectories whose :func:`_traj_key` is ``key``."""
+    h = _step_hash(key, step, xi.view(np.uint64), tmp)
+    _stream_uniform(h, STREAM_BRANCH, u, tmp)
+    _stream_uniform(h, STREAM_NOISE, xi, tmp)
+    return u, ndtri(xi, out=xi)
 
 
 def counter_uniform(master_seed: int, traj, step: int, stream: int):
@@ -75,8 +128,10 @@ def counter_uniform(master_seed: int, traj, step: int, stream: int):
     ``traj`` may be a scalar or an integer array; the result matches its
     shape.
     """
-    h = _counter_bits(master_seed, traj, step, stream)
-    return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    key = _traj_key(master_seed, traj)
+    tmp = np.empty_like(key)
+    u = _stream_uniform(_step_hash(key, step, key, tmp), stream, key.view(np.float64), tmp)
+    return u if u.ndim else u[()]
 
 
 def counter_normal(master_seed: int, traj, step: int, stream: int):

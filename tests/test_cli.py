@@ -50,8 +50,19 @@ class TestParsing:
         assert "usage error" in capsys.readouterr().err
 
     def test_seed_required(self, tmp_path, capsys):
-        assert run(["simulate", f"--out={tmp_path}", "--g_per_us=0.03"]) == 2
-        assert "--seed is mandatory" in capsys.readouterr().err
+        for mode in ("simulate", "generate"):
+            assert run([mode, f"--out={tmp_path}", "--g_per_us=0.03"]) == 2
+            assert f"--seed is mandatory for {mode}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["simulate", "generate"])
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_out_of_range(self, tmp_path, capsys, mode, seed):
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", f"--seed={seed}"]) == 2
+        err = capsys.readouterr().err
+        assert f"--seed={seed} must be >= 0 and < 2**64" in err
+        assert "mandatory" not in err
+        assert not out.exists()
 
     def test_config_mode_conflict(self, tmp_path):
         cfg = tmp_path / "c.txt"
@@ -139,6 +150,20 @@ class TestInputChecks:
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--g_per_us={g}", *extra]) == 2
         assert "g must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--i0=inf", "I0=inf must be finite"),
+        ("--i1=nan", "I1=nan must be finite"),
+        ("--sigma=inf", "sigma=inf must be finite and > 0"),
+    ])
+    def test_generate_names_the_nonfinite_current_key(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "out"
+        assert run(["generate", f"--out={out}", *self.SMALL, flag]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert flag[2:].split("=")[0] in err.lower()  # the key the user set, not g
+        assert "g must be finite" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("slices", ["2,9", "a", ","])

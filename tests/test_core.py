@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from qtraj import core
 from qtraj.bayesian import _meas_z
@@ -11,6 +12,7 @@ from qtraj.core import (
     ModelParams,
     TrajectoryEnsemble,
     available_memory,
+    bin_index,
     build_histogram,
     histogram_counts,
     histogram_from_counts,
@@ -151,6 +153,11 @@ class TestParams:
             CalibrationParams(I0=1.0, I1=1.0, sigma=1.0, dt=0.5)
         with pytest.raises(ValueError):
             CalibrationParams(I0=1.0, I1=-1.0, sigma=0.0, dt=0.5)
+        for key, bad in (("I0", math.inf), ("I1", -math.inf), ("I0", math.nan),
+                         ("sigma", math.inf), ("sigma", math.nan)):
+            kw = {"I0": 1.0, "I1": -1.0, "sigma": 1.0, "dt": 0.5, key: bad}
+            with pytest.raises(ValueError, match=f"^{key}={bad!r} must be finite"):
+                CalibrationParams(**kw)
 
 
 class TestHistogram:
@@ -243,6 +250,70 @@ class TestHistogram:
         ens = make_ensemble(np.array([[0.5], [bad]]))
         with pytest.raises(ValueError):
             build_histogram(ens, 0)
+
+
+# Plain allocating forms of the population view and the binning, which
+# now write in place and bin without a binary search: the replacements
+# must match them bit for bit.
+def to_rho_ref(z):
+    r = expit(2.0 * z)
+    r = np.where(z <= -Z_CAP, 0.0, r)
+    return np.where(z >= Z_CAP, 1.0, r)
+
+
+def bin_index_ref(values, n_bins, bin_width):
+    edges = np.arange(n_bins + 1) * bin_width
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, n_bins - 1)
+
+
+def counts_ref(values, n_bins, bin_width):
+    at0, at1 = values == 0.0, values == 1.0
+    counts = np.bincount(bin_index_ref(values[~(at0 | at1)], n_bins, bin_width),
+                         minlength=n_bins)
+    return np.append(counts, [np.count_nonzero(at0), np.count_nonzero(at1)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+ORACLE_Z = np.concatenate([
+    [Z_CAP, -Z_CAP, 0.0, -0.0, 1e-300, -1e-300, 31.0, -31.0, math.inf, -math.inf],
+    np.random.default_rng(23).normal(0.0, 8.0, 400).clip(-Z_CAP, Z_CAP),
+])
+BINNINGS = [(100, 0.01), (7, 0.15), (1000, 0.001), (3, 1 / 3), (13, 1 / 13), (1, 1.0), (10, 0.11)]
+
+
+class TestKernelOracles:
+    def test_to_rho(self):
+        want = to_rho_ref(ORACLE_Z)
+        assert same_bits(to_rho(ORACLE_Z), want)
+        out = np.empty_like(ORACLE_Z)
+        assert to_rho(ORACLE_Z, out=out) is out
+        assert same_bits(out, want)
+        for z in ORACLE_Z[:10]:
+            assert same_bits(to_rho(float(z)), want[ORACLE_Z == z][0])
+
+    @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
+    def test_bin_index_at_every_edge(self, n_bins, bin_width):
+        edges = np.arange(n_bins + 1) * bin_width
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.random.default_rng(4).random(500), [-0.0, -1.0, 2.0, math.inf, -math.inf],
+        ])
+        assert np.array_equal(bin_index(values, n_bins, bin_width),
+                              bin_index_ref(values, n_bins, bin_width))
+
+    @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
+    def test_counts_at_every_edge(self, n_bins, bin_width):
+        edges = np.arange(n_bins + 1) * bin_width
+        values = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                 np.nextafter(edges, np.inf), [0.0, 0.0, 1.0]])
+        values = values[(values >= 0.0) & (values <= 1.0)]
+        strided = np.repeat(values[:, None], 3, axis=1)[:, 1]
+        assert np.array_equal(histogram_counts(strided, n_bins, bin_width),
+                              counts_ref(values, n_bins, bin_width))
 
 
 class TestMemoryGuard:

@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit, ndtri
 
 from qtraj import core
-from qtraj.bayesian import generate_records, reconstruct_ensemble
+from qtraj.bayesian import _meas_z, generate_records, reconstruct_ensemble
 from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.fokker_planck import analytic_distribution_z
-from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
+from qtraj.rng import (
+    STREAM_BRANCH,
+    STREAM_NOISE,
+    SeedSpec,
+    _step_draws,
+    _traj_key,
+    counter_normal,
+    counter_uniform,
+)
 from qtraj.sde import (
     CHUNK,
     _diffusion_z,
@@ -37,6 +46,137 @@ def draws(seed, n, step):
     traj = np.arange(n, dtype=np.uint64)
     return (counter_uniform(seed, traj, step, STREAM_BRANCH),
             counter_normal(seed, traj, step, STREAM_NOISE))
+
+
+# Plain allocating forms of the counter hash and the step kernels: the
+# in-place kernels that replaced them must reproduce them bit for bit.
+PHI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def mix_ref(h):
+    h = h ^ (h >> np.uint64(30))
+    h = h * np.uint64(0xBF58476D1CE4E5B9)
+    h = h ^ (h >> np.uint64(27))
+    h = h * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def uniform_ref(seed, traj, step, stream):
+    traj = np.asarray(traj, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = mix_ref(np.uint64(seed) + PHI * (traj + np.uint64(1)))
+        h = mix_ref(h + PHI * np.uint64(step + 1))
+        h = mix_ref(h + PHI * np.uint64(stream + 1))
+    return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def relax_ref(z, delta):
+    if delta == 0.0:
+        return z
+    grow = z + 0.5 * delta + 0.5 * np.log1p(-math.expm1(-delta) * np.exp(-2.0 * z))
+    reentry = 0.5 * np.log(math.expm1(delta) + np.exp(delta + 2.0 * z))
+    return np.clip(np.where(z >= 0.0, grow, reentry), -Z_CAP, Z_CAP)
+
+
+def diffusion_ref(z, kappa, u, xi):
+    branch = np.where(u < expit(2.0 * z), 1.0, -1.0)
+    znew = np.clip(z + kappa * branch + math.sqrt(kappa) * xi, -Z_CAP, Z_CAP)
+    return np.where(np.abs(z) >= Z_CAP, z, znew)
+
+
+def meas_ref(z, im, i0, i1, sigma):
+    coeff = (i0 - i1) / (4.0 * sigma**2)
+    znew = np.clip(z + coeff * (2.0 * im - i0 - i1), -Z_CAP, Z_CAP)
+    return np.where(np.abs(z) >= Z_CAP, z, znew)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# the caps, signed zeros and tiny values, then states across the range
+ORACLE_Z = np.concatenate([
+    [Z_CAP, -Z_CAP, 0.0, -0.0, 1e-300, -1e-300, np.nextafter(Z_CAP, 0), -np.nextafter(Z_CAP, 0)],
+    np.random.default_rng(17).normal(0.0, 8.0, 400).clip(-Z_CAP, Z_CAP),
+])
+ORACLE_STEPS = (0, 2**32)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("step", ORACLE_STEPS)
+    @pytest.mark.parametrize("stream", (STREAM_BRANCH, STREAM_NOISE))
+    @pytest.mark.parametrize("seed", (0, 2024, 2**64 - 1))
+    def test_counter_streams(self, seed, step, stream):
+        traj = np.arange(3000, dtype=np.uint64)
+        u = uniform_ref(seed, traj, step, stream)
+        assert same_bits(counter_uniform(seed, traj, step, stream), u)
+        assert same_bits(counter_normal(seed, traj, step, stream), ndtri(u))
+        assert counter_uniform(seed, 7, step, stream) == u[7]
+
+    @pytest.mark.parametrize("step", ORACLE_STEPS)
+    def test_step_draws_share_one_step_hash(self, step):
+        traj = np.arange(3000, dtype=np.uint64)
+        u, xi, tmp = np.empty(3000), np.empty(3000), np.empty(3000, dtype=np.uint64)
+        _step_draws(_traj_key(99, traj), step, u, xi, tmp)
+        assert same_bits(u, uniform_ref(99, traj, step, STREAM_BRANCH))
+        assert same_bits(xi, ndtri(uniform_ref(99, traj, step, STREAM_NOISE)))
+
+    @pytest.mark.parametrize("delta", (0.0, 1e-12, 0.0056, 2.0))
+    def test_relax(self, delta):
+        want = relax_ref(ORACLE_Z, delta)
+        assert same_bits(_relax_z(ORACLE_Z, delta), want)
+        z = ORACLE_Z.copy()
+        assert _relax_z(z, delta, out=z, work=np.empty((3, z.size))) is z
+        assert same_bits(z, want)
+
+    @pytest.mark.parametrize("kappa", (0.0, 1e-12, 0.0056, 2.0))
+    @pytest.mark.parametrize("step", ORACLE_STEPS)
+    def test_diffusion(self, kappa, step):
+        u, xi = draws(5, ORACLE_Z.size, step)
+        want = diffusion_ref(ORACLE_Z, kappa, u, xi)
+        assert same_bits(_diffusion_z(ORACLE_Z, kappa, u, xi), want)
+        z = ORACLE_Z.copy()
+        assert _diffusion_z(z, kappa, u, xi, out=z, work=np.empty((2, z.size))) is z
+        assert same_bits(z, want)
+        # a draw exactly at the branch threshold takes the lower branch
+        p = expit(2.0 * ORACLE_Z)
+        assert same_bits(_diffusion_z(ORACLE_Z, kappa, p, xi),
+                         diffusion_ref(ORACLE_Z, kappa, p, xi))
+
+
+    @pytest.mark.parametrize("cal", [(1.0, -1.0, 1.0), (128.443, 127.856, 5.56)])
+    def test_meas(self, cal):
+        i0, i1, sigma = cal
+        im = np.random.default_rng(2).normal(i0, 3.0 * sigma, ORACLE_Z.size)
+        im[:4] = [i0, i1, 0.5 * (i0 + i1), 1e6]
+        want = meas_ref(ORACLE_Z, im, i0, i1, sigma)
+        assert same_bits(_meas_z(ORACLE_Z, im, i0, i1, sigma), want)
+        z = ORACLE_Z.copy()
+        assert _meas_z(z, im, i0, i1, sigma, out=z, work=np.empty((2, z.size))) is z
+        assert same_bits(z, want)
+
+    def test_simulate_and_generate_match_reference_loops(self):
+        # the whole step loop, with its shared scratch, against the plain
+        # formulas: relax, middle update, relax, store rho00
+        n, seed, steps = 3000, 41, 12
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.5, dt=0.5, T1=3.0)
+        params = ModelParams(g=cal.kappa / 0.5, T1=3.0, dt=0.5, x0=0.305, n_steps=steps)
+        ens = simulate_ensemble(params, n, SeedSpec(seed))
+        recs, latent = generate_records(params, cal, n, SeedSpec(seed))
+        traj = np.arange(n, dtype=np.uint64)
+        z_sim = z_gen = np.full(n, to_logodds(0.305))
+        half = 0.5 * params.delta
+        for s in range(steps):
+            u = uniform_ref(seed, traj, s, STREAM_BRANCH)
+            xi = ndtri(uniform_ref(seed, traj, s, STREAM_NOISE))
+            z_sim = relax_ref(diffusion_ref(relax_ref(z_sim, half), params.kappa, u, xi), half)
+            z_gen = relax_ref(z_gen, half)
+            im = np.where(u < expit(2.0 * z_gen), cal.I0, cal.I1) + cal.sigma * xi
+            assert same_bits(recs.currents[:, s], im)
+            z_gen = relax_ref(meas_ref(z_gen, im, cal.I0, cal.I1, cal.sigma), half)
+            assert same_bits(ens.slice_values(s + 1), to_rho(z_sim))
+            assert same_bits(latent.slice_values(s + 1), to_rho(z_gen))
 
 
 class TestRelaxation:
