@@ -3,15 +3,14 @@ fit | calibrate | report.
 
 Every run writes a manifest echoing the fully resolved configuration;
 rerunning a command with the manifest as its config reproduces the
-outputs byte for byte.  Times on this surface are microseconds.  The
-only environment variable consulted is QTRAJ_THREADS (worker count when
-n_workers is left at 0).
+outputs byte for byte.  Times on this surface are microseconds.  No
+environment variable is read.
 
 Every mode checks its keys before it reads or computes, so a bad key
 exits 2 and writes nothing.  Two checks need the file and come after
 the read, still before any output: the slice range of fit/report (the
-file's n_steps) and, for model=fp, that the file's x0 maps inside the
-z grid.
+file's n_steps) and, for the Fokker-Planck model, that the file's x0
+maps inside the z grid.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from .core import (
     histogram_counts,
     histogram_from_counts,
 )
-from .fokker_planck import FPSolverError, check_solver_args, fp_snapshot_to_bins, solve_fp
+from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, FPSolverError, check_solver_args,
+                            fp_snapshot_to_bins, solve_fp)
 from .rng import SeedSpec
 from .sde import simulate_batches
 
@@ -55,12 +55,13 @@ modes:
 keys (any key is also a --key=value flag; --config=FILE loads a file first):
   out=DIR seed=INT n_traj=INT n_steps=INT dt_us=F g_per_us=F t1_us=F x0=F
   i0=F i1=F sigma=F n_bins=INT bin_width=F slices=K1,K2,...
-  t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F model=auto|analytic|fp
+  t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F
   input=FILE ground=FILE excited=FILE n_workers=INT
   fp_cells=INT fp_zmin=F fp_zmax=F fp_dt_us=F
 
-model=auto (the default) is analytic at t1_us=inf and fp otherwise.
+fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise.
 --seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
+No environment variable is read.
 """
 
 
@@ -89,14 +90,13 @@ class RunConfig:
     tau_min: float = 0.0
     tau_max: float = 2.5
     tau_step: float = 0.01
-    model: str = "auto"
     input: str = ""
     ground: str = ""
     excited: str = ""
-    n_workers: int = 0
-    fp_cells: int = 8192
-    fp_zmin: float = -12.0
-    fp_zmax: float = 12.0
+    n_workers: int = 1
+    fp_cells: int = FP_CELLS
+    fp_zmin: float = FP_Z_MIN
+    fp_zmax: float = FP_Z_MAX
     fp_dt_us: float = 0.0
 
     def slice_list(self, n_steps: int | None, first: int) -> list[int]:
@@ -120,19 +120,6 @@ class RunConfig:
             return [float(s) for s in self.t_grid_us.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad t_grid_us value: {exc}") from exc
-
-    def workers(self) -> int:
-        if self.n_workers > 0:
-            return self.n_workers
-        env = os.environ.get("QTRAJ_THREADS", "")
-        if env:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise UsageError(f"bad QTRAJ_THREADS value {env!r}") from exc
-            if n > 0:
-                return n
-        return 1
 
     def cal(self) -> CalibrationParams:
         return CalibrationParams(
@@ -170,6 +157,8 @@ def config_from_items(items: dict, mode: str | None = None) -> RunConfig:
         cfg.mode = mode
     if cfg.mode not in MODES:
         raise UsageError(f"unknown mode: {cfg.mode!r}")
+    if cfg.n_workers < 1:
+        raise UsageError(f"n_workers={cfg.n_workers} must be >= 1")
     return cfg
 
 
@@ -208,7 +197,6 @@ def _require_input(path: str, what: str) -> str:
 
 def cmd_generate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
-    cfg.n_workers = cfg.workers()
     cal = cfg.cal()
     g = cal.kappa / cfg.dt_us
     # the records fix g through kappa = (i0 - i1)^2 / (4 sigma^2); 0 derives it
@@ -235,7 +223,6 @@ def cmd_simulate(cfg: RunConfig) -> None:
     )
     counts = dict.fromkeys(cfg.slice_list(cfg.n_steps, first=0), 0)
     check_binning(cfg.n_bins, cfg.bin_width)
-    cfg.n_workers = cfg.workers()
     batches = simulate_batches(params, cfg.n_traj, seeds, n_workers=cfg.n_workers)
 
     def counted(block):
@@ -274,7 +261,6 @@ def cmd_solve_fp(cfg: RunConfig) -> None:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
-    cfg.n_workers = cfg.workers()
     recs = io.read_records(_require_input(cfg.input, "input"))
     ens = bayesian.reconstruct_ensemble(recs, n_workers=cfg.n_workers)
     _write_manifest(cfg)
@@ -287,20 +273,16 @@ def cmd_fit(cfg: RunConfig):
     before the read, except the slice range and the x0 in the z grid."""
     check_binning(cfg.n_bins, cfg.bin_width)
     scan = cfg.tau_scan()
-    model = cfg.model
-    if model == "auto":
-        model = "analytic" if math.isinf(cfg.t1_us) else "fp"
-    if model not in ("analytic", "fp"):
-        raise UsageError(f"unknown model {cfg.model!r} (use auto, analytic or fp)")
+    analytic = math.isinf(cfg.t1_us)
     fp_dt = cfg.fp_dt_us or None  # 0 means the default substep
-    if model == "fp":
+    if not analytic:
         check_solver_args(cfg.t1_us, cfg.fp_zmin, cfg.fp_zmax, cfg.fp_cells, fp_dt)
     cfg.slice_list(None, first=1)
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
     observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
     x0 = ens.x0 if ens.x0 is not None else cfg.x0
-    if model == "analytic":
+    if analytic:
         gen = fitting.make_analytic_model_gen(x0, len(slices), cfg.n_bins, cfg.bin_width)
     else:
         gen = fitting.make_fp_model_gen(

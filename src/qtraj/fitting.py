@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DistributionSnapshot
-from .fokker_planck import _grid_nodes, _rebin, _rebin_map, analytic_distribution_z, solve_fp
+from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, _grid_nodes, _rebin, _rebin_map,
+                            analytic_distribution_z, solve_fp)
 
 __all__ = [
     "FitResult",
@@ -275,10 +276,10 @@ def make_fp_model_gen(
     times: Sequence[float],
     n_bins: int = 100,
     bin_width: float = 0.01,
-    n_cells: int = 2048,
+    n_cells: int = FP_CELLS,
     dt: float | None = None,
-    z_min: float = -12.0,
-    z_max: float = 12.0,
+    z_min: float = FP_Z_MIN,
+    z_max: float = FP_Z_MAX,
 ) -> Callable[..., list[DistributionSnapshot]]:
     """Model generator backed by the Fokker-Planck solver.
 

@@ -64,6 +64,10 @@ __all__ = [
     "fp_snapshot_to_bins",
 ]
 
+FP_CELLS = 8192
+FP_Z_MIN = -12.0
+FP_Z_MAX = 12.0
+
 _MASS_TOL = 1e-8
 _NEG_TOL = -1e-12
 # Gaussian kernels are truncated at this many sigma; the cut mass
@@ -346,11 +350,6 @@ class _Diffusion:
         wp = self.xt * s.w
         wm = s.w - wp
         full = self._convolve(wp, 0) + self._convolve(wm, 1)
-        if np.any(full < _NEG_TOL):
-            raise FPSolverError(
-                f"negative density {full.min():.3e} from diffusion step"
-            )
-        np.maximum(full, 0.0, out=full)
         # full[j'] is the mass landing on grid index j = j' + lo
         j_lo = max(0, -lo)          # first j' on the grid
         j_hi = min(full.size, n - lo)  # one past the last j' on the grid
@@ -391,9 +390,9 @@ def solve_fp(
     T1: float,
     t_grid,
     *,
-    z_min: float = -12.0,
-    z_max: float = 12.0,
-    n_cells: int = 8192,
+    z_min: float = FP_Z_MIN,
+    z_max: float = FP_Z_MAX,
+    n_cells: int = FP_CELLS,
     dt: float | None = None,
 ) -> list[DensityGrid]:
     """Evolve the trajectory density and snapshot it at given times.

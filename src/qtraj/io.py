@@ -1,6 +1,9 @@
 """File formats for the pipeline: records, ensembles, histograms,
 fit reports, report overlays, and config/manifest files.
 
+Record and ensemble files are binary and share one reader; outside data
+comes in as a ``RecordSet`` written with :func:`write_records`.
+
 All writes are atomic (temp file in the target directory, then rename)
 and all text tables use full round-trip decimal precision, so
 write -> read -> write is byte-identical for every format.  Binary
@@ -52,11 +55,6 @@ _REC_HEADER = struct.Struct("<IQQddddddQ")
 # little-endian: version u32, n_traj u64, n_slices u64, dt f64, x0 f64,
 # master_seed u64
 _ENS_HEADER = struct.Struct("<IQQddQ")
-
-_REC_TEXT_FIELDS = (
-    "version", "n_traj", "n_steps", "dt_us", "I0", "I1", "sigma",
-    "T1_us", "x0", "master_seed",
-)
 
 
 class FormatError(ValueError):
@@ -121,29 +119,37 @@ def _write_binary(path: str, magic: bytes, header: struct.Struct, shape, blocks,
             raise ValueError(f"row blocks hold {shape[0] - n_rows} rows, header says {shape[0]}")
 
 
-def _read_binary(path: str, f, magic: bytes, header: struct.Struct, kind: str):
-    """Inverse of :func:`_write_binary` on a file ``f`` whose magic has
-    been read and checked; returns (body array, header fields after
-    n_cols).  The body is read into one preallocated array."""
-    off = len(magic)
-    head = f.read(header.size)
-    if len(head) < header.size:
-        raise FormatError(f"{path}: truncated header at byte offset {off + len(head)}")
-    version, n_traj, n_cols, *meta = header.unpack(head)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported {kind} format version {version}")
-    off += header.size
-    size = os.fstat(f.fileno()).st_size - off
-    expected = n_traj * n_cols * 8
-    if size != expected:
-        raise FormatError(
-            f"{path}: body has {size} bytes at offset {off}, expected {expected}"
-        )
-    require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
-    body = np.empty((n_traj, n_cols), dtype="<f8")
-    if f.readinto(body) != expected:
-        raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
-    return body, meta
+def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, build):
+    """Inverse of :func:`_write_binary`: ``build(body, *header fields after
+    n_cols)``, the body read into one preallocated array.  A ValueError from
+    ``build`` or the memory check becomes a FormatError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(magic)) != magic:
+                raise FormatError(f"{path}: bad magic at byte offset 0")
+            off = len(magic)
+            head = f.read(header.size)
+            if len(head) < header.size:
+                raise FormatError(f"{path}: truncated header at byte offset {off + len(head)}")
+            version, n_traj, n_cols, *meta = header.unpack(head)
+            if version != FORMAT_VERSION:
+                raise FormatError(f"{path}: unsupported {kind} format version {version}")
+            off += header.size
+            size = os.fstat(f.fileno()).st_size - off
+            expected = n_traj * n_cols * 8
+            if size != expected:
+                raise FormatError(
+                    f"{path}: body has {size} bytes at offset {off}, expected {expected}"
+                )
+            require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
+            body = np.empty((n_traj, n_cols), dtype="<f8")
+            if f.readinto(body) != expected:
+                raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
+        return build(body, *meta)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -159,75 +165,16 @@ def write_records(path: str, records: RecordSet) -> None:
                   records.x0, seed)
 
 
-def _read_records_binary(path: str, f) -> RecordSet:
-    currents, (dt, i0, i1, sigma, t1, x0, seed) = _read_binary(
-        path, f, RECORD_MAGIC, _REC_HEADER, "record"
-    )
-    cal = CalibrationParams(I0=i0, I1=i1, sigma=sigma, dt=dt, T1=t1)
-    return RecordSet(currents=currents, cal=cal, x0=x0, master_seed=seed)
-
-
-def _read_records_text(path: str, raw: bytes) -> RecordSet:
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a record file ({exc})") from exc
-    if not lines:
-        raise FormatError(f"{path}: empty file (line 1)")
-    head = lines[0].split(",")
-    if len(head) != len(_REC_TEXT_FIELDS):
-        raise FormatError(
-            f"{path}: line 1: expected {len(_REC_TEXT_FIELDS)} header fields, "
-            f"got {len(head)}"
-        )
-    try:
-        version = int(head[0])
-        n_traj = int(head[1])
-        n_steps = int(head[2])
-        dt, i0, i1, sigma, t1, x0 = (float(v) for v in head[3:9])
-        seed = int(head[9])
-    except ValueError as exc:
-        raise FormatError(f"{path}: line 1: bad header value ({exc})") from exc
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported record format version {version}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != n_traj:
-        raise FormatError(
-            f"{path}: expected {n_traj} data rows, found {len(rows)}"
-        )
-    currents = np.empty((n_traj, n_steps))
-    for i, ln in enumerate(rows):
-        parts = ln.split(",")
-        if len(parts) != n_steps:
-            raise FormatError(
-                f"{path}: line {i + 2}: expected {n_steps} values, got {len(parts)}"
-            )
-        try:
-            currents[i] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 2}: bad value ({exc})") from exc
+def _build_records(currents, dt, i0, i1, sigma, t1, x0, seed) -> RecordSet:
     cal = CalibrationParams(I0=i0, I1=i1, sigma=sigma, dt=dt, T1=t1)
     return RecordSet(currents=currents, cal=cal, x0=x0, master_seed=seed)
 
 
 def read_records(path: str) -> RecordSet:
-    """Read a record file, binary or the text alternative.
-
-    Values the header or body parse to but the record model rejects
-    (such as a non-finite current or sigma <= 0) raise FormatError too,
-    as does a binary body larger than the memory the system reports
-    available.
-    """
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(len(RECORD_MAGIC))
-            if magic == RECORD_MAGIC:
-                return _read_records_binary(path, f)
-            return _read_records_text(path, magic + f.read())
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    """Read a record file; values the record model rejects (a non-finite
+    current, sigma <= 0, an x0 outside [0, 1]) raise FormatError too, as
+    does a body larger than the memory the system reports available."""
+    return _read_binary(path, RECORD_MAGIC, _REC_HEADER, "record", _build_records)
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +197,17 @@ def write_ensemble_blocks(path: str, blocks, n_traj: int, n_steps: int, dt: floa
                   dt, x0, seed)
 
 
+def _build_ensemble(values, dt, x0, seed) -> TrajectoryEnsemble:
+    return TrajectoryEnsemble(n_traj=values.shape[0], n_steps=values.shape[1] - 1, dt=dt,
+                              values=values, x0=None if math.isnan(x0) else x0,
+                              master_seed=seed)
+
+
 def read_ensemble(path: str) -> TrajectoryEnsemble:
     """Read an ensemble file; header values the ensemble model rejects
     (no trajectories or slices, a bad dt or x0) raise FormatError too,
     as does a body larger than the memory the system reports available."""
-    try:
-        with open(path, "rb") as f:
-            if f.read(len(ENSEMBLE_MAGIC)) != ENSEMBLE_MAGIC:
-                raise FormatError(f"{path}: bad magic at byte offset 0")
-            values, (dt, x0, seed) = _read_binary(path, f, ENSEMBLE_MAGIC, _ENS_HEADER,
-                                                  "ensemble")
-        return TrajectoryEnsemble(
-            n_traj=values.shape[0],
-            n_steps=values.shape[1] - 1,
-            dt=dt,
-            values=values,
-            x0=None if math.isnan(x0) else x0,
-            master_seed=seed,
-        )
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _read_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble", _build_ensemble)
 
 
 # ---------------------------------------------------------------------------

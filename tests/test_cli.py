@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qtraj import core, fitting, io
-from qtraj.cli import config_from_items, main, parse_args
+from qtraj.cli import main, parse_args
 from qtraj.core import ModelParams, build_histogram
 from qtraj.rng import SeedSpec
 from qtraj.sde import CHUNK, simulate_ensemble
@@ -21,6 +21,15 @@ def run(argv):
 
 def sigma_for_kappa(kappa, di=2.0):
     return di / (2.0 * math.sqrt(kappa))
+
+
+def packed_records(currents, x0=0.5):
+    """A hand-packed record file: magic, header (version, n_traj, n_steps,
+    dt, I0, I1, sigma, T1, x0, seed), then the currents row-major."""
+    body = np.asarray(currents, dtype="<f8")
+    head = struct.pack("<IQQddddddQ", io.FORMAT_VERSION, *body.shape, 0.5, 1.0, -1.0, 2.0,
+                       math.inf, x0, 0)
+    return io.RECORD_MAGIC + head + body.tobytes()
 
 
 class TestParsing:
@@ -70,16 +79,6 @@ class TestParsing:
         with pytest.raises(Exception):
             parse_args(["generate", f"--config={cfg}"])
 
-    def test_env_thread_override(self, monkeypatch):
-        cfg = config_from_items({"seed": "1"}, mode="simulate")
-        monkeypatch.setenv("QTRAJ_THREADS", "3")
-        assert cfg.workers() == 3
-        cfg.n_workers = 2
-        assert cfg.workers() == 2  # explicit config wins
-        monkeypatch.delenv("QTRAJ_THREADS")
-        cfg.n_workers = 0
-        assert cfg.workers() == 1
-
 
 class TestSimulate:
     def test_single_frozen_trajectory(self, tmp_path):
@@ -98,15 +97,30 @@ class TestSimulate:
         assert math.isclose(snap.total_mass, 1.0, abs_tol=1e-12)
 
     def test_manifest_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = [
-            "simulate", "--seed=42", "--n_traj=500", "--g_per_us=0.03",
-            "--n_steps=10", "--slices=5,10",
-        ]
-        assert run(args + [f"--out={a}"]) == 0
-        assert run(["simulate", f"--config={a / 'manifest.txt'}", f"--out={b}"]) == 0
-        for name in ("ensemble.qens", "hist_00005.txt", "hist_00010.txt"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        # a run, then a rerun with its manifest as the config: the same files
+        gen = tmp_path / "gen"
+        assert run(["generate", f"--out={gen}", "--seed=3", "--n_traj=300", "--n_steps=10",
+                    "--t1_us=45"]) == 0
+        runs = {
+            "simulate": ["--seed=42", "--n_traj=500", "--g_per_us=0.03", "--n_steps=10",
+                         "--slices=5,10"],
+            "reconstruct": [f"--input={gen / 'records.qrec'}", "--n_workers=2"],
+            # the Fokker-Planck model, at a finite T1
+            "report": [f"--input={tmp_path / 'reconstruct' / 'reconstructed.qens'}",
+                       "--t1_us=45", "--slices=5,10", "--fp_cells=256", "--tau_max=1",
+                       "--tau_step=0.05"],
+        }
+        for mode, args in runs.items():
+            a, b = tmp_path / mode, tmp_path / f"{mode}_rerun"
+            assert run([mode, f"--out={a}", *args]) == 0
+            assert run([mode, f"--config={a / 'manifest.txt'}", f"--out={b}"]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert sorted(p.name for p in b.iterdir()) == names
+            for name in names:
+                want = (a / name).read_bytes()
+                if name == "manifest.txt":
+                    want = want.replace(str(a).encode(), str(b).encode())
+                assert (b / name).read_bytes() == want, (mode, name)
 
 
 class TestStreamedSimulate:
@@ -212,7 +226,7 @@ class TestInputChecks:
         "--fp_cells=4 --t1_us=20": "n_cells must be >= 8",
         "--t1_us=-1": "T1 must be > 0",
         "--t1_us=0": "T1 must be > 0",
-        "--model=fp --t1_us=20 --fp_zmin=5 --fp_zmax=-5": "z_min=5.0 and z_max=-5.0",
+        "--t1_us=20 --fp_zmin=5 --fp_zmax=-5": "z_min=5.0 and z_max=-5.0",
         "--fp_dt_us=-1 --t1_us=20": "dt=-1.0 must be finite and > 0",
         "--fp_dt_us=inf --t1_us=20": "dt=inf must be finite and > 0",
         "--fp_dt_us=nan --t1_us=20": "dt=nan must be finite and > 0",
@@ -226,6 +240,18 @@ class TestInputChecks:
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--input={ensemble}", *flag.split()]) == 2
         assert self.NOT_KEYED.get(flag, flag[2:].split("=")[0]) in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_model_key_is_gone(self, tmp_path, capsys, reads, ensemble):
+        # the model follows t1_us; a --model flag or an old manifest's line exits 2
+        out = tmp_path / "out"
+        assert run(["fit", f"--out={out}", f"--input={ensemble}", "--model=analytic"]) == 2
+        assert "unknown config key: model" in capsys.readouterr().err
+        old = tmp_path / "manifest.txt"
+        old.write_text(f"mode = fit\ninput = {ensemble}\nmodel = auto\n")
+        assert run(["fit", f"--out={out}", f"--config={old}"]) == 2
+        assert "unknown config key: model" in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 
@@ -259,12 +285,10 @@ class TestInputChecks:
         assert run(["generate", f"--out={gen}", *self.SMALL]) == 0
         return gen / "records.qrec"
 
-    def test_reconstruct_checks_workers_first(self, tmp_path, capsys, monkeypatch, reads,
-                                              records):
-        monkeypatch.setenv("QTRAJ_THREADS", "x")
+    def test_reconstruct_checks_workers_first(self, tmp_path, capsys, reads, records):
         out = tmp_path / "out"
-        assert run(["reconstruct", f"--out={out}", f"--input={records}"]) == 2
-        assert "bad QTRAJ_THREADS value 'x'" in capsys.readouterr().err
+        assert run(["reconstruct", f"--out={out}", f"--input={records}", "--n_workers=0"]) == 2
+        assert "n_workers=0 must be >= 1" in capsys.readouterr().err
         assert reads == []
         assert not out.exists()
 
@@ -428,21 +452,27 @@ class TestPipeline:
         assert run(["fit", f"--out={tmp_path}", f"--input={bad}"]) == 1
         err = capsys.readouterr().err
         assert "offset" in err or "line" in err
+        # record files are binary only: text is not read
+        text = tmp_path / "records.txt"
+        text.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,0.2\n0.3,0.4\n")
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={text}"]) == 1
+        assert "records.txt: bad magic at byte offset 0" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_nonfinite_records_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,0.5,0\n0.1,nan\n0.3,inf\n")
-        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
-        assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "rec" / "reconstructed.qens").exists()
-
-    def test_bad_x0_records_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("1,2,2,0.5,1.0,-1.0,2.0,inf,1.5,0\n0.1,0.2\n0.3,0.4\n")
+        bad = tmp_path / "bad.qrec"
+        bad.write_bytes(packed_records([[0.1, math.nan], [0.3, math.inf]]))
         assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
         err = capsys.readouterr().err
-        assert "bad.txt" in err and "x0" in err
-        assert not (tmp_path / "rec" / "reconstructed.qens").exists()
+        assert "bad.qrec: currents must be finite: record 0, step 1 is nan" in err
+        assert not (tmp_path / "rec").exists()
+
+    def test_bad_x0_records_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qrec"
+        bad.write_bytes(packed_records([[0.1, 0.2], [0.3, 0.4]], x0=1.5))
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
+        assert "bad.qrec: x0 must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("n_traj, n_slices", [(0, 3), (4, 0)])
     def test_bad_ensemble_header_exit_code(self, tmp_path, capsys, n_traj, n_slices):
