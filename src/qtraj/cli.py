@@ -31,8 +31,7 @@ from .core import (
     histogram_counts,
     histogram_from_counts,
 )
-from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, FPSolverError, check_solver_args,
-                            fp_snapshot_to_bins, solve_fp)
+from .fokker_planck import FPSolverError, fp_snapshot_to_bins, solve_fp
 from .rng import SeedSpec
 from .sde import simulate_batches
 
@@ -57,9 +56,9 @@ keys (any key is also a --key=value flag; --config=FILE loads a file first):
   i0=F i1=F sigma=F n_bins=INT bin_width=F slices=K1,K2,...
   t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F
   input=FILE ground=FILE excited=FILE n_workers=INT
-  fp_cells=INT fp_zmin=F fp_zmax=F fp_dt_us=F
 
-fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise.
+fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise
+(8192 cells on z in [-12, 12], substep min(t1_us/100, interval)).
 --seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
 No environment variable is read.
 """
@@ -94,22 +93,18 @@ class RunConfig:
     ground: str = ""
     excited: str = ""
     n_workers: int = 1
-    fp_cells: int = FP_CELLS
-    fp_zmin: float = FP_Z_MIN
-    fp_zmax: float = FP_Z_MAX
-    fp_dt_us: float = 0.0
 
     def slice_list(self, n_steps: int | None, first: int) -> list[int]:
         """The slices to histogram, each in first..n_steps (default
         n_steps); n_steps None checks only the list's syntax."""
-        if not self.slices:
-            return [n_steps]
         try:
             slices = [int(s) for s in self.slices.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad slices value: {exc}") from exc
         if not slices:
-            raise UsageError(f"slices={self.slices!r} names no slice")
+            if self.slices:
+                raise UsageError(f"slices={self.slices!r} names no slice")
+            slices = [n_steps]
         for k in slices:
             if n_steps is not None and not first <= k <= n_steps:
                 raise UsageError(f"slice {k} out of range {first}..{n_steps}")
@@ -247,13 +242,7 @@ def cmd_solve_fp(cfg: RunConfig) -> None:
     if not t_grid:
         raise UsageError("solve-fp requires t_grid_us")
     check_binning(cfg.n_bins, cfg.bin_width)
-    grids = solve_fp(
-        cfg.x0, cfg.g_per_us, cfg.t1_us, t_grid,
-        n_cells=cfg.fp_cells,
-        z_min=cfg.fp_zmin,
-        z_max=cfg.fp_zmax,
-        dt=(cfg.fp_dt_us or None),
-    )
+    grids = solve_fp(cfg.x0, cfg.g_per_us, cfg.t1_us, t_grid)
     _write_manifest(cfg)
     for i, grid in enumerate(grids):
         snap = fp_snapshot_to_bins(grid, cfg.n_bins, cfg.bin_width)
@@ -273,23 +262,18 @@ def cmd_fit(cfg: RunConfig):
     before the read, except the slice range and the x0 in the z grid."""
     check_binning(cfg.n_bins, cfg.bin_width)
     scan = cfg.tau_scan()
-    analytic = math.isinf(cfg.t1_us)
-    fp_dt = cfg.fp_dt_us or None  # 0 means the default substep
-    if not analytic:
-        check_solver_args(cfg.t1_us, cfg.fp_zmin, cfg.fp_zmax, cfg.fp_cells, fp_dt)
+    if not cfg.t1_us > 0:  # -inf and nan too, before the model choice
+        raise ValueError("T1 must be > 0")
     cfg.slice_list(None, first=1)
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
     observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
     x0 = ens.x0 if ens.x0 is not None else cfg.x0
-    if analytic:
+    if math.isinf(cfg.t1_us):
         gen = fitting.make_analytic_model_gen(x0, len(slices), cfg.n_bins, cfg.bin_width)
     else:
-        gen = fitting.make_fp_model_gen(
-            x0, cfg.t1_us, [obs.t for obs in observed], cfg.n_bins, cfg.bin_width,
-            n_cells=cfg.fp_cells, dt=fp_dt,
-            z_min=cfg.fp_zmin, z_max=cfg.fp_zmax,
-        )
+        gen = fitting.make_fp_model_gen(x0, cfg.t1_us, [obs.t for obs in observed],
+                                        cfg.n_bins, cfg.bin_width)
     results = fitting.fit_tau(observed, gen, scan)
     _write_manifest(cfg)
     io.write_fit_report(os.path.join(cfg.out, "fit_report.txt"), [

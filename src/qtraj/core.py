@@ -89,14 +89,13 @@ def to_rho(z, out=None):
     ``out`` when given.
     """
     zz = np.asarray(z, dtype=float)
+    # expit(2 z) rounds to 1.0 from z ~ 18.4 up, but expit(-60) is ~9e-27
     lo = zz <= -Z_CAP
-    hi = zz >= Z_CAP
     if out is None:
         out = np.empty_like(zz)
     np.multiply(zz, 2.0, out=out)
     expit(out, out=out)
     np.copyto(out, 0.0, where=lo)
-    np.copyto(out, 1.0, where=hi)
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -353,11 +352,8 @@ def build_histogram(
     Raises
     ------
     ValueError
-        On an empty ensemble, an invalid slice, or a binning that does
-        not cover [0, 1].
+        On an invalid slice or a binning that does not cover [0, 1].
     """
-    if ensemble.n_traj < 1:
-        raise ValueError("ensemble is empty")
     if not 0 <= slice_index <= ensemble.n_steps:
         raise ValueError(f"slice_index {slice_index} out of range")
     counts = histogram_counts(ensemble.slice_values(slice_index), n_bins, bin_width)

@@ -60,7 +60,6 @@ __all__ = [
     "GaussianMixtureZ",
     "analytic_distribution_z",
     "solve_fp",
-    "check_solver_args",
     "fp_snapshot_to_bins",
 ]
 
@@ -178,20 +177,6 @@ def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
     return z_min + (np.arange(n_cells) + 0.5) * dz
 
 
-def check_solver_args(T1: float, z_min: float, z_max: float, n_cells: int,
-                      dt: float | None) -> None:
-    """Raise ValueError unless :func:`solve_fp` accepts T1, the z grid and
-    the substep dt (None for the default)."""
-    if not T1 > 0:
-        raise ValueError("T1 must be > 0")
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt={dt!r} must be finite and > 0")
-    if n_cells < 8:
-        raise ValueError("n_cells must be >= 8")
-    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
-        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
-
-
 class _Solver:
     """Working state of one solve: grid, cell masses, eigenstate masses."""
 
@@ -207,42 +192,48 @@ class _Solver:
 
     # -- deposits ----------------------------------------------------------
 
-    def split(self, y: np.ndarray, r11_target: np.ndarray):
-        """Enclosing cells of z positions y and their mean-exact splits.
+    def land(self, y: np.ndarray, r11_target: np.ndarray):
+        """Where point masses at z positions y land on the grid.
 
-        Returns the masks of positions below the first cell and beyond
-        the last, and for the positions in between (``mid``) the lower
-        enclosing cell ``k`` and the fraction ``alpha`` that goes to cell
-        k + 1.  The split is chosen in population space (r11 is monotone
-        in z), so a deposit's population mean equals the exact one.
+        Returns the lower enclosing cell ``k``, the fraction ``alpha``
+        that goes to cell k + 1, and the mask ``above`` of positions
+        beyond the last cell (they go to the rho00 = 1 bucket).  The split
+        is chosen in population space (r11 is monotone in z), so a
+        deposit's population mean equals the exact one.  A position below
+        the first cell lands wholly in cell 0 (``alpha = 0``).
         """
-        pos = (y - self.nodes[0]) / self.dz
-        k = np.floor(pos).astype(int)
+        k = np.floor((y - self.nodes[0]) / self.dz).astype(int)
         below = k < 0
         above = k >= self.nodes.size - 1
-        mid = ~(below | above)
-        km = k[mid]
-        denom = self.r11[km] - self.r11[km + 1]
+        np.clip(k, 0, self.nodes.size - 2, out=k)
+        denom = self.r11[k] - self.r11[k + 1]
         with np.errstate(invalid="ignore", divide="ignore"):
-            alpha = (self.r11[km] - r11_target[mid]) / denom
+            alpha = (self.r11[k] - r11_target) / denom
         alpha = np.clip(np.where(denom > 0.0, alpha, 0.5), 0.0, 1.0)
-        return below, above, mid, km, alpha
+        alpha[below] = 0.0
+        return k, alpha, above
 
-    def deposit(self, split, mass: np.ndarray) -> None:
-        """Drop point masses onto the grid at their :meth:`split`.
+    def deposit(self, *drops) -> None:
+        """Replace the cell masses by point masses dropped onto empty cells.
 
-        Positions beyond the last cell go to the rho00 = 1 bucket;
-        positions below the first cell pile into cell 0 (only reachable
-        within ~1e-10 of the edge).
+        Each drop is a :meth:`land` result and the masses of its points;
+        points without mass are skipped.  Mass beyond the last cell goes
+        to the rho00 = 1 bucket; one ``bincount`` adds the rest, drop
+        after drop, lower shares before upper shares, which per cell is
+        the order of adding the points one at a time.
         """
-        below, above, mid, km, alpha = split
-        if np.any(above):
-            self.mass1 += float(mass[above].sum())
-        if np.any(below):
-            np.add.at(self.w, 0, mass[below].sum())
-        mm = mass[mid]
-        np.add.at(self.w, km, mm * (1.0 - alpha))
-        np.add.at(self.w, km + 1, mm * alpha)
+        index, value = [], []
+        for (k, alpha, above), mass in drops:
+            live = mass > 0.0
+            up = live & above
+            if np.any(up):
+                self.mass1 += float(mass[up].sum())
+            live ^= up
+            k, alpha, mass = k[live], alpha[live], mass[live]
+            index += (k, k + 1)
+            value += (mass * (1.0 - alpha), mass * alpha)
+        self.w = np.bincount(np.concatenate(index), np.concatenate(value),
+                             minlength=self.nodes.size)
 
 
 class _Relaxation:
@@ -251,8 +242,8 @@ class _Relaxation:
     Where each node lands and how its mass splits between the two
     enclosing cells depend on the grid and delta only, as does the
     re-entry point of the rho00 = 0 bucket (rho11 = e^-delta), so all of
-    them are computed once; each application selects the cells holding
-    mass, deposits them with one ``bincount`` and re-injects the bucket.
+    them are computed once; each application deposits the cells holding
+    mass, then the bucket, in one :meth:`_Solver.deposit`.
     """
 
     def __init__(self, s: _Solver, delta: float):
@@ -260,37 +251,18 @@ class _Relaxation:
         if delta == 0.0:
             return
         fac = math.exp(-delta)
-        y = _relax_z(s.nodes, delta)
-        _, self.above, self.mid, km, alpha = s.split(y, s.r11 * fac)
-        # per-node lower cell and split (unused where not mid)
-        self.k = np.zeros(s.nodes.size, dtype=km.dtype)
-        self.k[self.mid] = km
-        self.alpha = np.zeros(s.nodes.size)
-        self.alpha[self.mid] = alpha
-        self.reentry = s.split(np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
+        # relaxation moves every node up in z, so none lands below cell 0
+        self.landing = s.land(_relax_z(s.nodes, delta), s.r11 * fac)
+        self.reentry = s.land(np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
 
     def apply(self, s: _Solver) -> None:
         if self.delta == 0.0:
             return
-        w_old = s.w
-        live = w_old > 0.0
-        up = live & self.above
-        if np.any(up):
-            s.mass1 += float(w_old[up].sum())
-        sel = live & self.mid
-        k = self.k[sel]
-        m = w_old[sel]
-        alpha = self.alpha[sel]
-        # the same additions, in the same order, as depositing onto zeros;
-        # relaxation moves every node up in z, so none lands below cell 0
-        s.w = np.bincount(
-            np.concatenate((k, k + 1)),
-            np.concatenate((m * (1.0 - alpha), m * alpha)),
-            minlength=s.nodes.size,
-        )
+        drops = [(self.landing, s.w)]
         if s.mass0 > 0.0:
-            s.deposit(self.reentry, np.array([s.mass0]))
+            drops.append((self.reentry, np.array([s.mass0])))
             s.mass0 = 0.0
+        s.deposit(*drops)
 
 
 class _Diffusion:
@@ -431,7 +403,14 @@ def solve_fp(
     """
     if not (g >= 0 and math.isfinite(g)):
         raise ValueError("g must be finite and >= 0")
-    check_solver_args(T1, z_min, z_max, n_cells, dt)
+    if not T1 > 0:
+        raise ValueError("T1 must be > 0")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} must be finite and > 0")
+    if n_cells < 8:
+        raise ValueError("n_cells must be >= 8")
+    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
+        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)):
         raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
@@ -443,7 +422,7 @@ def solve_fp(
     z0 = to_logodds(x0)
     if not (z_min < z0 < z_max):
         raise ValueError("x0 maps outside the z grid")
-    solver.deposit(solver.split(np.array([z0]), np.array([1.0 - x0])), np.array([1.0]))
+    solver.deposit((solver.land(np.array([z0]), np.array([1.0 - x0])), np.array([1.0])))
     t = 0.0
     if t_grid.size == 0:
         return []

@@ -107,8 +107,7 @@ class TestSimulate:
             "reconstruct": [f"--input={gen / 'records.qrec'}", "--n_workers=2"],
             # the Fokker-Planck model, at a finite T1
             "report": [f"--input={tmp_path / 'reconstruct' / 'reconstructed.qens'}",
-                       "--t1_us=45", "--slices=5,10", "--fp_cells=256", "--tau_max=1",
-                       "--tau_step=0.05"],
+                       "--t1_us=45", "--slices=5,10", "--tau_max=1", "--tau_step=0.05"],
         }
         for mode, args in runs.items():
             a, b = tmp_path / mode, tmp_path / f"{mode}_rerun"
@@ -220,16 +219,18 @@ class TestInputChecks:
         return sim / "ensemble.qens"
 
     # flags whose message does not name their first key: the expected message
+    # (the Fokker-Planck grid and substep are not config keys)
     NOT_KEYED = {
         "--tau_min=0.5 --tau_max=0.1": "at least 3 points",
         "--tau_min=0.3 --tau_max=0.31 --tau_step=0.01": "at least 3 points",
-        "--fp_cells=4 --t1_us=20": "n_cells must be >= 8",
+        "--fp_cells=4 --t1_us=20": "unknown config key: fp_cells",
         "--t1_us=-1": "T1 must be > 0",
         "--t1_us=0": "T1 must be > 0",
-        "--t1_us=20 --fp_zmin=5 --fp_zmax=-5": "z_min=5.0 and z_max=-5.0",
-        "--fp_dt_us=-1 --t1_us=20": "dt=-1.0 must be finite and > 0",
-        "--fp_dt_us=inf --t1_us=20": "dt=inf must be finite and > 0",
-        "--fp_dt_us=nan --t1_us=20": "dt=nan must be finite and > 0",
+        "--t1_us=-inf": "T1 must be > 0",
+        "--t1_us=20 --fp_zmin=5 --fp_zmax=-5": "unknown config key: fp_zmin",
+        "--fp_dt_us=-1 --t1_us=20": "unknown config key: fp_dt_us",
+        "--fp_dt_us=inf --t1_us=20": "unknown config key: fp_dt_us",
+        "--fp_dt_us=nan --t1_us=20": "unknown config key: fp_dt_us",
     }
 
     @pytest.mark.parametrize("flag", [*BAD_BINNING, "--model=bogus", "--tau_step=0",
@@ -255,6 +256,28 @@ class TestInputChecks:
         assert reads == []
         assert not out.exists()
 
+    def test_fp_keys_are_gone(self, tmp_path, capsys, reads, ensemble):
+        # the solver runs at its defaults; an old manifest's grid lines exit 2
+        out = tmp_path / "out"
+        old = tmp_path / "manifest.txt"
+        old.write_text(f"mode = fit\ninput = {ensemble}\nt1_us = 20.0\nfp_cells = 8192\n"
+                       "fp_zmin = -12.0\nfp_zmax = 12.0\nfp_dt_us = 0.0\n")
+        assert run(["fit", f"--out={out}", f"--config={old}"]) == 2
+        assert "unknown config key: fp_cells" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fit", "report"])
+    def test_default_slice_is_range_checked(self, tmp_path, capsys, mode):
+        # the default slice is the file's last one, which a 0-step ensemble
+        # does not have (slice 0 is the initial state, never fitted)
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=200", "--n_steps=0"]) == 0
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", f"--input={sim / 'ensemble.qens'}"]) == 2
+        assert "slice 0 out of range 1..0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_fp_checks_binning_first(self, tmp_path, capsys):
         for i, (flag, message) in enumerate(self.BAD_BINNING.items()):
             out = tmp_path / f"out{i}"
@@ -276,7 +299,7 @@ class TestInputChecks:
         out = tmp_path / "out"
         assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=40",
                     "--t1_us=45", f"--fp_dt_us={dt}"]) == 2
-        assert f"dt={float(dt)!r} must be finite and > 0" in capsys.readouterr().err
+        assert "unknown config key: fp_dt_us" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture(scope="class")
@@ -356,7 +379,7 @@ class TestPipeline:
         rc = run(
             [
                 "solve-fp", f"--out={out}", "--g_per_us=0.03", "--x0=0.305",
-                "--t_grid_us=10.0,20.0", "--fp_cells=2048",
+                "--t_grid_us=10.0,20.0",
             ]
         )
         assert rc == 0
@@ -378,7 +401,7 @@ class TestPipeline:
             [
                 "report", f"--out={rep_dir}", f"--input={sim_dir / 'ensemble.qens'}",
                 "--t1_us=45.0", "--slices=10,20", "--tau_min=0.0", "--tau_max=1.0",
-                "--tau_step=0.05", "--fp_cells=1024", "--fp_dt_us=2.5",
+                "--tau_step=0.05",
             ]
         )
         assert rc == 0
@@ -394,7 +417,8 @@ class TestPipeline:
             for ln in rows[:3]:
                 assert len(ln.split(",")) == 5
 
-    def test_fit_uses_fp_z_range(self, tmp_path):
+    def test_fit_uses_default_fp_grid(self, tmp_path):
+        # at a finite T1 the CLI fits the library's default Fokker-Planck model
         sim_dir = tmp_path / "sim"
         rc = run(
             [
@@ -403,26 +427,18 @@ class TestPipeline:
             ]
         )
         assert rc == 0
-        common = [
-            f"--input={sim_dir / 'ensemble.qens'}", "--t1_us=45.0", "--slices=20",
-            "--tau_min=0.0", "--tau_max=1.0", "--tau_step=0.05",
-            "--fp_cells=512", "--fp_dt_us=2.5",
-        ]
-        reports = {}
-        for name, extra in (("wide", []), ("narrow", ["--fp_zmin=-2.5", "--fp_zmax=2.5"])):
-            assert run(["fit", f"--out={tmp_path / name}"] + common + extra) == 0
-            reports[name] = io.read_fit_report(str(tmp_path / name / "fit_report.txt"))[0]
-        # the narrow grid's model, fitted directly
+        assert run([
+            "fit", f"--out={tmp_path / 'fit'}", f"--input={sim_dir / 'ensemble.qens'}",
+            "--t1_us=45.0", "--slices=20", "--tau_min=0.0", "--tau_max=1.0", "--tau_step=0.05",
+        ]) == 0
+        (report,) = io.read_fit_report(str(tmp_path / "fit" / "fit_report.txt"))
         ens = io.read_ensemble(str(sim_dir / "ensemble.qens"))
-        gen = fitting.make_fp_model_gen(
-            0.305, 45.0, [10.0], n_cells=512, dt=2.5, z_min=-2.5, z_max=2.5
-        )
+        gen = fitting.make_fp_model_gen(0.305, 45.0, [10.0])
         (r,) = fitting.fit_tau(
             [build_histogram(ens, 20)], gen, fitting.default_tau_scan(0.0, 1.0, 0.05)
         )
-        assert reports["narrow"].chi2_min == r.chi2_min
-        assert reports["narrow"].tau_best == r.tau_best
-        assert reports["narrow"].chi2_min != reports["wide"].chi2_min
+        assert report.chi2_min == r.chi2_min
+        assert report.tau_best == r.tau_best
 
     def test_calibrate(self, tmp_path):
         gdir, edir, cdir = tmp_path / "g", tmp_path / "e", tmp_path / "c"

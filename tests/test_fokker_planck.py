@@ -433,12 +433,16 @@ def ref_rebin(grid, n_bins=100, bin_width=0.01):
 # min(T1/100, t) = 0.2, so kappa = 0.2 g.  The narrow grids push mass into
 # both boundary buckets, and the rho00 = 0 bucket re-enters through the
 # relaxation.  At g = 5e-5 on 512 cells of [-3, 3] the kernel has 9 taps.
+# With dt = 0.01 the bucket re-enters below the first cell (z = -4.15 at
+# a half step, -3.80 at a full one), which lands wholly in cell 0.
 ORACLE_CASES = {
     "fft": (0.305, 0.03, 20.0, [5.0, 10.0, 20.0], dict(n_cells=8192)),
     "coarse": (0.305, 0.03, 20.0, [5.0, 10.0, 20.0], dict(n_cells=2048)),
     "fft-boundary": (0.2, 0.5, 20.0, [2.0, 4.0], dict(n_cells=8192, z_min=-3.0, z_max=3.0)),
     "coarse-boundary": (0.2, 0.5, 20.0, [2.0, 4.0], dict(n_cells=512, z_min=-3.0, z_max=3.0)),
     "9-tap": (0.2, 5e-5, 20.0, [2.0, 4.0], dict(n_cells=512, z_min=-3.0, z_max=3.0)),
+    "reentry-below": (0.2, 0.5, 20.0, [1.0, 2.0],
+                      dict(n_cells=512, z_min=-3.0, z_max=3.0, dt=0.01)),
     "no-relaxation": (0.305, 0.05, math.inf, [5.0, 20.0, 40.0], dict(n_cells=8192)),
 }
 
@@ -450,9 +454,9 @@ class TestBitwiseOracle:
         deposits = []
         deposit = fp._Solver.deposit
 
-        def counting_deposit(s, *args):
-            deposits.append(args)
-            deposit(s, *args)
+        def counting_deposit(s, *drops):
+            deposits.append(drops)
+            deposit(s, *drops)
 
         monkeypatch.setattr(fp._Solver, "deposit", counting_deposit)
         sols = solve_fp(x0, g, T1, t_grid, **kw)
@@ -461,8 +465,10 @@ class TestBitwiseOracle:
             assert np.array_equal(sol.weights, w)
             assert sol.mass0 == mass0 and sol.mass1 == mass1
             assert np.array_equal(fp_snapshot_to_bins(sol).density, ref_rebin(sol))
+        if "boundary" in case or case == "reentry-below":
+            # rho00 = 0 re-entries: the deposits that carry the bucket's drop
+            assert sum(len(drops) == 2 for drops in deposits) > 0
         if "boundary" in case:
-            assert len(deposits) > 1  # rho00 = 0 re-entries after the initial one
             assert sols[-1].mass1 > 0.01
 
     def test_rebin_matches_per_cell_reference(self):
