@@ -18,7 +18,7 @@ import numpy as np
 from qtraj import (
     ModelParams,
     SeedSpec,
-    analytic_distribution_z,
+    analytic_bin_masses,
     build_histogram,
     simulate_ensemble,
 )
@@ -36,7 +36,7 @@ snaps = []
 for k in (10, 40, 80):
     tau = k * params.kappa
     snap = build_histogram(ens, k)
-    exact = analytic_distribution_z(x0, tau).bin_masses_rho(EDGES)
+    exact = analytic_bin_masses(x0, tau, EDGES)
     tv = 0.5 * (np.abs(snap.density - exact).sum() + snap.mass0 + snap.mass1)
     low = snap.density[:5].sum() + snap.mass0
     high = snap.density[95:].sum() + snap.mass1

@@ -12,7 +12,7 @@ distribution with the single evolution parameter tau.
 from .core import CalibrationParams, ModelParams, build_histogram
 from .rng import SeedSpec
 from .sde import simulate_ensemble
-from .fokker_planck import analytic_distribution_z, fp_snapshot_to_bins, solve_fp
+from .fokker_planck import analytic_bin_masses, fp_snapshot_to_bins, solve_fp
 from .bayesian import estimate_T1, fit_gaussian_current, generate_records, reconstruct_ensemble
 from .fitting import fit_tau, make_analytic_model_gen
 

@@ -106,15 +106,12 @@ class GaussianCurrentFit:
     center_err: float
     sigma: float
     sigma_err: float
-    n: int
 
 
 @dataclass(frozen=True)
 class T1Estimate:
     T1: float
     T1_err: float
-    I_inf: float
-    amplitude: float
 
 
 def _meas_z(z, im, i0: float, i1: float, sigma: float, out=None, work=None):
@@ -236,7 +233,6 @@ def fit_gaussian_current(samples) -> GaussianCurrentFit:
         center_err=sigma / math.sqrt(n),
         sigma=sigma,
         sigma_err=sigma / math.sqrt(2.0 * n),
-        n=n,
     )
 
 
@@ -271,9 +267,9 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
         )
     except (RuntimeError, ValueError) as exc:
         raise FitFailureError(f"T1 fit did not converge: {exc}") from exc
-    a, b, s = popt
+    _, b, s = popt
     s_err = math.sqrt(abs(pcov[2, 2])) if np.all(np.isfinite(pcov)) else math.inf
     if s <= 0 or not math.isfinite(s) or abs(b) < 1e-9 * scale:
         raise FitFailureError("fitted series does not decay")
-    return T1Estimate(T1=float(s), T1_err=float(s_err), I_inf=float(a), amplitude=float(b))
+    return T1Estimate(T1=float(s), T1_err=float(s_err))
 

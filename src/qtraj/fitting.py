@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import DistributionSnapshot
 from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, _grid_nodes, _rebin, _rebin_map,
-                            analytic_distribution_z, solve_fp)
+                            analytic_bin_masses, solve_fp)
 
 __all__ = [
     "FitResult",
@@ -255,11 +255,10 @@ def make_analytic_model_gen(
     edges = np.arange(n_bins + 1) * bin_width
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
-        masses = analytic_distribution_z(x0, tau).bin_masses_rho(edges)
         snap = DistributionSnapshot(
             n_bins=n_bins,
             bin_width=bin_width,
-            density=masses,
+            density=analytic_bin_masses(x0, tau, edges),
             errors=np.zeros(n_bins),
             mass0=0.0,
             mass1=0.0,
@@ -278,30 +277,27 @@ def make_fp_model_gen(
     bin_width: float = 0.01,
     n_cells: int = FP_CELLS,
     dt: float | None = None,
-    z_min: float = FP_Z_MIN,
-    z_max: float = FP_Z_MAX,
 ) -> Callable[..., list[DistributionSnapshot]]:
     """Model generator backed by the Fokker-Planck solver.
 
     For slice time t and trial tau the model is the density evolved with
     the constant coupling g = tau/t up to t, including relaxation, on
-    ``n_cells`` cells of [z_min, z_max].  Every solve shares that grid,
-    so the rebinning map onto the rho00 bins is built once here; each
-    solve builds its own substep operators once per interval.
+    ``n_cells`` cells of the solver's default z range [-12, 12].  Every
+    solve shares that grid, so the rebinning map onto the rho00 bins is
+    built once here; each solve builds its own substep operators once
+    per interval.
     ``gen(tau, which)`` solves only the slices ``times[k]`` for k in
     ``which``, bitwise equal to the matching entries of ``gen(tau)``.
     """
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("slice times must be positive")
-    rebin_map = _rebin_map(_grid_nodes(z_min, z_max, n_cells), n_bins, bin_width)
+    rebin_map = _rebin_map(_grid_nodes(FP_Z_MIN, FP_Z_MAX, n_cells), n_bins, bin_width)
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         out = []
         for t in times if which is None else [times[k] for k in which]:
-            sols = solve_fp(
-                x0, tau / t, T1, [t], z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt
-            )
+            sols = solve_fp(x0, tau / t, T1, [t], n_cells=n_cells, dt=dt)
             out.append(_rebin(sols[0], rebin_map, n_bins, bin_width))
         return out
 

@@ -3,8 +3,8 @@
 Without relaxation the density in the log-odds coordinate is known in
 closed form: starting from a point x0, it is a pair of Gaussians with
 centers ``atanh(2 x0 - 1) +- tau``, common variance ``tau`` and areas
-``(x0, 1 - x0)``.  :func:`analytic_distribution_z` exposes that
-solution, including its exact masses on rho00 bins.
+``(x0, 1 - x0)``.  :func:`analytic_bin_masses` gives that solution's
+exact masses on rho00 bins.
 
 With relaxation the density is evolved numerically by
 :func:`solve_fp`.  The solver works on a uniform z grid (constant
@@ -57,8 +57,7 @@ from .sde import _relax_z
 __all__ = [
     "FPSolverError",
     "DensityGrid",
-    "GaussianMixtureZ",
-    "analytic_distribution_z",
+    "analytic_bin_masses",
     "solve_fp",
     "fp_snapshot_to_bins",
 ]
@@ -109,62 +108,33 @@ class DensityGrid:
         return float((to_rho(self.nodes) * self.weights).sum() + self.mass1)
 
 
-@dataclass(frozen=True)
-class GaussianMixtureZ:
-    """Two-Gaussian description of the no-relaxation density in z."""
+def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
+    """Closed-form no-relaxation mass between consecutive rho00 bin
+    edges after evolution tau from the point x0.
 
-    z_plus: float
-    z_minus: float
-    variance: float
-    weight_plus: float
-    weight_minus: float
-
-    def cdf_z(self, z):
-        """Cumulative mass below z (handles the degenerate case)."""
-        zz = np.asarray(z, dtype=float)
-        if self.variance <= 0:
-            out = self.weight_plus * (zz >= self.z_plus) + self.weight_minus * (
-                zz >= self.z_minus
-            )
-            out = out.astype(float)
-        else:
-            s = math.sqrt(self.variance)
-            out = self.weight_plus * ndtr((zz - self.z_plus) / s) + (
-                self.weight_minus * ndtr((zz - self.z_minus) / s)
-            )
-        return float(out) if np.ndim(z) == 0 else out
-
-    def bin_masses_rho(self, edges_rho: np.ndarray) -> np.ndarray:
-        """Exact mass between consecutive rho00 bin edges."""
-        e = np.asarray(edges_rho, dtype=float)
-        ze = np.empty_like(e)
-        inner = (e > 0.0) & (e < 1.0)
-        ze[inner] = to_logodds(e[inner])
-        ze[e <= 0.0] = -np.inf
-        ze[e >= 1.0] = np.inf
-        return np.diff(self.cdf_z(ze))
-
-
-def analytic_distribution_z(x0: float, tau: float) -> GaussianMixtureZ:
-    """Closed-form no-relaxation density in z after evolution tau.
-
-    Centers sit at atanh(2 x0 - 1) +- tau with common variance tau; the
-    branch weights are the initial populations (x0 toward +, 1-x0 toward
-    -), which is the Born rule.  tau = 0 or x0 in {0, 1} give a
-    degenerate (delta) mixture.
+    In z the density is two Gaussians centered at atanh(2 x0 - 1) +- tau
+    with common variance tau; the branch weights are the initial
+    populations (x0 toward +, 1-x0 toward -), which is the Born rule.
+    At tau = 0 all mass sits at x0; an x0 on an edge counts toward the
+    bin below it.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("x0 must lie in [0, 1]")
+    e = np.asarray(edges, dtype=float)
+    z = np.empty_like(e)
+    inner = (e > 0.0) & (e < 1.0)
+    z[inner] = to_logodds(e[inner])
+    z[e <= 0.0] = -np.inf
+    z[e >= 1.0] = np.inf
     z0 = to_logodds(x0)
-    return GaussianMixtureZ(
-        z_plus=z0 + tau,
-        z_minus=z0 - tau,
-        variance=tau,
-        weight_plus=x0,
-        weight_minus=1.0 - x0,
-    )
+    if tau <= 0:
+        cdf = (x0 * (z >= z0 + tau) + (1.0 - x0) * (z >= z0 - tau)).astype(float)
+    else:
+        s = math.sqrt(tau)
+        cdf = x0 * ndtr((z - (z0 + tau)) / s) + (1.0 - x0) * ndtr((z - (z0 - tau)) / s)
+    return np.diff(cdf)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Record and ensemble files are binary and share one reader; outside data
 comes in as a ``RecordSet`` written with :func:`write_records`.
 
 All writes are atomic (temp file in the target directory, then rename)
-and all text tables use full round-trip decimal precision, so
-write -> read -> write is byte-identical for every format.  Binary
+and all text tables use full round-trip decimal precision.  qtraj reads
+records, ensembles and config files (a fit report is one), and for
+each of them write -> read -> write is byte-identical.  Binary
 reads and writes hold one copy of the payload: the writer sends each
 array buffer straight to the file and the reader fills one array.
 Output files get the mode ``open()`` would give them (0o666 less the
@@ -35,13 +36,10 @@ __all__ = [
     "write_ensemble_blocks",
     "read_ensemble",
     "write_histogram",
-    "read_histogram",
     "write_overlay",
     "write_fit_report",
-    "read_fit_report",
     "write_config",
     "read_config",
-    "atomic_write_bytes",
     "atomic_write_text",
     "fmt_float",
 ]
@@ -79,13 +77,9 @@ def _atomic_file(path: str):
         raise
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    with _atomic_file(path) as f:
-        f.write(data)
-
-
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def fmt_float(x: float) -> str:
@@ -211,7 +205,7 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# histogram / density files
+# histogram / density and overlay tables (written, never read)
 
 
 def _write_table(path: str, header: dict, columns) -> None:
@@ -231,64 +225,12 @@ def write_histogram(path: str, snap: DistributionSnapshot) -> None:
 
 def write_overlay(path: str, observed: DistributionSnapshot, tau_best: float, chi2_min: float,
                   best: DistributionSnapshot, norelax: DistributionSnapshot) -> None:
-    """Report overlay: observed histogram, best-fit and no-relaxation models (no reader)."""
+    """Report overlay: observed histogram, best-fit and no-relaxation models."""
     _write_table(path, {
         "t_us": observed.t, "tau_best": tau_best, "chi2_min": chi2_min,
         "mass0": observed.mass0, "mass1": observed.mass1,
         "columns": "bin_center,observed,error,model_best,model_norelax",
     }, (observed.bin_centers, observed.density, observed.errors, best.density, norelax.density))
-
-
-def read_histogram(path: str) -> DistributionSnapshot:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    meta = {"mass0_err": 0.0, "mass1_err": 0.0}
-    rows = []
-    for i, ln in enumerate(lines):
-        if not ln.strip():
-            continue
-        if ln.startswith("#"):
-            try:
-                key, val = ln[1:].split("=", 1)
-                meta[key.strip()] = float(val)
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {i + 1}: bad header ({exc})") from exc
-            continue
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(
-                f"{path}: line {i + 1}: expected center,density,error"
-            )
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 1}: bad value ({exc})") from exc
-    for key in ("t_us", "mass0", "mass1"):
-        if key not in meta:
-            raise FormatError(f"{path}: missing '# {key}=' header line")
-    if not rows:
-        raise FormatError(f"{path}: no histogram rows")
-    arr = np.asarray(rows)
-    centers = arr[:, 0]
-    # first center is bin_width/2; this recovers the exact width, which
-    # adjacent-center differences do not (float cancellation)
-    bin_width = float(2.0 * centers[0])
-    if bin_width <= 0:
-        raise FormatError(f"{path}: nonpositive bin width")
-    expected = (np.arange(centers.size) + 0.5) * bin_width
-    if not np.allclose(centers, expected, rtol=1e-9, atol=1e-15):
-        raise FormatError(f"{path}: bin centers are not uniformly spaced")
-    return DistributionSnapshot(
-        n_bins=arr.shape[0],
-        bin_width=bin_width,
-        density=arr[:, 1].copy(),
-        errors=arr[:, 2].copy(),
-        mass0=meta["mass0"],
-        mass1=meta["mass1"],
-        t=meta["t_us"],
-        mass0_err=meta["mass0_err"],
-        mass1_err=meta["mass1_err"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +248,14 @@ class FitReportSlice:
 
 
 def write_fit_report(path: str, slices: list[FitReportSlice]) -> None:
-    """Config file with ``n_slices`` and one dotted block per slice."""
+    """Config file with ``n_slices`` and one dotted block per slice;
+    :func:`read_config` reads it."""
     items = {"n_slices": str(len(slices))}
     for i, s in enumerate(slices):
         for f in fields(FitReportSlice):
             v = getattr(s, f.name)
             items[f"slice.{i}.{f.name}"] = fmt_float(v) if f.type == "float" else str(v)
     write_config(path, items)
-
-
-def read_fit_report(path: str) -> list[FitReportSlice]:
-    kv = read_config(path)
-
-    def get(key: str, conv):
-        if key not in kv:
-            raise FormatError(f"{path}: missing fit-report key '{key}'")
-        try:
-            return conv(kv[key])
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad value for fit-report key '{key}' ({exc})") from exc
-
-    return [
-        FitReportSlice(**{
-            f.name: get(f"slice.{i}.{f.name}", float if f.type == "float" else int)
-            for f in fields(FitReportSlice)
-        })
-        for i in range(get("n_slices", int))
-    ]
 
 
 # ---------------------------------------------------------------------------

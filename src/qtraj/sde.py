@@ -71,7 +71,9 @@ def _relax_z(z, delta: float, out=None, work=None):
     re-enters (rho00 = 0 is not absorbing under relaxation).
 
     The result goes to ``out`` (a new array by default; ``z`` itself
-    updates in place), computed in three rows of ``work``.
+    updates in place), computed in three rows of ``work``.  At
+    ``delta == 0`` with no ``out`` nothing is computed and ``z`` itself
+    is returned.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")

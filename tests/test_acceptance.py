@@ -18,7 +18,7 @@ from scipy import stats
 from qtraj.bayesian import generate_records, reconstruct_ensemble, _meas_z
 from qtraj.core import CalibrationParams, ModelParams, build_histogram, to_logodds
 from qtraj.fitting import fit_tau, make_analytic_model_gen
-from qtraj.fokker_planck import analytic_distribution_z, fp_snapshot_to_bins, solve_fp
+from qtraj.fokker_planck import analytic_bin_masses, fp_snapshot_to_bins, solve_fp
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 from qtraj.sde import _diffusion_z, simulate_ensemble
 
@@ -91,7 +91,7 @@ def test_criterion_01_example_bimodal_matches_analytic(ens_c1):
     the closed-form two-Gaussian solution within TV 0.01."""
     ens, _, _ = ens_c1
     hist = build_histogram(ens, 80)
-    ref = analytic_distribution_z(0.305, 1.2).bin_masses_rho(EDGES)
+    ref = analytic_bin_masses(0.305, 1.2, EDGES)
     tv = 0.5 * (np.abs(hist.density - ref).sum() + hist.mass0 + hist.mass1)
     assert tv < 0.01
     print(f"CRITERION 1 companion: TV(histogram, analytic) = {tv:.4f} < 0.01")
@@ -125,7 +125,7 @@ def test_criterion_03_fp_analytic_agreement():
         sols = solve_fp(x0, g, math.inf, [tau / g for tau in taus])
         for tau, sol in zip(taus, sols):
             snap = fp_snapshot_to_bins(sol)
-            ref = analytic_distribution_z(x0, tau).bin_masses_rho(EDGES)
+            ref = analytic_bin_masses(x0, tau, EDGES)
             l1 = float(np.abs(snap.density - ref).sum() + snap.mass0 + snap.mass1)
             worst_l1 = max(worst_l1, l1)
             worst_mass = max(worst_mass, abs(sol.total_mass - 1.0))

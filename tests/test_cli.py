@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qtraj import core, fitting, io
-from qtraj.cli import main, parse_args
+from qtraj.cli import USAGE, RunConfig, main, parse_args
 from qtraj.core import ModelParams, build_histogram
 from qtraj.rng import SeedSpec
 from qtraj.sde import CHUNK, simulate_ensemble
@@ -17,6 +18,15 @@ from qtraj.sde import CHUNK, simulate_ensemble
 
 def run(argv):
     return main(argv)
+
+
+def histogram_mass(path):
+    """Total mass of a histogram file: its density column plus the
+    ``# mass0=`` and ``# mass1=`` boundary masses."""
+    lines = Path(path).read_text().splitlines()
+    head = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("#"))
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    return sum(float(r[1]) for r in rows) + float(head["mass0"]) + float(head["mass1"])
 
 
 def sigma_for_kappa(kappa, di=2.0):
@@ -40,6 +50,16 @@ class TestParsing:
     def test_help(self, capsys):
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_key_list_matches_config_fields_and_readme(self):
+        # the keys `qtraj --help` lists are the RunConfig fields but mode,
+        # in order, and README's "Config keys" block is the same list
+        block = USAGE.split("\nkeys (", 1)[1].split("\n", 1)[1].split("\n\n", 1)[0]
+        keys = [tok.split("=", 1)[0] for tok in block.split()]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig) if f.name != "mode"]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme_block = readme.split("\nConfig keys", 1)[1].split("```\n", 2)[1]
+        assert readme_block.splitlines() == [ln.strip() for ln in block.splitlines()]
 
     def test_unknown_key(self, capsys):
         assert run(["simulate", "--bogus=1"]) == 2
@@ -93,8 +113,7 @@ class TestSimulate:
         ens = io.read_ensemble(str(out / "ensemble.qens"))
         assert ens.n_traj == 1 and ens.n_steps == 12
         assert np.all(ens.values == ens.values[0, 0])
-        snap = io.read_histogram(str(out / "hist_00012.txt"))
-        assert math.isclose(snap.total_mass, 1.0, abs_tol=1e-12)
+        assert math.isclose(histogram_mass(out / "hist_00012.txt"), 1.0, abs_tol=1e-12)
 
     def test_manifest_rerun_byte_identical(self, tmp_path):
         # a run, then a rerun with its manifest as the config: the same files
@@ -354,12 +373,12 @@ class TestPipeline:
             ]
         )
         assert rc == 0
-        report = io.read_fit_report(str(fit_dir / "fit_report.txt"))
-        assert len(report) == 1
-        r = report[0]
-        assert abs(r.tau_best - 0.5) < 0.03
-        assert r.tau_err_dchi2_100 > r.tau_err_dchi2_1 > 0
-        assert r.t_us == n_steps * 0.5
+        report = io.read_config(str(fit_dir / "fit_report.txt"))
+        assert report["n_slices"] == "1"
+        r = {k.removeprefix("slice.0."): float(v) for k, v in report.items()}
+        assert abs(r["tau_best"] - 0.5) < 0.03
+        assert r["tau_err_dchi2_100"] > r["tau_err_dchi2_1"] > 0
+        assert r["t_us"] == n_steps * 0.5
 
     def test_generate_rejects_inconsistent_g(self, tmp_path, capsys):
         # i0=1, i1=-1, sigma=5 give kappa = 0.04 per 0.5 us step: g = 0.08/us
@@ -384,8 +403,7 @@ class TestPipeline:
         )
         assert rc == 0
         for i in (0, 1):
-            snap = io.read_histogram(str(out / f"fp_{i:05d}.txt"))
-            assert math.isclose(snap.total_mass, 1.0, abs_tol=1e-9)
+            assert math.isclose(histogram_mass(out / f"fp_{i:05d}.txt"), 1.0, abs_tol=1e-9)
 
     def test_report_overlays(self, tmp_path):
         sim_dir = tmp_path / "sim"
@@ -405,8 +423,7 @@ class TestPipeline:
             ]
         )
         assert rc == 0
-        report = io.read_fit_report(str(rep_dir / "fit_report.txt"))
-        assert len(report) == 2
+        assert io.read_config(str(rep_dir / "fit_report.txt"))["n_slices"] == "2"
         for k in (10, 20):
             lines = (rep_dir / f"report_{k:05d}.txt").read_text().splitlines()
             head = [ln for ln in lines if ln.startswith("#")]
@@ -431,14 +448,15 @@ class TestPipeline:
             "fit", f"--out={tmp_path / 'fit'}", f"--input={sim_dir / 'ensemble.qens'}",
             "--t1_us=45.0", "--slices=20", "--tau_min=0.0", "--tau_max=1.0", "--tau_step=0.05",
         ]) == 0
-        (report,) = io.read_fit_report(str(tmp_path / "fit" / "fit_report.txt"))
+        report = io.read_config(str(tmp_path / "fit" / "fit_report.txt"))
         ens = io.read_ensemble(str(sim_dir / "ensemble.qens"))
         gen = fitting.make_fp_model_gen(0.305, 45.0, [10.0])
         (r,) = fitting.fit_tau(
             [build_histogram(ens, 20)], gen, fitting.default_tau_scan(0.0, 1.0, 0.05)
         )
-        assert report.chi2_min == r.chi2_min
-        assert report.tau_best == r.tau_best
+        assert report["n_slices"] == "1"
+        assert float(report["slice.0.chi2_min"]) == r.chi2_min
+        assert float(report["slice.0.tau_best"]) == r.tau_best
 
     def test_calibrate(self, tmp_path):
         gdir, edir, cdir = tmp_path / "g", tmp_path / "e", tmp_path / "c"

@@ -43,7 +43,7 @@ def test_demo_runs(demo):
 TOP_LEVEL = {
     "ModelParams", "CalibrationParams", "SeedSpec",
     "simulate_ensemble", "build_histogram",
-    "analytic_distribution_z", "solve_fp", "fp_snapshot_to_bins",
+    "analytic_bin_masses", "solve_fp", "fp_snapshot_to_bins",
     "estimate_T1", "fit_gaussian_current",
     "generate_records", "reconstruct_ensemble",
     "fit_tau", "make_analytic_model_gen",

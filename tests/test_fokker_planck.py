@@ -11,7 +11,7 @@ from qtraj.core import ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.fitting import make_fp_model_gen
 from qtraj.fokker_planck import (
     DensityGrid,
-    analytic_distribution_z,
+    analytic_bin_masses,
     fp_snapshot_to_bins,
     solve_fp,
 )
@@ -27,66 +27,75 @@ def l1_bins(snap, ref_masses):
     )
 
 
+def mixture_cdf(z, x0, tau):
+    """Closed form in z: Gaussians at atanh(2 x0 - 1) +- tau, variance tau,
+    Born-rule weights x0 and 1 - x0."""
+    z0, s = math.atanh(2.0 * x0 - 1.0), math.sqrt(tau)
+    return x0 * ndtr((z - z0 - tau) / s) + (1.0 - x0) * ndtr((z - z0 + tau) / s)
+
+
 class TestAnalyticZ:
     def test_symmetric_initial_state(self):
-        mix = analytic_distribution_z(0.5, 1.0)
-        assert mix.z_plus == 1.0 and mix.z_minus == -1.0
-        assert mix.variance == 1.0
-        assert mix.weight_plus == 0.5 and mix.weight_minus == 0.5
+        # centers at -1 and +1, weights 1/2: half of the lower branch lies below -1
+        m = analytic_bin_masses(0.5, 1.0, [0.0, to_rho(-1.0), 0.5, to_rho(1.0), 1.0])
+        assert np.allclose(m, m[::-1], rtol=1e-12, atol=0.0)
+        assert math.isclose(m[0], 0.25 + 0.5 * ndtr(-2.0), rel_tol=1e-12)
 
     def test_offcenter_initial_state(self):
-        mix = analytic_distribution_z(0.305, 1.2)
-        z0 = 0.5 * math.log(0.305 / 0.695)
-        assert math.isclose(mix.z_plus, z0 + 1.2, rel_tol=1e-12)
-        assert math.isclose(mix.z_minus, z0 - 1.2, rel_tol=1e-12)
-        assert math.isclose(mix.z_plus, 0.7881999655213098, rel_tol=1e-12)
-        assert math.isclose(mix.z_minus, -1.6118000344786902, rel_tol=1e-12)
-        assert mix.variance == 1.2
-        assert mix.weight_plus == 0.305
-        assert math.isclose(mix.weight_minus, 0.695, rel_tol=1e-15)
+        # centers pinned at atanh(2 * 0.305 - 1) +- 1.2, variance 1.2
+        z = to_logodds(EDGES[1:-1])
+        s = math.sqrt(1.2)
+        cdf = 0.305 * ndtr((z - 0.7881999655213098) / s) + 0.695 * ndtr(
+            (z + 1.6118000344786902) / s
+        )
+        ref = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+        m = analytic_bin_masses(0.305, 1.2, EDGES)
+        assert np.allclose(m, ref, rtol=1e-10, atol=1e-15)
 
     def test_tau_zero_delta(self):
-        mix = analytic_distribution_z(0.3, 0.0)
-        assert mix.z_plus == mix.z_minus == to_logodds(0.3)
-        assert mix.variance == 0.0
-        masses = mix.bin_masses_rho(EDGES)
+        masses = analytic_bin_masses(0.3, 0.0, EDGES)
         assert masses.sum() == 1.0
         assert (masses > 0).sum() == 1
+        assert analytic_bin_masses(0.305, 0.0, EDGES)[30] == 1.0
 
     def test_degenerate_x0(self):
-        mix = analytic_distribution_z(1.0, 0.7)
-        assert mix.weight_minus == 0.0
+        # an eigenstate stays put: all mass in its edge bin
+        up = analytic_bin_masses(1.0, 0.7, EDGES)
+        assert up[-1] == 1.0 and up[:-1].sum() < 1e-250
+        down = analytic_bin_masses(0.0, 0.7, EDGES)
+        assert down[0] == 1.0 and not down[1:].any()
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            analytic_distribution_z(0.5, -0.1)
+            analytic_bin_masses(0.5, -0.1, EDGES)
+        with pytest.raises(ValueError):
+            analytic_bin_masses(1.5, 0.1, EDGES)
 
     def test_bin_masses_normalized(self):
         for x0, tau in ((0.305, 0.6), (0.5, 2.0), (0.7, 0.1)):
-            m = analytic_distribution_z(x0, tau).bin_masses_rho(EDGES)
+            m = analytic_bin_masses(x0, tau, EDGES)
             assert math.isclose(m.sum(), 1.0, abs_tol=1e-12)
             assert np.all(m >= 0)
 
 
-def rho_density(mix, lo, hi, n):
+def rho_density(x0, tau, lo, hi, n):
     """Density of rho00 on n cells of [lo, hi], from exact bin masses."""
     edges = np.linspace(lo, hi, n + 1)
-    return 0.5 * (edges[:-1] + edges[1:]), mix.bin_masses_rho(edges) / np.diff(edges)
+    return 0.5 * (edges[:-1] + edges[1:]), analytic_bin_masses(x0, tau, edges) / np.diff(edges)
 
 
 class TestAnalyticRho:
     """The no-relaxation solution seen as a distribution of rho00."""
 
     def test_symmetry(self):
-        mix = analytic_distribution_z(0.5, 0.8)
-        z = np.linspace(-6.0, 6.0, 121)
-        assert np.allclose(mix.cdf_z(z), 1.0 - mix.cdf_z(-z), rtol=1e-10, atol=1e-15)
-        m = mix.bin_masses_rho(EDGES)
-        assert np.allclose(m, m[::-1], rtol=1e-9, atol=1e-15)
+        z_grid = to_rho(np.linspace(-6.0, 6.0, 121))  # edges uniform in z
+        for edges in (EDGES, np.concatenate([[0.0], z_grid, [1.0]])):
+            m = analytic_bin_masses(0.5, 0.8, edges)
+            assert np.allclose(m, m[::-1], rtol=1e-9, atol=1e-15)
 
     def test_boundary_limit_zero(self):
         # no mass collects near the eigenstates in finite tau
-        m = analytic_distribution_z(0.4, 0.5).bin_masses_rho([0.0, 1e-6, 1 - 1e-6, 1.0])
+        m = analytic_bin_masses(0.4, 0.5, [0.0, 1e-6, 1 - 1e-6, 1.0])
         assert m[0] < 1e-15 and m[2] < 1e-15
 
     def test_modes_match_stationarity_oracle(self):
@@ -97,11 +106,11 @@ class TestAnalyticRho:
         # is checked against this oracle, not against to_rho(centers).
         from scipy.optimize import brentq
 
-        mix = analytic_distribution_z(0.305, 1.2)
-        r, dens = rho_density(mix, 1e-6, 1 - 1e-6, 2_000_000)
+        r, dens = rho_density(0.305, 1.2, 1e-6, 1 - 1e-6, 2_000_000)
         lo_mode = r[np.argmax(np.where(r < 0.5, dens, -1.0))]
         hi_mode = r[np.argmax(np.where(r >= 0.5, dens, -1.0))]
-        for mu, mode in ((mix.z_minus, lo_mode), (mix.z_plus, hi_mode)):
+        z0 = to_logodds(0.305)
+        for mu, mode in ((z0 - 1.2, lo_mode), (z0 + 1.2, hi_mode)):
             z_star = brentq(
                 lambda z: (z - mu) / 1.2 - 2.0 * math.tanh(z),
                 2.5 if mu > 0 else -12.0,
@@ -113,10 +122,9 @@ class TestAnalyticRho:
     def test_modes_match_pushforward_weak_limit(self):
         # for small tau the mode shift is O(tau) and the pushed-forward
         # centers are good to within one 0.01 bin
-        mix = analytic_distribution_z(0.305, 0.01)
-        r, dens = rho_density(mix, 1e-4, 1 - 1e-4, 500_000)
+        r, dens = rho_density(0.305, 0.01, 1e-4, 1 - 1e-4, 500_000)
         mode = r[np.argmax(dens)]
-        assert abs(mode - to_rho(mix.z_minus)) < 0.01
+        assert abs(mode - to_rho(to_logodds(0.305) - 0.01)) < 0.01
 
 
 class TestSolveFP:
@@ -125,7 +133,7 @@ class TestSolveFP:
         tau = 1.0
         sols = solve_fp(0.305, g, math.inf, [tau / g])
         snap = fp_snapshot_to_bins(sols[0])
-        ref = analytic_distribution_z(0.305, tau).bin_masses_rho(EDGES)
+        ref = analytic_bin_masses(0.305, tau, EDGES)
         assert l1_bins(snap, ref) < 1e-3
         assert abs(sols[0].total_mass - 1.0) <= 1e-10
 
@@ -134,7 +142,7 @@ class TestSolveFP:
         taus = [0.1, 0.5, 1.0]
         sols = solve_fp(0.5, g, math.inf, [t / g for t in taus])
         for tau, sol in zip(taus, sols):
-            ref = analytic_distribution_z(0.5, tau).bin_masses_rho(EDGES)
+            ref = analytic_bin_masses(0.5, tau, EDGES)
             assert l1_bins(fp_snapshot_to_bins(sol), ref) < 1e-3
 
     def test_martingale_flat(self):
@@ -213,7 +221,7 @@ class TestSolveFP:
         # the second snapshot continues from the first one's grid
         cont = solve_fp(0.4, 0.05, math.inf, [4.0, 8.0])
         direct = solve_fp(0.4, 0.05, math.inf, [8.0])
-        ref = analytic_distribution_z(0.4, 0.4).bin_masses_rho(EDGES)
+        ref = analytic_bin_masses(0.4, 0.4, EDGES)
         assert l1_bins(fp_snapshot_to_bins(cont[1]), ref) < 1e-3
         assert l1_bins(fp_snapshot_to_bins(direct[0]), ref) < 1e-3
 
@@ -243,18 +251,17 @@ class TestRebinning:
         # cell-integrate the exact mixture on a fine grid, rebin, and
         # compare against the exact rho-bin integrals
         x0, tau = 0.305, 0.6
-        mix = analytic_distribution_z(x0, tau)
         n_cells = 32768
         z_edges = np.linspace(-12.0, 12.0, n_cells + 1)
-        weights = np.diff(mix.cdf_z(z_edges))
+        cdf = mixture_cdf(z_edges, x0, tau)
         nodes = 0.5 * (z_edges[:-1] + z_edges[1:])
         grid = DensityGrid(
-            nodes=nodes, weights=weights,
-            mass0=float(mix.cdf_z(-12.0)), mass1=float(1.0 - mix.cdf_z(12.0)),
+            nodes=nodes, weights=np.diff(cdf), mass0=float(cdf[0]), mass1=float(1.0 - cdf[-1]),
             t=0.0,
         )
         snap = fp_snapshot_to_bins(grid)
-        direct = mix.bin_masses_rho(EDGES)
+        with np.errstate(divide="ignore"):  # the end edges map to z = -+inf
+            direct = np.diff(mixture_cdf(np.arctanh(2.0 * EDGES - 1.0), x0, tau))
         assert np.max(np.abs(snap.density - direct)) < 1e-6
 
 

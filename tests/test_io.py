@@ -5,6 +5,7 @@ import stat
 import string
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,6 +39,32 @@ def ensemble():
 def file_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def read_histogram(path):
+    """A histogram file parsed back into a snapshot: ``# key=value``
+    header lines, then center,density,error rows.  qtraj writes these
+    tables and reads none; the bin width is twice the first center."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    h = {k: float(v) for k, v in (ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))}
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines if not ln.startswith("#")])
+    return DistributionSnapshot(n_bins=rows.shape[0], bin_width=2.0 * rows[0, 0],
+                                density=rows[:, 1].copy(), errors=rows[:, 2].copy(),
+                                mass0=h["mass0"], mass1=h["mass1"], t=h["t_us"],
+                                mass0_err=h["mass0_err"], mass1_err=h["mass1_err"])
+
+
+def read_fit_report(path):
+    """The slices of a fit report, read as the config file it is."""
+    kv = io.read_config(path)
+    return [
+        io.FitReportSlice(*(
+            (float if f.type == "float" else int)(kv[f"slice.{i}.{f.name}"])
+            for f in fields(io.FitReportSlice)
+        ))
+        for i in range(int(kv["n_slices"]))
+    ]
 
 
 class TestRecordFiles:
@@ -179,7 +206,7 @@ class TestHistogramFiles:
         snap = build_histogram(ens, 0)
         p = tmp_path / "h.txt"
         io.write_histogram(str(p), snap)
-        back = io.read_histogram(str(p))
+        back = read_histogram(str(p))
         assert np.array_equal(back.density, snap.density)
         assert np.array_equal(back.errors, snap.errors)
         assert back.mass0 == snap.mass0 and back.mass1 == snap.mass1
@@ -187,18 +214,6 @@ class TestHistogramFiles:
         p2 = tmp_path / "h2.txt"
         io.write_histogram(str(p2), back)
         assert file_bytes(p) == file_bytes(p2)
-
-    def test_missing_header_diagnostic(self, tmp_path):
-        p = tmp_path / "h.txt"
-        p.write_text("0.005,0.5,0.1\n0.015,0.5,0.1\n")
-        with pytest.raises(io.FormatError, match="t_us"):
-            io.read_histogram(str(p))
-
-    def test_bad_row_diagnostic(self, tmp_path):
-        p = tmp_path / "h.txt"
-        p.write_text("# t_us=0.0\n# mass0=0.0\n# mass1=0.0\n0.005,x,0.1\n")
-        with pytest.raises(io.FormatError, match="line 4"):
-            io.read_histogram(str(p))
 
 
 class TestFitReportFiles:
@@ -215,27 +230,11 @@ class TestFitReportFiles:
         ]
         p = tmp_path / "fit.txt"
         io.write_fit_report(str(p), slices)
-        back = io.read_fit_report(str(p))
+        back = read_fit_report(str(p))
         assert back == slices
         p2 = tmp_path / "fit2.txt"
         io.write_fit_report(str(p2), back)
         assert file_bytes(p) == file_bytes(p2)
-
-    def test_missing_key(self, tmp_path):
-        p = tmp_path / "fit.txt"
-        p.write_text("n_slices = 1\nslice.0.t_us = 5.0\n")
-        with pytest.raises(io.FormatError, match="slice.0.tau_best"):
-            io.read_fit_report(str(p))
-
-    @pytest.mark.parametrize("key", ["n_slices", "slice.0.tau_best", "slice.0.n_bins"])
-    def test_bad_value(self, tmp_path, key):
-        p = tmp_path / "fit.txt"
-        io.write_fit_report(str(p), [io.FitReportSlice(5.0, 0.15, 103.5, 0.04, 0.004, 100)])
-        items = io.read_config(str(p))
-        items[key] = "abc"
-        io.write_config(str(p), items)
-        with pytest.raises(io.FormatError, match=f"fit.txt.*'{key}'"):
-            io.read_fit_report(str(p))
 
 
 class TestConfigFiles:
@@ -412,7 +411,7 @@ class TestRoundTrips:
         snap = DistributionSnapshot(n_bins=n_bins, bin_width=bin_width, density=density,
                                     errors=errors, mass0=mass0, mass1=mass1, t=t,
                                     mass0_err=mass0_err, mass1_err=mass1_err)
-        back, first, second = rewrite(tmp_path, io.write_histogram, io.read_histogram, snap)
+        back, first, second = rewrite(tmp_path, io.write_histogram, read_histogram, snap)
         assert back.density.tobytes() == density.tobytes()
         assert back.errors.tobytes() == errors.tobytes()
         assert (back.n_bins, back.bin_width, back.mass0, back.mass1, back.t,
@@ -423,7 +422,7 @@ class TestRoundTrips:
     @given(slices=st.lists(st.builds(io.FitReportSlice, FINITE, FINITE, FINITE, FINITE,
                                      FINITE, st.integers(-10**9, 10**9)), max_size=3))
     def test_fit_report(self, tmp_path, slices):
-        back, first, second = rewrite(tmp_path, io.write_fit_report, io.read_fit_report,
+        back, first, second = rewrite(tmp_path, io.write_fit_report, read_fit_report,
                                       slices)
         assert back == slices
         assert first == second
