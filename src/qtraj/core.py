@@ -45,6 +45,7 @@ __all__ = [
 # Absorption cap for the log-odds coordinate. tanh(30) rounds to 1.0 in
 # float64, so |z| >= Z_CAP is indistinguishable from an eigenstate.
 Z_CAP = 30.0
+_HIST_BLOCK = 16384  # values per block of histogram_counts: 128 KiB temporaries
 
 
 def to_logodds(rho00):
@@ -373,18 +374,21 @@ def check_binning(n_bins: int, bin_width: float) -> None:
 
 def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
     """Integer counts of populations ``values``: the ``n_bins`` interior
-    bins, then the values exactly 0.0, then those exactly 1.0."""
+    bins, then the values exactly 0.0, then those exactly 1.0.  They are
+    binned ``_HIST_BLOCK`` at a time, so no temporary is slice-sized."""
     check_binning(n_bins, bin_width)
-    values = np.ascontiguousarray(values)  # one pass over a strided slice
-    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
-        raise ValueError("ensemble values outside [0, 1]")
-    at0 = np.count_nonzero(values == 0.0)
-    at1 = np.count_nonzero(values == 1.0)
-    # bin every value, then take the boundary values back out of their bins
-    counts = np.bincount(bin_index(values, n_bins, bin_width), minlength=n_bins)
-    counts[0] -= at0
-    counts[bin_index(np.array([1.0]), n_bins, bin_width)[0]] -= at1
-    return np.append(counts, [at0, at1])
+    counts = np.zeros(n_bins + 2, dtype=np.intp)
+    for lo in range(0, len(values), _HIST_BLOCK):
+        block = np.ascontiguousarray(values[lo : lo + _HIST_BLOCK])
+        if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
+            raise ValueError("ensemble values outside [0, 1]")
+        counts[:n_bins] += np.bincount(bin_index(block, n_bins, bin_width), minlength=n_bins)
+        counts[n_bins] += np.count_nonzero(block == 0.0)
+        counts[n_bins + 1] += np.count_nonzero(block == 1.0)
+    # every value was binned: take the boundary values back out of their bins
+    counts[0] -= counts[n_bins]
+    counts[bin_index(np.array([1.0]), n_bins, bin_width)[0]] -= counts[n_bins + 1]
+    return counts
 
 
 def histogram_from_counts(counts: np.ndarray, t: float, bin_width: float) -> DistributionSnapshot:

@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DistributionSnapshot
-from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, _grid_nodes, _rebin, _rebin_map,
-                            analytic_bin_masses, solve_fp)
+from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, _grid_nodes, _plans, _rebin,
+                            _rebin_map, analytic_bin_masses)
 
 __all__ = [
     "FitResult",
@@ -283,22 +283,24 @@ def make_fp_model_gen(
     For slice time t and trial tau the model is the density evolved with
     the constant coupling g = tau/t up to t, including relaxation, on
     ``n_cells`` cells of the solver's default z range [-12, 12].  Every
-    solve shares that grid, so the rebinning map onto the rho00 bins is
-    built once here; each solve builds its own substep operators once
-    per interval.
+    slice shares that grid and the start state, so the rebinning map onto
+    the rho00 bins and each slice's g-free solver plan (substep count and
+    length, relaxation operators) are built once here; a call builds only
+    the diffusion of each slice it solves and runs its substep loop.  The
+    generator holds three words per cell for each distinct relaxation
+    exponent, two per slice at most.
     ``gen(tau, which)`` solves only the slices ``times[k]`` for k in
     ``which``, bitwise equal to the matching entries of ``gen(tau)``.
     """
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("slice times must be positive")
+    plans = _plans(x0, T1, [[t] for t in times], n_cells=n_cells, dt=dt)
     rebin_map = _rebin_map(_grid_nodes(FP_Z_MIN, FP_Z_MAX, n_cells), n_bins, bin_width)
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
-        out = []
-        for t in times if which is None else [times[k] for k in which]:
-            sols = solve_fp(x0, tau / t, T1, [t], n_cells=n_cells, dt=dt)
-            out.append(_rebin(sols[0], rebin_map, n_bins, bin_width))
-        return out
+        ks = range(len(times)) if which is None else which
+        return [_rebin(plans[k].run(tau / times[k])[0], rebin_map, n_bins, bin_width)
+                for k in ks]
 
     return gen

@@ -24,12 +24,16 @@ the Monte Carlo stepper:
   rho11 -> rho11*e^-delta to rounding.
 
 Both sub-evolutions are linear operators fixed by the grid and the
-substep size, so :func:`solve_fp` runs one substep loop per ``t_grid``
-interval with its operators (kernels and their FFT spectra, branch
-weights, deposit cells and splits) built once; at infinite T1 the loop
-takes one substep of the interval with zero relaxation.  Every
-convolution goes through one real-FFT helper, :func:`_fft_convolve`,
-padded to ``next_fast_len(size, real=True)``.
+substep size; only the diffusion depends on g.  A g-free :class:`_Plan`
+holds the grid, the start state and, per ``t_grid`` interval, the
+substep count and length and the relaxations (deposit cells and
+splits); :meth:`_Plan.run` builds each interval's diffusion (kernel
+spectra, branch weights) for one g and runs the substep loop, so the
+fit's model generator plans every slice once for all trial tau.  At
+infinite T1 the loop takes one substep of the interval with zero
+relaxation.  Every convolution goes through :func:`_fft_convolve`,
+padded to ``next_fast_len(size, real=True)``, both branches as rows of
+one transform.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -148,19 +152,32 @@ def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
 
 
 class _Solver:
-    """Working state of one solve: grid, cell masses, eigenstate masses."""
+    """One grid, the start state on it (the delta at x0, deposited
+    mean-exactly) and the working state ``w``, ``mass0``, ``mass1`` of a
+    run.  Every :class:`_Plan` on the grid shares them, the relaxation
+    operators (one per exponent) and the deposit scratch, so its runs
+    must not overlap.
+    """
 
-    def __init__(self, z_min: float, z_max: float, n_cells: int):
+    def __init__(self, x0: float, z_min: float, z_max: float, n_cells: int):
         self.nodes = _grid_nodes(z_min, z_max, n_cells)
         self.dz = float(self.nodes[1] - self.nodes[0])
-        self.w = np.zeros(n_cells)
-        self.mass0 = self.mass1 = 0.0
         # population-space views of the cell centers, used by the
         # mean-preserving deposits and branch reweighting
         self.r11 = expit(-2.0 * self.nodes)
         self.phi = np.tanh(self.nodes)
-
-    # -- deposits ----------------------------------------------------------
+        z0 = to_logodds(x0)
+        if not (z_min < z0 < z_max):
+            raise ValueError("x0 maps outside the z grid")
+        (k,), (alpha,), (above,) = self.land(np.array([z0]), np.array([1.0 - x0]))
+        # an x0 in the last half cell starts in the rho00 = 1 bucket
+        self.w0 = np.bincount([k, k + 1], [0.0, 0.0] if above else [1.0 - alpha, alpha],
+                              minlength=n_cells)
+        self.w0.setflags(write=False)  # runs replace w, never write into it
+        self.mass1_0 = float(above)
+        self.total0 = self.w0.sum() + self.mass1_0
+        self.scratch = np.empty(2 * n_cells + 2)
+        self.relaxations: dict[float, _Relaxation] = {}
 
     def land(self, y: np.ndarray, r11_target: np.ndarray):
         """Where point masses at z positions y land on the grid.
@@ -183,27 +200,10 @@ class _Solver:
         alpha[below] = 0.0
         return k, alpha, above
 
-    def deposit(self, *drops) -> None:
-        """Replace the cell masses by point masses dropped onto empty cells.
-
-        Each drop is a :meth:`land` result and the masses of its points;
-        points without mass are skipped.  Mass beyond the last cell goes
-        to the rho00 = 1 bucket; one ``bincount`` adds the rest, drop
-        after drop, lower shares before upper shares, which per cell is
-        the order of adding the points one at a time.
-        """
-        index, value = [], []
-        for (k, alpha, above), mass in drops:
-            live = mass > 0.0
-            up = live & above
-            if np.any(up):
-                self.mass1 += float(mass[up].sum())
-            live ^= up
-            k, alpha, mass = k[live], alpha[live], mass[live]
-            index += (k, k + 1)
-            value += (mass * (1.0 - alpha), mass * alpha)
-        self.w = np.bincount(np.concatenate(index), np.concatenate(value),
-                             minlength=self.nodes.size)
+    def relaxation(self, delta: float) -> "_Relaxation":
+        """The relaxation by ``delta``, built on first use."""
+        return self.relaxations.get(delta) or self.relaxations.setdefault(
+            delta, _Relaxation(self, delta))
 
 
 class _Relaxation:
@@ -212,8 +212,12 @@ class _Relaxation:
     Where each node lands and how its mass splits between the two
     enclosing cells depend on the grid and delta only, as does the
     re-entry point of the rho00 = 0 bucket (rho11 = e^-delta), so all of
-    them are computed once; each application deposits the cells holding
-    mass, then the bucket, in one :meth:`_Solver.deposit`.
+    them are computed once.  Relaxation is monotone and moves every node
+    up in z, so the nodes landing beyond the last cell (into the rho00 = 1
+    bucket) are a tail of the grid; only the kept nodes' landing index
+    and split are stored.  One ``bincount`` deposits lower shares, upper
+    shares, then the re-entry: per cell, the order of adding the points
+    one at a time.
     """
 
     def __init__(self, s: _Solver, delta: float):
@@ -221,27 +225,40 @@ class _Relaxation:
         if delta == 0.0:
             return
         fac = math.exp(-delta)
-        # relaxation moves every node up in z, so none lands below cell 0
-        self.landing = s.land(_relax_z(s.nodes, delta), s.r11 * fac)
-        self.reentry = s.land(np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
+        k, alpha, above = s.land(_relax_z(s.nodes, delta), s.r11 * fac)
+        m = above.size - int(above.sum())
+        (kr,), (self.reentry_alpha,), (self.reentry_above,) = s.land(
+            np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
+        self.index = np.concatenate((k[:m], k[:m] + 1, [kr, kr + 1]))
+        self.alpha = alpha[:m]
 
     def apply(self, s: _Solver) -> None:
         if self.delta == 0.0:
             return
-        drops = [(self.landing, s.w)]
+        m, w = self.alpha.size, s.w
+        s.mass1 += float(w[m:][w[m:] > 0.0].sum())
+        value = s.scratch[: 2 * m + 2]
+        np.subtract(1.0, self.alpha, out=value[:m])
+        value[:m] *= w[:m]
+        np.multiply(w[:m], self.alpha, out=value[m : 2 * m])
+        n = 2 * m
         if s.mass0 > 0.0:
-            drops.append((self.reentry, np.array([s.mass0])))
+            if self.reentry_above:
+                s.mass1 += s.mass0
+            else:
+                value[n:] = s.mass0 * (1.0 - self.reentry_alpha), s.mass0 * self.reentry_alpha
+                n += 2
             s.mass0 = 0.0
-        s.deposit(*drops)
+        s.w = np.bincount(self.index[:n], value[:n], minlength=w.size)
 
 
 class _Diffusion:
     """Exact two-Gaussian spreading over evolution interval kappa.
 
-    The kernel pair, its truncated tails and the mean-preserving branch
-    weights depend on the grid and kappa only, so they are built once,
-    with the kernel spectra.  Each application then convolves the two
-    weighted branches.
+    The kernel pair (one row per branch), its truncated tails and the
+    mean-preserving branch weights depend on the grid and kappa only, so
+    they are built once, with the kernel spectra.  Each application then
+    convolves the two weighted branches in one two-row transform.
     """
 
     def __init__(self, s: _Solver, kappa: float):
@@ -252,20 +269,16 @@ class _Diffusion:
         lo = int(math.floor((-kappa - _KERNEL_TAIL * sig) / s.dz)) - 1
         hi = int(math.ceil((kappa + _KERNEL_TAIL * sig) / s.dz)) + 1
         edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
-        n = s.nodes.size
 
-        def branch_kernel(shift):
-            cdf = ndtr((edges_rel - shift) / sig)
-            return np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])
-
-        kp, self.kp_tail_lo, self.kp_tail_hi = branch_kernel(+kappa)
-        km, self.km_tail_lo, self.km_tail_hi = branch_kernel(-kappa)
+        # rows: the branch centered at +kappa, then the one at -kappa
+        cdf = ndtr((edges_rel - np.array([[kappa], [-kappa]])) / sig)
+        self.kernels = np.diff(cdf)
+        self.tail_lo, self.tail_hi = cdf[:, 0], 1.0 - cdf[:, -1]
 
         # discrete post-step population means of each branch; beyond the
         # grid the population saturates at the eigenstates (+-1 in phi)
         phi_ext = np.concatenate((np.full(-lo, -1.0), s.phi, np.ones(hi)))
-        mp = _correlate(phi_ext, kp) - self.kp_tail_lo + self.kp_tail_hi
-        mm = _correlate(phi_ext, km) - self.km_tail_lo + self.km_tail_hi
+        mp, mm = _correlate(phi_ext, self.kernels) - self.tail_lo[:, None] + self.tail_hi[:, None]
 
         # branch weights, corrected so the discrete mean is conserved
         denom = mp - mm
@@ -275,23 +288,19 @@ class _Diffusion:
         self.xt = np.clip(xt, 0.0, 1.0)
 
         self.lo = lo
-        self.kernels = (kp, km)
         # at the length _fft_convolve picks for a grid-sized input
-        fft_len = next_fast_len(n + kp.size - 1, real=True)
-        self.spectra = (rfft(kp, fft_len), rfft(km, fft_len))
-
-    def _convolve(self, a: np.ndarray, branch: int) -> np.ndarray:
-        k = self.kernels[branch]
-        return np.maximum(_fft_convolve(a, k, self.spectra[branch]), 0.0)
+        self.spectra = rfft(self.kernels, next_fast_len(s.nodes.size + hi - lo, real=True))
 
     def apply(self, s: _Solver) -> None:
         if self.kappa == 0.0:
             return
-        n = s.nodes.size
-        lo = self.lo
-        wp = self.xt * s.w
-        wm = s.w - wp
-        full = self._convolve(wp, 0) + self._convolve(wm, 1)
+        n, lo = s.nodes.size, self.lo
+        wp, wm = branches = np.empty((2, n))
+        np.multiply(self.xt, s.w, out=wp)
+        np.subtract(s.w, wp, out=wm)
+        # each branch is clamped at 0 before the two are added
+        cp, cm = np.maximum(_fft_convolve(branches, self.kernels, self.spectra), 0.0)
+        full = cp + cm
         # full[j'] is the mass landing on grid index j = j' + lo
         j_lo = max(0, -lo)          # first j' on the grid
         j_hi = min(full.size, n - lo)  # one past the last j' on the grid
@@ -300,30 +309,104 @@ class _Diffusion:
         s.mass0 += float(full[:j_lo].sum())
         s.mass1 += float(full[j_hi:].sum())
         # truncated kernel tails (couple of 1e-17) go to the buckets too
-        s.mass0 += float(wp.sum() * self.kp_tail_lo + wm.sum() * self.km_tail_lo)
-        s.mass1 += float(wp.sum() * self.kp_tail_hi + wm.sum() * self.km_tail_hi)
+        sp, sm = wp.sum(), wm.sum()
+        s.mass0 += float(sp * self.tail_lo[0] + sm * self.tail_lo[1])
+        s.mass1 += float(sp * self.tail_hi[0] + sm * self.tail_hi[1])
 
 
 def _fft_convolve(a: np.ndarray, k: np.ndarray, k_spec: np.ndarray | None = None) -> np.ndarray:
-    """Full linear convolution of 1-D real arrays through real FFTs.
+    """Full linear convolutions of the rows of real arrays through real FFTs.
 
-    Both inputs are transformed at ``next_fast_len(a.size + k.size - 1,
-    real=True)``, multiplied and transformed back, which is bit for bit
-    what ``scipy.signal.fftconvolve(a, k)`` computes for kernels of two
-    or more taps (it multiplies by a one-tap kernel).  ``k_spec``, when
-    given, is ``rfft(k, that length)``, kept by a caller that convolves
-    with the same kernel many times.
+    Rows of ``a`` and ``k`` broadcast against each other.  Both are
+    transformed along their last axis at ``next_fast_len(na + nk - 1,
+    real=True)``, multiplied and transformed back; each row is bit for
+    bit what ``scipy.signal.fftconvolve`` computes for its pair of rows
+    (for kernels of two or more taps; it multiplies by a one-tap
+    kernel).  ``k_spec``, when given, is ``rfft(k, that length)``, kept
+    by a caller that convolves with the same kernels many times.
     """
-    size = a.size + k.size - 1
+    size = a.shape[-1] + k.shape[-1] - 1
     n = next_fast_len(size, real=True)
     if k_spec is None:
         k_spec = rfft(k, n)
-    return irfft(rfft(a, n) * k_spec, n)[:size]
+    return irfft(rfft(a, n) * k_spec, n)[..., :size]
 
 
 def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The "valid" cross-correlation of a with the shorter k."""
-    return _fft_convolve(a, k[::-1])[k.size - 1 : a.size]
+    """The "valid" cross-correlation of a with each row of the shorter k."""
+    return _fft_convolve(a, k[..., ::-1])[..., k.shape[-1] - 1 : a.shape[-1]]
+
+
+class _Plan:
+    """The g-free part of a solve from the start state of ``s``: per
+    snapshot time, the substep count and length of the interval ending
+    there and its half- and full-step relaxations.  :meth:`run` builds
+    only the g-dependent diffusion.
+    """
+
+    def __init__(self, s: _Solver, T1: float, t_grid: np.ndarray, dt: float | None):
+        self.s = s
+        self.steps = []
+        t = 0.0
+        for t_next in t_grid:
+            span = float(t_next - t)
+            n_sub, h, half, relax = 0, 0.0, None, None
+            if span > 0.0:
+                # min(inf, span) = span: one substep of the interval at T1 = inf
+                sub = min(T1 / 100.0, span) if dt is None or math.isinf(T1) else dt
+                n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
+                h = span / n_sub
+                delta = h / T1
+                half = s.relaxation(0.5 * delta)
+                relax = s.relaxation(delta) if n_sub > 1 else half
+                t = float(t_next)
+            self.steps.append((t, n_sub, h, half, relax))
+
+    def run(self, g: float) -> list[DensityGrid]:
+        """The snapshots at coupling g, each checked for mass drift and
+        negative density."""
+        if not (g >= 0 and math.isfinite(g)):
+            raise ValueError("g must be finite and >= 0")
+        s = self.s
+        s.w, s.mass0, s.mass1 = s.w0, 0.0, s.mass1_0
+        out: list[DensityGrid] = []
+        for t, n_sub, h, half, relax in self.steps:
+            if n_sub:
+                diffuse = _Diffusion(s, g * h)
+                half.apply(s)
+                for j in range(n_sub):
+                    diffuse.apply(s)
+                    (relax if j < n_sub - 1 else half).apply(s)
+            wmin = s.w.min()
+            if wmin < _NEG_TOL:
+                raise FPSolverError(f"negative density {wmin:.3e} at t = {t}")
+            drift = abs(s.w.sum() + s.mass0 + s.mass1 - s.total0)
+            if drift > _MASS_TOL:
+                raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
+            out.append(DensityGrid(nodes=s.nodes.copy(), weights=s.w.copy(),
+                                   mass0=s.mass0, mass1=s.mass1, t=t))
+        return out
+
+
+def _plans(x0, T1, t_grids, *, z_min=FP_Z_MIN, z_max=FP_Z_MAX, n_cells=FP_CELLS, dt=None):
+    """One :class:`_Plan` per snapshot-time list, all on one grid and
+    start state; checks every argument of :func:`solve_fp` but g."""
+    if not T1 > 0:
+        raise ValueError("T1 must be > 0")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} must be finite and > 0")
+    if n_cells < 8:
+        raise ValueError("n_cells must be >= 8")
+    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
+        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
+    t_grids = [np.asarray(t_grid, dtype=float) for t_grid in t_grids]
+    for t_grid in t_grids:
+        if not np.all(np.isfinite(t_grid)):
+            raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
+        if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
+            raise ValueError("t_grid must be nondecreasing and start at/after 0")
+    s = _Solver(float(x0), z_min, z_max, n_cells)
+    return [_Plan(s, T1, t_grid, dt) for t_grid in t_grids]
 
 
 def solve_fp(
@@ -358,7 +441,9 @@ def solve_fp(
         Each interval between snapshot times runs one substep loop with
         its operators built once; at infinite T1 that loop takes one
         substep of the whole interval with zero relaxation, whatever dt
-        is.  Memory beyond the grid is one interval's operators.
+        is.  Memory beyond the grid is one interval's diffusion and, per
+        distinct relaxation exponent, a landing index and split of three
+        words per cell.
 
     Returns
     -------
@@ -373,58 +458,7 @@ def solve_fp(
     """
     if not (g >= 0 and math.isfinite(g)):
         raise ValueError("g must be finite and >= 0")
-    if not T1 > 0:
-        raise ValueError("T1 must be > 0")
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt={dt!r} must be finite and > 0")
-    if n_cells < 8:
-        raise ValueError("n_cells must be >= 8")
-    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
-        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
-    if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
-        raise ValueError("t_grid must be nondecreasing and start at/after 0")
-
-    x0 = float(x0)
-    solver = _Solver(z_min, z_max, n_cells)
-    z0 = to_logodds(x0)
-    if not (z_min < z0 < z_max):
-        raise ValueError("x0 maps outside the z grid")
-    solver.deposit((solver.land(np.array([z0]), np.array([1.0 - x0])), np.array([1.0])))
-    t = 0.0
-    if t_grid.size == 0:
-        return []
-
-    total0 = solver.w.sum() + solver.mass0 + solver.mass1
-    out: list[DensityGrid] = []
-    for t_next in t_grid:
-        span = float(t_next - t)
-        if span > 0.0:
-            # min(inf, span) = span: one substep of the interval at T1 = inf
-            sub = min(T1 / 100.0, span) if dt is None or math.isinf(T1) else dt
-            n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
-            h = span / n_sub
-            delta = h / T1
-            # the operators of this interval, shared by its substeps
-            diffuse = _Diffusion(solver, g * h)
-            half = _Relaxation(solver, 0.5 * delta)
-            relax = _Relaxation(solver, delta) if n_sub > 1 else half
-            half.apply(solver)
-            for j in range(n_sub):
-                diffuse.apply(solver)
-                (relax if j < n_sub - 1 else half).apply(solver)
-            t = float(t_next)
-        wmin = solver.w.min()
-        if wmin < _NEG_TOL:
-            raise FPSolverError(f"negative density {wmin:.3e} at t = {t}")
-        drift = abs(solver.w.sum() + solver.mass0 + solver.mass1 - total0)
-        if drift > _MASS_TOL:
-            raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
-        out.append(DensityGrid(nodes=solver.nodes.copy(), weights=solver.w.copy(),
-                               mass0=solver.mass0, mass1=solver.mass1, t=t))
-    return out
+    return _plans(x0, T1, [t_grid], z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt)[0].run(g)
 
 
 def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):

@@ -318,6 +318,23 @@ class TestKernelOracles:
         assert np.array_equal(histogram_counts(strided, n_bins, bin_width),
                               counts_ref(values, n_bins, bin_width))
 
+    @pytest.mark.parametrize("n", [1, core._HIST_BLOCK - 1, core._HIST_BLOCK,
+                                   2 * core._HIST_BLOCK + 5])
+    def test_counts_blocked(self, n):
+        # lengths off and on the block size, with exact 0.0, 1.0 and bin
+        # edges; a NaN in the last (partial) block is still rejected
+        rng = np.random.default_rng(n)
+        special = np.concatenate([np.arange(101) * 0.01, [0.0, 1.0]])
+        values = np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.random(n))
+        values[-1] = 1.0
+        strided = np.repeat(values[:, None], 3, axis=1)[:, 1]
+        counts = histogram_counts(strided, 100, 0.01)
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts, counts_ref(values, 100, 0.01))
+        values[-1] = math.nan
+        with pytest.raises(ValueError, match=r"^ensemble values outside \[0, 1\]$"):
+            histogram_counts(values, 100, 0.01)
+
 
 class TestMemoryGuard:
     def test_reads_mem_available(self, tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
+import gc
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
@@ -270,7 +273,7 @@ def diffusion_lengths():
     """(input, kernel) lengths of the convolutions `_Diffusion` makes."""
     out = []
     for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
-        s = fp._Solver(-12.0, 12.0, n_cells)
+        s = fp._Solver(0.5, -12.0, 12.0, n_cells)
         k = fp._Diffusion(s, kappa).kernels[0].size
         out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
     return out
@@ -292,6 +295,24 @@ class TestFFTConvolve:
         spec = rfft(k, next_fast_len(na + nk - 1, real=True))
         assert np.array_equal(fp._fft_convolve(a, k, spec), full)
         assert np.array_equal(fp._correlate(a, k), fftconvolve(a, k[::-1], mode="valid"))
+
+    @pytest.mark.parametrize("na, nk", FFT_LENGTHS)
+    def test_two_rows_match_one_row_each(self, na, nk):
+        # the diffusion transforms both branches (and both kernels) as
+        # the two rows of one array; each row must be the 1-row result
+        rng = np.random.default_rng(na * 7919 + nk)
+        a, k = rng.random((2, na)) - 0.25, rng.random((2, nk))
+        n = next_fast_len(na + nk - 1, real=True)
+        spec_a, spec_k = rfft(a, n), rfft(k, n)
+        back = irfft(spec_a * spec_k, n)
+        full = fp._fft_convolve(a, k, spec_k)
+        corr = fp._correlate(a[0], k)
+        for i in range(2):
+            assert np.array_equal(spec_a[i], rfft(a[i], n))
+            assert np.array_equal(spec_k[i], rfft(k[i], n))
+            assert np.array_equal(back[i], irfft(rfft(a[i], n) * rfft(k[i], n), n))
+            assert np.array_equal(full[i], fp._fft_convolve(a[i], k[i]))
+            assert np.array_equal(corr[i], fp._correlate(a[0], k[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +410,9 @@ def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=No
     (weights, mass0, mass1) per snapshot time."""
     dz = (z_max - z_min) / n_cells
     nodes = z_min + (np.arange(n_cells) + 0.5) * dz
-    s = fp._Solver(z_min, z_max, n_cells)
-    assert np.array_equal(s.nodes, nodes) and not s.w.any() and s.mass0 == s.mass1 == 0.0
+    assert np.array_equal(fp._grid_nodes(z_min, z_max, n_cells), nodes)
+    s = SimpleNamespace(nodes=nodes, dz=float(nodes[1] - nodes[0]), r11=expit(-2.0 * nodes),
+                        phi=np.tanh(nodes), w=np.zeros(n_cells), mass0=0.0, mass1=0.0)
     ref_deposit(s, np.array([to_logodds(x0)]), np.array([1.0 - x0]), np.array([1.0]))
     t = 0.0
     out = []
@@ -458,14 +480,15 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_solve_fp_matches_per_substep_reference(self, case, monkeypatch):
         x0, g, T1, t_grid, kw = ORACLE_CASES[case]
-        deposits = []
-        deposit = fp._Solver.deposit
+        reentries = []
+        apply = fp._Relaxation.apply
 
-        def counting_deposit(s, *drops):
-            deposits.append(drops)
-            deposit(s, *drops)
+        def counting_apply(relaxation, s):
+            bucket = s.mass0
+            apply(relaxation, s)
+            reentries.append(bucket > 0.0 and s.mass0 == 0.0)
 
-        monkeypatch.setattr(fp._Solver, "deposit", counting_deposit)
+        monkeypatch.setattr(fp._Relaxation, "apply", counting_apply)
         sols = solve_fp(x0, g, T1, t_grid, **kw)
         refs = ref_solve_fp(x0, g, T1, t_grid, **kw)
         for sol, (w, mass0, mass1) in zip(sols, refs):
@@ -473,8 +496,8 @@ class TestBitwiseOracle:
             assert sol.mass0 == mass0 and sol.mass1 == mass1
             assert np.array_equal(fp_snapshot_to_bins(sol).density, ref_rebin(sol))
         if "boundary" in case or case == "reentry-below":
-            # rho00 = 0 re-entries: the deposits that carry the bucket's drop
-            assert sum(len(drops) == 2 for drops in deposits) > 0
+            # rho00 = 0 re-entries: the relaxations that empty the bucket
+            assert sum(reentries) > 0
         if "boundary" in case:
             assert sols[-1].mass1 > 0.01
 
@@ -499,3 +522,56 @@ class TestBitwiseOracle:
                 ref = fp_snapshot_to_bins(sol)
                 assert np.array_equal(snap.density, ref.density)
                 assert (snap.mass0, snap.mass1, snap.t) == (ref.mass0, ref.mass1, ref.t)
+
+
+class TestPlanReuse:
+    """A model generator builds its g-free operators once and reuses them
+    for every trial tau; nothing a call leaves behind may reach the next."""
+
+    TIMES = [0.625, 1.25, 2.5]
+
+    @pytest.mark.parametrize("n_cells", [8192, 2048])
+    @pytest.mark.parametrize("dt", [None, 0.07])  # 0.07: all three slices share h
+    def test_any_call_order_matches_fresh_solves(self, n_cells, dt):
+        gen = make_fp_model_gen(0.305, 20.0, self.TIMES, n_cells=n_cells, dt=dt)
+        scan = [0.15, 0.65, 1.15]
+        calls = ([(tau, None) for tau in scan] + [(tau, None) for tau in scan[::-1]]
+                 + [(0.65, (2,)), (0.65, (0, 2)), (1.15, (1,)), (0.15, (2, 0, 1)), (0.65, (1, 1))])
+        order = np.random.default_rng(n_cells + (dt is None)).permutation(len(calls))
+        refs = {}
+        for i in order:
+            tau, which = calls[i]
+            ks = range(len(self.TIMES)) if which is None else which
+            snaps = gen(tau, which)
+            assert len(snaps) == len(ks)
+            for k, snap in zip(ks, snaps):
+                if (tau, k) not in refs:
+                    t = self.TIMES[k]
+                    sol = solve_fp(0.305, tau / t, 20.0, [t], n_cells=n_cells, dt=dt)[0]
+                    refs[tau, k] = fp_snapshot_to_bins(sol)
+                ref = refs[tau, k]
+                assert np.array_equal(snap.density, ref.density)
+                assert (snap.mass0, snap.mass1, snap.t) == (ref.mass0, ref.mass1, ref.t)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_bad_tau_rejected(self, tau):
+        gen = make_fp_model_gen(0.305, 20.0, self.TIMES, n_cells=2048)
+        for which in (None, (1,)):
+            with pytest.raises(ValueError, match=r"^g must be finite and >= 0$"):
+                gen(tau, which)
+
+    def test_memory_held_by_generator(self):
+        # one shared grid and start state, and per relaxation its landing
+        # index and split only: heap held by the fit stage stays resident
+        # into the next pass
+        make_fp_model_gen(0.305, 20.0, self.TIMES[:1])(0.5)  # lazy imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            gen = make_fp_model_gen(0.305, 20.0, self.TIMES)
+            gen(0.5)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * 2**20
