@@ -2,10 +2,10 @@
 
 The measured observable is the step-integrated current I_m, Gaussian
 around I0 or I1 (per eigenstate) with standard deviation sigma.  A
-record multiplies the population ratio by the two-hypothesis Gaussian
-likelihood ratio, which in log-odds form is the single addition
+record multiplies the odds ``o = rho00/rho11`` by the two-hypothesis
+Gaussian likelihood ratio (:func:`_meas`):
 
-    z <- z + (I0 - I1) * (2*I_m - I0 - I1) / (4 sigma^2).
+    o <- o * exp((I0 - I1) * (2*I_m - I0 - I1) / (2 sigma^2)).
 
 Interleaving that with exact relaxation half-steps turns a current
 record into a quantum trajectory.  With records drawn from the honest
@@ -32,16 +32,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
+    Z_CAP,
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
     require_memory,
 )
 from .rng import SeedSpec, _step_draws, _traj_key
-from .sde import _evolve, _hold_caps, _scratch
+from .sde import _evolve, _mask, _rho, _snap
 
 __all__ = [
     "FitFailureError",
@@ -114,21 +114,23 @@ class T1Estimate:
     T1_err: float
 
 
-def _meas_z(z, im, i0: float, i1: float, sigma: float, out=None, work=None):
-    """Bayesian log-odds update for record(s) im from eigenstate current
-    distributions N(i0, sigma^2), N(i1, sigma^2); caps stay fixed.
-
-    The result goes to ``out`` (a new array by default; ``z`` itself
-    updates in place), computed in two rows of ``work``.
+def _meas(o, im, i0: float, i1: float, sigma: float, tmp, mask=None):
+    """Bayesian update of the odds ``o`` in place for record(s) ``im``
+    from eigenstate current distributions N(i0, sigma^2), N(i1, sigma^2):
+    ``o <- o*exp((i0 - i1)(2 im - i0 - i1)/(2 sigma^2))``, with float
+    scratch ``tmp`` and bool scratch ``mask``.  The exponent is clipped
+    to +-4 Z_CAP: a factor that large takes any live state past a cap
+    anyway, and a finite nonzero one keeps the eigenstates fixed.  States
+    pushed past a cap snap onto it.
     """
-    z = np.asarray(z, dtype=float)
-    znew, tmp = _scratch(work, np.broadcast(z, im).shape, 2)
-    np.multiply(im, 2.0, out=znew)
-    np.subtract(znew, i0, out=znew)
-    np.subtract(znew, i1, out=znew)
-    np.multiply(znew, (i0 - i1) / (4.0 * sigma**2), out=znew)
-    np.add(z, znew, out=znew)
-    return _hold_caps(z, znew, tmp, out)
+    np.multiply(im, 2.0, out=tmp)
+    np.subtract(tmp, i0, out=tmp)
+    np.subtract(tmp, i1, out=tmp)
+    np.multiply(tmp, (i0 - i1) / (2.0 * sigma**2), out=tmp)
+    np.clip(tmp, -4.0 * Z_CAP, 4.0 * Z_CAP, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.multiply(o, tmp, out=o)
+    return _snap(o, mask)
 
 
 def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEnsemble:
@@ -143,10 +145,10 @@ def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEn
     cal = records.cal
 
     def block(rows, traj, work):
-        currents = records.currents[rows]
+        currents, mask = records.currents[rows], _mask(work)
 
-        def measure(z, s):
-            _meas_z(z, currents[:, s], cal.I0, cal.I1, cal.sigma, out=z, work=work)
+        def measure(o, s):
+            _meas(o, currents[:, s], cal.I0, cal.I1, cal.sigma, work[0], mask)
 
         return measure
 
@@ -192,20 +194,18 @@ def generate_records(
     def block(rows, traj, work):
         key = _traj_key(seed, traj)
         out = currents[rows]
-        u, xi, im = work[0], work[1], work[2]
+        u, xi, im, mask = work[0], work[1], work[2], _mask(work)
 
-        def record(z, s):
+        def record(o, s):
             _step_draws(key, s, u, xi, im.view(np.uint64))
-            # im = (I0 if u < expit(2 z) else I1) + sigma * xi
-            np.multiply(z, 2.0, out=im)
-            expit(im, out=im)
-            branch = u < im
+            # im = (I0 if u < rho00 else I1) + sigma * xi
+            np.less(u, _rho(o, out=im), out=mask)
             im.fill(cal.I1)
-            np.copyto(im, cal.I0, where=branch)
+            np.copyto(im, cal.I0, where=mask)
             np.multiply(xi, cal.sigma, out=xi)
             np.add(im, xi, out=im)
             out[:, s] = im
-            _meas_z(z, im, cal.I0, cal.I1, cal.sigma, out=z, work=work[:2])
+            _meas(o, im, cal.I0, cal.I1, cal.sigma, u, mask)
 
         return record
 
@@ -244,8 +244,12 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
     """Relaxation time from the decay of the ensemble-averaged current.
 
     Fits <I>(t) = I0 + (I1 - I0) e^{-t/T1} on a series taken from an
-    excited-state-initialized ensemble.  Raises FitFailureError when the
-    series carries no decay to fit.
+    excited-state-initialized ensemble.  With a calibration ``cal`` the
+    asymptote is held at its I0, the ground-state current measured
+    apart, and only the amplitude and T1 are fitted: on a series much
+    shorter than T1 a free asymptote trades off against T1 and leaves
+    both, and T1's error, ill-determined.  Raises FitFailureError when
+    the series carries no decay to fit.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(mean_currents, dtype=float)
@@ -256,19 +260,22 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
     if spread < 1e-12 * scale:
         raise FitFailureError("current series is constant; no decay to fit")
     if cal is not None:
-        p0 = (cal.I0, cal.I1 - cal.I0, max(cal.T1, t[-1]) if math.isfinite(cal.T1) else t[-1])
+        p0 = (cal.I1 - cal.I0, max(cal.T1, t[-1]) if math.isfinite(cal.T1) else t[-1])
+
+        def model(t, b, s):
+            return _exp_decay(t, cal.I0, b, s)
     else:
-        p0 = (y[-1], y[0] - y[-1], (t[-1] - t[0]) / 2.0)
+        p0, model = (y[-1], y[0] - y[-1], (t[-1] - t[0]) / 2.0), _exp_decay
     from scipy.optimize import curve_fit  # deferred: a slow import only fits need
 
     try:
         popt, pcov = curve_fit(
-            _exp_decay, t, y, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14
+            model, t, y, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14
         )
     except (RuntimeError, ValueError) as exc:
         raise FitFailureError(f"T1 fit did not converge: {exc}") from exc
-    _, b, s = popt
-    s_err = math.sqrt(abs(pcov[2, 2])) if np.all(np.isfinite(pcov)) else math.inf
+    b, s = popt[-2:]
+    s_err = math.sqrt(abs(pcov[-1, -1])) if np.all(np.isfinite(pcov)) else math.inf
     if s <= 0 or not math.isfinite(s) or abs(b) < 1e-9 * scale:
         raise FitFailureError("fitted series does not decay")
     return T1Estimate(T1=float(s), T1_err=float(s_err))

@@ -306,7 +306,9 @@ def cmd_calibrate(cfg: RunConfig) -> None:
     g_fit = bayesian.fit_gaussian_current(ground.currents.ravel())
     e_fit = bayesian.fit_gaussian_current(excited.currents[:, 0])
     times = (np.arange(excited.n_steps) + 0.5) * excited.dt
-    t1 = bayesian.estimate_T1(times, excited.currents.mean(axis=0))
+    # the excited ensemble relaxes toward the ground current
+    cal = CalibrationParams(I0=g_fit.center, I1=e_fit.center, sigma=g_fit.sigma, dt=excited.dt)
+    t1 = bayesian.estimate_T1(times, excited.currents.mean(axis=0), cal)
     kappa = (g_fit.center - e_fit.center) ** 2 / (4.0 * g_fit.sigma**2)
     _write_manifest(cfg)
     items = {

@@ -3,17 +3,20 @@
 The measured qubit carries no coherences that matter here: the dynamics
 closes on the diagonal of the density matrix, so the state is a single
 number, the ground-state population ``rho00`` (``rho11 = 1 - rho00``).
-All evolution code stores the state in the log-odds coordinate
+Every update multiplies the population *ratio* by a likelihood factor,
+so the Monte Carlo kernels of :mod:`qtraj.sde` store the odds
+``o = rho00/rho11``, and the Fokker-Planck grid and the closed form work
+in the log-odds coordinate
 
-    z = atanh(rho00 - rho11) = atanh(2*rho00 - 1),
+    z = atanh(rho00 - rho11) = atanh(2*rho00 - 1) = log(o)/2,
 
-because every update multiplies the population *ratio* by a likelihood
-factor, which is an addition in z.  Working in z avoids catastrophic
-cancellation when the state approaches the eigenstates at rho00 = 0, 1.
+where the likelihood factor is an addition.  Neither loses precision as
+the state approaches the eigenstates at rho00 = 0, 1.
 
 z is capped at ``Z_CAP = 30``: tanh(30) differs from 1 by ~1e-26, far
 below double-precision resolution of rho00, so a state at |z| = Z_CAP
-reports a population of exactly 0 or 1.  The cap applies to the z
+reports a population of exactly 0 or 1; odds at or past exp(+-2 Z_CAP)
+snap to the eigenstates o = +inf and o = 0.  The cap applies to the z
 magnitude only; relaxation can re-enter from rho00 = 0 when T1 is
 finite.
 """

@@ -18,9 +18,9 @@ the Monte Carlo stepper:
   of every source cell are corrected so the discrete population mean is
   preserved to rounding, which keeps the Born-rule martingale exact;
 * relaxation is a deterministic monotone map of z (the Monte Carlo
-  kernel), applied as an exact pushforward; each cell's mass is
-  re-deposited between the two enclosing grid cells with the split
-  chosen in population space, so the mean population follows
+  kernel on the odds e^{2z}), applied as an exact pushforward; each
+  cell's mass is re-deposited between the two enclosing grid cells with
+  the split chosen in population space, so the mean population follows
   rho11 -> rho11*e^-delta to rounding.
 
 Both sub-evolutions are linear operators fixed by the grid and the
@@ -55,8 +55,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import expit, ndtr
 
-from .core import DistributionSnapshot, bin_index, check_binning, to_logodds, to_rho
-from .sde import _relax_z
+from .core import Z_CAP, DistributionSnapshot, bin_index, check_binning, to_logodds, to_rho
+from .sde import _relax
 
 __all__ = [
     "FPSolverError",
@@ -120,7 +120,8 @@ def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
     with common variance tau; the branch weights are the initial
     populations (x0 toward +, 1-x0 toward -), which is the Born rule.
     At tau = 0 all mass sits at x0; an x0 on an edge counts toward the
-    bin below it.
+    bin above it, as in the ``[k*w, (k+1)*w)`` bins of
+    :func:`qtraj.core.build_histogram`.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -134,7 +135,7 @@ def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
     z[e >= 1.0] = np.inf
     z0 = to_logodds(x0)
     if tau <= 0:
-        cdf = (x0 * (z >= z0 + tau) + (1.0 - x0) * (z >= z0 - tau)).astype(float)
+        cdf = (x0 * (z > z0 + tau) + (1.0 - x0) * (z > z0 - tau)).astype(float)
     else:
         s = math.sqrt(tau)
         cdf = x0 * ndtr((z - (z0 + tau)) / s) + (1.0 - x0) * ndtr((z - (z0 - tau)) / s)
@@ -225,7 +226,11 @@ class _Relaxation:
         if delta == 0.0:
             return
         fac = math.exp(-delta)
-        k, alpha, above = s.land(_relax_z(s.nodes, delta), s.r11 * fac)
+        # landing positions z' = log(relax(e^{2z}))/2 through the Monte
+        # Carlo's odds map, nodes snapped to rho00 = 1 landing on the cap;
+        # the rho00 = 0 bucket re-enters at relax(0) = expm1(delta)
+        y = np.minimum(0.5 * np.log(_relax(np.exp(2.0 * s.nodes), delta)), Z_CAP)
+        k, alpha, above = s.land(y, s.r11 * fac)
         m = above.size - int(above.sum())
         (kr,), (self.reentry_alpha,), (self.reentry_above,) = s.land(
             np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))

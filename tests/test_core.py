@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from qtraj import core
-from qtraj.bayesian import _meas_z
+from qtraj.bayesian import _meas
 from qtraj.core import (
     Z_CAP,
     CalibrationParams,
@@ -20,6 +20,7 @@ from qtraj.core import (
     to_logodds,
     to_rho,
 )
+from qtraj.sde import _rho
 
 ULP = np.spacing(1.0)
 
@@ -94,11 +95,12 @@ class TestQubitState:
         assert abs(z) < Z_CAP
 
     def test_absorbed_flag(self):
-        # the update kernels clamp to the cap, where rho00 reads exactly 1
-        z = _meas_z(np.array([Z_CAP - 1.0, -Z_CAP + 1.0]), np.array([1e6, -1e6]),
-                    1.0, -1.0, 1.0)
-        assert np.array_equal(z, [Z_CAP, -Z_CAP])
-        assert np.array_equal(to_rho(z), [1.0, 0.0])
+        # the update kernels snap states past the caps onto the
+        # eigenstates, where rho00 reads exactly 1 and 0
+        o = np.exp([2.0 * (Z_CAP - 1.0), -2.0 * (Z_CAP - 1.0)])
+        _meas(o, np.array([1e6, -1e6]), 1.0, -1.0, 1.0, np.empty(2))
+        assert np.array_equal(o, [np.inf, 0.0])
+        assert np.array_equal(_rho(o), [1.0, 0.0])
 
     def test_population_sum(self):
         z = np.random.default_rng(7).uniform(-25, 25, 200)

@@ -22,8 +22,8 @@ PRINTS = {
         "efficiency implied by the fitted tau: 1.000",
     ],
     "05_tau_fitting.py": [
-        "slice 20: median stat 4.68e-04, median syst 9.75e-04, largest total 4.99e-03",
-        "slice 40: median stat 6.93e-04, median syst 1.43e-03, largest total 5.28e-03",
+        "slice 20: median stat 4.91e-04, median syst 9.60e-04, largest total 5.29e-03",
+        "slice 40: median stat 6.92e-04, median syst 1.43e-03, largest total 5.86e-03",
     ],
 }
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.signal import fftconvolve
 from scipy.special import expit, ndtr
 
 from qtraj import fokker_planck as fp
-from qtraj.core import ModelParams, build_histogram, to_logodds, to_rho
+from qtraj.core import ModelParams, TrajectoryEnsemble, build_histogram, to_logodds, to_rho
 from qtraj.fitting import make_fp_model_gen
 from qtraj.fokker_planck import (
     DensityGrid,
@@ -19,7 +20,7 @@ from qtraj.fokker_planck import (
     solve_fp,
 )
 from qtraj.rng import SeedSpec
-from qtraj.sde import _relax_z, simulate_ensemble
+from qtraj.sde import simulate_ensemble
 
 EDGES = np.arange(101) * 0.01
 
@@ -60,6 +61,20 @@ class TestAnalyticZ:
         assert masses.sum() == 1.0
         assert (masses > 0).sum() == 1
         assert analytic_bin_masses(0.305, 0.0, EDGES)[30] == 1.0
+
+    @pytest.mark.parametrize("on", ["two_digit", "edge"])
+    def test_tau_zero_edges_follow_histogram(self, on):
+        # x0 = k/100 and x0 = edges[k] (k*0.01, which differs from k/100
+        # for some k): the closed form puts the mass in the bin that
+        # build_histogram puts a constant ensemble at exactly x0 in
+        edges = np.arange(101) * 0.01
+        for k in range(1, 100):
+            x0 = k / 100 if on == "two_digit" else float(edges[k])
+            ens = TrajectoryEnsemble(n_traj=3, n_steps=0, dt=1.0, values=np.full((3, 1), x0))
+            snap = build_histogram(ens, 0)
+            masses = analytic_bin_masses(x0, 0.0, snap.bin_edges)
+            assert np.array_equal(np.flatnonzero(masses), np.flatnonzero(snap.density)), x0
+            assert math.isclose(masses.sum(), 1.0, rel_tol=1e-15)
 
     def test_degenerate_x0(self):
         # an eigenstate stays put: all mass in its edge bin
@@ -139,6 +154,15 @@ class TestSolveFP:
         ref = analytic_bin_masses(0.305, tau, EDGES)
         assert l1_bins(snap, ref) < 1e-3
         assert abs(sols[0].total_mass - 1.0) <= 1e-10
+
+    def test_grid_past_the_cap(self):
+        # nodes beyond |z| = Z_CAP relax onto the cap, as in the Monte
+        # Carlo, instead of casting an infinite landing position to a cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_fp(0.305, 0.1, 20.0, [3.0], z_min=-40.0, z_max=40.0, n_cells=2048)[0]
+        assert abs(sol.total_mass - 1.0) <= 1e-10
+        assert math.isclose(sol.mean_rho, 1.0 - 0.695 * math.exp(-3.0 / 20.0), rel_tol=1e-12)
 
     def test_sequential_snapshots_compose(self):
         g = 0.03
@@ -390,13 +414,36 @@ def ref_deposit(s, y, r11_target, mass):
     np.add.at(s.w, km + 1, mm * alpha)
 
 
+def relax_z(z, delta):
+    """Relaxation in log-odds coordinates: z' = log(expm1(delta) +
+    e^{delta + 2z})/2, evaluated stably on each side of z = 0 (the form
+    the solver's odds map must land in the same cells as)."""
+    grow = z + 0.5 * delta + 0.5 * np.log1p(-math.expm1(-delta) * np.exp(-2.0 * z))
+    reentry = 0.5 * np.log(math.expm1(delta) + np.exp(delta + 2.0 * z))
+    return np.where(z >= 0.0, grow, reentry)
+
+
+@pytest.mark.parametrize("n_cells", [2048, 8192])
+def test_relaxation_lands_where_the_log_odds_form_does(n_cells):
+    # the odds map e^delta*o + expm1(delta) puts every node in the same
+    # cell, with the same split, as the log-odds formula it replaced
+    s = fp._Solver(0.305, fp.FP_Z_MIN, fp.FP_Z_MAX, n_cells)
+    for delta in (1e-9, 0.5 / 90.0, 0.0625 / 20.0, 0.01, 0.1, 2.0):
+        k, alpha, above = s.land(relax_z(s.nodes, delta), s.r11 * math.exp(-delta))
+        m = above.size - int(above.sum())
+        r = fp._Relaxation(s, delta)
+        assert r.alpha.size == m
+        assert np.array_equal(r.index[: 2 * m], np.concatenate((k[:m], k[:m] + 1)))
+        assert np.array_equal(r.alpha, alpha[:m])
+
+
 def ref_relax(s, delta):
     if delta == 0.0:
         return
     w_old = s.w
     s.w = np.zeros_like(w_old)
     live = w_old > 0.0
-    y = _relax_z(s.nodes[live], delta)
+    y = relax_z(s.nodes[live], delta)
     fac = math.exp(-delta)
     ref_deposit(s, y, s.r11[live] * fac, w_old[live])
     if s.mass0 > 0.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from qtraj.rng import (
     STREAM_BRANCH,
@@ -70,3 +71,69 @@ def test_normal_distribution_ks():
     x = counter_normal(17, np.arange(100_000, dtype=np.uint64), 4, 0)
     p = stats.kstest(x, "norm").pvalue
     assert p > 1e-3
+
+
+# Statistical checks of the streams under the trajectory keys
+# mix(mix(seed) + PHI*(traj + 1)).
+PHI = 0x9E3779B97F4A7C15
+N_STAT = 1_000_000
+
+
+def lag1_corr(a, b):
+    """Pearson correlation of paired variates, with its 5-sigma bound
+    for independent pairs."""
+    return abs(np.corrcoef(a, b)[0, 1]), 5.0 / np.sqrt(a.size)
+
+
+def test_seed_offset_collision_gone():
+    # with the seed added unmixed, seed PHI*5 at trajectories 0..3 was
+    # seed 0 at trajectories 5..8, variate for variate
+    traj = np.arange(4, dtype=np.uint64)
+    a = counter_uniform(PHI * 5 % 2**64, traj, 3, STREAM_BRANCH)
+    b = counter_uniform(0, traj + np.uint64(5), 3, STREAM_BRANCH)
+    assert not np.any(a == b)
+
+
+def test_uniformity_ks_1e6():
+    u = counter_uniform(2024, np.arange(N_STAT, dtype=np.uint64), 7, STREAM_BRANCH)
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+
+def test_lag1_adjacent_trajectories_steps_streams():
+    traj = np.arange(N_STAT, dtype=np.uint64)
+    u = counter_uniform(99, traj, 0, STREAM_BRANCH)
+    r, bound = lag1_corr(u[:-1], u[1:])
+    assert r < bound
+    r, bound = lag1_corr(u, counter_uniform(99, traj, 1, STREAM_BRANCH))
+    assert r < bound
+    r, bound = lag1_corr(u, counter_uniform(99, traj, 0, STREAM_NOISE))
+    assert r < bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 2**32])
+def test_seeds_phi_multiples_apart(k):
+    # seed PHI*k against seed 0, at the same trajectories and at
+    # trajectories shifted by k (where the unmixed keys coincided)
+    n = N_STAT // 4
+    traj = np.arange(n, dtype=np.uint64)
+    a = counter_uniform(PHI * k % 2**64, traj, 0, STREAM_NOISE)
+    for shift in (0, k):
+        b = counter_uniform(0, traj + np.uint64(shift), 0, STREAM_NOISE)
+        r, bound = lag1_corr(a, b)
+        assert r < bound
+
+
+def test_normal_tails_to_the_cap():
+    # the uniforms live in [2^-53, 1 - 2^-53], so normals are capped at
+    # ndtri(2^-53) ~ -8.21 sigma, symmetrically
+    cap = -float(ndtri(2.0**-53))
+    assert 8.2 < cap < 8.21
+    assert float(ndtri(1.0 - 2.0**-53)) == pytest.approx(cap, rel=1e-3)
+    x = counter_normal(31, np.arange(N_STAT, dtype=np.uint64), 2, STREAM_NOISE)
+    assert np.max(np.abs(x)) <= cap
+    # two-sided tail counts beyond 2, 3, 4 and 5 sigma within 5 Poisson sigma
+    for t in (2.0, 3.0, 4.0, 5.0):
+        expected = N_STAT * 2.0 * ndtr(-t)
+        for side in (x > t, x < -t):
+            got = np.count_nonzero(side)
+            assert abs(got - expected / 2.0) < 5.0 * np.sqrt(expected / 2.0) + 1.0

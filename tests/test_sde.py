@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.special import expit, ndtr, ndtri
 
 from qtraj import core
-from qtraj.bayesian import _meas_z, generate_records, reconstruct_ensemble
+from qtraj.bayesian import _meas, generate_records, reconstruct_ensemble
 from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.rng import (
     STREAM_BRANCH,
@@ -20,25 +20,31 @@ from qtraj.rng import (
 )
 from qtraj.sde import (
     CHUNK,
-    _diffusion_z,
-    _relax_z,
+    _diffuse,
+    _odds,
+    _relax,
+    _rho,
     simulate_batches,
     simulate_ensemble,
 )
 
 
+def diffuse(o, kappa, u, xi):
+    """One exact diffusion step of a copy of the odds ``o``."""
+    o, xi = np.array(o, dtype=float), np.array(xi, dtype=float)
+    return _diffuse(o, kappa, u, xi, np.empty(o.shape))
+
+
 def sample_diffusion_increments(seed, n, kappa, x0=0.5, step=0):
-    """Monte Carlo draws of one exact diffusion step from x0."""
-    traj = np.arange(n, dtype=np.uint64)
-    z0 = to_logodds(x0)
-    u = counter_uniform(seed, traj, step, STREAM_BRANCH)
-    xi = counter_normal(seed, traj, step, STREAM_NOISE)
-    return _diffusion_z(np.full(n, z0), kappa, u, xi) - z0
+    """Monte Carlo draws of the log-odds increment of one exact diffusion
+    step from x0."""
+    o = diffuse(np.full(n, _odds(x0)), kappa, *draws(seed, n, step))
+    return 0.5 * np.log(o) - to_logodds(x0)
 
 
-def relax1(z, delta):
-    """One exact relaxation step of a size-1 state array."""
-    return _relax_z(np.array([z]), delta)[0]
+def relax1(x, delta):
+    """The population after one exact relaxation step from population x."""
+    return _rho(_relax(np.array([_odds(x)]), delta))[0]
 
 
 def draws(seed, n, step):
@@ -47,9 +53,10 @@ def draws(seed, n, step):
             counter_normal(seed, traj, step, STREAM_NOISE))
 
 
-# Plain allocating forms of the counter hash and the step kernels: the
-# in-place kernels that replaced them must reproduce them bit for bit.
+# Plain allocating forms of the counter hash and the odds kernels: the
+# in-place kernels must reproduce them bit for bit.
 PHI = np.uint64(0x9E3779B97F4A7C15)
+O_CAP, O_FLOOR = math.exp(2.0 * Z_CAP), math.exp(-2.0 * Z_CAP)
 
 
 def mix_ref(h):
@@ -63,13 +70,42 @@ def mix_ref(h):
 def uniform_ref(seed, traj, step, stream):
     traj = np.asarray(traj, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = mix_ref(np.uint64(seed) + PHI * (traj + np.uint64(1)))
+        h = mix_ref(mix_ref(np.uint64(seed)) + PHI * (traj + np.uint64(1)))
         h = mix_ref(h + PHI * np.uint64(step + 1))
         h = mix_ref(h + PHI * np.uint64(stream + 1))
     return ((h >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def relax_ref(z, delta):
+def rho_ref(o):
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (1.0 + 1.0 / o)
+
+
+def snap_ref(o, lower=True):
+    o = np.where(o >= O_CAP, np.inf, o)
+    return np.where(o <= O_FLOOR, 0.0, o) if lower else o
+
+
+def relax_ref(o, delta):
+    if delta == 0.0:
+        return o
+    return snap_ref(math.exp(delta) * o + math.expm1(delta), lower=False)
+
+
+def diffusion_ref(o, kappa, u, xi):
+    return snap_ref(o * np.exp(2.0 * math.sqrt(kappa) * xi
+                               - np.copysign(2.0 * kappa, u - rho_ref(o))))
+
+
+def meas_ref(o, im, i0, i1, sigma):
+    arg = (2.0 * im - i0 - i1) * ((i0 - i1) / (2.0 * sigma**2))
+    return snap_ref(o * np.exp(np.clip(arg, -4.0 * Z_CAP, 4.0 * Z_CAP)))
+
+
+# The log-odds step the odds kernels replaced, kept as an oracle: the
+# same physical updates in z = log(o)/2, clipped to +-Z_CAP, with the
+# caps held fixed by diffusion and measurement.
+def relax_z(z, delta):
     if delta == 0.0:
         return z
     grow = z + 0.5 * delta + 0.5 * np.log1p(-math.expm1(-delta) * np.exp(-2.0 * z))
@@ -77,16 +113,20 @@ def relax_ref(z, delta):
     return np.clip(np.where(z >= 0.0, grow, reentry), -Z_CAP, Z_CAP)
 
 
-def diffusion_ref(z, kappa, u, xi):
+def diffusion_z(z, kappa, u, xi):
     branch = np.where(u < expit(2.0 * z), 1.0, -1.0)
     znew = np.clip(z + kappa * branch + math.sqrt(kappa) * xi, -Z_CAP, Z_CAP)
     return np.where(np.abs(z) >= Z_CAP, z, znew)
 
 
-def meas_ref(z, im, i0, i1, sigma):
+def meas_z(z, im, i0, i1, sigma):
     coeff = (i0 - i1) / (4.0 * sigma**2)
     znew = np.clip(z + coeff * (2.0 * im - i0 - i1), -Z_CAP, Z_CAP)
     return np.where(np.abs(z) >= Z_CAP, z, znew)
+
+
+def z_to_odds(z):
+    return np.where(z >= Z_CAP, np.inf, np.where(z <= -Z_CAP, 0.0, np.exp(2.0 * z)))
 
 
 def same_bits(a, b):
@@ -96,10 +136,20 @@ def same_bits(a, b):
 
 # the caps, signed zeros and tiny values, then states across the range
 ORACLE_Z = np.concatenate([
-    [Z_CAP, -Z_CAP, 0.0, -0.0, 1e-300, -1e-300, np.nextafter(Z_CAP, 0), -np.nextafter(Z_CAP, 0)],
+    [Z_CAP, -Z_CAP, 0.0, -0.0, 1e-300, -1e-300, 29.9, -29.9],
     np.random.default_rng(17).normal(0.0, 8.0, 400).clip(-Z_CAP, Z_CAP),
 ])
+ORACLE_O = np.concatenate([
+    z_to_odds(ORACLE_Z),
+    [O_CAP, np.nextafter(O_CAP, 0), O_FLOOR, np.nextafter(O_FLOOR, 1), 1e-300, 5e-324, 1e300],
+])
 ORACLE_STEPS = (0, 2**32)
+
+
+def assert_close_to_z(o, z):
+    """The odds states ``o`` hold the populations of the log-odds states
+    ``z`` to 1e-12."""
+    assert np.max(np.abs(rho_ref(o) - to_rho(z))) <= 1e-12
 
 
 class TestKernelOracles:
@@ -123,37 +173,42 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("delta", (0.0, 1e-12, 0.0056, 2.0))
     def test_relax(self, delta):
-        want = relax_ref(ORACLE_Z, delta)
-        assert same_bits(_relax_z(ORACLE_Z, delta), want)
-        z = ORACLE_Z.copy()
-        assert _relax_z(z, delta, out=z, work=np.empty((3, z.size))) is z
-        assert same_bits(z, want)
+        want = relax_ref(ORACLE_O, delta)
+        o = ORACLE_O.copy()
+        assert _relax(o, delta, np.empty(o.size, dtype=bool)) is o
+        assert same_bits(o, want)
+        assert same_bits(_relax(ORACLE_O.copy(), delta), want)
+        assert_close_to_z(want[:ORACLE_Z.size], relax_z(ORACLE_Z, delta))
 
     @pytest.mark.parametrize("kappa", (0.0, 1e-12, 0.0056, 2.0))
     @pytest.mark.parametrize("step", ORACLE_STEPS)
     def test_diffusion(self, kappa, step):
-        u, xi = draws(5, ORACLE_Z.size, step)
-        want = diffusion_ref(ORACLE_Z, kappa, u, xi)
-        assert same_bits(_diffusion_z(ORACLE_Z, kappa, u, xi), want)
-        z = ORACLE_Z.copy()
-        assert _diffusion_z(z, kappa, u, xi, out=z, work=np.empty((2, z.size))) is z
-        assert same_bits(z, want)
+        u, xi = draws(5, ORACLE_O.size, step)
+        want = diffusion_ref(ORACLE_O, kappa, u, xi)
+        o, xi_copy = ORACLE_O.copy(), xi.copy()
+        tmp, mask = np.empty(o.size), np.empty(o.size, dtype=bool)
+        assert _diffuse(o, kappa, u, xi_copy, tmp, mask) is o
+        assert same_bits(o, want)
+        assert same_bits(diffuse(ORACLE_O, kappa, u, xi), want)
+        n = ORACLE_Z.size
+        assert_close_to_z(want[:n], diffusion_z(ORACLE_Z, kappa, u[:n], xi[:n]))
         # a draw exactly at the branch threshold takes the lower branch
-        p = expit(2.0 * ORACLE_Z)
-        assert same_bits(_diffusion_z(ORACLE_Z, kappa, p, xi),
-                         diffusion_ref(ORACLE_Z, kappa, p, xi))
-
+        p = rho_ref(ORACLE_O)
+        assert same_bits(diffuse(ORACLE_O, kappa, p, xi), diffusion_ref(ORACLE_O, kappa, p, xi))
+        if kappa > 0.0:  # rho00 = 0.5 (o = 1) and u = 0.5: the lower branch
+            assert diffuse([1.0], kappa, [0.5], [0.0])[0] < 1.0
 
     @pytest.mark.parametrize("cal", [(1.0, -1.0, 1.0), (128.443, 127.856, 5.56)])
     def test_meas(self, cal):
         i0, i1, sigma = cal
-        im = np.random.default_rng(2).normal(i0, 3.0 * sigma, ORACLE_Z.size)
+        im = np.random.default_rng(2).normal(i0, 3.0 * sigma, ORACLE_O.size)
         im[:4] = [i0, i1, 0.5 * (i0 + i1), 1e6]
-        want = meas_ref(ORACLE_Z, im, i0, i1, sigma)
-        assert same_bits(_meas_z(ORACLE_Z, im, i0, i1, sigma), want)
-        z = ORACLE_Z.copy()
-        assert _meas_z(z, im, i0, i1, sigma, out=z, work=np.empty((2, z.size))) is z
-        assert same_bits(z, want)
+        want = meas_ref(ORACLE_O, im, i0, i1, sigma)
+        o = ORACLE_O.copy()
+        assert _meas(o, im, i0, i1, sigma, np.empty(o.size), np.empty(o.size, dtype=bool)) is o
+        assert same_bits(o, want)
+        n = ORACLE_Z.size
+        assert_close_to_z(want[:n], meas_z(ORACLE_Z, im[:n], i0, i1, sigma))
 
     def test_simulate_and_generate_match_reference_loops(self):
         # the whole step loop, with its shared scratch, against the plain
@@ -164,89 +219,151 @@ class TestKernelOracles:
         ens = simulate_ensemble(params, n, SeedSpec(seed))
         recs, latent = generate_records(params, cal, n, SeedSpec(seed))
         traj = np.arange(n, dtype=np.uint64)
-        z_sim = z_gen = np.full(n, to_logodds(0.305))
+        o_sim = o_gen = np.full(n, 0.305 / (1.0 - 0.305))
         half = 0.5 * params.delta
         for s in range(steps):
             u = uniform_ref(seed, traj, s, STREAM_BRANCH)
             xi = ndtri(uniform_ref(seed, traj, s, STREAM_NOISE))
-            z_sim = relax_ref(diffusion_ref(relax_ref(z_sim, half), params.kappa, u, xi), half)
-            z_gen = relax_ref(z_gen, half)
-            im = np.where(u < expit(2.0 * z_gen), cal.I0, cal.I1) + cal.sigma * xi
+            o_sim = relax_ref(diffusion_ref(relax_ref(o_sim, half), params.kappa, u, xi), half)
+            o_gen = relax_ref(o_gen, half)
+            im = np.where(u < rho_ref(o_gen), cal.I0, cal.I1) + cal.sigma * xi
             assert same_bits(recs.currents[:, s], im)
-            z_gen = relax_ref(meas_ref(z_gen, im, cal.I0, cal.I1, cal.sigma), half)
-            assert same_bits(ens.slice_values(s + 1), to_rho(z_sim))
-            assert same_bits(latent.slice_values(s + 1), to_rho(z_gen))
+            o_gen = relax_ref(meas_ref(o_gen, im, cal.I0, cal.I1, cal.sigma), half)
+            assert same_bits(ens.slice_values(s + 1), rho_ref(o_sim))
+            assert same_bits(latent.slice_values(s + 1), rho_ref(o_gen))
+
+
+# 1e5 x 80 steps: the weak coupling of the benchmark at T1 = 45, strong
+# coupling that drives most trajectories onto the caps at T1 = infinity,
+# and strong coupling with re-entry from rho00 = 0 at T1 = 45
+Z_ORACLE_RUNS = [(0.03, 45.0), (2.0, math.inf), (2.0, 45.0)]
+
+
+def assert_matches_z_oracle(values, z_slices):
+    """Every slice within 1e-12 of the z oracle, with equal counts of
+    exact 0 and 1."""
+    for k, z in enumerate(z_slices):
+        want = to_rho(z)
+        assert np.max(np.abs(values[:, k] - want)) <= 1e-12
+        assert np.count_nonzero(values[:, k] == 0.0) == np.count_nonzero(want == 0.0)
+        assert np.count_nonzero(values[:, k] == 1.0) == np.count_nonzero(want == 1.0)
+
+
+class TestZOracle:
+    """The odds step against the log-odds step it replaced, on the same
+    draws and the same currents."""
+
+    @pytest.mark.parametrize("g, T1", Z_ORACLE_RUNS)
+    def test_simulate(self, g, T1):
+        n, steps, seed = 100_000, 80, 2024
+        params = ModelParams(g=g, T1=T1, dt=0.5, x0=0.305, n_steps=steps)
+        ens = simulate_ensemble(params, n, SeedSpec(seed), n_workers=2)
+        z = np.full(n, to_logodds(0.305))
+        half = 0.5 * params.delta
+        slices = [z]
+        for s in range(steps):
+            z = relax_z(diffusion_z(relax_z(z, half), params.kappa, *draws(seed, n, s)), half)
+            slices.append(z)
+        assert_matches_z_oracle(ens.values, slices)
+        if g == 2.0 and T1 == math.inf:
+            final = ens.values[:, -1]
+            assert np.count_nonzero(final == 0.0) > 10_000
+            assert np.count_nonzero(final == 1.0) > 5_000
+
+    def test_reconstruct(self):
+        n, steps = 100_000, 80
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=45.0)
+        params = ModelParams(g=cal.kappa / 0.5, T1=45.0, dt=0.5, x0=0.305, n_steps=steps)
+        recs, latent = generate_records(params, cal, n, SeedSpec(7), n_workers=2)
+        ens = reconstruct_ensemble(recs, n_workers=2)
+        assert np.array_equal(ens.values, latent.values)
+        z = np.full(n, to_logodds(0.305))
+        half = 0.5 * params.delta
+        slices = [z]
+        for s in range(steps):
+            z = relax_z(meas_z(relax_z(z, half), recs.currents[:, s], 1.0, -1.0, 1.0), half)
+            slices.append(z)
+        assert_matches_z_oracle(ens.values, slices)
+        # relaxation re-enters from rho00 = 0 every step, but rho00 = 1 holds
+        assert np.count_nonzero(ens.values[:, -1] == 1.0) > 10_000
 
 
 class TestRelaxation:
     def test_ground_state_unchanged(self):
-        out = relax1(to_logodds(1.0), 0.37)  # rho11 = 0
-        assert to_rho(out) == 1.0
+        assert relax1(1.0, 0.37) == 1.0  # rho11 = 0, o = +inf
 
     def test_half_life(self):
-        out = relax1(to_logodds(0.0), math.log(2.0))  # rho11 = 1
-        assert math.isclose(to_rho(-out), 0.5, rel_tol=1e-12)
+        out = relax1(0.0, math.log(2.0))  # rho11 = 1, o = 0
+        assert math.isclose(out, 0.5, rel_tol=1e-12)
 
     def test_experiment_scale_step(self):
         # oracle: rho11' = 0.695 * exp(-dt/T1) with dt=0.5, T1=45
-        out = relax1(to_logodds(0.305), 0.5 / 45.0)
+        out = relax1(0.305, 0.5 / 45.0)
         expected = 0.695 * math.exp(-1.0 / 90.0)
         assert math.isclose(expected, 0.687320520559276, rel_tol=1e-14)
-        assert math.isclose(to_rho(-out), expected, rel_tol=1e-12)
+        assert math.isclose(1.0 - out, expected, rel_tol=1e-12)
 
     def test_delta_zero_identity(self):
-        z = np.array([1.3])
-        assert _relax_z(z, 0.0) is z
+        o = np.array([1.3])
+        assert _relax(o, 0.0) is o
+        assert o[0] == 1.3
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            _relax_z(np.zeros(1), -0.1)
+            _relax(np.zeros(1), -0.1)
 
     def test_cap_reentry(self):
-        # rho00 = 0 is not absorbing under relaxation
-        out = relax1(-Z_CAP, 0.01)
-        assert math.isclose(to_rho(out), -math.expm1(-0.01), rel_tol=1e-9)
+        # rho00 = 0 is not absorbing under relaxation: o = 0 re-enters
+        # at expm1(delta), which is rho00 = 1 - e^-delta
+        o = _relax(np.array([0.0, np.inf]), 0.01)
+        assert o[0] == math.expm1(0.01)
+        assert math.isclose(_rho(o)[0], -math.expm1(-0.01), rel_tol=1e-14)
         # rho00 = 1 stays put
-        assert relax1(Z_CAP, 0.01) == Z_CAP
+        assert o[1] == np.inf and _rho(o)[1] == 1.0
+        # a state pushed onto the upper cap snaps to the eigenstate
+        assert _relax(np.array([O_CAP * 0.999]), 0.01)[0] == np.inf
 
     def test_half_steps_compose(self):
         rng = np.random.default_rng(0)
-        z = rng.uniform(-28, 28, 500)
+        o = np.exp(2.0 * rng.uniform(-28, 28, 500))
         d = 0.013
-        direct = _relax_z(z, d)
-        halves = _relax_z(_relax_z(z, d / 2), d / 2)
-        assert np.allclose(direct, halves, rtol=1e-12, atol=1e-12)
+        direct = _relax(o.copy(), d)
+        halves = _relax(_relax(o.copy(), d / 2), d / 2)
+        assert np.allclose(direct, halves, rtol=1e-14, atol=0)
 
     def test_matches_rho_space_rule(self):
-        z = to_logodds(np.random.default_rng(1).random(100))
-        out = _relax_z(z, 0.2)
-        assert np.allclose(to_rho(-out), to_rho(-z) * math.exp(-0.2), rtol=1e-12, atol=0)
+        # the relaxation mean law to rounding: rho11 -> rho11 e^-delta
+        rho = np.random.default_rng(1).random(100)
+        out = _rho(_relax(rho / (1.0 - rho), 0.2))
+        assert np.allclose(1.0 - out, (1.0 - rho) * math.exp(-0.2), rtol=1e-14, atol=1e-16)
 
 
 class TestDiffusion:
     def test_zero_kappa(self):
-        z = np.full(1000, 0.7)
-        assert np.array_equal(_diffusion_z(z, 0.0, *draws(0, 1000, 0)), z)
+        o = np.full(1000, 0.7)
+        assert np.array_equal(diffuse(o, 0.0, *draws(0, 1000, 0)), o)
 
     def test_negative_kappa(self):
         with pytest.raises(ValueError):
-            _diffusion_z(np.zeros(1), -1.0, *draws(0, 1, 0))
+            diffuse(np.ones(1), -1.0, *draws(0, 1, 0))
 
     def test_eigenstate_fixed(self):
-        z = np.array([to_logodds(1.0)])
+        # both eigenstates, under diffusion and measurement, for any draw
+        o = np.array([np.inf, 0.0])
         for step in range(100):
-            z = _diffusion_z(z, 0.5, *draws(2, 1, step))
-            assert to_rho(z[0]) == 1.0
+            o = diffuse(o, 0.5, *draws(2, 2, step))
+            assert np.array_equal(o, [np.inf, 0.0])
+        for im in ([-1e6, 1e6], [1e6, -1e6], [0.3, -0.3]):
+            o = _meas(o, np.array(im), 1.0, -1.0, 1.0, np.empty(2))
+            assert np.array_equal(o, [np.inf, 0.0])
+        assert np.array_equal(_rho(o), [1.0, 0.0])
 
     def test_moments_at_pinned_state(self):
-        # pinned branch (rho00 = 1 in float, z below the cap): the
-        # increment is exactly N(kappa, kappa)
+        # pinned branch (rho00 = 1 in float, o below the cap): the
+        # log-odds increment is exactly N(kappa, kappa)
         n = 1_000_000
         kappa = 0.01
-        traj = np.arange(n, dtype=np.uint64)
-        u = counter_uniform(99, traj, 0, STREAM_BRANCH)
-        xi = counter_normal(99, traj, 0, STREAM_NOISE)
-        dz = _diffusion_z(np.full(n, 25.0), kappa, u, xi) - 25.0
+        dz = 0.5 * np.log(diffuse(np.full(n, math.exp(50.0)), kappa, *draws(99, n, 0))) - 25.0
         assert abs(dz.mean() - kappa) < 4.0 * math.sqrt(kappa / n)
         assert abs(dz.var() - kappa) < 4.0 * kappa * math.sqrt(2.0 / n)
 
@@ -261,14 +378,11 @@ class TestDiffusion:
     def test_composition_two_steps_equals_double(self):
         n = 100_000
         kappa = 0.3
-        z0 = to_logodds(0.4)
-        traj = np.arange(n, dtype=np.uint64)
-        z = np.full(n, z0)
+        o = np.full(n, _odds(0.4))
         for s in range(2):
-            u = counter_uniform(31, traj, s, STREAM_BRANCH)
-            xi = counter_normal(31, traj, s, STREAM_NOISE)
-            z = _diffusion_z(z, kappa, u, xi)
-        single = z0 + sample_diffusion_increments(77, n, 2 * kappa, x0=0.4)
+            o = diffuse(o, kappa, *draws(31, n, s))
+        z = 0.5 * np.log(o)
+        single = to_logodds(0.4) + sample_diffusion_increments(77, n, 2 * kappa, x0=0.4)
         p = stats.ks_2samp(z, single).pvalue
         assert p > 1e-3
 
@@ -293,16 +407,15 @@ class TestTrotter:
     def test_no_relaxation_reduces_to_diffusion(self):
         params = ModelParams(g=0.4, T1=math.inf, dt=0.5, x0=0.57, n_steps=3)
         ens = simulate_ensemble(params, 50, SeedSpec(8))
-        z = np.full(50, to_logodds(0.57))
+        o = np.full(50, _odds(0.57))
         for step in range(3):
-            z = _diffusion_z(z, 0.2, *draws(8, 50, step))
-            assert np.array_equal(ens.slice_values(step + 1), to_rho(z))
+            o = diffuse(o, 0.2, *draws(8, 50, step))
+            assert np.array_equal(ens.slice_values(step + 1), _rho(o))
 
     def test_no_diffusion_reduces_to_relaxation(self):
         params = ModelParams(g=0.0, T1=6.25, dt=0.5, x0=0.4, n_steps=1)
         ens = simulate_ensemble(params, 1, SeedSpec(9))
-        expected = to_rho(relax1(to_logodds(0.4), 0.08))
-        assert math.isclose(ens.values[0, 1], expected, rel_tol=1e-12)
+        assert math.isclose(ens.values[0, 1], relax1(0.4, 0.08), rel_tol=1e-12)
 
 
 def simulate_ensemble_euler(params, n_traj, rng):
@@ -354,7 +467,8 @@ class TestSimulateEnsemble:
     def test_constant_trajectory(self):
         params = ModelParams(g=0.0, T1=math.inf, dt=0.5, x0=0.305, n_steps=20)
         ens = simulate_ensemble(params, 1, SeedSpec(1))
-        expected = to_rho(to_logodds(0.305))
+        expected = _rho(np.array([_odds(0.305)]))[0]
+        assert math.isclose(expected, 0.305, rel_tol=4e-16)
         assert np.all(ens.values == expected)
 
     def test_martingale_every_slice(self):
