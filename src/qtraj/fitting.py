@@ -7,7 +7,8 @@ parabolically, and the error bar taken from the delta-chi2 = 100
 convention (the conventional one-parameter delta-chi2 = 1 interval is
 reported alongside; it is 10x smaller for a parabolic minimum).  The
 scan is coarse-to-fine: a strided pass over every slice, then per slice
-only the grid points its minimum depends on.
+only the grid points its minimum depends on, bisecting first the gap
+beside the lower of the two values that bracket the minimum.
 
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
@@ -171,6 +172,8 @@ def fit_tau(
     0, every m-th index (m = round(sqrt(n)) on n points) and n - 1; then
     each slice's bracket shrinks until the neighbours of its minimum, and
     all points up to the first larger value right of it, are evaluated.
+    Each fine evaluation bisects the gap on the side whose bracketing
+    value is lower, and the other gap once that one is closed.
     A slice whose evaluated values are not unimodal gets its whole grid
     evaluated.  Every field then equals that of the full scan.
     """
@@ -198,9 +201,14 @@ def fit_tau(
             j, lo = idx[i], (idx[i - 1] if i > 0 else -1)
             right = idx[i + 1 :]
             hi = right[c[right] > c[j]][:1]  # a plateau at c[j] may hide a lower value
-            gap = np.arange(lo + 1, j)
-            if gap.size == 0:
-                gap = j + 1 + np.flatnonzero(~ok[j + 1 : hi[0] if hi.size else n])
+            left_gap = np.arange(lo + 1, j)
+            right_gap = j + 1 + np.flatnonzero(~ok[j + 1 : hi[0] if hi.size else n])
+            # bisect first beside the lower bracketing value (a right side
+            # with no larger value is a plateau at c[j]): the minimum more
+            # likely lies there, and the other gap then shrinks toward it
+            right_first = not hi.size or (lo >= 0 and c[hi[0]] < c[lo])
+            first, second = (right_gap, left_gap) if right_first else (left_gap, right_gap)
+            gap = first if first.size else second
             if gap.size == 0:
                 break
             evaluate(int(gap[gap.size // 2]), (k,))

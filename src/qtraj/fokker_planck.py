@@ -31,9 +31,12 @@ splits); :meth:`_Plan.run` builds each interval's diffusion (kernel
 spectra, branch weights) for one g and runs the substep loop, so the
 fit's model generator plans every slice once for all trial tau.  At
 infinite T1 the loop takes one substep of the interval with zero
-relaxation.  Every convolution goes through :func:`_fft_convolve`,
-padded to ``next_fast_len(size, real=True)``, both branches as rows of
-one transform.
+relaxation.  A diffusion transforms its two kernels once, at
+``n_fft = next_fast_len(size, real=True)`` for the ``size`` of a full
+convolution with the grid; the branch means of its weights are
+correlations through the conjugate spectra, and each substep makes one
+two-row forward transform of the weighted branches and one inverse
+transform of their sum in the frequency domain, clamped at 0 once.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -167,6 +170,7 @@ class _Solver:
         # mean-preserving deposits and branch reweighting
         self.r11 = expit(-2.0 * self.nodes)
         self.phi = np.tanh(self.nodes)
+        self.r00 = expit(2.0 * self.nodes)  # the branch weight where the means tie
         z0 = to_logodds(x0)
         if not (z_min < z0 < z_max):
             raise ValueError("x0 maps outside the z grid")
@@ -262,8 +266,10 @@ class _Diffusion:
 
     The kernel pair (one row per branch), its truncated tails and the
     mean-preserving branch weights depend on the grid and kappa only, so
-    they are built once, with the kernel spectra.  Each application then
-    convolves the two weighted branches in one two-row transform.
+    they are built once, from the kernel spectra at ``n_fft``.  Each
+    application transforms the two weighted branches as the two rows of
+    the zero-padded buffer ``pad``, adds their products with the spectra
+    and transforms the sum back once.
     """
 
     def __init__(self, s: _Solver, kappa: float):
@@ -275,71 +281,50 @@ class _Diffusion:
         hi = int(math.ceil((kappa + _KERNEL_TAIL * sig) / s.dz)) + 1
         edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
 
-        # rows: the branch centered at +kappa, then the one at -kappa
+        # rows: the branch centered at +kappa, then the one at -kappa; a
+        # full convolution with the grid has n + hi - lo points
+        n = s.nodes.size
+        self.size, self.n_fft = n + hi - lo, next_fast_len(n + hi - lo, real=True)
         cdf = ndtr((edges_rel - np.array([[kappa], [-kappa]])) / sig)
-        self.kernels = np.diff(cdf)
+        self.spectra = rfft(np.diff(cdf), self.n_fft)
         self.tail_lo, self.tail_hi = cdf[:, 0], 1.0 - cdf[:, -1]
 
-        # discrete post-step population means of each branch; beyond the
-        # grid the population saturates at the eigenstates (+-1 in phi)
+        # discrete post-step population means of each branch, the "valid"
+        # correlations of the kernels with phi; beyond the grid the
+        # population saturates at the eigenstates (+-1 in phi)
         phi_ext = np.concatenate((np.full(-lo, -1.0), s.phi, np.ones(hi)))
-        mp, mm = _correlate(phi_ext, self.kernels) - self.tail_lo[:, None] + self.tail_hi[:, None]
+        corr = irfft(rfft(phi_ext, self.n_fft) * self.spectra.conj(), self.n_fft)
+        mp, mm = corr[:, :n] - self.tail_lo[:, None] + self.tail_hi[:, None]
 
         # branch weights, corrected so the discrete mean is conserved
         denom = mp - mm
         with np.errstate(invalid="ignore", divide="ignore"):
             xt = (s.phi - mm) / denom
-        xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes))
-        self.xt = np.clip(xt, 0.0, 1.0)
-
+        self.xt = np.clip(np.where(np.abs(denom) > 1e-9, xt, s.r00), 0.0, 1.0)
         self.lo = lo
-        # at the length _fft_convolve picks for a grid-sized input
-        self.spectra = rfft(self.kernels, next_fast_len(s.nodes.size + hi - lo, real=True))
+        self.pad = np.zeros((2, self.n_fft))
 
     def apply(self, s: _Solver) -> None:
         if self.kappa == 0.0:
             return
         n, lo = s.nodes.size, self.lo
-        wp, wm = branches = np.empty((2, n))
+        wp, wm = self.pad[:, :n]  # the padding past n stays zero
         np.multiply(self.xt, s.w, out=wp)
         np.subtract(s.w, wp, out=wm)
-        # each branch is clamped at 0 before the two are added
-        cp, cm = np.maximum(_fft_convolve(branches, self.kernels, self.spectra), 0.0)
-        full = cp + cm
-        # full[j'] is the mass landing on grid index j = j' + lo
-        j_lo = max(0, -lo)          # first j' on the grid
-        j_hi = min(full.size, n - lo)  # one past the last j' on the grid
-        s.w = np.zeros(n)
-        s.w[j_lo + lo : j_hi + lo] = full[j_lo:j_hi]
-        s.mass0 += float(full[:j_lo].sum())
-        s.mass1 += float(full[j_hi:].sum())
+        spec = rfft(self.pad)
+        spec *= self.spectra
+        spec[0] += spec[1]
+        # the two branches' sum, clamped at 0 once; full[j'] is the mass
+        # landing on grid index j' + lo, and lo < 0 < hi, so the grid is
+        # full[-lo : n - lo] and the rest is past its ends
+        full = np.maximum(irfft(spec[0], self.n_fft)[: self.size], 0.0)
+        s.w = full[-lo : n - lo]
+        s.mass0 += float(full[:-lo].sum())
+        s.mass1 += float(full[n - lo :].sum())
         # truncated kernel tails (couple of 1e-17) go to the buckets too
         sp, sm = wp.sum(), wm.sum()
         s.mass0 += float(sp * self.tail_lo[0] + sm * self.tail_lo[1])
         s.mass1 += float(sp * self.tail_hi[0] + sm * self.tail_hi[1])
-
-
-def _fft_convolve(a: np.ndarray, k: np.ndarray, k_spec: np.ndarray | None = None) -> np.ndarray:
-    """Full linear convolutions of the rows of real arrays through real FFTs.
-
-    Rows of ``a`` and ``k`` broadcast against each other.  Both are
-    transformed along their last axis at ``next_fast_len(na + nk - 1,
-    real=True)``, multiplied and transformed back; each row is bit for
-    bit what ``scipy.signal.fftconvolve`` computes for its pair of rows
-    (for kernels of two or more taps; it multiplies by a one-tap
-    kernel).  ``k_spec``, when given, is ``rfft(k, that length)``, kept
-    by a caller that convolves with the same kernels many times.
-    """
-    size = a.shape[-1] + k.shape[-1] - 1
-    n = next_fast_len(size, real=True)
-    if k_spec is None:
-        k_spec = rfft(k, n)
-    return irfft(rfft(a, n) * k_spec, n)[..., :size]
-
-
-def _correlate(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The "valid" cross-correlation of a with each row of the shorter k."""
-    return _fft_convolve(a, k[..., ::-1])[..., k.shape[-1] - 1 : a.shape[-1]]
 
 
 class _Plan:

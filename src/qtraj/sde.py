@@ -37,9 +37,12 @@ scratch rows, and a step allocates no chunk-sized array.
 
 Ensembles use the counter-based streams of :mod:`qtraj.rng` (each
 chunk's trajectory keys computed once, one step hash shared by the
-branch and noise streams) and run in the fixed trajectory chunks of
-:func:`_evolve`, so the output is byte-identical for any worker count.
-:func:`simulate_batches` yields the same rows in blocks of whole chunks,
+branch and noise streams), and every kernel works on each trajectory
+alone, so a row's bytes do not depend on the chunk it runs in: the
+output is byte-identical for any worker count and any chunk split.
+:func:`_evolve` splits the trajectories into equal chunks of at most
+CHUNK, as many as a multiple of the worker count, so the workers get
+equal shares.  :func:`simulate_batches` yields the same rows in blocks,
 so an ensemble can be written out without ever being held in memory.
 """
 
@@ -56,9 +59,8 @@ from .rng import SeedSpec, _step_draws, _traj_key
 
 __all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
 
-# Trajectories are processed in fixed chunks of this size.  The chunk
-# grid depends only on trajectory indices, never on the worker count,
-# which keeps ensemble output byte-identical under any parallel split.
+# Trajectories are processed in chunks of at most this size.  No kernel
+# mixes trajectories, so the split never changes an output byte.
 CHUNK = 65536
 
 
@@ -151,8 +153,10 @@ def _evolve(
     ``n_steps`` symmetric Trotter steps relax(delta/2), ``update``,
     relax(delta/2), storing rho00 after each.
 
-    Trajectories run in fixed CHUNK-sized row blocks on up to
-    ``n_workers`` threads.  Each block owns its odds ``o`` and a scratch
+    Trajectories run in row blocks on up to ``n_workers`` threads: the
+    fewest blocks of at most CHUNK rows, rounded up to a multiple of
+    ``n_workers``, all of one size but the last, so every worker gets
+    an equal share.  Each block owns its odds ``o`` and a scratch
     ``work`` of four float rows the size of the block, the last of them
     the bool ``mask`` of the snaps (:func:`_mask`); every kernel writes
     into these, so a step allocates no block-sized array.
@@ -162,10 +166,8 @@ def _evolve(
     may overwrite ``work``; per-block constants such as the
     trajectories' random-stream keys are computed there once.  An update
     touches only its own rows, so the output does not depend on the
-    worker count.  Row ``i`` is trajectory ``first + i``; with ``first``
-    a multiple of CHUNK the blocks are those of one run over all
-    trajectories, so a run split into row blocks gives the same rows bit
-    for bit.
+    worker count or the blocks.  Row ``i`` is trajectory ``first + i``,
+    so a run split into row blocks gives the same rows bit for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -175,8 +177,12 @@ def _evolve(
     o0 = _odds(x0)
     half = 0.5 * delta
 
+    n_chunks = -(-n_traj // CHUNK)
+    n_chunks += -n_chunks % max(n_workers, 1)
+    size = -(-n_traj // n_chunks)
+
     def run(lo: int) -> None:
-        rows = slice(lo, min(lo + CHUNK, n_traj))
+        rows = slice(lo, min(lo + size, n_traj))
         traj = np.arange(first + rows.start, first + rows.stop, dtype=np.uint64)
         o = np.full(traj.size, o0)
         work = np.empty((4, traj.size))
@@ -190,7 +196,7 @@ def _evolve(
             _relax(o, half, mask)
             block[:, s + 1] = _rho(o, out=work[0])
 
-    starts = range(0, n_traj, CHUNK)
+    starts = range(0, n_traj, size)
     if n_workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(run, starts))

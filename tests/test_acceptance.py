@@ -26,6 +26,7 @@ SEED_C1 = 20260811
 SEED_C2 = 20260812
 SEED_C5 = 20260815
 SEED_C6 = 2024
+SEEDS_C6_PULL = range(1, 13)
 SEED_C7 = {0.3: 20260817, 0.5: 20260818, 0.7: 20260819}
 
 EDGES = np.arange(101) * 0.01
@@ -180,23 +181,40 @@ def c6_pipeline():
     return hist, digests, bitwise
 
 
-def test_criterion_06_end_to_end_tau_round_trip(c6_pipeline):
-    """1e6 synthetic records at n*kappa = 0.5, eta = 1: the fit recovers
-    tau = 0.5 within its delta-chi2 = 1 error, and chi2 stays in the
-    good-fit range [60, 200] for 100 bins."""
-    hist, _, bitwise = c6_pipeline
-    assert bitwise  # reconstruction reproduces the latent ensemble
-    gen = make_analytic_model_gen(0.305, 1)
-    scan = 0.3 + 0.005 * np.arange(81)
-    res = fit_tau([hist], gen, scan)[0]
+def fit_c6(hist):
+    """The criterion-6 fit of one histogram: not at the scan edge, chi2
+    in the good-fit range [60, 200] for 100 bins."""
+    res = fit_tau([hist], make_analytic_model_gen(0.305, 1), 0.3 + 0.005 * np.arange(81))[0]
     assert not res.at_edge
-    dev = abs(res.tau_best - 0.5)
-    assert dev <= res.tau_error_dchi2_1
     assert 60.0 <= res.chi2_min <= 200.0
+    return res
+
+
+def test_criterion_06_end_to_end_tau_round_trip(c6_pipeline):
+    """Synthetic records at n*kappa = 0.5, eta = 1, reconstructed and
+    fitted: on the 1e6-record draw and on each of the 2e5-record draws
+    of SEEDS_C6_PULL, reconstruction gives the latent ensemble bit for
+    bit and chi2 lies in [60, 200].  Over those seeds the pulls
+    (tau_best - 0.5) / err1, err1 the delta-chi2 = 1 error, have a mean
+    within 3/sqrt(n) of 0 and a sample sd between the 0.1% and 99.9%
+    quantiles of the sample sd of n unit normals."""
+    hist, _, bitwise = c6_pipeline
+    assert bitwise
+    fit_c6(hist)
+    pulls = []
+    for seed in SEEDS_C6_PULL:
+        recs, latent = generate_records(PARAMS_C6, CAL_C6, 200_000, SeedSpec(seed), n_workers=1)
+        rebuilt = reconstruct_ensemble(recs, n_workers=1)
+        assert np.array_equal(rebuilt.values, latent.values)
+        res = fit_c6(build_histogram(rebuilt, N_STEPS_C6))
+        pulls.append((res.tau_best - 0.5) / res.tau_error_dchi2_1)
+    n, mean, sd = len(pulls), float(np.mean(pulls)), float(np.std(pulls, ddof=1))
+    assert abs(mean) <= 3.0 / math.sqrt(n)
+    lo, hi = (math.sqrt(stats.chi2.ppf(q, n - 1) / (n - 1)) for q in (0.001, 0.999))
+    assert lo <= sd <= hi
     print(
-        f"\nCRITERION 6 PASS: tau_best = {res.tau_best:.5f} "
-        f"(|bias| {dev:.2e} <= err1 {res.tau_error_dchi2_1:.2e}), "
-        f"chi2_min = {res.chi2_min:.1f} in [60, 200]"
+        f"\nCRITERION 6 PASS: {n} seeds, mean pull {mean:+.2f} (limit 3/sqrt(n) = "
+        f"{3.0 / math.sqrt(n):.2f}), sd {sd:.2f} in [{lo:.2f}, {hi:.2f}]"
     )
 
 

@@ -302,9 +302,22 @@ class TestCoarseToFineScan:
             return out
 
         results = fit_tau(observed, counting, default_tau_scan())
-        assert sum(evals) <= 90
+        assert sum(evals) <= 64
         assert evals[:17] == [3] * 17 and set(evals[17:]) == {1}
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
+
+    @pytest.mark.parametrize("minimum, fine_evals", [(39, 8), (25, 5)], ids=["right", "left"])
+    def test_lower_side_first(self, minimum, fine_evals):
+        # the coarse pass (stride 16 on 251 points) finds index 32 with
+        # 16 and 48 around it; the true minimum lies right or left of it.
+        # Bisecting first beside the lower bracketing value takes 8 and 5
+        # fine evaluations; left first, as before, took 12 and 8
+        table = ((np.arange(251.0) - minimum) ** 2)[:, None]
+        scan = default_tau_scan()
+        gen = TableGen(table, scan)
+        results = fit_tau(gen.observed(), gen, scan)
+        assert len(gen.evals) == 17 + fine_evals
+        assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
 
     @pytest.mark.parametrize("kind", ["analytic", "fp"])
     def test_slice_selector_bitwise(self, kind):

@@ -294,11 +294,11 @@ class TestRebinning:
 
 
 def diffusion_lengths():
-    """(input, kernel) lengths of the convolutions `_Diffusion` makes."""
+    """(input, kernel) lengths of the transforms `_Diffusion` makes."""
     out = []
     for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
         s = fp._Solver(0.5, -12.0, 12.0, n_cells)
-        k = fp._Diffusion(s, kappa).kernels[0].size
+        k = fp._Diffusion(s, kappa).size - n_cells + 1
         out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
     return out
 
@@ -310,15 +310,23 @@ FFT_LENGTHS = diffusion_lengths() + [(8191, 509), (10007, 3), (1000, 10), (8000,
 
 
 class TestFFTConvolve:
+    """The frequency-domain forms `_Diffusion` builds on: a convolution
+    of a row of a zero-padded buffer, and a "valid" correlation through
+    the kernel's conjugate spectrum at the input's own fast length."""
+
     @pytest.mark.parametrize("na, nk", FFT_LENGTHS)
     def test_matches_scipy_signal(self, na, nk):
         rng = np.random.default_rng(na * 7919 + nk)
         a, k = rng.random(na) - 0.25, rng.random(nk)
-        full = fftconvolve(a, k)
-        assert np.array_equal(fp._fft_convolve(a, k), full)
-        spec = rfft(k, next_fast_len(na + nk - 1, real=True))
-        assert np.array_equal(fp._fft_convolve(a, k, spec), full)
-        assert np.array_equal(fp._correlate(a, k), fftconvolve(a, k[::-1], mode="valid"))
+        n = next_fast_len(na + nk - 1, real=True)
+        pad = np.zeros(n)
+        pad[:na] = a
+        full = irfft(rfft(pad) * rfft(k, n), n)[: na + nk - 1]
+        assert np.array_equal(full, fftconvolve(a, k))
+        n = next_fast_len(na, real=True)
+        corr = irfft(rfft(a, n) * rfft(k, n).conj(), n)[: na - nk + 1]
+        valid = fftconvolve(a, k[::-1], mode="valid")
+        assert np.max(np.abs(corr - valid)) <= 1e-14 * np.abs(a).sum()
 
     @pytest.mark.parametrize("na, nk", FFT_LENGTHS)
     def test_two_rows_match_one_row_each(self, na, nk):
@@ -329,69 +337,100 @@ class TestFFTConvolve:
         n = next_fast_len(na + nk - 1, real=True)
         spec_a, spec_k = rfft(a, n), rfft(k, n)
         back = irfft(spec_a * spec_k, n)
-        full = fp._fft_convolve(a, k, spec_k)
-        corr = fp._correlate(a[0], k)
         for i in range(2):
             assert np.array_equal(spec_a[i], rfft(a[i], n))
             assert np.array_equal(spec_k[i], rfft(k[i], n))
             assert np.array_equal(back[i], irfft(rfft(a[i], n) * rfft(k[i], n), n))
-            assert np.array_equal(full[i], fp._fft_convolve(a[i], k[i]))
-            assert np.array_equal(corr[i], fp._correlate(a[0], k[i]))
 
 
 # ---------------------------------------------------------------------------
 # per-substep references: the solver as it was before its operators were
 # built once per interval.  They rebuild everything on every substep and
-# deposit with np.add.at; the solver must agree with them bitwise.
+# deposit with np.add.at; the solver must agree with them bitwise, except
+# with ref_diffuse_two_inverse, the diffusion before its branches shared
+# one inverse transform, which it must match within 1e-13.
 
 
-def ref_convolve(a, k):
-    return np.maximum(fftconvolve(a, k), 0.0)
-
-
-def ref_correlate(a, k):
-    return fftconvolve(a, k[::-1], mode="valid")
-
-
-def ref_diffuse(s, kappa):
-    if kappa == 0.0:
-        return
+def ref_kernels(s, kappa):
+    """Extent (lo, hi) and, per branch (+kappa, -kappa), the kernel and
+    its two truncated tails, cell by cell."""
     sig = math.sqrt(kappa)
     lo = int(math.floor((-kappa - fp._KERNEL_TAIL * sig) / s.dz)) - 1
     hi = int(math.ceil((kappa + fp._KERNEL_TAIL * sig) / s.dz)) + 1
     edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
-    n = s.nodes.size
-
-    def branch_kernel(shift):
+    branches = []
+    for shift in (+kappa, -kappa):
         cdf = ndtr((edges_rel - shift) / sig)
-        return np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])
+        branches.append((np.diff(cdf), float(cdf[0]), float(1.0 - cdf[-1])))
+    return lo, hi, branches
 
-    kp, kp_tail_lo, kp_tail_hi = branch_kernel(+kappa)
-    km, km_tail_lo, km_tail_hi = branch_kernel(-kappa)
+
+def ref_phi_ext(s, lo, hi):
+    n = s.nodes.size
     pos = np.arange(lo, n + hi)
-    phi_ext = np.where(
-        pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)])
-    )
-    mp = ref_correlate(phi_ext, kp) - kp_tail_lo + kp_tail_hi
-    mm = ref_correlate(phi_ext, km) - km_tail_lo + km_tail_hi
+    return np.where(pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)]))
+
+
+def ref_branch_weights(s, mp, mm):
     denom = mp - mm
     with np.errstate(invalid="ignore", divide="ignore"):
         xt = (s.phi - mm) / denom
     xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes))
-    xt = np.clip(xt, 0.0, 1.0)
-    wp = xt * s.w
-    wm = s.w - wp
-    full = ref_convolve(wp, kp) + ref_convolve(wm, km)
+    return np.clip(xt, 0.0, 1.0)
+
+
+def ref_land_full(s, full, lo, wp, wm, branches):
+    """Put the clamped full-convolution masses on the grid and past its
+    ends, plus the truncated tails."""
     assert not np.any(full < fp._NEG_TOL)
     np.maximum(full, 0.0, out=full)
+    n = s.nodes.size
     j_lo = max(0, -lo)
     j_hi = min(full.size, n - lo)
     s.w = np.zeros(n)
     s.w[j_lo + lo : j_hi + lo] = full[j_lo:j_hi]
     s.mass0 += float(full[:j_lo].sum())
     s.mass1 += float(full[j_hi:].sum())
-    s.mass0 += float(wp.sum() * kp_tail_lo + wm.sum() * km_tail_lo)
-    s.mass1 += float(wp.sum() * kp_tail_hi + wm.sum() * km_tail_hi)
+    (_, p_lo, p_hi), (_, m_lo, m_hi) = branches
+    s.mass0 += float(wp.sum() * p_lo + wm.sum() * m_lo)
+    s.mass1 += float(wp.sum() * p_hi + wm.sum() * m_hi)
+
+
+def ref_diffuse(s, kappa):
+    """The scheme: one fast length for the kernels, the branch means and
+    the spreading; the two branches summed in the frequency domain and
+    transformed back once, row by row here."""
+    if kappa == 0.0:
+        return
+    lo, hi, branches = ref_kernels(s, kappa)
+    n = s.nodes.size
+    n_fft = next_fast_len(n + hi - lo, real=True)
+    specs = [rfft(kernel, n_fft) for kernel, _, _ in branches]
+    phi_spec = rfft(ref_phi_ext(s, lo, hi), n_fft)
+    mp, mm = (irfft(phi_spec * spec.conj(), n_fft)[:n] - t_lo + t_hi
+              for spec, (_, t_lo, t_hi) in zip(specs, branches))
+    xt = ref_branch_weights(s, mp, mm)
+    wp = xt * s.w
+    wm = s.w - wp
+    full = irfft(rfft(wp, n_fft) * specs[0] + rfft(wm, n_fft) * specs[1], n_fft)[: n + hi - lo]
+    ref_land_full(s, full, lo, wp, wm, branches)
+
+
+def ref_diffuse_two_inverse(s, kappa):
+    """The scheme before: reversed kernels for the branch means, and each
+    branch convolved, transformed back and clamped on its own."""
+    if kappa == 0.0:
+        return
+    lo, hi, branches = ref_kernels(s, kappa)
+    phi_ext = ref_phi_ext(s, lo, hi)
+    mp, mm = (fftconvolve(phi_ext, kernel[::-1], mode="valid") - t_lo + t_hi
+              for kernel, t_lo, t_hi in branches)
+    xt = ref_branch_weights(s, mp, mm)
+    wp = xt * s.w
+    wm = s.w - wp
+    (kp, _, _), (km, _, _) = branches
+    full = np.maximum(fftconvolve(wp, kp), 0.0) + np.maximum(fftconvolve(wm, km), 0.0)
+    ref_land_full(s, full, lo, wp, wm, branches)
 
 
 def ref_deposit(s, y, r11_target, mass):
@@ -452,7 +491,8 @@ def ref_relax(s, delta):
         s.mass0 = 0.0
 
 
-def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=None):
+def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=None,
+                 diffuse=ref_diffuse):
     """Delta initial condition, then per-substep diffuse/relax; returns
     (weights, mass0, mass1) per snapshot time."""
     dz = (z_max - z_min) / n_cells
@@ -467,7 +507,7 @@ def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=No
         span = float(t_next - t)
         if span > 0.0:
             if math.isinf(T1):
-                ref_diffuse(s, g * span)
+                diffuse(s, g * span)
             else:
                 sub = dt if dt is not None else min(T1 / 100.0, span)
                 n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
@@ -475,7 +515,7 @@ def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=No
                 delta = h / T1
                 ref_relax(s, 0.5 * delta)
                 for j in range(n_sub):
-                    ref_diffuse(s, g * h)
+                    diffuse(s, g * h)
                     ref_relax(s, delta if j < n_sub - 1 else 0.5 * delta)
             t = float(t_next)
         out.append((s.w.copy(), s.mass0, s.mass1))
@@ -547,6 +587,17 @@ class TestBitwiseOracle:
             assert sum(reentries) > 0
         if "boundary" in case:
             assert sols[-1].mass1 > 0.01
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_solve_fp_near_two_inverse_reference(self, case):
+        # the deliberate change of scheme moves no cell and no boundary
+        # mass by more than 1e-13
+        x0, g, T1, t_grid, kw = ORACLE_CASES[case]
+        sols = solve_fp(x0, g, T1, t_grid, **kw)
+        refs = ref_solve_fp(x0, g, T1, t_grid, **kw, diffuse=ref_diffuse_two_inverse)
+        for sol, (w, mass0, mass1) in zip(sols, refs):
+            assert np.max(np.abs(sol.weights - w)) <= 1e-13
+            assert abs(sol.mass0 - mass0) <= 1e-13 and abs(sol.mass1 - mass1) <= 1e-13
 
     def test_rebin_matches_per_cell_reference(self):
         # a coarse grid whose cells straddle several bins, and a fine one
