@@ -236,20 +236,16 @@ def fit_gaussian_current(samples) -> GaussianCurrentFit:
     )
 
 
-def _exp_decay(t, a, b, s):
-    return a + b * np.exp(-t / s)
-
-
-def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T1Estimate:
+def estimate_T1(times, mean_currents, cal: CalibrationParams) -> T1Estimate:
     """Relaxation time from the decay of the ensemble-averaged current.
 
     Fits <I>(t) = I0 + (I1 - I0) e^{-t/T1} on a series taken from an
-    excited-state-initialized ensemble.  With a calibration ``cal`` the
-    asymptote is held at its I0, the ground-state current measured
-    apart, and only the amplitude and T1 are fitted: on a series much
-    shorter than T1 a free asymptote trades off against T1 and leaves
-    both, and T1's error, ill-determined.  Raises FitFailureError when
-    the series carries no decay to fit.
+    excited-state-initialized ensemble.  The asymptote is held at the
+    calibration's I0, the ground-state current measured apart, and only
+    the amplitude and T1 are fitted: on a series much shorter than T1 a
+    free asymptote trades off against T1 and leaves both, and T1's
+    error, ill-determined.  Raises FitFailureError when the series
+    carries no decay to fit.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(mean_currents, dtype=float)
@@ -259,22 +255,17 @@ def estimate_T1(times, mean_currents, cal: CalibrationParams | None = None) -> T
     scale = max(abs(y).max(), 1.0)
     if spread < 1e-12 * scale:
         raise FitFailureError("current series is constant; no decay to fit")
-    if cal is not None:
-        p0 = (cal.I1 - cal.I0, max(cal.T1, t[-1]) if math.isfinite(cal.T1) else t[-1])
+    p0 = (cal.I1 - cal.I0, max(cal.T1, t[-1]) if math.isfinite(cal.T1) else t[-1])
 
-        def model(t, b, s):
-            return _exp_decay(t, cal.I0, b, s)
-    else:
-        p0, model = (y[-1], y[0] - y[-1], (t[-1] - t[0]) / 2.0), _exp_decay
+    def model(t, b, s):
+        return cal.I0 + b * np.exp(-t / s)
+
     from scipy.optimize import curve_fit  # deferred: a slow import only fits need
 
     try:
-        popt, pcov = curve_fit(
-            model, t, y, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14
-        )
+        (b, s), pcov = curve_fit(model, t, y, p0=p0, maxfev=20000, xtol=1e-14, ftol=1e-14)
     except (RuntimeError, ValueError) as exc:
         raise FitFailureError(f"T1 fit did not converge: {exc}") from exc
-    b, s = popt[-2:]
     s_err = math.sqrt(abs(pcov[-1, -1])) if np.all(np.isfinite(pcov)) else math.inf
     if s <= 0 or not math.isfinite(s) or abs(b) < 1e-9 * scale:
         raise FitFailureError("fitted series does not decay")

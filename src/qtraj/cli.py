@@ -106,6 +106,8 @@ class RunConfig:
                 raise UsageError(f"slices={self.slices!r} names no slice")
             slices = [n_steps]
         for k in slices:
+            if slices.count(k) > 1:
+                raise UsageError(f"slice {k} given twice")
             if n_steps is not None and not first <= k <= n_steps:
                 raise UsageError(f"slice {k} out of range {first}..{n_steps}")
         return slices
@@ -268,11 +270,12 @@ def cmd_fit(cfg: RunConfig):
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
     observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
-    x0 = ens.x0 if ens.x0 is not None else cfg.x0
+    if ens.x0 is not None:  # the manifest records the x0 the fit uses
+        cfg.x0 = ens.x0
     if math.isinf(cfg.t1_us):
-        gen = fitting.make_analytic_model_gen(x0, len(slices), cfg.n_bins, cfg.bin_width)
+        gen = fitting.make_analytic_model_gen(cfg.x0, len(slices), cfg.n_bins, cfg.bin_width)
     else:
-        gen = fitting.make_fp_model_gen(x0, cfg.t1_us, [obs.t for obs in observed],
+        gen = fitting.make_fp_model_gen(cfg.x0, cfg.t1_us, [obs.t for obs in observed],
                                         cfg.n_bins, cfg.bin_width)
     results = fitting.fit_tau(observed, gen, scan)
     _write_manifest(cfg)
@@ -287,14 +290,14 @@ def cmd_fit(cfg: RunConfig):
         )
         for obs, r in zip(observed, results)
     ])
-    return slices, observed, results, gen, x0
+    return slices, observed, results, gen
 
 
 def cmd_report(cfg: RunConfig) -> None:
     """:func:`cmd_fit`, then observed / best-fit / no-relaxation
     (T1 -> infinity) overlays."""
-    slices, observed, results, gen, x0 = cmd_fit(cfg)
-    norelax_gen = fitting.make_analytic_model_gen(x0, 1, cfg.n_bins, cfg.bin_width)
+    slices, observed, results, gen = cmd_fit(cfg)
+    norelax_gen = fitting.make_analytic_model_gen(cfg.x0, 1, cfg.n_bins, cfg.bin_width)
     for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
         io.write_overlay(os.path.join(cfg.out, f"report_{k:05d}.txt"), obs, res.tau_best,
                          res.chi2_min, gen(res.tau_best, (i,))[0], norelax_gen(res.tau_best)[0])

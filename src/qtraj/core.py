@@ -84,19 +84,17 @@ def to_logodds(rho00):
     return z
 
 
-def to_rho(z, out=None):
+def to_rho(z):
     """Inverse of :func:`to_logodds`: population view of a z value.
 
     A z at the cap reports exactly 0.0 or 1.0; otherwise the logistic
     ``expit(2 z)`` is used, which is accurate to full relative precision
-    near rho00 = 0 (``(1 + tanh z)/2`` is not).  An array result goes to
-    ``out`` when given.
+    near rho00 = 0 (``(1 + tanh z)/2`` is not).
     """
     zz = np.asarray(z, dtype=float)
     # expit(2 z) rounds to 1.0 from z ~ 18.4 up, but expit(-60) is ~9e-27
     lo = zz <= -Z_CAP
-    if out is None:
-        out = np.empty_like(zz)
+    out = np.empty_like(zz)
     np.multiply(zz, 2.0, out=out)
     expit(out, out=out)
     np.copyto(out, 0.0, where=lo)

@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DistributionSnapshot
-from .fokker_planck import (FP_CELLS, FP_Z_MAX, FP_Z_MIN, _grid_nodes, _plans, _rebin,
-                            _rebin_map, analytic_bin_masses)
+from .fokker_planck import FP_CELLS, _Solver, _rebin, _rebin_map, analytic_bin_masses
 
 __all__ = [
     "FitResult",
@@ -143,7 +142,7 @@ def _refine(scan: np.ndarray, c: np.ndarray) -> tuple[float, float, float, bool]
 def fit_tau(
     observed: Sequence[DistributionSnapshot],
     model_gen: Callable[..., Sequence[DistributionSnapshot]],
-    scan: np.ndarray | None = None,
+    scan: np.ndarray,
 ) -> list[FitResult]:
     """Fit the evolution parameter independently for every time slice.
 
@@ -155,10 +154,10 @@ def fit_tau(
         ``model_gen(tau)`` maps a trial tau to model snapshots aligned
         with ``observed``; ``model_gen(tau, which)`` returns those of the
         slice indices in the tuple ``which`` only.
-    scan : ndarray, optional
-        Trial tau grid, increasing with a uniform step (default
-        :func:`default_tau_scan`); the parabolic refinement assumes one
-        step size.
+    scan : ndarray
+        Trial tau grid, increasing with a uniform step (as
+        :func:`default_tau_scan` makes); the parabolic refinement assumes
+        one step size.
 
     Returns
     -------
@@ -177,7 +176,7 @@ def fit_tau(
     A slice whose evaluated values are not unimodal gets its whole grid
     evaluated.  Every field then equals that of the full scan.
     """
-    scan = default_tau_scan() if scan is None else _check_scan(scan)
+    scan = _check_scan(scan)
     n, n_slices = scan.size, len(observed)
     chi = np.full((n, n_slices), np.nan)
     done = np.zeros((n, n_slices), dtype=bool)
@@ -291,24 +290,25 @@ def make_fp_model_gen(
     For slice time t and trial tau the model is the density evolved with
     the constant coupling g = tau/t up to t, including relaxation, on
     ``n_cells`` cells of the solver's default z range [-12, 12].  Every
-    slice shares that grid and the start state, so the rebinning map onto
-    the rho00 bins and each slice's g-free solver plan (substep count and
-    length, relaxation operators) are built once here; a call builds only
-    the diffusion of each slice it solves and runs its substep loop.  The
-    generator holds three words per cell for each distinct relaxation
-    exponent, two per slice at most.
+    slice runs on one solver, so the grid, the start state, the rebinning
+    map onto the rho00 bins and the relaxation operators are built once
+    here; a call builds only the diffusion of each slice it solves and
+    runs its substep loop.  The generator holds three words per cell for
+    each distinct relaxation exponent, two per slice at most.
     ``gen(tau, which)`` solves only the slices ``times[k]`` for k in
     ``which``, bitwise equal to the matching entries of ``gen(tau)``.
     """
     times = [float(t) for t in times]
-    if any(t <= 0 for t in times):
-        raise ValueError("slice times must be positive")
-    plans = _plans(x0, T1, [[t] for t in times], n_cells=n_cells, dt=dt)
-    rebin_map = _rebin_map(_grid_nodes(FP_Z_MIN, FP_Z_MAX, n_cells), n_bins, bin_width)
+    if not all(0 < t < math.inf for t in times):
+        raise ValueError(f"slice times must be finite and > 0, got {times!r}")
+    solver = _Solver(x0, T1, n_cells=n_cells, dt=dt)
+    for t in times:  # every slice's relaxations up front: a solve builds only its diffusion
+        solver.interval(t)
+    rebin_map = _rebin_map(solver.nodes, n_bins, bin_width)
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         ks = range(len(times)) if which is None else which
-        return [_rebin(plans[k].run(tau / times[k])[0], rebin_map, n_bins, bin_width)
+        return [_rebin(solver.run(tau / times[k], [times[k]])[0], rebin_map, n_bins, bin_width)
                 for k in ks]
 
     return gen

@@ -24,19 +24,19 @@ the Monte Carlo stepper:
   rho11 -> rho11*e^-delta to rounding.
 
 Both sub-evolutions are linear operators fixed by the grid and the
-substep size; only the diffusion depends on g.  A g-free :class:`_Plan`
-holds the grid, the start state and, per ``t_grid`` interval, the
-substep count and length and the relaxations (deposit cells and
-splits); :meth:`_Plan.run` builds each interval's diffusion (kernel
-spectra, branch weights) for one g and runs the substep loop, so the
-fit's model generator plans every slice once for all trial tau.  At
-infinite T1 the loop takes one substep of the interval with zero
-relaxation.  A diffusion transforms its two kernels once, at
-``n_fft = next_fast_len(size, real=True)`` for the ``size`` of a full
-convolution with the grid; the branch means of its weights are
-correlations through the conjugate spectra, and each substep makes one
-two-row forward transform of the weighted branches and one inverse
-transform of their sum in the frequency domain, clamped at 0 once.
+substep size; only the diffusion depends on g.  A :class:`_Solver`
+holds the grid, the start state and the relaxations (deposit cells and
+splits, one per exponent); :meth:`_Solver.run` builds each interval's
+diffusion (kernel spectra, branch weights) for one g and runs its
+substep loop, so the fit's model generator builds the grid and the
+relaxations once for all trial tau.  At infinite T1 the loop takes one
+substep of the interval with zero relaxation.  A diffusion transforms
+its two kernels once, at ``n_fft = next_fast_len(size, real=True)`` for
+the ``size`` of a full convolution with the grid; the branch means of
+its weights are correlations through the conjugate spectra, and each
+substep makes one two-row forward transform of the weighted branches
+and one inverse transform of their sum in the frequency domain, clamped
+at 0 once.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -149,28 +149,36 @@ def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
 # numerical solver
 
 
-def _grid_nodes(z_min: float, z_max: float, n_cells: int) -> np.ndarray:
-    """Cell centers of the uniform z grid of a delta initial condition."""
-    dz = (z_max - z_min) / n_cells
-    return z_min + (np.arange(n_cells) + 0.5) * dz
-
-
 class _Solver:
     """One grid, the start state on it (the delta at x0, deposited
-    mean-exactly) and the working state ``w``, ``mass0``, ``mass1`` of a
-    run.  Every :class:`_Plan` on the grid shares them, the relaxation
-    operators (one per exponent) and the deposit scratch, so its runs
+    mean-exactly), the relaxation operators (one per exponent) and the
+    working state ``w``, ``mass0``, ``mass1`` of a run.  The arguments of
+    :func:`solve_fp` but g and ``t_grid`` are checked once here; every
+    :meth:`run` shares the operators and the deposit scratch, so runs
     must not overlap.
     """
 
-    def __init__(self, x0: float, z_min: float, z_max: float, n_cells: int):
-        self.nodes = _grid_nodes(z_min, z_max, n_cells)
+    def __init__(self, x0: float, T1: float, *, z_min: float = FP_Z_MIN,
+                 z_max: float = FP_Z_MAX, n_cells: int = FP_CELLS, dt: float | None = None):
+        if not T1 > 0:
+            raise ValueError("T1 must be > 0")
+        if dt is not None and not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt={dt!r} must be finite and > 0")
+        if n_cells < 8:
+            raise ValueError("n_cells must be >= 8")
+        if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
+            raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
+        self.T1, self.dt = T1, dt
+        # cell centers of the uniform z grid, shared by every snapshot
+        self.nodes = z_min + (np.arange(n_cells) + 0.5) * ((z_max - z_min) / n_cells)
+        self.nodes.setflags(write=False)
         self.dz = float(self.nodes[1] - self.nodes[0])
         # population-space views of the cell centers, used by the
         # mean-preserving deposits and branch reweighting
         self.r11 = expit(-2.0 * self.nodes)
         self.phi = np.tanh(self.nodes)
         self.r00 = expit(2.0 * self.nodes)  # the branch weight where the means tie
+        x0 = float(x0)
         z0 = to_logodds(x0)
         if not (z_min < z0 < z_max):
             raise ValueError("x0 maps outside the z grid")
@@ -183,6 +191,41 @@ class _Solver:
         self.total0 = self.w0.sum() + self.mass1_0
         self.scratch = np.empty(2 * n_cells + 2)
         self.relaxations: dict[float, _Relaxation] = {}
+
+    def run(self, g: float, t_grid) -> list[DensityGrid]:
+        """The snapshots at coupling g and times ``t_grid`` from the start
+        state, each checked for mass drift and negative density.  Each
+        interval runs one substep loop with its relaxations taken from
+        the cache and its diffusion built for g."""
+        if not (g >= 0 and math.isfinite(g)):
+            raise ValueError("g must be finite and >= 0")
+        t_grid = np.asarray(t_grid, dtype=float)
+        if not np.all(np.isfinite(t_grid)):
+            raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
+        if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
+            raise ValueError("t_grid must be nondecreasing and start at/after 0")
+        self.w, self.mass0, self.mass1 = self.w0, 0.0, self.mass1_0
+        out: list[DensityGrid] = []
+        t = 0.0
+        for t_next in t_grid:
+            span = float(t_next - t)
+            if span > 0.0:
+                n_sub, h, half, relax = self.interval(span)
+                diffuse = _Diffusion(self, g * h)
+                half.apply(self)
+                for j in range(n_sub):
+                    diffuse.apply(self)
+                    (relax if j < n_sub - 1 else half).apply(self)
+                t = float(t_next)
+            wmin = self.w.min()
+            if wmin < _NEG_TOL:
+                raise FPSolverError(f"negative density {wmin:.3e} at t = {t}")
+            drift = abs(self.w.sum() + self.mass0 + self.mass1 - self.total0)
+            if drift > _MASS_TOL:
+                raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
+            out.append(DensityGrid(nodes=self.nodes, weights=self.w.copy(),
+                                   mass0=self.mass0, mass1=self.mass1, t=t))
+        return out
 
     def land(self, y: np.ndarray, r11_target: np.ndarray):
         """Where point masses at z positions y land on the grid.
@@ -205,10 +248,18 @@ class _Solver:
         alpha[below] = 0.0
         return k, alpha, above
 
-    def relaxation(self, delta: float) -> "_Relaxation":
-        """The relaxation by ``delta``, built on first use."""
-        return self.relaxations.get(delta) or self.relaxations.setdefault(
-            delta, _Relaxation(self, delta))
+    def interval(self, span: float):
+        """Substep count and length of an interval of length ``span`` > 0,
+        and its half- and full-step relaxations, built on first use."""
+        # min(inf, span) = span: one substep of the interval at T1 = inf
+        sub = min(self.T1 / 100.0, span) if self.dt is None or math.isinf(self.T1) else self.dt
+        n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
+        h = span / n_sub
+        delta = h / self.T1
+        cache = self.relaxations
+        half, relax = (cache.get(d) or cache.setdefault(d, _Relaxation(self, d))
+                       for d in (0.5 * delta, delta if n_sub > 1 else 0.5 * delta))
+        return n_sub, h, half, relax
 
 
 class _Relaxation:
@@ -327,78 +378,6 @@ class _Diffusion:
         s.mass1 += float(sp * self.tail_hi[0] + sm * self.tail_hi[1])
 
 
-class _Plan:
-    """The g-free part of a solve from the start state of ``s``: per
-    snapshot time, the substep count and length of the interval ending
-    there and its half- and full-step relaxations.  :meth:`run` builds
-    only the g-dependent diffusion.
-    """
-
-    def __init__(self, s: _Solver, T1: float, t_grid: np.ndarray, dt: float | None):
-        self.s = s
-        self.steps = []
-        t = 0.0
-        for t_next in t_grid:
-            span = float(t_next - t)
-            n_sub, h, half, relax = 0, 0.0, None, None
-            if span > 0.0:
-                # min(inf, span) = span: one substep of the interval at T1 = inf
-                sub = min(T1 / 100.0, span) if dt is None or math.isinf(T1) else dt
-                n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
-                h = span / n_sub
-                delta = h / T1
-                half = s.relaxation(0.5 * delta)
-                relax = s.relaxation(delta) if n_sub > 1 else half
-                t = float(t_next)
-            self.steps.append((t, n_sub, h, half, relax))
-
-    def run(self, g: float) -> list[DensityGrid]:
-        """The snapshots at coupling g, each checked for mass drift and
-        negative density."""
-        if not (g >= 0 and math.isfinite(g)):
-            raise ValueError("g must be finite and >= 0")
-        s = self.s
-        s.w, s.mass0, s.mass1 = s.w0, 0.0, s.mass1_0
-        out: list[DensityGrid] = []
-        for t, n_sub, h, half, relax in self.steps:
-            if n_sub:
-                diffuse = _Diffusion(s, g * h)
-                half.apply(s)
-                for j in range(n_sub):
-                    diffuse.apply(s)
-                    (relax if j < n_sub - 1 else half).apply(s)
-            wmin = s.w.min()
-            if wmin < _NEG_TOL:
-                raise FPSolverError(f"negative density {wmin:.3e} at t = {t}")
-            drift = abs(s.w.sum() + s.mass0 + s.mass1 - s.total0)
-            if drift > _MASS_TOL:
-                raise FPSolverError(f"mass drift {drift:.3e} at t = {t}")
-            out.append(DensityGrid(nodes=s.nodes.copy(), weights=s.w.copy(),
-                                   mass0=s.mass0, mass1=s.mass1, t=t))
-        return out
-
-
-def _plans(x0, T1, t_grids, *, z_min=FP_Z_MIN, z_max=FP_Z_MAX, n_cells=FP_CELLS, dt=None):
-    """One :class:`_Plan` per snapshot-time list, all on one grid and
-    start state; checks every argument of :func:`solve_fp` but g."""
-    if not T1 > 0:
-        raise ValueError("T1 must be > 0")
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt={dt!r} must be finite and > 0")
-    if n_cells < 8:
-        raise ValueError("n_cells must be >= 8")
-    if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
-        raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
-    t_grids = [np.asarray(t_grid, dtype=float) for t_grid in t_grids]
-    for t_grid in t_grids:
-        if not np.all(np.isfinite(t_grid)):
-            raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
-        if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
-            raise ValueError("t_grid must be nondecreasing and start at/after 0")
-    s = _Solver(float(x0), z_min, z_max, n_cells)
-    return [_Plan(s, T1, t_grid, dt) for t_grid in t_grids]
-
-
 def solve_fp(
     x0: float,
     g: float,
@@ -446,9 +425,7 @@ def solve_fp(
         If mass conservation drifts beyond 1e-8 or densities go negative
         beyond -1e-12.
     """
-    if not (g >= 0 and math.isfinite(g)):
-        raise ValueError("g must be finite and >= 0")
-    return _plans(x0, T1, [t_grid], z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt)[0].run(g)
+    return _Solver(x0, T1, z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt).run(g, t_grid)
 
 
 def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):

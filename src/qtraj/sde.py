@@ -171,6 +171,8 @@ def _evolve(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if n_workers < 1:
+        raise ValueError(f"n_workers={n_workers} must be >= 1")
     require_memory(n_traj * (n_steps + 1) * 8,
                    f"an ensemble of {n_traj} trajectories x {n_steps + 1} slices")
     out = np.empty((n_traj, n_steps + 1))
@@ -178,7 +180,7 @@ def _evolve(
     half = 0.5 * delta
 
     n_chunks = -(-n_traj // CHUNK)
-    n_chunks += -n_chunks % max(n_workers, 1)
+    n_chunks += -n_chunks % n_workers
     size = -(-n_traj // n_chunks)
 
     def run(lo: int) -> None:
@@ -271,7 +273,9 @@ def simulate_batches(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    batch = max(n_workers, 1) * CHUNK
+    if n_workers < 1:
+        raise ValueError(f"n_workers={n_workers} must be >= 1")
+    batch = n_workers * CHUNK
     diffuse = _diffusion(params, seeds)
     return (
         _evolve(min(batch, n_traj - first), params.n_steps, params.dt, params.x0,

@@ -237,13 +237,14 @@ class TestT1Estimate:
     def test_noiseless_round_trip(self, t1_true):
         t = (np.arange(80) + 0.5) * 0.5
         y = 128.4 + (127.7 - 128.4) * np.exp(-t / t1_true)
-        est = estimate_T1(t, y)
+        cal = CalibrationParams(I0=128.4, I1=127.7, sigma=5.5, dt=0.5)
+        est = estimate_T1(t, y, cal)
         assert abs(est.T1 - t1_true) / t1_true < 1e-6
 
     def test_constant_series_fails(self):
         t = np.arange(20) * 0.5
         with pytest.raises(FitFailureError):
-            estimate_T1(t, np.full(20, 128.0))
+            estimate_T1(t, np.full(20, 128.0), CAL_WEAK)
 
     def test_recovers_from_simulated_decay(self):
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=4.0, dt=0.5, T1=45.0)

@@ -286,6 +286,16 @@ class TestInputChecks:
         assert reads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["simulate", "fit", "report"])
+    def test_repeated_slice_rejected(self, tmp_path, capsys, reads, ensemble, mode):
+        # one histogram or report block per slice: a repeat is a usage error
+        out = tmp_path / "out"
+        source = self.SMALL if mode == "simulate" else [f"--input={ensemble}"]
+        assert run([mode, f"--out={out}", *source, "--slices=2,4,2"]) == 2
+        assert "slice 2 given twice" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["fit", "report"])
     def test_default_slice_is_range_checked(self, tmp_path, capsys, mode):
         # the default slice is the file's last one, which a 0-step ensemble
@@ -379,6 +389,22 @@ class TestPipeline:
         assert abs(r["tau_best"] - 0.5) < 0.03
         assert r["tau_err_dchi2_100"] > r["tau_err_dchi2_1"] > 0
         assert r["t_us"] == n_steps * 0.5
+
+    def test_manifest_records_the_files_x0(self, tmp_path):
+        # the fit runs at the x0 in the ensemble's header, so the manifest
+        # says that x0 and a rerun from it fits the same
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=5", "--n_traj=2000", "--n_steps=4",
+                    "--g_per_us=0.03", "--x0=0.305"]) == 0
+        fit = ["fit", f"--input={sim / 'ensemble.qens'}", "--tau_max=0.5"]
+        assert run([*fit, f"--out={tmp_path / 'other'}", "--x0=0.9", "--t1_us=20"]) == 0
+        manifest = tmp_path / "other" / "manifest.txt"
+        assert io.read_config(str(manifest))["x0"] == "0.305"
+        assert run(["fit", f"--config={manifest}", f"--out={tmp_path / 'rerun'}"]) == 0
+        report = (tmp_path / "other" / "fit_report.txt").read_bytes()
+        assert (tmp_path / "rerun" / "fit_report.txt").read_bytes() == report
+        assert run([*fit, f"--out={tmp_path / 'fp'}", "--t1_us=20"]) == 0
+        assert (tmp_path / "fp" / "fit_report.txt").read_bytes() == report
 
     def test_generate_rejects_inconsistent_g(self, tmp_path, capsys):
         # i0=1, i1=-1, sigma=5 give kappa = 0.04 per 0.5 us step: g = 0.08/us

@@ -297,7 +297,7 @@ def diffusion_lengths():
     """(input, kernel) lengths of the transforms `_Diffusion` makes."""
     out = []
     for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
-        s = fp._Solver(0.5, -12.0, 12.0, n_cells)
+        s = fp._Solver(0.5, 20.0, n_cells=n_cells)
         k = fp._Diffusion(s, kappa).size - n_cells + 1
         out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
     return out
@@ -466,7 +466,7 @@ def relax_z(z, delta):
 def test_relaxation_lands_where_the_log_odds_form_does(n_cells):
     # the odds map e^delta*o + expm1(delta) puts every node in the same
     # cell, with the same split, as the log-odds formula it replaced
-    s = fp._Solver(0.305, fp.FP_Z_MIN, fp.FP_Z_MAX, n_cells)
+    s = fp._Solver(0.305, 20.0, n_cells=n_cells)
     for delta in (1e-9, 0.5 / 90.0, 0.0625 / 20.0, 0.01, 0.1, 2.0):
         k, alpha, above = s.land(relax_z(s.nodes, delta), s.r11 * math.exp(-delta))
         m = above.size - int(above.sum())
@@ -497,7 +497,8 @@ def ref_solve_fp(x0, g, T1, t_grid, z_min=-12.0, z_max=12.0, n_cells=8192, dt=No
     (weights, mass0, mass1) per snapshot time."""
     dz = (z_max - z_min) / n_cells
     nodes = z_min + (np.arange(n_cells) + 0.5) * dz
-    assert np.array_equal(fp._grid_nodes(z_min, z_max, n_cells), nodes)
+    assert np.array_equal(fp._Solver(x0, T1, z_min=z_min, z_max=z_max, n_cells=n_cells).nodes,
+                          nodes)
     s = SimpleNamespace(nodes=nodes, dz=float(nodes[1] - nodes[0]), r11=expit(-2.0 * nodes),
                         phi=np.tanh(nodes), w=np.zeros(n_cells), mass0=0.0, mass1=0.0)
     ref_deposit(s, np.array([to_logodds(x0)]), np.array([1.0 - x0]), np.array([1.0]))
@@ -602,7 +603,7 @@ class TestBitwiseOracle:
     def test_rebin_matches_per_cell_reference(self):
         # a coarse grid whose cells straddle several bins, and a fine one
         for n_cells, n_bins, width in ((16, 50, 0.02), (32768, 100, 0.01)):
-            nodes = fp._grid_nodes(-5.0, 5.0, n_cells)
+            nodes = fp._Solver(0.5, 20.0, z_min=-5.0, z_max=5.0, n_cells=n_cells).nodes
             weights = np.random.default_rng(n_cells).random(n_cells)
             weights[::3] = 0.0
             grid = DensityGrid(nodes=nodes, weights=weights, mass0=0.1, mass1=0.2, t=1.0)
@@ -623,10 +624,30 @@ class TestBitwiseOracle:
 
 
 class TestPlanReuse:
-    """A model generator builds its g-free operators once and reuses them
-    for every trial tau; nothing a call leaves behind may reach the next."""
+    """What is built once is reused: one solver serves every run on its
+    grid, and a model generator runs all its slices and trial tau on one,
+    reusing the grid, the start state and the relaxations it caches;
+    nothing a run leaves behind may reach the next."""
 
     TIMES = [0.625, 1.25, 2.5]
+
+    @pytest.mark.parametrize("dt", [None, 0.07])
+    def test_any_run_order_matches_fresh_solvers(self, dt):
+        runs = [(0.4, [0.625]), (0.4, [0.5, 1.25, 2.5]), (1.2, [2.5]), (0.0, [0.0, 1.0]),
+                (1.2, [0.625, 0.625, 3.0]), (0.4, [1.25]), (0.4, [0.5, 1.25, 2.5])]
+        solver = fp._Solver(0.305, 20.0, n_cells=2048, dt=dt)
+        for i in np.random.default_rng(7 + (dt is None)).permutation(len(runs)):
+            g, t_grid = runs[i]
+            fresh = fp._Solver(0.305, 20.0, n_cells=2048, dt=dt).run(g, t_grid)
+            for sol, ref in zip(solver.run(g, t_grid), fresh, strict=True):
+                assert np.array_equal(sol.weights, ref.weights)
+                assert (sol.mass0, sol.mass1, sol.t) == (ref.mass0, ref.mass1, ref.t)
+                assert sol.nodes is solver.nodes and not sol.nodes.flags.writeable
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_slice_time_rejected_when_built(self, t):
+        with pytest.raises(ValueError, match="slice times must be finite and > 0"):
+            make_fp_model_gen(0.305, 20.0, [1.0, t], n_cells=2048)
 
     @pytest.mark.parametrize("n_cells", [8192, 2048])
     @pytest.mark.parametrize("dt", [None, 0.07])  # 0.07: all three slices share h
@@ -657,6 +678,19 @@ class TestPlanReuse:
         for which in (None, (1,)):
             with pytest.raises(ValueError, match=r"^g must be finite and >= 0$"):
                 gen(tau, which)
+
+    def test_relaxations_built_with_the_generator(self, monkeypatch):
+        # every slice's relaxations exist before the first call, so the
+        # solves of a fit allocate diffusions only
+        built = []
+        init = fp._Relaxation.__init__
+        monkeypatch.setattr(fp._Relaxation, "__init__",
+                            lambda self, s, delta: (built.append(delta), init(self, s, delta))[1])
+        gen = make_fp_model_gen(0.305, 20.0, self.TIMES, n_cells=2048)
+        n_built = len(built)
+        gen(0.5)
+        gen(1.2, (2, 0))
+        assert n_built == len(set(built)) > 0 and len(built) == n_built
 
     def test_memory_held_by_generator(self):
         # one shared grid and start state, and per relaxation its landing

@@ -531,6 +531,20 @@ class TestSimulateEnsemble:
         with pytest.raises(ValueError):
             simulate_batches(params, 0, SeedSpec(9))
 
+    @pytest.mark.parametrize("n_workers", [0, -2])
+    def test_invalid_n_workers(self, n_workers):
+        # every entry point refuses, as the CLI does, before any work
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=0.5)
+        params = ModelParams(g=cal.kappa / 0.5, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
+        recs, _ = generate_records(params, cal, 10, SeedSpec(9))
+        message = rf"^n_workers={n_workers} must be >= 1$"
+        for run in (lambda: simulate_ensemble(params, 10, SeedSpec(9), n_workers),
+                    lambda: simulate_batches(params, 10, SeedSpec(9), n_workers),
+                    lambda: generate_records(params, cal, 10, SeedSpec(9), n_workers),
+                    lambda: reconstruct_ensemble(recs, n_workers)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_refused_beyond_available_memory(self, monkeypatch):
         monkeypatch.setattr(core, "available_memory", lambda: 4799)
         params = ModelParams(g=0.05, T1=math.inf, dt=0.5, x0=0.4, n_steps=5)
