@@ -312,7 +312,6 @@ def cmd_calibrate(cfg: RunConfig) -> None:
     # the excited ensemble relaxes toward the ground current
     cal = CalibrationParams(I0=g_fit.center, I1=e_fit.center, sigma=g_fit.sigma, dt=excited.dt)
     t1 = bayesian.estimate_T1(times, excited.currents.mean(axis=0), cal)
-    kappa = (g_fit.center - e_fit.center) ** 2 / (4.0 * g_fit.sigma**2)
     _write_manifest(cfg)
     items = {
         "i0": repr(g_fit.center),
@@ -323,7 +322,7 @@ def cmd_calibrate(cfg: RunConfig) -> None:
         "i1_err": repr(e_fit.center_err),
         "t1_us": repr(t1.T1),
         "t1_err_us": repr(t1.T1_err),
-        "kappa": repr(kappa),
+        "kappa": repr(cal.kappa),
     }
     io.write_config(os.path.join(cfg.out, "calibration.txt"), items)
 

@@ -159,8 +159,8 @@ class ModelParams:
             raise ValueError("g must be finite and >= 0")
         if not self.T1 > 0:
             raise ValueError("T1 must be > 0 (use math.inf for no relaxation)")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:  # NaN fails too
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError("x0 must lie in [0, 1]")
         if self.n_steps < 0:
@@ -213,8 +213,8 @@ class CalibrationParams:
             raise ValueError(f"sigma={self.sigma!r} must be finite and > 0")
         if self.I0 == self.I1:
             raise ValueError("I0 and I1 must differ")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not 0.0 < self.dt < math.inf:  # NaN fails too
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not self.T1 > 0:
             raise ValueError("T1 must be > 0")
 
@@ -304,9 +304,6 @@ class DistributionSnapshot:
     @property
     def total_mass(self) -> float:
         return float(self.density.sum() + self.mass0 + self.mass1)
-
-    def same_binning(self, other: "DistributionSnapshot") -> bool:
-        return self.n_bins == other.n_bins and self.bin_width == other.bin_width
 
 
 def bin_index(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:

@@ -13,8 +13,8 @@ beside the lower of the two values that bracket the minimum.
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
 as ``gen(tau)`` for all slices or ``gen(tau, which)`` for the slice
-indices in ``which`` only, in that order; a model that carries per-bin
-errors has them added in quadrature to the observed ones.
+indices in ``which`` only, in that order.  A model carries no errors:
+the chi-square weights each bin by the observed histogram's error alone.
 
 With ideal synthetic data (constant coupling) the fitted tau(t) is a
 straight line through the origin; the slower initial build-up seen in
@@ -69,29 +69,28 @@ class FitResult:
 
 
 def chi2(observed: DistributionSnapshot, model: DistributionSnapshot) -> float:
-    """Chi-square between two identically binned snapshots.
+    """Chi-square of a model against identically binned observed data.
 
-    Sum over bins of (obs - model)^2 / (obs_err^2 + model_err^2); the
-    model errors are zero unless the model histogram itself is a Monte
-    Carlo estimate.  Boundary point masses contribute two extra terms
-    whenever either side carries one.
+    Sum over bins of (obs - model)^2 / obs_err^2; the model's errors are
+    not read.  Each boundary point mass adds one term, weighted by the
+    observed mass error, whenever either side carries one.
     """
-    if not observed.same_binning(model):
+    if (observed.n_bins, observed.bin_width) != (model.n_bins, model.bin_width):
         raise ValueError("snapshots use different binnings")
-    err2 = observed.errors**2 + model.errors**2
+    no_error = "observed errors must be positive in every compared bin and boundary mass"
+    err2 = observed.errors**2
     if np.any(err2 <= 0.0):
-        raise ValueError("observed errors must be positive in all compared bins")
+        raise ValueError(no_error)
     total = float(((observed.density - model.density) ** 2 / err2).sum())
-    for om, mm, oe, me in (
-        (observed.mass0, model.mass0, observed.mass0_err, model.mass0_err),
-        (observed.mass1, model.mass1, observed.mass1_err, model.mass1_err),
+    for om, mm, oe in (
+        (observed.mass0, model.mass0, observed.mass0_err),
+        (observed.mass1, model.mass1, observed.mass1_err),
     ):
         if om == 0.0 and mm == 0.0:
             continue
-        e2 = oe**2 + me**2
-        if e2 <= 0.0:
-            raise ValueError("boundary masses present but carry no errors")
-        total += (om - mm) ** 2 / e2
+        if oe**2 <= 0.0:
+            raise ValueError(no_error)
+        total += (om - mm) ** 2 / oe**2
     return total
 
 
@@ -289,7 +288,7 @@ def make_fp_model_gen(
 
     For slice time t and trial tau the model is the density evolved with
     the constant coupling g = tau/t up to t, including relaxation, on
-    ``n_cells`` cells of the solver's default z range [-12, 12].  Every
+    ``n_cells`` cells of the solver's z range [-12, 12].  Every
     slice runs on one solver, so the grid, the start state, the rebinning
     map onto the rho00 bins and the relaxation operators are built once
     here; a call builds only the diffusion of each slice it solves and

@@ -150,27 +150,24 @@ def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
 
 
 class _Solver:
-    """One grid, the start state on it (the delta at x0, deposited
-    mean-exactly), the relaxation operators (one per exponent) and the
-    working state ``w``, ``mass0``, ``mass1`` of a run.  The arguments of
-    :func:`solve_fp` but g and ``t_grid`` are checked once here; every
-    :meth:`run` shares the operators and the deposit scratch, so runs
-    must not overlap.
+    """One grid (``n_cells`` cells on z in [-12, 12]), the start state on
+    it (the delta at x0, deposited mean-exactly), the relaxation operators
+    (one per exponent) and the working state ``w``, ``mass0``, ``mass1``
+    of a run.  The arguments but g and ``t_grid`` are checked once here;
+    every :meth:`run` shares the operators and the deposit scratch, so
+    runs must not overlap.
     """
 
-    def __init__(self, x0: float, T1: float, *, z_min: float = FP_Z_MIN,
-                 z_max: float = FP_Z_MAX, n_cells: int = FP_CELLS, dt: float | None = None):
+    def __init__(self, x0: float, T1: float, *, n_cells: int = FP_CELLS, dt: float | None = None):
         if not T1 > 0:
             raise ValueError("T1 must be > 0")
         if dt is not None and not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt={dt!r} must be finite and > 0")
         if n_cells < 8:
             raise ValueError("n_cells must be >= 8")
-        if not (math.isfinite(z_min) and math.isfinite(z_max) and z_min < z_max):
-            raise ValueError(f"z_min={z_min!r} and z_max={z_max!r} must be finite, z_min < z_max")
         self.T1, self.dt = T1, dt
         # cell centers of the uniform z grid, shared by every snapshot
-        self.nodes = z_min + (np.arange(n_cells) + 0.5) * ((z_max - z_min) / n_cells)
+        self.nodes = FP_Z_MIN + (np.arange(n_cells) + 0.5) * ((FP_Z_MAX - FP_Z_MIN) / n_cells)
         self.nodes.setflags(write=False)
         self.dz = float(self.nodes[1] - self.nodes[0])
         # population-space views of the cell centers, used by the
@@ -180,7 +177,7 @@ class _Solver:
         self.r00 = expit(2.0 * self.nodes)  # the branch weight where the means tie
         x0 = float(x0)
         z0 = to_logodds(x0)
-        if not (z_min < z0 < z_max):
+        if not (FP_Z_MIN < z0 < FP_Z_MAX):
             raise ValueError("x0 maps outside the z grid")
         (k,), (alpha,), (above,) = self.land(np.array([z0]), np.array([1.0 - x0]))
         # an x0 in the last half cell starts in the rho00 = 1 bucket
@@ -378,18 +375,12 @@ class _Diffusion:
         s.mass1 += float(sp * self.tail_hi[0] + sm * self.tail_hi[1])
 
 
-def solve_fp(
-    x0: float,
-    g: float,
-    T1: float,
-    t_grid,
-    *,
-    z_min: float = FP_Z_MIN,
-    z_max: float = FP_Z_MAX,
-    n_cells: int = FP_CELLS,
-    dt: float | None = None,
-) -> list[DensityGrid]:
+def solve_fp(x0: float, g: float, T1: float, t_grid, *,
+             dt: float | None = None) -> list[DensityGrid]:
     """Evolve the trajectory density and snapshot it at given times.
+
+    The density lives on 8192 cells of the log-odds range z in [-12, 12]
+    (``FP_CELLS``, ``FP_Z_MIN``, ``FP_Z_MAX``).
 
     Parameters
     ----------
@@ -402,8 +393,6 @@ def solve_fp(
         Relaxation time; ``math.inf`` for pure diffusion.
     t_grid : sequence of float
         Nondecreasing finite snapshot times, all >= 0.
-    z_min, z_max, n_cells :
-        Extent and resolution (>= 8 cells) of the uniform z grid.
     dt : float, optional
         Substep duration with finite T1 (finite and > 0), default
         min(T1/100, interval).
@@ -425,7 +414,7 @@ def solve_fp(
         If mass conservation drifts beyond 1e-8 or densities go negative
         beyond -1e-12.
     """
-    return _Solver(x0, T1, z_min=z_min, z_max=z_max, n_cells=n_cells, dt=dt).run(g, t_grid)
+    return _Solver(x0, T1, dt=dt).run(g, t_grid)
 
 
 def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):

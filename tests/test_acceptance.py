@@ -18,7 +18,7 @@ from scipy import stats
 from qtraj.bayesian import generate_records, reconstruct_ensemble, _meas
 from qtraj.core import CalibrationParams, ModelParams, build_histogram
 from qtraj.fitting import fit_tau, make_analytic_model_gen
-from qtraj.fokker_planck import analytic_bin_masses, fp_snapshot_to_bins, solve_fp
+from qtraj.fokker_planck import _Solver, analytic_bin_masses, fp_snapshot_to_bins, solve_fp
 from qtraj.rng import STREAM_BRANCH, STREAM_NOISE, SeedSpec, counter_normal, counter_uniform
 from qtraj.sde import _diffuse, simulate_ensemble
 
@@ -302,11 +302,13 @@ def test_criterion_09_trotter_convergence():
     Monte Carlo stepper, so the order is not buried under MC noise; the
     fine grid keeps the per-substep deposit smoothing (which grows as
     1/dt) well below the splitting signal."""
-    kw = dict(n_cells=16384)
-    ref = fp_snapshot_to_bins(solve_fp(0.305, 0.03, 45.0, [40.0], dt=0.125, **kw)[0])
+    def solve(dt):
+        return fp_snapshot_to_bins(_Solver(0.305, 45.0, n_cells=16384, dt=dt).run(0.03, [40.0])[0])
+
+    ref = solve(0.125)
 
     def err(dt):
-        snap = fp_snapshot_to_bins(solve_fp(0.305, 0.03, 45.0, [40.0], dt=dt, **kw)[0])
+        snap = solve(dt)
         return float(
             np.abs(snap.density - ref.density).sum()
             + abs(snap.mass0 - ref.mass0)

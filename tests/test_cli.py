@@ -4,12 +4,13 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtraj import core, fitting, io
+from qtraj import cli, core, fitting, io
 from qtraj.cli import USAGE, RunConfig, main, parse_args
 from qtraj.core import ModelParams, build_histogram
 from qtraj.rng import SeedSpec
@@ -33,11 +34,11 @@ def sigma_for_kappa(kappa, di=2.0):
     return di / (2.0 * math.sqrt(kappa))
 
 
-def packed_records(currents, x0=0.5):
+def packed_records(currents, x0=0.5, dt=0.5):
     """A hand-packed record file: magic, header (version, n_traj, n_steps,
     dt, I0, I1, sigma, T1, x0, seed), then the currents row-major."""
     body = np.asarray(currents, dtype="<f8")
-    head = struct.pack("<IQQddddddQ", io.FORMAT_VERSION, *body.shape, 0.5, 1.0, -1.0, 2.0,
+    head = struct.pack("<IQQddddddQ", io.FORMAT_VERSION, *body.shape, dt, 1.0, -1.0, 2.0,
                        math.inf, x0, 0)
     return io.RECORD_MAGIC + head + body.tobytes()
 
@@ -182,6 +183,18 @@ class TestInputChecks:
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--g_per_us={g}", *extra]) == 2
         assert "g must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "generate"])
+    def test_infinite_dt_rejected_before_work(self, tmp_path, capsys, monkeypatch, mode):
+        # the parameters are checked before any trajectory is computed
+        monkeypatch.setattr(cli.bayesian, "generate_records", None)
+        monkeypatch.setattr(cli, "simulate_batches", None)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([mode, f"--out={out}", "--dt_us=inf", *self.SMALL]) == 2
+        assert "dt must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, message", [
@@ -532,6 +545,13 @@ class TestPipeline:
         bad.write_bytes(packed_records([[0.1, 0.2], [0.3, 0.4]], x0=1.5))
         assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
         assert "bad.qrec: x0 must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+    def test_infinite_dt_records_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qrec"
+        bad.write_bytes(packed_records([[0.1, 0.2], [0.3, 0.4]], dt=math.inf))
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}", f"--input={bad}"]) == 1
+        assert "bad.qrec: dt must be finite and > 0, got inf" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("n_traj, n_slices", [(0, 3), (4, 0)])

@@ -135,6 +135,8 @@ class TestParams:
             dict(n_steps=-1),
             dict(g=math.nan),
             dict(g=math.inf),
+            dict(dt=math.inf),
+            dict(dt=math.nan),
         ],
     )
     def test_model_params_validation(self, kw):
@@ -160,6 +162,9 @@ class TestParams:
             kw = {"I0": 1.0, "I1": -1.0, "sigma": 1.0, "dt": 0.5, key: bad}
             with pytest.raises(ValueError, match=f"^{key}={bad!r} must be finite"):
                 CalibrationParams(**kw)
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+                CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=dt)
 
 
 class TestHistogram:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,15 +80,32 @@ class TestChi2:
     def test_zero_errors_rejected(self):
         gen = make_analytic_model_gen(0.5, 1)
         model = gen(0.5)[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="observed errors must be positive"):
             chi2(model, model)  # model snapshots carry zero errors
+        # a boundary mass on either side enters the sum with the observed
+        # mass error, which must then be positive
+        obs = snap_with_errors(model)
+        for kw in (dict(mass1=0.1), dict(mass0=0.1, mass1_err=1.0)):
+            with pytest.raises(ValueError, match="observed errors must be positive"):
+                chi2(obs, dataclasses.replace(model, **kw))
+            with pytest.raises(ValueError, match="observed errors must be positive"):
+                chi2(dataclasses.replace(obs, **kw), model)
+
+    def test_model_errors_not_read(self):
+        obs = sample_mixture_hist(0.3, 60.0, 20_000, 4)  # boundary masses on both sides
+        model = make_analytic_model_gen(0.3, 1)(60.0)[0]
+        noisy = dataclasses.replace(model, errors=np.full(model.n_bins, 0.5), mass0=0.01,
+                                    mass1=0.4, mass0_err=0.5, mass1_err=0.5)
+        bare = dataclasses.replace(noisy, errors=np.zeros(model.n_bins), mass0_err=0.0,
+                                   mass1_err=0.0)
+        assert obs.mass0 > 0.0 and obs.mass1 > 0.0
+        assert chi2(obs, noisy) == chi2(obs, bare) > 0.0
 
     def test_sampling_distribution(self):
-        # two independent 1e6-sample histograms of the same distribution,
-        # statistical errors only: chi2 lands around n_bins
-        a = sample_mixture_hist(0.305, 0.8, 1_000_000, 10)
-        b = sample_mixture_hist(0.305, 0.8, 1_000_000, 11)
-        v = chi2(a, b)
+        # a 1e6-sample histogram against its exact distribution, statistical
+        # errors only: chi2 lands around n_bins
+        observed = sample_mixture_hist(0.305, 0.8, 1_000_000, 10)
+        v = chi2(observed, make_analytic_model_gen(0.305, 1)(0.8)[0])
         assert 60.0 <= v <= 160.0
 
     def test_boundary_masses_compared(self):
