@@ -6,15 +6,20 @@ a model histogram is scanned over a tau grid, the minimum refined
 parabolically, and the error bar taken from the delta-chi2 = 100
 convention (the conventional one-parameter delta-chi2 = 1 interval is
 reported alongside; it is 10x smaller for a parabolic minimum).  The
-scan is coarse-to-fine: a strided pass over every slice, then per slice
-only the grid points its minimum depends on, bisecting first the gap
-beside the lower of the two values that bracket the minimum.
+scan fits one slice at a time, shortest slice time first.  The first
+slice (and any slice at t <= 0, or right after one) starts from a
+strided pass; each later slice starts at the grid point nearest
+tau_prev * t / t_prev, where a constant coupling (tau = g t) puts its
+minimum.  Then only the grid points its minimum depends on are
+evaluated, bisecting first the gap beside the lower of the two values
+that bracket the minimum.
 
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
 as ``gen(tau)`` for all slices or ``gen(tau, which)`` for the slice
-indices in ``which`` only, in that order.  A model carries no errors:
-the chi-square weights each bin by the observed histogram's error alone.
+indices in ``which`` only, in that order; the scan calls it with one
+slice at a time.  A model carries no errors: the chi-square weights
+each bin by the observed histogram's error alone.
 
 With ideal synthetic data (constant coupling) the fitted tau(t) is a
 straight line through the origin; the slower initial build-up seen in
@@ -150,9 +155,9 @@ def fit_tau(
     observed : sequence of DistributionSnapshot
         One observed histogram per time slice.
     model_gen : callable
-        ``model_gen(tau)`` maps a trial tau to model snapshots aligned
-        with ``observed``; ``model_gen(tau, which)`` returns those of the
-        slice indices in the tuple ``which`` only.
+        ``model_gen(tau, which)`` returns the model snapshots at trial
+        tau of the slice indices in the tuple ``which``; the scan passes
+        one index at a time.
     scan : ndarray
         Trial tau grid, increasing with a uniform step (as
         :func:`default_tau_scan` makes); the parabolic refinement assumes
@@ -166,55 +171,58 @@ def fit_tau(
     Notes
     -----
     Each slice's chi2 is assumed unimodal on the grid (non-increasing,
-    then non-decreasing).  A coarse pass evaluates all slices at index
-    0, every m-th index (m = round(sqrt(n)) on n points) and n - 1; then
-    each slice's bracket shrinks until the neighbours of its minimum, and
-    all points up to the first larger value right of it, are evaluated.
+    then non-decreasing).  Slices are fitted one at a time in ascending
+    ``observed[k].t`` (ties in index order), each through
+    ``model_gen(tau, (k,))``.  A slice starts either from a coarse pass
+    (index 0, every m-th index with m = round(sqrt(n)) on n points, and
+    n - 1) or, when it and the slice fitted before it both have t > 0,
+    from the grid index nearest tau_prev * t / t_prev and its two
+    neighbours, tau_prev being the earlier slice's tau_best.  Its
+    bracket then shrinks until the neighbours of its minimum, and all
+    points up to the first larger value right of it, are evaluated.
     Each fine evaluation bisects the gap on the side whose bracketing
-    value is lower, and the other gap once that one is closed.
-    A slice whose evaluated values are not unimodal gets its whole grid
+    value is lower, and the other gap once that one is closed.  A side
+    of the minimum on which no evaluated value reaches the evaluated
+    minimum + 100 gets its grid end evaluated, its largest value under
+    unimodality.  A slice whose evaluated values (for a seeded slice,
+    only the points it evaluated) are not unimodal gets its whole grid
     evaluated.  Every field then equals that of the full scan.
     """
     scan = _check_scan(scan)
     n, n_slices = scan.size, len(observed)
     chi = np.full((n, n_slices), np.nan)
     done = np.zeros((n, n_slices), dtype=bool)
+    coarse = sorted({*range(0, n, max(1, round(math.sqrt(n)))), n - 1})
 
-    def evaluate(j: int, *which: tuple[int, ...]) -> None:
-        models = model_gen(float(scan[j]), *which)
-        ks = which[0] if which else range(n_slices)
-        if len(models) != len(ks):
+    def evaluate(j: int, k: int) -> None:
+        models = model_gen(float(scan[j]), (k,))
+        if len(models) != 1:
             raise ValueError("model_gen returned wrong number of slices")
-        for k, model in zip(ks, models):
-            chi[j, k] = chi2(observed[k], model)
-            done[j, k] = True
+        chi[j, k] = chi2(observed[k], models[0])
+        done[j, k] = True
 
-    for j in sorted({*range(0, n, max(1, round(math.sqrt(n)))), n - 1}):
-        evaluate(j)
-    for k in range(n_slices):
+    t_prev = tau_prev = 0.0
+    for k in sorted(range(n_slices), key=lambda k: observed[k].t):
         c, ok = chi[:, k], done[:, k]
-        while True:
-            idx = np.flatnonzero(ok)
-            i = int(np.argmin(c[idx]))
-            j, lo = idx[i], (idx[i - 1] if i > 0 else -1)
-            right = idx[i + 1 :]
-            hi = right[c[right] > c[j]][:1]  # a plateau at c[j] may hide a lower value
-            left_gap = np.arange(lo + 1, j)
-            right_gap = j + 1 + np.flatnonzero(~ok[j + 1 : hi[0] if hi.size else n])
-            # bisect first beside the lower bracketing value (a right side
-            # with no larger value is a plateau at c[j]): the minimum more
-            # likely lies there, and the other gap then shrinks toward it
-            right_first = not hi.size or (lo >= 0 and c[hi[0]] < c[lo])
-            first, second = (right_gap, left_gap) if right_first else (left_gap, right_gap)
-            gap = first if first.size else second
-            if gap.size == 0:
-                break
-            evaluate(int(gap[gap.size // 2]), (k,))
+        t = observed[k].t
+        if t > 0.0 and t_prev > 0.0:
+            j0 = int(np.abs(scan - tau_prev * t / t_prev).argmin())
+            start = range(max(j0 - 1, 0), min(j0 + 2, n))
+        else:
+            start = coarse
+        for j in start:
+            evaluate(j, k)
+        _shrink(c, ok, lambda j: evaluate(j, k))
+        j = int(np.nanargmin(c))
+        for side, end in ((c[: j + 1], 0), (c[j:], n - 1)):
+            if not ok[end] and not np.any(side >= c[j] + 100.0):
+                evaluate(end, k)
         d = np.diff(c[ok])
         rise = np.flatnonzero(d > 0.0)
         if rise.size and np.any(d[rise[0] :] < 0.0):  # not unimodal: scan the rest
             for j in np.flatnonzero(~ok):
-                evaluate(int(j), (k,))
+                evaluate(int(j), k)
+        t_prev, tau_prev = t, _refine(scan, c)[0]
 
     results = []
     for k in range(n_slices):
@@ -242,6 +250,30 @@ def fit_tau(
             )
         )
     return results
+
+
+def _shrink(c: np.ndarray, ok: np.ndarray, evaluate: Callable[[int], None]) -> None:
+    """Evaluate points of one slice's chi2 column ``c`` (evaluated where
+    ``ok``) until the neighbours of its minimum, and every point up to
+    the first larger value right of it, are evaluated."""
+    n = c.size
+    while True:
+        idx = np.flatnonzero(ok)
+        i = int(np.argmin(c[idx]))
+        j, lo = idx[i], (idx[i - 1] if i > 0 else -1)
+        right = idx[i + 1 :]
+        hi = right[c[right] > c[j]][:1]  # a plateau at c[j] may hide a lower value
+        left_gap = np.arange(lo + 1, j)
+        right_gap = j + 1 + np.flatnonzero(~ok[j + 1 : hi[0] if hi.size else n])
+        # bisect first beside the lower bracketing value (a right side
+        # with no larger value is a plateau at c[j]): the minimum more
+        # likely lies there, and the other gap then shrinks toward it
+        right_first = not hi.size or (lo >= 0 and c[hi[0]] < c[lo])
+        first, second = (right_gap, left_gap) if right_first else (left_gap, right_gap)
+        gap = first if first.size else second
+        if gap.size == 0:
+            return
+        evaluate(int(gap[gap.size // 2]))
 
 
 # ---------------------------------------------------------------------------

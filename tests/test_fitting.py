@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtraj.bayesian import RecordSet, generate_records
+from qtraj.bayesian import generate_records
 from qtraj.core import (
     CalibrationParams,
     DistributionSnapshot,
@@ -191,10 +191,12 @@ class TestFitTau:
                 fit_tau([obs], gen, np.array(scan))
 
     def test_model_gen_slice_mismatch(self):
+        # every call selects one slice; a generator that ignores the
+        # selector returns two snapshots for it
         obs = sample_mixture_hist(0.5, 0.4, 5000, 30)
         gen = make_analytic_model_gen(0.5, 2)
-        with pytest.raises(ValueError):
-            fit_tau([obs], gen, np.arange(20, 61) * 0.01)
+        with pytest.raises(ValueError, match="wrong number of slices"):
+            fit_tau([obs], lambda tau, which: gen(tau), np.arange(20, 61) * 0.01)
 
     def test_fp_model_gen_matches_analytic_when_t1_infinite(self):
         gen_fp = make_fp_model_gen(0.305, math.inf, [10.0], n_cells=4096)
@@ -243,18 +245,20 @@ def assert_matches_full_scan(results, oracle):
 
 
 class TableGen:
-    """Model generator whose chi2 against ``table_observed`` is
-    ``table[j, k]`` at grid point j, slice k; counts slice evaluations."""
+    """Model generator whose chi2 against ``observed()`` is
+    ``table[j, k]`` at grid point j, slice k; counts slice evaluations.
+    Observed slice k is at time ``times[k]`` (0 for every slice by default)."""
 
-    def __init__(self, table, scan):
+    def __init__(self, table, scan, times=None):
         self.table = np.asarray(table, dtype=float)
         self.index = {float(t): j for j, t in enumerate(scan)}
+        self.times = [0.0] * self.table.shape[1] if times is None else list(times)
         self.evals = []
 
     def observed(self):
         return [DistributionSnapshot(n_bins=1, bin_width=1.0, density=np.zeros(1),
-                                     errors=np.ones(1), mass0=0.0, mass1=0.0, t=0.0)
-                for _ in range(self.table.shape[1])]
+                                     errors=np.ones(1), mass0=0.0, mass1=0.0, t=t)
+                for t in self.times]
 
     def __call__(self, tau, which=None):
         j = self.index[tau]
@@ -269,10 +273,13 @@ class TableGen:
 @st.composite
 def unimodal_tables(draw):
     """Chi2 columns that are non-increasing, then non-decreasing, with
-    the minimum first, last or inside, plateaus and ties included."""
+    the minimum first, last or inside, plateaus and ties included; and
+    one slice time t >= 0 per column, zeros, ties and any order
+    included.  The minima do not follow the times, so a seeded slice
+    often starts far from its minimum."""
     n = draw(st.integers(3, 300))
     cols = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 4))):
         m = draw(st.sampled_from([0, n - 1, None]))
         m = draw(st.integers(1, n - 2)) if m is None else m
         inc = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 30.0, 400.0]),
@@ -281,18 +288,34 @@ def unimodal_tables(draw):
         c[:m] += inc[:m][::-1].cumsum()[::-1]
         c[m + 1 :] += inc[m:].cumsum()
         cols.append(c)
-    return np.column_stack(cols)
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 7.5]),
+                          min_size=len(cols), max_size=len(cols)))
+    return np.column_stack(cols), times
 
 
 class TestCoarseToFineScan:
     @settings(max_examples=200, deadline=None)
     @given(unimodal_tables())
-    def test_unimodal_matches_full_scan(self, table):
+    def test_unimodal_matches_full_scan(self, table_times):
+        table, times = table_times
         scan = 0.01 * np.arange(table.shape[0])
-        gen = TableGen(table, scan)
+        gen = TableGen(table, scan, times)
         results = fit_tau(gen.observed(), gen, scan)
-        assert len(set(gen.evals)) == len(gen.evals)  # no point evaluated twice
+        evals = list(gen.evals)
+        assert len(set(evals)) == len(evals)  # no point evaluated twice
         assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
+        # one slice at a time in ascending t (ties in index order); a slice
+        # after one with t > 0, itself at t > 0, starts at the grid index
+        # nearest tau_best * t / t_prev and its neighbours
+        order = sorted(range(len(times)), key=times.__getitem__)
+        ks = [k for _, k in evals]
+        assert [k for i, k in enumerate(ks) if i == 0 or ks[i - 1] != k] == order
+        for prev, k in zip(order, order[1:]):
+            if times[prev] > 0.0 and times[k] > 0.0:
+                seed = results[prev].tau_best * times[k] / times[prev]
+                j0 = int(np.abs(scan - seed).argmin())
+                start = list(range(max(j0 - 1, 0), min(j0 + 2, scan.size)))
+                assert [j for j, kk in evals if kk == k][: len(start)] == start
 
     def test_multimodal_falls_back_to_full_scan(self):
         # two dips, both visible to the coarse pass (stride 16 on 251 points)
@@ -308,21 +331,47 @@ class TestCoarseToFineScan:
         assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
 
     def test_default_grid_evaluation_count(self):
-        # three slices at tau = 0.25, 0.5, 1.0 on the default 251-point grid
-        observed = [sample_mixture_hist(0.305, tau, 100_000, 40 + i)
+        # three slices at tau = 0.25, 0.5, 1.0 (t = 1, 2, 4) on the default
+        # 251-point grid: the first gets the 17-point coarse pass and 4
+        # fine points, the other two start at twice the previous tau_best.
+        # 38 slice evaluations; a coarse pass over every slice took 64
+        observed = [dataclasses.replace(sample_mixture_hist(0.305, tau, 100_000, 40 + i),
+                                        t=4.0 * tau)
                     for i, tau in enumerate((0.25, 0.5, 1.0))]
         base = make_analytic_model_gen(0.305, 3)
-        evals = []
+        which = []
 
-        def counting(tau, which=None):
-            out = base(tau, which)
-            evals.append(len(out))
-            return out
+        def counting(tau, ks):
+            which.append(ks)
+            return base(tau, ks)
 
         results = fit_tau(observed, counting, default_tau_scan())
-        assert sum(evals) <= 64
-        assert evals[:17] == [3] * 17 and set(evals[17:]) == {1}
+        assert which == [(0,)] * 21 + [(1,)] * 5 + [(2,)] * 12
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
+
+    def test_fp_three_slices_seeded(self):
+        # pipeline_t1's shape: T1 = 20 us, dt = 0.0625 us, kappa = 0.025,
+        # slices 10, 20, 40 (t = 0.625, 1.25, 2.5 us, tau = 0.25, 0.5, 1.0)
+        # on a 21-point grid.  Seeding the later slices takes 16 slice
+        # solves; a coarse pass over every slice took 24
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=6.324555320336759, dt=0.0625, T1=20.0)
+        params = ModelParams(g=cal.kappa / cal.dt, T1=20.0, dt=0.0625, x0=0.305, n_steps=40)
+        _, ens = generate_records(params, cal, 20_000, SeedSpec(2024))
+        observed = [build_histogram(ens, k, 100, 0.01) for k in (10, 20, 40)]
+        assert [o.t for o in observed] == [0.625, 1.25, 2.5]
+        base = make_fp_model_gen(0.305, 20.0, [o.t for o in observed], n_cells=2048)
+        solves = []
+
+        def counting(tau, which):
+            solves.extend(which)
+            return base(tau, which)
+
+        scan = default_tau_scan(0.15, 1.15, 0.05)
+        results = fit_tau(observed, counting, scan)
+        assert len(solves) == 16
+        assert_matches_full_scan(results, full_scan_fit_tau(observed, base, scan))
+        for r, tau in zip(results, (0.25, 0.5, 1.0)):
+            assert abs(r.tau_best - tau) < r.tau_error
 
     @pytest.mark.parametrize("minimum, fine_evals", [(39, 8), (25, 5)], ids=["right", "left"])
     def test_lower_side_first(self, minimum, fine_evals):
