@@ -10,9 +10,10 @@ scan fits one slice at a time, shortest slice time first.  The first
 slice (and any slice at t <= 0, or right after one) starts from a
 strided pass; each later slice starts at the grid point nearest
 tau_prev * t / t_prev, where a constant coupling (tau = g t) puts its
-minimum.  Then only the grid points its minimum depends on are
-evaluated, bisecting first the gap beside the lower of the two values
-that bracket the minimum.
+minimum, stepping outward by 1, 2, 4, ... points while the minimum is
+on the edge of what it evaluated.  Then only the grid points its
+minimum depends on are evaluated, bisecting first the gap beside the
+lower of the two values that bracket the minimum.
 
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
@@ -177,9 +178,11 @@ def fit_tau(
     (index 0, every m-th index with m = round(sqrt(n)) on n points, and
     n - 1) or, when it and the slice fitted before it both have t > 0,
     from the grid index nearest tau_prev * t / t_prev and its two
-    neighbours, tau_prev being the earlier slice's tau_best.  Its
-    bracket then shrinks until the neighbours of its minimum, and all
-    points up to the first larger value right of it, are evaluated.
+    neighbours, tau_prev being the earlier slice's tau_best.  A minimum
+    on the edge of that seed first steps outward by 1, 2, 4, ... points
+    until a value rises.  The bracket then shrinks until the neighbours
+    of its minimum, and all points up to the first larger value right of
+    it, are evaluated.
     Each fine evaluation bisects the gap on the side whose bracketing
     value is lower, and the other gap once that one is closed.  A side
     of the minimum on which no evaluated value reaches the evaluated
@@ -255,12 +258,20 @@ def fit_tau(
 def _shrink(c: np.ndarray, ok: np.ndarray, evaluate: Callable[[int], None]) -> None:
     """Evaluate points of one slice's chi2 column ``c`` (evaluated where
     ``ok``) until the neighbours of its minimum, and every point up to
-    the first larger value right of it, are evaluated."""
-    n = c.size
+    the first larger value right of it, are evaluated.  While the
+    minimum is the outermost evaluated point on a side short of the grid
+    end (a seed's edge), step outward from it by 1, 2, 4, ... points
+    until a value rises; only then bisect."""
+    n, step = c.size, 1
     while True:
         idx = np.flatnonzero(ok)
         i = int(np.argmin(c[idx]))
         j, lo = idx[i], (idx[i - 1] if i > 0 else -1)
+        out = 1 if i == idx.size - 1 and j < n - 1 else -1 if i == 0 and j > 0 else 0
+        if out:
+            evaluate(min(max(j + out * step, 0), n - 1))
+            step *= 2
+            continue
         right = idx[i + 1 :]
         hi = right[c[right] > c[j]][:1]  # a plateau at c[j] may hide a lower value
         left_gap = np.arange(lo + 1, j)

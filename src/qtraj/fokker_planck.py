@@ -30,13 +30,21 @@ splits, one per exponent); :meth:`_Solver.run` builds each interval's
 diffusion (kernel spectra, branch weights) for one g and runs its
 substep loop, so the fit's model generator builds the grid and the
 relaxations once for all trial tau.  At infinite T1 the loop takes one
-substep of the interval with zero relaxation.  A diffusion transforms
-its two kernels once, at ``n_fft = next_fast_len(size, real=True)`` for
-the ``size`` of a full convolution with the grid; the branch means of
-its weights are correlations through the conjugate spectra, and each
-substep makes one two-row forward transform of the weighted branches
-and one inverse transform of their sum in the frequency domain, clamped
-at 0 once.
+substep of the interval with zero relaxation.
+
+Relaxation maps every node, and the re-entering rho00 = 0 bucket, to
+``z >= log(expm1(delta))/2``, so it leaves every cell below its lowest
+landing cell (its floor) exactly 0.  Every diffusion follows a
+relaxation whose floor is at or above the interval's half-step floor
+``k0``, so it spreads only the window [k0, n): about 5000 of 8192 cells
+at T1 = 20 us and a substep of 0.2 us.  It transforms its two kernels
+once, at ``n_fft = next_fast_len(size, real=True)`` for the ``size`` of
+a full convolution with the window; the branch means of its weights are
+correlations through the conjugate spectra, and each substep makes one
+two-row forward transform of the weighted branches and one inverse
+transform of their sum in the frequency domain, clamped at 0 once.  The
+cells below the window's reach stay exactly 0, and the deposit after a
+diffusion skips them, with a bitwise unchanged result.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -208,11 +216,17 @@ class _Solver:
             span = float(t_next - t)
             if span > 0.0:
                 n_sub, h, half, relax = self.interval(span)
-                diffuse = _Diffusion(self, g * h)
+                # the diffusion spreads the cells from the half step's floor,
+                # the lowest the interval's deposits write; the deposits
+                # after it skip the cells below its own floor, which it
+                # leaves 0
+                diffuse = _Diffusion(self, g * h, half.floor)
                 half.apply(self)
+                steps = relax.window(diffuse.floor), half.window(diffuse.floor)
                 for j in range(n_sub):
                     diffuse.apply(self)
-                    (relax if j < n_sub - 1 else half).apply(self)
+                    last = j == n_sub - 1
+                    (half if last else relax).apply(self, *steps[last])
                 t = float(t_next)
             wmin = self.w.min()
             if wmin < _NEG_TOL:
@@ -270,11 +284,14 @@ class _Relaxation:
     bucket) are a tail of the grid; only the kept nodes' landing index
     and split are stored.  One ``bincount`` deposits lower shares, upper
     shares, then the re-entry: per cell, the order of adding the points
-    one at a time.
+    one at a time.  It writes no cell below ``floor``, the lowest landing
+    cell (the re-entry's, at z = log(expm1(delta))/2, or cell 0 when that
+    lies below the grid), so a deposit leaves every cell below it exactly
+    0.
     """
 
     def __init__(self, s: _Solver, delta: float):
-        self.delta = delta
+        self.delta, self.floor = delta, 0
         if delta == 0.0:
             return
         fac = math.exp(-delta)
@@ -288,17 +305,33 @@ class _Relaxation:
             np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
         self.index = np.concatenate((k[:m], k[:m] + 1, [kr, kr + 1]))
         self.alpha = alpha[:m]
+        self.floor = int(self.index.min())
 
-    def apply(self, s: _Solver) -> None:
+    def window(self, f: int) -> tuple[int, np.ndarray | None]:
+        """``(f, index)`` for a deposit that skips the sources below cell
+        f, which must hold exactly 0: the landing index of the others and
+        the re-entry.  Each cell keeps its non-zero addends in the same
+        order, so such a deposit is bitwise the full one.  A run holds
+        the index only while it lasts."""
+        if self.delta == 0.0:
+            return 0, None
+        m = self.alpha.size
+        f = min(f, m)
+        return f, np.concatenate((self.index[f:m], self.index[m + f :])) if f else self.index
+
+    def apply(self, s: _Solver, f: int = 0, index: np.ndarray | None = None) -> None:
+        """Relax ``s``; a :meth:`window` ``(f, index)`` skips the sources
+        below cell f."""
         if self.delta == 0.0:
             return
         m, w = self.alpha.size, s.w
         s.mass1 += float(w[m:][w[m:] > 0.0].sum())
-        value = s.scratch[: 2 * m + 2]
-        np.subtract(1.0, self.alpha, out=value[:m])
-        value[:m] *= w[:m]
-        np.multiply(w[:m], self.alpha, out=value[m : 2 * m])
-        n = 2 * m
+        k = m - f
+        value = s.scratch[: 2 * k + 2]
+        np.subtract(1.0, self.alpha[f:], out=value[:k])
+        value[:k] *= w[f:m]
+        np.multiply(w[f:m], self.alpha[f:], out=value[k : 2 * k])
+        n = 2 * k
         if s.mass0 > 0.0:
             if self.reentry_above:
                 s.mass1 += s.mass0
@@ -306,22 +339,27 @@ class _Relaxation:
                 value[n:] = s.mass0 * (1.0 - self.reentry_alpha), s.mass0 * self.reentry_alpha
                 n += 2
             s.mass0 = 0.0
-        s.w = np.bincount(self.index[:n], value[:n], minlength=w.size)
+        s.w = np.bincount((self.index if index is None else index)[:n], value[:n],
+                          minlength=w.size)
 
 
 class _Diffusion:
-    """Exact two-Gaussian spreading over evolution interval kappa.
+    """Exact two-Gaussian spreading over evolution interval kappa of a
+    density that is exactly 0 below cell ``k0``.
 
     The kernel pair (one row per branch), its truncated tails and the
-    mean-preserving branch weights depend on the grid and kappa only, so
-    they are built once, from the kernel spectra at ``n_fft``.  Each
+    mean-preserving branch weights depend on the grid, kappa and k0 only,
+    so they are built once, from the kernel spectra at ``n_fft``; they,
+    and both transforms, cover the window [k0, n) of the grid.  Each
     application transforms the two weighted branches as the two rows of
     the zero-padded buffer ``pad``, adds their products with the spectra
-    and transforms the sum back once.
+    and transforms the sum back once.  It leaves every cell below
+    ``floor = max(k0 + lo, 0)`` exactly 0, lo being the kernel's lowest
+    offset.
     """
 
-    def __init__(self, s: _Solver, kappa: float):
-        self.kappa = kappa
+    def __init__(self, s: _Solver, kappa: float, k0: int):
+        self.kappa, self.k0, self.floor = kappa, k0, 0
         if kappa == 0.0:
             return
         sig = math.sqrt(kappa)
@@ -330,45 +368,51 @@ class _Diffusion:
         edges_rel = (np.arange(lo, hi + 2) - 0.5) * s.dz
 
         # rows: the branch centered at +kappa, then the one at -kappa; a
-        # full convolution with the grid has n + hi - lo points
-        n = s.nodes.size
+        # full convolution with the window has n + hi - lo points
+        n = s.nodes.size - k0
         self.size, self.n_fft = n + hi - lo, next_fast_len(n + hi - lo, real=True)
         cdf = ndtr((edges_rel - np.array([[kappa], [-kappa]])) / sig)
         self.spectra = rfft(np.diff(cdf), self.n_fft)
         self.tail_lo, self.tail_hi = cdf[:, 0], 1.0 - cdf[:, -1]
 
         # discrete post-step population means of each branch, the "valid"
-        # correlations of the kernels with phi; beyond the grid the
-        # population saturates at the eigenstates (+-1 in phi)
-        phi_ext = np.concatenate((np.full(-lo, -1.0), s.phi, np.ones(hi)))
+        # correlations of the kernels with phi on the window's reach
+        # [k0 + lo, n + hi); beyond the grid the population saturates at
+        # the eigenstates (+-1 in phi)
+        a = k0 + lo
+        phi_ext = np.concatenate((np.full(max(-a, 0), -1.0), s.phi[max(a, 0) :], np.ones(hi)))
         corr = irfft(rfft(phi_ext, self.n_fft) * self.spectra.conj(), self.n_fft)
         mp, mm = corr[:, :n] - self.tail_lo[:, None] + self.tail_hi[:, None]
 
         # branch weights, corrected so the discrete mean is conserved
         denom = mp - mm
         with np.errstate(invalid="ignore", divide="ignore"):
-            xt = (s.phi - mm) / denom
-        self.xt = np.clip(np.where(np.abs(denom) > 1e-9, xt, s.r00), 0.0, 1.0)
-        self.lo = lo
+            xt = (s.phi[k0:] - mm) / denom
+        self.xt = np.clip(np.where(np.abs(denom) > 1e-9, xt, s.r00[k0:]), 0.0, 1.0)
+        self.lo, self.floor = lo, max(a, 0)
         self.pad = np.zeros((2, self.n_fft))
 
     def apply(self, s: _Solver) -> None:
         if self.kappa == 0.0:
             return
-        n, lo = s.nodes.size, self.lo
-        wp, wm = self.pad[:, :n]  # the padding past n stays zero
-        np.multiply(self.xt, s.w, out=wp)
-        np.subtract(s.w, wp, out=wm)
+        n, k0, pre = s.nodes.size, self.k0, self.floor
+        w = s.w[k0:]
+        wp, wm = self.pad[:, : n - k0]  # the padding past the window stays zero
+        np.multiply(self.xt, w, out=wp)
+        np.subtract(w, wp, out=wm)
         spec = rfft(self.pad)
         spec *= self.spectra
         spec[0] += spec[1]
-        # the two branches' sum, clamped at 0 once; full[j'] is the mass
-        # landing on grid index j' + lo, and lo < 0 < hi, so the grid is
-        # full[-lo : n - lo] and the rest is past its ends
-        full = np.maximum(irfft(spec[0], self.n_fft)[: self.size], 0.0)
-        s.w = full[-lo : n - lo]
-        s.mass0 += float(full[:-lo].sum())
-        s.mass1 += float(full[n - lo :].sum())
+        # the two branches' sum, clamped at 0 once, after ``pre`` empty
+        # cells: full[j] is the mass landing on grid index j + min(k0 + lo,
+        # 0), so the grid is full[b : b + n] and the rest is past its ends
+        full = np.empty(pre + self.size)
+        full[:pre] = 0.0
+        np.maximum(irfft(spec[0], self.n_fft)[: self.size], 0.0, out=full[pre:])
+        b = pre - k0 - self.lo
+        s.w = full[b : b + n]
+        s.mass0 += float(full[:b].sum())
+        s.mass1 += float(full[b + n :].sum())
         # truncated kernel tails (couple of 1e-17) go to the buckets too
         sp, sm = wp.sum(), wm.sum()
         s.mass0 += float(sp * self.tail_lo[0] + sm * self.tail_lo[1])
@@ -399,9 +443,11 @@ def solve_fp(x0: float, g: float, T1: float, t_grid, *,
         Each interval between snapshot times runs one substep loop with
         its operators built once; at infinite T1 that loop takes one
         substep of the whole interval with zero relaxation, whatever dt
-        is.  Memory beyond the grid is one interval's diffusion and, per
-        distinct relaxation exponent, a landing index and split of three
-        words per cell.
+        is.  Memory beyond the grid is one interval's diffusion on its
+        window, the landing index of that interval's two deposits on
+        the window (two words per window cell each, freed when the run
+        ends) and, per distinct relaxation exponent, a landing index and
+        split of three words per cell.
 
     Returns
     -------
@@ -437,15 +483,23 @@ def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):
     b_hi = bin_index(r_hi, n_bins, bin_width)
 
     whole = np.flatnonzero(b_lo == b_hi)
-    cells, bins, fracs = [whole], [b_lo[whole]], [np.ones(whole.size)]
-    for i in np.flatnonzero(b_lo != b_hi):
-        # z positions of the interior bin edges inside this cell
-        cuts = to_logodds(edges[b_lo[i] + 1 : b_hi[i] + 1])
-        f = np.clip((cuts - lo_c[i]) / (hi_c[i] - lo_c[i]), 0.0, 1.0)
-        cells.append(np.full(f.size + 1, i))
-        bins.append(np.arange(b_lo[i], b_hi[i] + 1))
-        fracs.append(np.diff(np.concatenate([[0.0], f, [1.0]])))
-    return np.concatenate(cells), np.concatenate(bins), np.concatenate(fracs)
+    # a straddling cell's n_cut interior edges b_lo + 1 .. b_hi cut it into
+    # parts over bins b_lo .. b_hi; edge e (of all, in cell order) lies in
+    # straddling cell q[e] and ends part e + q[e] (of all, in cell order)
+    cut = np.flatnonzero(b_lo != b_hi)
+    n_cut = b_hi[cut] - b_lo[cut]
+    q = np.repeat(np.arange(cut.size), n_cut)
+    e = np.arange(q.size)
+    c = cut[q]
+    z_cut = to_logodds(edges[b_lo[c] + 1 + e - np.repeat(np.cumsum(n_cut) - n_cut, n_cut)])
+    f = np.clip((z_cut - lo_c[c]) / (hi_c[c] - lo_c[c]), 0.0, 1.0)
+    upper, lower = np.ones(cut.size + q.size), np.zeros(cut.size + q.size)
+    upper[e + q] = f
+    lower[e + q + 1] = f
+    cells = np.repeat(cut, n_cut + 1)
+    part = np.arange(cells.size) - np.repeat(np.cumsum(n_cut + 1) - (n_cut + 1), n_cut + 1)
+    return (np.concatenate((whole, cells)), np.concatenate((b_lo[whole], b_lo[cells] + part)),
+            np.concatenate((np.ones(whole.size), upper - lower)))
 
 
 def _rebin(grid: DensityGrid, rebin_map, n_bins: int, bin_width: float) -> DistributionSnapshot:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +359,36 @@ class TestMemoryGuard:
         monkeypatch.setattr(core, "_MEMINFO", str(tmp_path / "absent"))
         assert available_memory() is None
         require_memory(1 << 62, "x")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc only")
+    def test_large_arrays_get_their_own_mapping(self):
+        """Importing qtraj pins glibc's mmap threshold at 1 MiB: in a fresh
+        process, whose heap has no 2 MiB free block, a 2 MiB array
+        allocated right after a 3 MiB one was freed is still mapped on its
+        own, where glibc's default would have raised the threshold to
+        3 MiB and carved it out of the heap."""
+        code = (
+            "import ctypes, numpy as np, qtraj\n"
+            "class MallInfo2(ctypes.Structure):\n"
+            "    _fields_ = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks', 'smblks',\n"
+            "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks',\n"
+            "                'keepcost')]\n"
+            "mallinfo2 = getattr(ctypes.CDLL(None), 'mallinfo2', None)\n"
+            "if mallinfo2 is None:\n"
+            "    raise SystemExit(3)\n"
+            "mallinfo2.restype = MallInfo2\n"
+            "big = np.ones(3 << 17)\n"
+            "del big\n"
+            "before = mallinfo2()\n"
+            "mid = np.ones(2 << 17)\n"
+            "print(before.fordblks < mid.nbytes, mallinfo2().hblkhd - before.hblkhd >= mid.nbytes)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        )
+        if proc.returncode == 3:
+            pytest.skip("no glibc mallinfo2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]

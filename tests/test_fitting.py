@@ -333,20 +333,25 @@ class TestCoarseToFineScan:
     def test_default_grid_evaluation_count(self):
         # three slices at tau = 0.25, 0.5, 1.0 (t = 1, 2, 4) on the default
         # 251-point grid: the first gets the 17-point coarse pass and 4
-        # fine points, the other two start at twice the previous tau_best.
-        # 38 slice evaluations; a coarse pass over every slice took 64
+        # fine points, the other two start at twice the previous tau_best,
+        # and both grid ends close their error brackets.  The third's
+        # minimum lies on its seed's right edge (1.01); one step out (1.02)
+        # rises.  32 slice evaluations; bisecting the open side instead
+        # took 38, and a coarse pass over every slice 64
         observed = [dataclasses.replace(sample_mixture_hist(0.305, tau, 100_000, 40 + i),
                                         t=4.0 * tau)
                     for i, tau in enumerate((0.25, 0.5, 1.0))]
         base = make_analytic_model_gen(0.305, 3)
-        which = []
+        calls = []
 
         def counting(tau, ks):
-            which.append(ks)
+            calls.append((tau, ks))
             return base(tau, ks)
 
         results = fit_tau(observed, counting, default_tau_scan())
-        assert which == [(0,)] * 21 + [(1,)] * 5 + [(2,)] * 12
+        assert [ks for _, ks in calls] == [(0,)] * 21 + [(1,)] * 5 + [(2,)] * 6
+        assert [round(tau, 2) for tau, _ in calls[21:]] == [0.49, 0.5, 0.51, 0.0, 2.5,
+                                                           0.99, 1.0, 1.01, 1.02, 0.0, 2.5]
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
 
     def test_fp_three_slices_seeded(self):
@@ -384,6 +389,22 @@ class TestCoarseToFineScan:
         gen = TableGen(table, scan)
         results = fit_tau(gen.observed(), gen, scan)
         assert len(gen.evals) == 17 + fine_evals
+        assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
+
+    @pytest.mark.parametrize("minimum, gallop", [(60, [42, 44, 48, 56, 72]),
+                                                 (20, [38, 36, 32, 24, 8])],
+                             ids=["right", "left"])
+    def test_gallop_from_seed_edge(self, minimum, gallop):
+        # slice 0 (t = 1) fits tau 0.2, so slice 1 (t = 2) is seeded at
+        # indices 39, 40, 41; its minimum lies beyond the seed's edge,
+        # which steps out by 1, 2, 4, 8 and 16 points before bisecting
+        i = np.arange(251.0)
+        table = np.column_stack([(i - 20) ** 2, (i - minimum) ** 2])
+        scan = default_tau_scan()
+        gen = TableGen(table, scan, times=[1.0, 2.0])
+        results = fit_tau(gen.observed(), gen, scan)
+        assert [j for j, k in gen.evals if k == 1][:8] == [39, 40, 41] + gallop
+        assert results[1].tau_best == scan[minimum]
         assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
 
     @pytest.mark.parametrize("kind", ["analytic", "fp"])

@@ -294,16 +294,20 @@ class TestRebinning:
 
 
 def diffusion_lengths():
-    """(input, kernel) lengths of the transforms `_Diffusion` makes."""
+    """(input, kernel) lengths of the transforms `_Diffusion` makes, on
+    the whole grid (T1 = inf) and on the window of a 0.2 us substep at
+    T1 = 20 us."""
     out = []
     for n_cells, kappa in ((8192, 0.006), (8192, 0.25), (2048, 0.1)):
         s = fp._Solver(0.5, 20.0, n_cells=n_cells)
-        k = fp._Diffusion(s, kappa).size - n_cells + 1
-        out += [(n_cells, k), (n_cells + k - 1, k)]  # branch spreading; mean correlation
+        for k0 in (0, s.interval(0.2)[2].floor):
+            n = n_cells - k0
+            k = fp._Diffusion(s, kappa, k0).size - n + 1
+            out += [(n, k), (n + k - 1, k)]  # branch spreading; mean correlation
     return out
 
 
-# three diffusion operators' lengths, then prime lengths, a prime full
+# six diffusion operators' lengths, then prime lengths, a prime full
 # length (1009), one just past a fast length (8193) and equal lengths (a
 # one-point "valid" part)
 FFT_LENGTHS = diffusion_lengths() + [(8191, 509), (10007, 3), (1000, 10), (8000, 194), (37, 37)]
@@ -346,10 +350,12 @@ class TestFFTConvolve:
 # ---------------------------------------------------------------------------
 # per-substep references: the solver as it was before its operators were
 # built once per interval.  They rebuild everything on every substep and
-# deposit with np.add.at; the solver must agree with them bitwise, except
-# with ref_diffuse_two_inverse, the diffusion before its branches shared
-# one inverse transform, which it must match within 1e-13 wherever the two
-# schemes' branch weights agree to rounding.
+# deposit with np.add.at; the solver must agree with them bitwise.  Two
+# earlier diffusions are references too: the full-grid one before the
+# window (ref_diffuse_full_grid) and the one before its branches shared
+# one inverse transform (ref_diffuse_two_inverse).  The solver must match
+# each within 1e-13 wherever the two schemes' branch weights agree to
+# rounding.
 
 
 def ref_kernels(s, kappa):
@@ -367,22 +373,23 @@ def ref_kernels(s, kappa):
 
 
 def ref_phi_ext(s, lo, hi):
+    """phi at the grid indices lo .. n + hi - 1, -+1 past the grid ends."""
     n = s.nodes.size
     pos = np.arange(lo, n + hi)
     return np.where(pos < 0, -1.0, np.where(pos >= n, 1.0, s.phi[np.clip(pos, 0, n - 1)]))
 
 
-def ref_branch_weights(s, mp, mm):
+def ref_branch_weights(s, mp, mm, k0=0):
     denom = mp - mm
     with np.errstate(invalid="ignore", divide="ignore"):
-        xt = (s.phi - mm) / denom
-    xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes))
+        xt = (s.phi[k0:] - mm) / denom
+    xt = np.where(np.abs(denom) > 1e-9, xt, expit(2.0 * s.nodes[k0:]))
     return np.clip(xt, 0.0, 1.0)
 
 
 def ref_land_full(s, full, lo, wp, wm, branches):
-    """Put the clamped full-convolution masses on the grid and past its
-    ends, plus the truncated tails."""
+    """Put the clamped full-convolution masses, the first landing on grid
+    index lo, on the grid and past its ends, plus the truncated tails."""
     assert not np.any(full < fp._NEG_TOL)
     np.maximum(full, 0.0, out=full)
     n = s.nodes.size
@@ -397,42 +404,60 @@ def ref_land_full(s, full, lo, wp, wm, branches):
     s.mass1 += float(wp.sum() * p_hi + wm.sum() * m_hi)
 
 
-def ref_conj_means(s, lo, hi, branches, n_fft):
-    """The branch means as the scheme takes them: "valid" correlations of
-    the kernels with phi through the kernels' conjugate spectra."""
-    n = s.nodes.size
-    phi_spec = rfft(ref_phi_ext(s, lo, hi), n_fft)
-    return [irfft(phi_spec * rfft(kernel, n_fft).conj(), n_fft)[:n] - t_lo + t_hi
-            for kernel, t_lo, t_hi in branches]
+def ref_scheme(s, kappa, k0):
+    """The scheme's transforms on the window [k0, n): the kernels, the
+    fast length for the kernels, the branch means and the spreading, and
+    the branch weights, whose means are "valid" correlations of the
+    kernels with phi through the kernels' conjugate spectra."""
+    lo, hi, branches = ref_kernels(s, kappa)
+    n = s.nodes.size - k0
+    n_fft = next_fast_len(n + hi - lo, real=True)
+    phi_spec = rfft(ref_phi_ext(s, k0 + lo, hi), n_fft)
+    means = [irfft(phi_spec * rfft(kernel, n_fft).conj(), n_fft)[:n] - t_lo + t_hi
+             for kernel, t_lo, t_hi in branches]
+    return lo, hi, branches, n_fft, ref_branch_weights(s, *means, k0)
 
 
-def ref_diffuse(s, kappa):
-    """The scheme: one fast length for the kernels, the branch means and
-    the spreading; the two branches summed in the frequency domain and
+def ref_split(s, kappa, k0, xt):
+    """2 sum_j |xt_j - xt'_j| w_j, xt' being the scheme's branch weights
+    on the window from k0: the most the two branch splits of this substep
+    can move the mass, in L1 over the cells and both buckets.  Every
+    substep's operators are positive and conserve the total, so they do
+    not grow an earlier difference, and the sum over substeps bounds how
+    far the split moves any cell or bucket by the end."""
+    xt_scheme = ref_scheme(s, kappa, k0)[-1]
+    return 2.0 * float((np.abs(xt[k0:] - xt_scheme) * s.w[k0:]).sum())
+
+
+def ref_diffuse(s, kappa, k0=0):
+    """The scheme on the window [k0, n) of a density that is exactly 0
+    below k0: the two branches summed in the frequency domain and
     transformed back once, row by row here."""
     if kappa == 0.0:
         return
-    lo, hi, branches = ref_kernels(s, kappa)
-    n = s.nodes.size
-    n_fft = next_fast_len(n + hi - lo, real=True)
+    assert not s.w[:k0].any()
+    lo, hi, branches, n_fft, xt = ref_scheme(s, kappa, k0)
     specs = [rfft(kernel, n_fft) for kernel, _, _ in branches]
-    xt = ref_branch_weights(s, *ref_conj_means(s, lo, hi, branches, n_fft))
-    wp = xt * s.w
-    wm = s.w - wp
-    full = irfft(rfft(wp, n_fft) * specs[0] + rfft(wm, n_fft) * specs[1], n_fft)[: n + hi - lo]
-    ref_land_full(s, full, lo, wp, wm, branches)
+    wp = xt * s.w[k0:]
+    wm = s.w[k0:] - wp
+    full = irfft(rfft(wp, n_fft) * specs[0] + rfft(wm, n_fft) * specs[1], n_fft)
+    ref_land_full(s, full[: wp.size + hi - lo], k0 + lo, wp, wm, branches)
 
 
-def ref_diffuse_two_inverse(s, kappa):
-    """The scheme before: reversed kernels for the branch means, and each
-    branch convolved, transformed back and clamped on its own.
+def ref_diffuse_full_grid(s, kappa, k0):
+    """The scheme before the window: ref_diffuse on the whole grid.
+    Returns ref_split against the windowed weights."""
+    if kappa == 0.0:
+        return 0.0
+    split = ref_split(s, kappa, k0, ref_scheme(s, kappa, 0)[-1])
+    ref_diffuse(s, kappa)
+    return split
 
-    Returns 2 sum_j |xt_j - xt'_j| w_j, where xt' are the scheme's branch
-    weights: the most the two branch splits of this substep can move the
-    mass, in L1 over the cells and both buckets.  Every substep's
-    operators are positive and conserve the total, so they do not grow an
-    earlier difference, and the sum over substeps bounds how far the
-    split moves any cell or bucket by the end."""
+
+def ref_diffuse_two_inverse(s, kappa, k0):
+    """The scheme before that: reversed kernels for the branch means, and
+    each branch convolved, transformed back and clamped on its own, on
+    the whole grid.  Returns ref_split against the windowed weights."""
     if kappa == 0.0:
         return 0.0
     lo, hi, branches = ref_kernels(s, kappa)
@@ -440,9 +465,7 @@ def ref_diffuse_two_inverse(s, kappa):
     mp, mm = (fftconvolve(phi_ext, kernel[::-1], mode="valid") - t_lo + t_hi
               for kernel, t_lo, t_hi in branches)
     xt = ref_branch_weights(s, mp, mm)
-    n_fft = next_fast_len(s.nodes.size + hi - lo, real=True)
-    xt_scheme = ref_branch_weights(s, *ref_conj_means(s, lo, hi, branches, n_fft))
-    split = 2.0 * float((np.abs(xt - xt_scheme) * s.w).sum())
+    split = ref_split(s, kappa, k0, xt)
     wp = xt * s.w
     wm = s.w - wp
     (kp, _, _), (km, _, _) = branches
@@ -494,6 +517,41 @@ def test_relaxation_lands_where_the_log_odds_form_does(n_cells):
         assert np.array_equal(r.alpha, alpha[:m])
 
 
+@pytest.mark.parametrize("g", [0.03, 0.4, 2.0])
+@pytest.mark.parametrize("dt", [None, 0.0625])
+@pytest.mark.parametrize("T1", [20.0, 45.0, 1e3])
+def test_window_holds_only_empty_cells(T1, dt, g, monkeypatch):
+    # a relaxation with delta > 0 leaves every cell below its floor exactly
+    # 0; a diffusion's window starts at or below the floor of the
+    # relaxation before it, and it leaves every cell below its own floor
+    # 0; a deposit that skips the cells below its f finds them 0 and is
+    # bitwise the full deposit
+    relax_apply, diffuse_apply = fp._Relaxation.apply, fp._Diffusion.apply
+    floors, seen = [], []
+
+    def relax(r, s, f=0, index=None):
+        assert not s.w[:f].any()
+        full = SimpleNamespace(w=s.w, mass0=s.mass0, mass1=s.mass1, scratch=s.scratch.copy())
+        relax_apply(r, full)
+        relax_apply(r, s, f, index)
+        assert np.array_equal(s.w, full.w) and (s.mass0, s.mass1) == (full.mass0, full.mass1)
+        if r.delta > 0.0:
+            assert r.floor > 0 and not s.w[: r.floor].any()
+        floors.append(r.floor)
+        seen.append(f)
+
+    def diffuse(d, s):
+        assert d.k0 <= floors[-1] and not s.w[: d.k0].any()
+        diffuse_apply(d, s)
+        assert not s.w[: d.floor].any()
+        seen.append(d.k0)
+
+    monkeypatch.setattr(fp._Relaxation, "apply", relax)
+    monkeypatch.setattr(fp._Diffusion, "apply", diffuse)
+    fp._Solver(0.305, T1, dt=dt).run(g, [0.5, 2.5, 5.0])
+    assert max(seen) > 0  # the windows are in use
+
+
 def ref_relax(s, delta):
     if delta == 0.0:
         return
@@ -512,7 +570,10 @@ def ref_relax(s, delta):
 def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse):
     """Delta initial condition on ``n_cells`` cells of z in [-12, 12], then
     per-substep diffuse/relax; returns (weights, mass0, mass1) per
-    snapshot time."""
+    snapshot time.  Each diffusion is told the window k0 it may take: the
+    cell of the half step's re-entry point log(expm1(delta/2))/2, the
+    lowest any of the interval's relaxations deposits in (0 below the
+    grid and at T1 = inf)."""
     nodes = -12.0 + (np.arange(n_cells) + 0.5) * (24.0 / n_cells)
     assert np.array_equal(fp._Solver(x0, T1, n_cells=n_cells).nodes, nodes)
     s = SimpleNamespace(nodes=nodes, dz=float(nodes[1] - nodes[0]), r11=expit(-2.0 * nodes),
@@ -524,15 +585,17 @@ def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse):
         span = float(t_next - t)
         if span > 0.0:
             if math.isinf(T1):
-                diffuse(s, g * span)
+                diffuse(s, g * span, 0)
             else:
                 sub = dt if dt is not None else min(T1 / 100.0, span)
                 n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
                 h = span / n_sub
                 delta = h / T1
+                y0 = 0.5 * math.log(math.expm1(0.5 * delta))
+                k0 = min(max(math.floor((y0 - nodes[0]) / s.dz), 0), n_cells - 2)
                 ref_relax(s, 0.5 * delta)
                 for j in range(n_sub):
-                    diffuse(s, g * h)
+                    diffuse(s, g * h, k0)
                     ref_relax(s, delta if j < n_sub - 1 else 0.5 * delta)
             t = float(t_next)
         out.append((s.w.copy(), s.mass0, s.mass1))
@@ -584,6 +647,35 @@ def oracle_solve(x0, g, T1, t_grid, n_cells, dt=None):
     return fp._Solver(x0, T1, n_cells=n_cells, dt=dt).run(g, t_grid)
 
 
+def assert_near_earlier_scheme(case, before):
+    """The deliberate changes of scheme move no cell and no boundary mass
+    by more than 1e-13.  Where mass reaches the grid ends, tanh
+    saturates, mp - mm falls towards its 1e-9 cut-off and the branch
+    weights' division amplifies the rounding difference of two
+    correlations (another form, or another transform length); there the
+    mass moves, in L1, by at most the summed split bound plus rounding.
+    That bound is 8.8e-9 and 7.3e-9 against the full-grid scheme, and
+    1.1e-8 and 7.5e-9 against the two-inverse one, for fft-boundary and
+    coarse-boundary."""
+    x0, g, T1, t_grid, kw = ORACLE_CASES[case]
+    split = []
+
+    def diffuse(s, kappa, k0):
+        split.append(before(s, kappa, k0))
+
+    sols = oracle_solve(x0, g, T1, t_grid, **kw)
+    refs = ref_solve_fp(x0, g, T1, t_grid, **kw, diffuse=diffuse)
+    for sol, (w, mass0, mass1) in zip(sols, refs):
+        if "boundary" in case:
+            moved = (np.abs(sol.weights - w).sum() + abs(sol.mass0 - mass0)
+                     + abs(sol.mass1 - mass1))
+            assert moved <= sum(split) + 1e-12
+            assert sum(split) <= 2e-8
+        else:
+            assert np.max(np.abs(sol.weights - w)) <= 1e-13
+            assert abs(sol.mass0 - mass0) <= 1e-13 and abs(sol.mass1 - mass1) <= 1e-13
+
+
 class TestBitwiseOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_solve_fp_matches_per_substep_reference(self, case, monkeypatch):
@@ -591,9 +683,9 @@ class TestBitwiseOracle:
         reentries = []
         apply = fp._Relaxation.apply
 
-        def counting_apply(relaxation, s):
+        def counting_apply(relaxation, s, *window):
             bucket = s.mass0
-            apply(relaxation, s)
+            apply(relaxation, s, *window)
             reentries.append(bucket > 0.0 and s.mass0 == 0.0)
 
         monkeypatch.setattr(fp._Relaxation, "apply", counting_apply)
@@ -610,37 +702,31 @@ class TestBitwiseOracle:
             assert sols[-1].mass1 > 0.01
         if case == "9-tap":
             s = fp._Solver(x0, T1, n_cells=kw["n_cells"])
-            assert fp._Diffusion(s, g * 0.2).size - s.nodes.size + 1 == 9
+            assert fp._Diffusion(s, g * 0.2, 0).size - s.nodes.size + 1 == 9
         if case == "reentry-below":
             s = fp._Solver(x0, T1, n_cells=kw["n_cells"])
             for delta in (kw["dt"] / T1, 0.5 * kw["dt"] / T1):
                 assert 0.5 * math.log(math.expm1(delta)) < s.nodes[0]
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_solve_fp_near_full_grid_scheme(self, case):
+        # the window moves no cell and no boundary mass by more than 1e-13
+        # (boundary cases: see assert_near_earlier_scheme); without one (no
+        # relaxation, or a re-entry below the grid) it is the full-grid
+        # scheme, bitwise
+        if case in ("no-relaxation", "reentry-below"):
+            x0, g, T1, t_grid, kw = ORACLE_CASES[case]
+            sols = oracle_solve(x0, g, T1, t_grid, **kw)
+            refs = ref_solve_fp(x0, g, T1, t_grid, **kw,
+                                diffuse=lambda s, kappa, k0: ref_diffuse(s, kappa))
+            for sol, (w, mass0, mass1) in zip(sols, refs):
+                assert np.array_equal(sol.weights, w)
+                assert sol.mass0 == mass0 and sol.mass1 == mass1
+        assert_near_earlier_scheme(case, ref_diffuse_full_grid)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_solve_fp_near_two_inverse_reference(self, case):
-        # the deliberate change of scheme moves no cell and no boundary
-        # mass by more than 1e-13.  Where mass reaches the grid ends, tanh
-        # saturates, mp - mm falls towards its 1e-9 cut-off and the branch
-        # weights' division amplifies the two correlation forms' rounding
-        # difference; there the mass moves, in L1, by at most the summed
-        # split bound of ref_diffuse_two_inverse (1.4e-8 and 7.1e-9 for
-        # fft-boundary and coarse-boundary) plus rounding
-        x0, g, T1, t_grid, kw = ORACLE_CASES[case]
-        split = []
-
-        def diffuse(s, kappa):
-            split.append(ref_diffuse_two_inverse(s, kappa))
-
-        sols = oracle_solve(x0, g, T1, t_grid, **kw)
-        refs = ref_solve_fp(x0, g, T1, t_grid, **kw, diffuse=diffuse)
-        for sol, (w, mass0, mass1) in zip(sols, refs):
-            if "boundary" in case:
-                moved = (np.abs(sol.weights - w).sum() + abs(sol.mass0 - mass0)
-                         + abs(sol.mass1 - mass1))
-                assert moved <= sum(split) + 1e-12
-            else:
-                assert np.max(np.abs(sol.weights - w)) <= 1e-13
-                assert abs(sol.mass0 - mass0) <= 1e-13 and abs(sol.mass1 - mass1) <= 1e-13
+        assert_near_earlier_scheme(case, ref_diffuse_two_inverse)
 
     def test_rebin_matches_per_cell_reference(self):
         # a coarse grid whose cells straddle several bins, and a fine one
