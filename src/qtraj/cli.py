@@ -58,7 +58,8 @@ keys (any key is also a --key=value flag; --config=FILE loads a file first):
   input=FILE ground=FILE excited=FILE n_workers=INT
 
 fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise
-(8192 cells on z in [-12, 12], substep min(t1_us/100, interval)).
+(8192 cells on z in [-12, 12], substep t1_us/100).  solve-fp substeps
+at t1_us/100 too; it does not read dt_us.
 --seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
 No environment variable is read.
 """
@@ -303,15 +304,24 @@ def cmd_report(cfg: RunConfig) -> None:
                          res.chi2_min, gen(res.tau_best, (i,))[0], norelax_gen(res.tau_best)[0])
 
 
+def _fit_file(path: str, fit, *args):
+    """``fit(*args)`` on data read from ``path``: a ValueError there is
+    the file's fault, an input error naming it."""
+    try:
+        return fit(*args)
+    except (ValueError, bayesian.FitFailureError) as exc:
+        raise bayesian.FitFailureError(f"{path}: {exc}") from exc
+
+
 def cmd_calibrate(cfg: RunConfig) -> None:
     paths = _require_input(cfg.ground, "ground"), _require_input(cfg.excited, "excited")
     ground, excited = map(io.read_records, paths)
-    g_fit = bayesian.fit_gaussian_current(ground.currents.ravel())
-    e_fit = bayesian.fit_gaussian_current(excited.currents[:, 0])
+    g_fit = _fit_file(paths[0], bayesian.fit_gaussian_current, ground.currents.ravel())
+    e_fit = _fit_file(paths[1], bayesian.fit_gaussian_current, excited.currents[:, 0])
     times = (np.arange(excited.n_steps) + 0.5) * excited.dt
     # the excited ensemble relaxes toward the ground current
     cal = CalibrationParams(I0=g_fit.center, I1=e_fit.center, sigma=g_fit.sigma, dt=excited.dt)
-    t1 = bayesian.estimate_T1(times, excited.currents.mean(axis=0), cal)
+    t1 = _fit_file(paths[1], bayesian.estimate_T1, times, excited.currents.mean(axis=0), cal)
     _write_manifest(cfg)
     items = {
         "i0": repr(g_fit.center),
@@ -374,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (io.FormatError, bayesian.FitFailureError, FPSolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # domain validation from the library layer: a usage problem

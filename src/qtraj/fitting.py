@@ -6,14 +6,15 @@ a model histogram is scanned over a tau grid, the minimum refined
 parabolically, and the error bar taken from the delta-chi2 = 100
 convention (the conventional one-parameter delta-chi2 = 1 interval is
 reported alongside; it is 10x smaller for a parabolic minimum).  The
-scan fits one slice at a time, shortest slice time first.  The first
-slice (and any slice at t <= 0, or right after one) starts from a
-strided pass; each later slice starts at the grid point nearest
+scan fits one slice at a time, shortest slice time first.  Each slice
+starts at a grid point and its two neighbours: the point nearest
 tau_prev * t / t_prev, where a constant coupling (tau = g t) puts its
-minimum, stepping outward by 1, 2, 4, ... points while the minimum is
-on the edge of what it evaluated.  Then only the grid points its
-minimum depends on are evaluated, bisecting first the gap beside the
-lower of the two values that bracket the minimum.
+minimum, or the grid's second point for the first slice and any slice
+at t <= 0 or right after one.  It steps outward by 1, 2, 4, ... points
+while the minimum is on the edge of what it evaluated, then evaluates
+only the points its minimum depends on, bisecting first the gap beside
+the lower of the two values that bracket it.  No slice looks at the
+whole grid first, so a deeper second dip can go unseen.
 
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DistributionSnapshot
+from .core import DistributionSnapshot, require_memory
 from .fokker_planck import FP_CELLS, _Solver, _rebin, _rebin_map, analytic_bin_masses
 
 __all__ = [
@@ -103,12 +104,14 @@ def chi2(observed: DistributionSnapshot, model: DistributionSnapshot) -> float:
 def default_tau_scan(
     tau_min: float = 0.0, tau_max: float = 2.5, tau_step: float = 0.01
 ) -> np.ndarray:
-    """The tau grid tau_min..tau_max (default 0 to 2.5 in steps of 0.01)."""
+    """The tau grid tau_min..tau_max (default 0 to 2.5 in steps of 0.01), refused
+    before any allocation without memory for it and its check (four words a point)."""
     if not (0 <= tau_min < math.inf and math.isfinite(tau_max)):
         raise ValueError(f"need finite tau_min={tau_min!r} >= 0 and tau_max={tau_max!r}")
     if not 0 < tau_step < math.inf:
         raise ValueError(f"tau_step={tau_step!r} must be finite and > 0")
     n = int(round((tau_max - tau_min) / tau_step))
+    require_memory(32 * (n + 1), f"a tau grid of {n + 1} points")
     return _check_scan(tau_min + tau_step * np.arange(n + 1))
 
 
@@ -174,84 +177,65 @@ def fit_tau(
     Each slice's chi2 is assumed unimodal on the grid (non-increasing,
     then non-decreasing).  Slices are fitted one at a time in ascending
     ``observed[k].t`` (ties in index order), each through
-    ``model_gen(tau, (k,))``.  A slice starts either from a coarse pass
-    (index 0, every m-th index with m = round(sqrt(n)) on n points, and
-    n - 1) or, when it and the slice fitted before it both have t > 0,
-    from the grid index nearest tau_prev * t / t_prev and its two
-    neighbours, tau_prev being the earlier slice's tau_best.  A minimum
-    on the edge of that seed first steps outward by 1, 2, 4, ... points
-    until a value rises.  The bracket then shrinks until the neighbours
-    of its minimum, and all points up to the first larger value right of
-    it, are evaluated.
-    Each fine evaluation bisects the gap on the side whose bracketing
-    value is lower, and the other gap once that one is closed.  A side
-    of the minimum on which no evaluated value reaches the evaluated
-    minimum + 100 gets its grid end evaluated, its largest value under
-    unimodality.  A slice whose evaluated values (for a seeded slice,
-    only the points it evaluated) are not unimodal gets its whole grid
-    evaluated.  Every field then equals that of the full scan.
+    ``model_gen(tau, (k,))``.  A slice starts at a seed index and its
+    two neighbours: the grid index nearest tau_prev * t / t_prev when it
+    and the slice fitted before it both have t > 0, tau_prev being the
+    earlier slice's tau_best, and index 1 otherwise.  A minimum on the
+    edge of that seed steps outward by 1, 2, 4, ... points until a value
+    rises.  The bracket then shrinks until the neighbours of its
+    minimum, and all points up to the first larger value right of it,
+    are evaluated; each evaluation bisects the gap on the side whose
+    bracketing value is lower, and the other gap once that one is
+    closed.  A side of the minimum on which no evaluated value reaches
+    the evaluated minimum + 100 gets its grid end evaluated, its largest
+    value under unimodality.  A slice whose evaluated values are not
+    unimodal gets its whole grid evaluated.  Every field then equals
+    that of the full scan.  No slice scans the whole grid first, so a
+    deeper second dip that no evaluated value shows is missed.
     """
     scan = _check_scan(scan)
-    n, n_slices = scan.size, len(observed)
-    chi = np.full((n, n_slices), np.nan)
-    done = np.zeros((n, n_slices), dtype=bool)
-    coarse = sorted({*range(0, n, max(1, round(math.sqrt(n)))), n - 1})
-
-    def evaluate(j: int, k: int) -> None:
-        models = model_gen(float(scan[j]), (k,))
-        if len(models) != 1:
-            raise ValueError("model_gen returned wrong number of slices")
-        chi[j, k] = chi2(observed[k], models[0])
-        done[j, k] = True
-
+    n = scan.size
+    results = [None] * len(observed)
     t_prev = tau_prev = 0.0
-    for k in sorted(range(n_slices), key=lambda k: observed[k].t):
-        c, ok = chi[:, k], done[:, k]
+    for k in sorted(range(len(observed)), key=lambda k: observed[k].t):
+        c, ok = np.full(n, np.nan), np.zeros(n, dtype=bool)
+
+        def evaluate(j: int) -> None:  # called for this slice only
+            models = model_gen(float(scan[j]), (k,))
+            if len(models) != 1:
+                raise ValueError("model_gen returned wrong number of slices")
+            c[j] = chi2(observed[k], models[0])
+            ok[j] = True
+
         t = observed[k].t
+        j0 = 1  # unseeded: the grid's first three points
         if t > 0.0 and t_prev > 0.0:
             j0 = int(np.abs(scan - tau_prev * t / t_prev).argmin())
-            start = range(max(j0 - 1, 0), min(j0 + 2, n))
-        else:
-            start = coarse
-        for j in start:
-            evaluate(j, k)
-        _shrink(c, ok, lambda j: evaluate(j, k))
+        for j in range(max(j0 - 1, 0), min(j0 + 2, n)):
+            evaluate(j)
+        _shrink(c, ok, evaluate)
         j = int(np.nanargmin(c))
         for side, end in ((c[: j + 1], 0), (c[j:], n - 1)):
             if not ok[end] and not np.any(side >= c[j] + 100.0):
-                evaluate(end, k)
+                evaluate(end)
         d = np.diff(c[ok])
         rise = np.flatnonzero(d > 0.0)
         if rise.size and np.any(d[rise[0] :] < 0.0):  # not unimodal: scan the rest
             for j in np.flatnonzero(~ok):
-                evaluate(int(j), k)
-        t_prev, tau_prev = t, _refine(scan, c)[0]
-
-    results = []
-    for k in range(n_slices):
-        c = chi[:, k]
+                evaluate(int(j))
         tau_best, chi2_min, a, at_edge = _refine(scan, c)
-        if math.isnan(a):
-            err100 = math.inf
-            err1 = math.inf
-        else:
-            err100 = math.sqrt(100.0 / a)
-            err1 = math.sqrt(1.0 / a)
-        thresh = chi2_min + 100.0
-        jmin = int(np.nanargmin(c))
-        bracketed = bool(np.any(c[: jmin + 1] >= thresh) and np.any(c[jmin:] >= thresh))
-        results.append(
-            FitResult(
-                tau_best=tau_best,
-                chi2_min=chi2_min,
-                tau_error=err100,
-                tau_error_dchi2_1=err1,
-                n_bins=observed[k].n_bins,
-                scan=np.column_stack([scan, c]),
-                at_edge=at_edge,
-                err_bracketed=bracketed,
-            )
+        j, thresh = int(np.nanargmin(c)), chi2_min + 100.0
+        results[k] = FitResult(
+            tau_best=tau_best,
+            chi2_min=chi2_min,
+            tau_error=math.inf if math.isnan(a) else math.sqrt(100.0 / a),
+            tau_error_dchi2_1=math.inf if math.isnan(a) else math.sqrt(1.0 / a),
+            n_bins=observed[k].n_bins,
+            scan=np.column_stack([scan, c]),
+            at_edge=at_edge,
+            err_bracketed=bool(np.any(c[: j + 1] >= thresh) and np.any(c[j:] >= thresh)),
         )
+        t_prev, tau_prev = t, tau_best
     return results
 
 

@@ -262,8 +262,8 @@ class _Solver:
     def interval(self, span: float):
         """Substep count and length of an interval of length ``span`` > 0,
         and its half- and full-step relaxations, built on first use."""
-        # min(inf, span) = span: one substep of the interval at T1 = inf
-        sub = min(self.T1 / 100.0, span) if self.dt is None or math.isinf(self.T1) else self.dt
+        # an interval shorter than sub is one substep, as is any at T1 = inf
+        sub = self.T1 / 100.0 if self.dt is None or math.isinf(self.T1) else self.dt
         n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
         h = span / n_sub
         delta = h / self.T1
@@ -439,7 +439,7 @@ def solve_fp(x0: float, g: float, T1: float, t_grid, *,
         Nondecreasing finite snapshot times, all >= 0.
     dt : float, optional
         Substep duration with finite T1 (finite and > 0), default
-        min(T1/100, interval).
+        T1/100; an interval no longer than it is one substep.
         Each interval between snapshot times runs one substep loop with
         its operators built once; at infinite T1 that loop takes one
         substep of the whole interval with zero relaxation, whatever dt

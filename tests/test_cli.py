@@ -564,8 +564,9 @@ class TestPipeline:
         assert not (tmp_path / "fit" / "fit_report.txt").exists()
 
     def test_memory_refusal_exit_codes(self, tmp_path, capsys, monkeypatch):
-        # a computed ensemble that cannot fit is a usage error (exit 2); a
-        # file whose body cannot fit is an input error naming it (exit 1)
+        # a computed ensemble or tau grid that cannot fit is a usage error
+        # (exit 2); a file whose body cannot fit is an input error naming
+        # it (exit 1)
         sim = tmp_path / "sim"
         assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100",
                     "--n_steps=4", "--g_per_us=0.03"]) == 0
@@ -574,11 +575,43 @@ class TestPipeline:
                     "--n_steps=4"]) == 2
         assert "needs 4000 bytes of memory but only 1000 bytes" in capsys.readouterr().err
         assert not list((tmp_path / "big").iterdir())
-        assert run(["fit", f"--out={tmp_path / 'fit'}",
-                    f"--input={sim / 'ensemble.qens'}"]) == 1
+        assert run(["fit", f"--out={tmp_path / 'tau'}", f"--input={sim / 'ensemble.qens'}",
+                    "--tau_step=1e-10"]) == 2
+        err = capsys.readouterr().err
+        assert "a tau grid of 25000000001 points needs 800000000032 bytes" in err
+        assert not (tmp_path / "tau").exists()
+        # a 3-point tau grid (96 bytes) fits, so the file's body is refused
+        assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
+                    "--tau_max=0.02"]) == 1
         err = capsys.readouterr().err
         assert "ensemble.qens: ensemble body of 100 x 5 values needs 4000 bytes" in err
         assert not (tmp_path / "fit").exists()
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 186. GiB")
+
+        monkeypatch.setitem(cli._COMMANDS, "fit", exhausted)
+        assert run(["fit", f"--out={tmp_path}"]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 186. GiB\n"
+
+    @pytest.mark.parametrize("bad, shape, message", [
+        ("ground", (10, 5), "need at least 100 samples for a calibration fit"),
+        ("excited", (200, 3), "need matching time/current series of length >= 4"),
+    ])
+    def test_calibrate_bad_file_exit_code(self, tmp_path, capsys, bad, shape, message):
+        # the keys are fine and the file is at fault: an input error naming it
+        rng = np.random.default_rng(5)
+        paths = {}
+        for which in ("ground", "excited"):
+            paths[which] = tmp_path / f"{which}.qrec"
+            currents = rng.normal(size=shape if which == bad else (200, 8))
+            paths[which].write_bytes(packed_records(currents))
+        out = tmp_path / "cal"
+        assert run(["calibrate", f"--out={out}", f"--ground={paths['ground']}",
+                    f"--excited={paths['excited']}"]) == 1
+        assert f"error: {paths[bad]}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         assert run(["reconstruct", f"--out={tmp_path}", "--input=/nope.qrec"]) == 2

@@ -306,21 +306,26 @@ class TestCoarseToFineScan:
         assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
         # one slice at a time in ascending t (ties in index order); a slice
         # after one with t > 0, itself at t > 0, starts at the grid index
-        # nearest tau_best * t / t_prev and its neighbours
+        # nearest tau_best * t / t_prev and its neighbours, any other at
+        # indices 0, 1 and 2
         order = sorted(range(len(times)), key=times.__getitem__)
         ks = [k for _, k in evals]
         assert [k for i, k in enumerate(ks) if i == 0 or ks[i - 1] != k] == order
-        for prev, k in zip(order, order[1:]):
-            if times[prev] > 0.0 and times[k] > 0.0:
+        for prev, k in zip([None, *order], order):
+            if prev is not None and times[prev] > 0.0 and times[k] > 0.0:
                 seed = results[prev].tau_best * times[k] / times[prev]
                 j0 = int(np.abs(scan - seed).argmin())
                 start = list(range(max(j0 - 1, 0), min(j0 + 2, scan.size)))
-                assert [j for j, kk in evals if kk == k][: len(start)] == start
+            else:
+                start = [0, 1, 2]
+            assert [j for j, kk in evals if kk == k][: len(start)] == start
 
     def test_multimodal_falls_back_to_full_scan(self):
-        # two dips, both visible to the coarse pass (stride 16 on 251 points)
+        # slice 0 gallops to the shallow dip at index 40; no value there
+        # reaches its minimum + 100, so the grid's end is evaluated and
+        # shows the deeper dip at 250
         i = np.arange(251.0)
-        table = np.column_stack([np.minimum((i - 40) ** 2, (i - 200) ** 2 + 5.0),
+        table = np.column_stack([np.minimum(0.02 * (i - 40) ** 2 + 10.0, (i - 250) ** 2),
                                  (i - 120) ** 2])
         scan = default_tau_scan()
         gen = TableGen(table, scan)
@@ -332,12 +337,12 @@ class TestCoarseToFineScan:
 
     def test_default_grid_evaluation_count(self):
         # three slices at tau = 0.25, 0.5, 1.0 (t = 1, 2, 4) on the default
-        # 251-point grid: the first gets the 17-point coarse pass and 4
-        # fine points, the other two start at twice the previous tau_best,
-        # and both grid ends close their error brackets.  The third's
-        # minimum lies on its seed's right edge (1.01); one step out (1.02)
-        # rises.  32 slice evaluations; bisecting the open side instead
-        # took 38, and a coarse pass over every slice 64
+        # 251-point grid: the first starts at 0.0, 0.01, 0.02 and gallops
+        # to 0.33, then bisects; the other two start at twice the previous
+        # tau_best, and both grid ends close their error brackets.  The
+        # third's minimum lies on its seed's right edge (1.01); one step
+        # out (1.02) rises.  26 slice evaluations; a 17-point coarse pass
+        # for the first slice took 32, and one for every slice 64
         observed = [dataclasses.replace(sample_mixture_hist(0.305, tau, 100_000, 40 + i),
                                         t=4.0 * tau)
                     for i, tau in enumerate((0.25, 0.5, 1.0))]
@@ -349,16 +354,18 @@ class TestCoarseToFineScan:
             return base(tau, ks)
 
         results = fit_tau(observed, counting, default_tau_scan())
-        assert [ks for _, ks in calls] == [(0,)] * 21 + [(1,)] * 5 + [(2,)] * 6
-        assert [round(tau, 2) for tau, _ in calls[21:]] == [0.49, 0.5, 0.51, 0.0, 2.5,
-                                                           0.99, 1.0, 1.01, 1.02, 0.0, 2.5]
+        assert [ks for _, ks in calls] == [(0,)] * 15 + [(1,)] * 5 + [(2,)] * 6
+        assert [round(tau, 2) for tau, _ in calls] == [
+            0.0, 0.01, 0.02, 0.03, 0.05, 0.09, 0.17, 0.33, 0.25, 0.21, 0.23, 0.24, 0.29, 0.27,
+            0.26, 0.49, 0.5, 0.51, 0.0, 2.5, 0.99, 1.0, 1.01, 1.02, 0.0, 2.5]
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
 
     def test_fp_three_slices_seeded(self):
         # pipeline_t1's shape: T1 = 20 us, dt = 0.0625 us, kappa = 0.025,
         # slices 10, 20, 40 (t = 0.625, 1.25, 2.5 us, tau = 0.25, 0.5, 1.0)
-        # on a 21-point grid.  Seeding the later slices takes 16 slice
-        # solves; a coarse pass over every slice took 24
+        # on a 21-point grid.  Starting the first slice at the grid's low
+        # end and seeding the later ones takes 12 slice solves; a coarse
+        # pass for the first took 16, and one for every slice 24
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=6.324555320336759, dt=0.0625, T1=20.0)
         params = ModelParams(g=cal.kappa / cal.dt, T1=20.0, dt=0.0625, x0=0.305, n_steps=40)
         _, ens = generate_records(params, cal, 20_000, SeedSpec(2024))
@@ -373,22 +380,26 @@ class TestCoarseToFineScan:
 
         scan = default_tau_scan(0.15, 1.15, 0.05)
         results = fit_tau(observed, counting, scan)
-        assert len(solves) == 16
+        assert len(solves) == 12
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, scan))
         for r, tau in zip(results, (0.25, 0.5, 1.0)):
             assert abs(r.tau_best - tau) < r.tau_error
 
-    @pytest.mark.parametrize("minimum, fine_evals", [(39, 8), (25, 5)], ids=["right", "left"])
-    def test_lower_side_first(self, minimum, fine_evals):
-        # the coarse pass (stride 16 on 251 points) finds index 32 with
-        # 16 and 48 around it; the true minimum lies right or left of it.
-        # Bisecting first beside the lower bracketing value takes 8 and 5
-        # fine evaluations; left first, as before, took 12 and 8
+    @pytest.mark.parametrize("minimum, gallop, n_evals", [
+        (42, [0, 1, 2, 3, 5, 9, 17, 33, 65], 15),
+        (14, [0, 1, 2, 3, 5, 9, 17, 33], 12),
+    ], ids=["right", "left"])
+    def test_lower_side_first(self, minimum, gallop, n_evals):
+        # the gallop from index 1 leaves the bracket 17, 33, 65 (the lower
+        # bracketing value is 65's) or 9, 17, 33 (9's) around the true
+        # minimum.  Bisecting first beside the lower bracketing value
+        # takes 15 and 12 evaluations in all; left first took 22 and 14
         table = ((np.arange(251.0) - minimum) ** 2)[:, None]
         scan = default_tau_scan()
         gen = TableGen(table, scan)
         results = fit_tau(gen.observed(), gen, scan)
-        assert len(gen.evals) == 17 + fine_evals
+        assert [j for j, _ in gen.evals][: len(gallop)] == gallop
+        assert len(gen.evals) == n_evals
         assert_matches_full_scan(results, full_scan_fit_tau(gen.observed(), gen, scan))
 
     @pytest.mark.parametrize("minimum, gallop", [(60, [42, 44, 48, 56, 72]),

@@ -244,6 +244,25 @@ class TestSolveFP:
                 assert np.array_equal(sol.weights, r.weights)
                 assert (sol.mass0, sol.mass1, sol.t) == (r.mass0, r.mass1, r.t)
 
+    def test_reentry_beyond_the_grid(self, monkeypatch):
+        # a full step of delta = 30 re-enters the rho00 = 0 bucket at
+        # z = ln(expm1(30))/2 ~ 15, past the grid: its mass (about 2.1e-7
+        # after the first diffusion) goes to the rho00 = 1 bucket, and the
+        # last half step (delta = 15, re-entry at z ~ 7.5) empties it
+        ran = []
+        apply = fp._Relaxation.apply
+
+        def watch(self, s, *args):
+            if self.delta and self.reentry_above and s.mass0 > 0.0:
+                ran.append((self.delta, s.mass0))
+            apply(self, s, *args)
+
+        monkeypatch.setattr(fp._Relaxation, "apply", watch)
+        (snap,) = solve_fp(0.305, 1.0, 1.0, [60.0], dt=30.0)
+        assert len(ran) == 1 and ran[0][0] == 30.0 and 1e-7 < ran[0][1] < 1e-6
+        assert snap.mass0 == 0.0
+        assert abs(snap.weights.sum() + snap.mass0 + snap.mass1 - 1.0) <= 1e-12
+
     def test_grid_initial_condition(self):
         # the second snapshot continues from the first one's grid
         cont = solve_fp(0.4, 0.05, math.inf, [4.0, 8.0])
