@@ -41,7 +41,7 @@ from .core import (
     require_memory,
 )
 from .rng import SeedSpec, _step_draws, _traj_key
-from .sde import _evolve, _mask, _rho, _snap
+from .sde import _evolve, _mask, _rho, _snap, _tile
 
 __all__ = [
     "FitFailureError",
@@ -145,10 +145,16 @@ def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEn
     cal = records.cal
 
     def block(rows, traj, work):
-        currents, mask = records.currents[rows], _mask(work)
+        currents, mask, tile = records.currents[rows], _mask(work), _tile(work)
 
         def measure(o, s):
-            _meas(o, currents[:, s], cal.I0, cal.I1, cal.sigma, work[0], mask)
+            # the next steps' currents, loaded time-major into the rows of
+            # the loop's tile that take their rho00 later
+            j = s % len(tile)
+            if j == 0:
+                part = currents[:, s : s + len(tile)]
+                tile[: part.shape[1]] = part.T
+            _meas(o, tile[j], cal.I0, cal.I1, cal.sigma, work[0], mask)
 
         return measure
 
@@ -194,17 +200,22 @@ def generate_records(
     def block(rows, traj, work):
         key = _traj_key(seed, traj)
         out = currents[rows]
-        u, xi, im, mask = work[0], work[1], work[2], _mask(work)
+        u, xi, mask = work[0], work[1], _mask(work)
+        # the currents of TILE steps, time-major, stored in the rows at once
+        stage = np.empty_like(_tile(work))
+        levels = np.array([cal.I1, cal.I0])
 
         def record(o, s):
+            j = s % len(stage)
+            im = stage[j]
             _step_draws(key, s, u, xi, im.view(np.uint64))
             # im = (I0 if u < rho00 else I1) + sigma * xi
             np.less(u, _rho(o, out=im), out=mask)
-            im.fill(cal.I1)
-            np.copyto(im, cal.I0, where=mask)
+            np.take(levels, mask.view(np.uint8), out=im)
             np.multiply(xi, cal.sigma, out=xi)
             np.add(im, xi, out=im)
-            out[:, s] = im
+            if j == len(stage) - 1 or s == params.n_steps - 1:
+                out[:, s - j : s + 1] = stage[: j + 1].T
             _meas(o, im, cal.I0, cal.I1, cal.sigma, u, mask)
 
         return record

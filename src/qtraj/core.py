@@ -345,19 +345,20 @@ def bin_index(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
     edges go to the end bins.
 
     ``floor(v/w)`` is off by at most one against the rounded edges, so a
-    +-1 fix-up against ``edges`` gives exactly
+    +-1 fix-up against the edges gives exactly
     ``clip(searchsorted(edges, v, "right") - 1, 0, n_bins - 1)`` for any
-    value that is not NaN, without a binary search.
+    value that is not NaN, without a binary search.  Each edge is formed
+    as ``k*w`` where it is compared, the same product as ``edges =
+    arange(n_bins + 1)*w``, so no table is gathered.
     """
-    edges = np.arange(n_bins + 1) * bin_width
     guess = np.divide(values, bin_width)
     np.floor(guess, out=guess)
     np.clip(guess, 0, n_bins - 1, out=guess)
     idx = guess.astype(np.intp)
-    edge = edges.take(idx, out=guess)
+    edge = np.multiply(idx, bin_width, out=guess)
     idx -= edge > values
     idx += 1
-    edges.take(idx, out=edge)
+    np.multiply(idx, bin_width, out=edge)
     idx -= edge > values
     return np.clip(idx, 0, n_bins - 1, out=idx)
 

@@ -40,6 +40,7 @@ _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
+_EXP_ONE = np.uint64(0x3FF0000000000000)  # the exponent bits of the double 1.0
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,16 @@ def _step_hash(key, step: int, out, tmp):
 def _stream_uniform(h, stream: int, out, tmp):
     """Stream finalizer: the uniforms ``mix(h + PHI*(stream + 1))`` of
     step hash ``h``, written to the float64 array ``out`` (which may be
-    ``h`` itself in float64 view).  The top 52 bits become
-    ``(bits + 0.5) * 2^-52``."""
+    ``h`` itself in float64 view).  The top 52 bits ``k`` become
+    ``(k + 0.5) * 2^-52``, formed without an integer conversion: as the
+    mantissa of the double ``1 + k * 2^-52`` in [1, 2), minus ``1 -
+    2^-53``, a subtraction Sterbenz's lemma makes exact."""
     bits = out.view(np.uint64)
     np.add(h, _offset(stream), out=bits)
     _mix(bits, tmp)
     np.right_shift(bits, np.uint64(12), out=bits)
-    np.add(bits, 0.5, out=out)
-    np.multiply(out, 2.0**-52, out=out)
+    np.bitwise_or(bits, _EXP_ONE, out=bits)
+    np.subtract(out, 1.0 - 2.0**-53, out=out)
     return out
 
 

@@ -32,8 +32,13 @@ sub-steps individually are exact.  That layout is one step loop,
 this is what makes their trajectories agree bit for bit.
 
 Each kernel updates its odds in place, in scratch its caller owns: in
-:func:`_evolve` every chunk of trajectories holds its odds and four
-scratch rows, and a step allocates no chunk-sized array.
+:func:`_evolve` every chunk of trajectories holds its odds, four
+scratch rows and a tile of TILE rows, and a step allocates no
+chunk-sized array.  The ensemble is row-major, one row per trajectory,
+so a step's rho00 is a column of it; each step writes its column into
+the time-major tile instead, and every TILE steps the tile goes into
+the ensemble at once, TILE adjacent values (64 bytes) per trajectory
+where a column store would touch one cache line per value.
 
 Ensembles use the counter-based streams of :mod:`qtraj.rng` (each
 chunk's trajectory keys computed once, one step hash shared by the
@@ -62,6 +67,9 @@ __all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
 # Trajectories are processed in chunks of at most this size.  No kernel
 # mixes trajectories, so the split never changes an output byte.
 CHUNK = 65536
+# Steps whose rho00 a chunk holds time-major before storing them in its
+# rows: 8 doubles, one cache line per trajectory.
+TILE = 8
 
 
 # Odds at or past these are the eigenstates o = +inf and o = 0: the caps
@@ -134,8 +142,14 @@ def _diffuse(o, kappa: float, u, xi, tmp, mask=None):
 
 def _mask(work):
     """The bool snap scratch of :func:`_evolve`'s ``work``: the first
-    bytes of its last row."""
-    return work[-1].view(np.bool_)[: work.shape[1]]
+    bytes of its fourth row."""
+    return work[3].view(np.bool_)[: work.shape[1]]
+
+
+def _tile(work):
+    """The time-major tile of :func:`_evolve`'s ``work``: its rows after
+    the four scratch rows, row ``s % TILE`` for step ``s``."""
+    return work[4:]
 
 
 def _evolve(
@@ -156,18 +170,28 @@ def _evolve(
     Trajectories run in row blocks on up to ``n_workers`` threads: the
     fewest blocks of at most CHUNK rows, rounded up to a multiple of
     ``n_workers``, all of one size but the last, so every worker gets
-    an equal share.  Each block owns its odds ``o`` and a scratch
-    ``work`` of four float rows the size of the block, the last of them
-    the bool ``mask`` of the snaps (:func:`_mask`); every kernel writes
-    into these, so a step allocates no block-sized array.
+    an equal share.  Each block's working set is its odds ``o`` and a
+    ``work`` array of 4 + TILE float rows the size of the block: four
+    scratch rows, the fourth of them the bool ``mask`` of the snaps
+    (:func:`_mask`), then the time-major tile (:func:`_tile`).  Step
+    ``s`` writes rho00 into tile row ``s % TILE`` after its trailing
+    half relaxation, and after every TILE-th and the last step the
+    tile's filled rows go into the block's next columns at once.  Every
+    kernel writes into these arrays, so a step allocates no block-sized
+    array.
+
     ``update(rows, traj, work)`` is called once per block (a slice of
     rows, with trajectory indices ``traj``) and returns ``step(o, s)``,
     which applies the middle update of step ``s`` to ``o`` in place and
-    may overwrite ``work``; per-block constants such as the
-    trajectories' random-stream keys are computed there once.  An update
-    touches only its own rows, so the output does not depend on the
-    worker count or the blocks.  Row ``i`` is trajectory ``first + i``,
-    so a run split into row blocks gives the same rows bit for bit.
+    may overwrite the four scratch rows.  During step ``s`` it may read
+    and write tile rows ``s % TILE`` and up (the loop writes row ``s %
+    TILE`` only after the update, and the higher rows in later steps),
+    never the rows below, which hold the tile's values not yet stored.
+    Per-block constants such as the trajectories' random-stream keys
+    are computed in ``update`` once.  An update touches only its own
+    rows, so the output does not depend on the worker count or the
+    blocks.  Row ``i`` is trajectory ``first + i``, so a run split into
+    row blocks gives the same rows bit for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -187,16 +211,20 @@ def _evolve(
         rows = slice(lo, min(lo + size, n_traj))
         traj = np.arange(first + rows.start, first + rows.stop, dtype=np.uint64)
         o = np.full(traj.size, o0)
-        work = np.empty((4, traj.size))
-        mask = _mask(work)
+        work = np.empty((4 + TILE, traj.size))
+        mask, tile = _mask(work), _tile(work)
         step = update(rows, traj, work)
+        del traj  # the update has made its keys: one row less while the chunk runs
         block = out[rows]
         block[:, 0] = _rho(o, out=work[0])
         for s in range(n_steps):
+            j = s % TILE
             _relax(o, half, mask)
             step(o, s)
             _relax(o, half, mask)
-            block[:, s + 1] = _rho(o, out=work[0])
+            _rho(o, out=tile[j])
+            if j == TILE - 1 or s == n_steps - 1:
+                block[:, s - j + 1 : s + 2] = tile[: j + 1].T
 
     starts = range(0, n_traj, size)
     if n_workers > 1 and len(starts) > 1:
@@ -268,8 +296,10 @@ def simulate_batches(
     trajectories, each computed when the previous one is taken.
 
     The blocks are bitwise the rows of the in-memory ensemble, and a
-    consumer that drops each block before taking the next holds
-    O(n_workers * CHUNK * n_steps) values for any ``n_traj``.
+    consumer that drops each block before taking the next holds, for
+    any ``n_traj``, one block of ``n_workers * CHUNK * (n_steps + 1)``
+    values and each running chunk's working set: its odds, 4 scratch
+    rows, TILE tile rows (:func:`_evolve`) and its stream keys.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")

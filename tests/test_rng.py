@@ -7,6 +7,7 @@ from qtraj.rng import (
     STREAM_BRANCH,
     STREAM_NOISE,
     SeedSpec,
+    _stream_uniform,
     counter_normal,
     counter_uniform,
 )
@@ -49,6 +50,57 @@ def test_uniform_bounds():
     assert u.max() < 1.0
     assert u.min() >= 2.0**-53
     assert u.max() <= 1.0 - 2.0**-53
+
+
+MASK64 = 2**64 - 1
+PHI, M1, M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def mix_int(x):
+    """The SplitMix64 finalizer on a Python int."""
+    for shift, mult in ((30, M1), (27, M2)):
+        x = ((x ^ (x >> shift)) * mult) & MASK64
+    return x ^ (x >> 31)
+
+
+def unmix_int(y):
+    """The inverse of :func:`mix_int`."""
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift):
+            x = y ^ (x >> shift)
+        return x
+
+    x = unshift(y, 31)
+    for shift, mult in ((27, M2), (30, M1)):
+        x = unshift((x * pow(mult, -1, 2**64)) & MASK64, shift)
+    return x
+
+
+@pytest.mark.parametrize("stream", (STREAM_BRANCH, STREAM_NOISE))
+def test_uniform_equals_the_integer_formula(stream):
+    # the uniform of the 52 top bits k of mix(h + PHI*(stream + 1)) is
+    # bitwise (k + 0.5) * 2^-52: at both ends of k, whatever the low 12
+    # bits, and at 1e6 random step hashes
+    ks = (0, 1, 2**52 - 2, 2**52 - 1)
+    targets = [k << 12 | low for k in ks for low in (0, 1, 0xFFF)]
+    assert all(unmix_int(mix_int(t)) == t for t in targets)
+    offset = PHI * (stream + 1) & MASK64
+    edge_h = [(unmix_int(t) - offset) & MASK64 for t in targets]
+    h = np.concatenate([
+        np.array(edge_h, dtype=np.uint64),
+        np.random.default_rng(8).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False),
+    ])
+    with np.errstate(over="ignore"):
+        bits = h + np.uint64(offset)
+    for shift, mult in ((30, M1), (27, M2)):
+        with np.errstate(over="ignore"):
+            bits = (bits ^ (bits >> np.uint64(shift))) * np.uint64(mult)
+    bits ^= bits >> np.uint64(31)
+    want = ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    u = _stream_uniform(h, stream, np.empty(h.size), np.empty(h.size, dtype=np.uint64))
+    assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+    assert list(u[: len(targets)]) == [(k + 0.5) * 2.0**-52 for k in ks for _ in range(3)]
 
 
 def test_uniformity():

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit, ndtr, ndtri
 
-from qtraj import core
+from qtraj import core, sde
 from qtraj.bayesian import _meas, generate_records, reconstruct_ensemble
 from qtraj.core import Z_CAP, CalibrationParams, ModelParams, build_histogram, to_logodds, to_rho
 from qtraj.rng import (
@@ -210,10 +210,13 @@ class TestKernelOracles:
         n = ORACLE_Z.size
         assert_close_to_z(want[:n], meas_z(ORACLE_Z, im[:n], i0, i1, sigma))
 
-    def test_simulate_and_generate_match_reference_loops(self):
+    # step counts around the loop's 8-step tile: one step, a part tile,
+    # one tile, one tile and a step, two tiles and a step
+    @pytest.mark.parametrize("steps", (1, 7, 8, 9, 17))
+    def test_simulate_and_generate_match_reference_loops(self, steps):
         # the whole step loop, with its shared scratch, against the plain
         # formulas: relax, middle update, relax, store rho00
-        n, seed, steps = 3000, 41, 12
+        n, seed = 3000, 41
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.5, dt=0.5, T1=3.0)
         params = ModelParams(g=cal.kappa / 0.5, T1=3.0, dt=0.5, x0=0.305, n_steps=steps)
         ens = simulate_ensemble(params, n, SeedSpec(seed))
@@ -231,6 +234,7 @@ class TestKernelOracles:
             o_gen = relax_ref(meas_ref(o_gen, im, cal.I0, cal.I1, cal.sigma), half)
             assert same_bits(ens.slice_values(s + 1), rho_ref(o_sim))
             assert same_bits(latent.slice_values(s + 1), rho_ref(o_gen))
+        assert same_bits(reconstruct_ensemble(recs).values, latent.values)
 
 
 # 1e5 x 80 steps: the weak coupling of the benchmark at T1 = 45, strong
@@ -586,3 +590,26 @@ def test_determinism_across_workers(pipeline):
         for w in (1, 2, 4)
     }
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("tile", [1, 3])
+def test_tile_size_changes_no_byte(monkeypatch, tile):
+    # a tile of 1 is a store per step; at 1 and 3, on chunks and batches
+    # of a few dozen trajectories, every output equals the 8-step tile's
+    n, steps = 250, 13
+    cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.5, dt=0.5, T1=3.0)
+    params = ModelParams(g=cal.kappa / 0.5, T1=3.0, dt=0.5, x0=0.305, n_steps=steps)
+
+    def outputs(workers):
+        recs, latent = generate_records(params, cal, n, SeedSpec(4), workers)
+        return [simulate_ensemble(params, n, SeedSpec(3), workers).values,
+                np.concatenate(list(simulate_batches(params, n, SeedSpec(3), workers))),
+                recs.currents, latent.values, reconstruct_ensemble(recs, workers).values]
+
+    want = outputs(1)
+    monkeypatch.setattr(sde, "TILE", tile)
+    monkeypatch.setattr(sde, "CHUNK", 64)
+    for workers in (1, 3):
+        got = outputs(workers)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert same_bits(got[4], got[3])
