@@ -38,6 +38,7 @@ from .core import (
     CalibrationParams,
     ModelParams,
     TrajectoryEnsemble,
+    _mapped_empty,
     require_memory,
 )
 from .rng import SeedSpec, _step_draws, _traj_key
@@ -195,7 +196,7 @@ def generate_records(
     seed = seeds.master_seed
     require_memory(n_traj * (2 * params.n_steps + 1) * 8,
                    f"{n_traj} records of {params.n_steps} steps with their latent ensemble")
-    currents = np.empty((n_traj, params.n_steps))
+    currents = _mapped_empty((n_traj, params.n_steps))
 
     def block(rows, traj, work):
         key = _traj_key(seed, traj)

@@ -291,6 +291,15 @@ def cmd_fit(cfg: RunConfig):
         )
         for obs, r in zip(observed, results)
     ])
+    # flags the report's keys do not carry: on stderr, so no output byte changes
+    for k, r in zip(slices, results):
+        if r.at_edge:
+            print(f"warning: slice {k}: the chi2 minimum tau_best = {r.tau_best!r} is at "
+                  "the edge of the tau scan; widen tau_min..tau_max", file=sys.stderr)
+        if not r.err_bracketed:
+            print(f"warning: slice {k}: chi2 stays below chi2_min + 100 on one side of the "
+                  "tau scan, so tau_err_dchi2_100 is not bracketed; widen tau_min..tau_max",
+                  file=sys.stderr)
     return slices, observed, results, gen
 
 

@@ -23,9 +23,8 @@ finite.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import sys
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,34 +131,18 @@ def require_memory(nbytes: int, what: str) -> None:
         )
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 32 MiB.
-
-    By default glibc raises its mmap threshold to the size of the first
-    large block freed, so later ensembles and record sets are carved out
-    of the heap, in the holes earlier arrays left.  Whether one fits then
-    turns on a few kilobytes of unrelated small allocations: repeated
-    identical generate-reconstruct-fit runs peaked at either 80 or 86 MiB
-    resident.  Pinned, an array of 1 MiB or more that no free heap block
-    holds gets a mapping of its own, returned to the system when it is
-    freed, and smaller ones stay in a heap that is not trimmed between
-    Fokker-Planck substeps.  Does nothing where the C library has no
-    ``mallopt``.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-
-
-_pin_malloc_thresholds()
+def _mapped_empty(shape) -> np.ndarray:
+    """An uninitialised ``<f8`` array of ``shape`` in an anonymous mapping
+    of its own, unmapped when the array is freed whatever the C heap
+    holds; ``np.empty`` without ``MAP_PRIVATE``.  Private, as a shared
+    mapping gets no huge pages, asked for from 4 MiB up as numpy does."""
+    nbytes = math.prod(shape) * 8
+    if nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape, dtype="<f8")
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if nbytes >= 4 << 20 and hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype="<f8").reshape(shape)
 
 
 @dataclass(frozen=True)

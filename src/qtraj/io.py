@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bayesian import RecordSet
-from .core import CalibrationParams, DistributionSnapshot, TrajectoryEnsemble, require_memory
+from .core import (CalibrationParams, DistributionSnapshot, TrajectoryEnsemble, _mapped_empty,
+                   require_memory)
 
 __all__ = [
     "FormatError",
@@ -136,7 +137,7 @@ def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, buil
                     f"{path}: body has {size} bytes at offset {off}, expected {expected}"
                 )
             require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
-            body = np.empty((n_traj, n_cols), dtype="<f8")
+            body = _mapped_empty((n_traj, n_cols))
             if f.readinto(body) != expected:
                 raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
         return build(body, *meta)

@@ -59,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Z_CAP, ModelParams, TrajectoryEnsemble, require_memory
+from .core import Z_CAP, ModelParams, TrajectoryEnsemble, _mapped_empty, require_memory
 from .rng import SeedSpec, _step_draws, _traj_key
 
 __all__ = ["SeedSpec", "simulate_ensemble", "simulate_batches"]
@@ -199,7 +199,7 @@ def _evolve(
         raise ValueError(f"n_workers={n_workers} must be >= 1")
     require_memory(n_traj * (n_steps + 1) * 8,
                    f"an ensemble of {n_traj} trajectories x {n_steps + 1} slices")
-    out = np.empty((n_traj, n_steps + 1))
+    out = _mapped_empty((n_traj, n_steps + 1))
     o0 = _odds(x0)
     half = 0.5 * delta
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -366,7 +367,7 @@ class TestInputChecks:
 
 
 class TestPipeline:
-    def test_generate_reconstruct_fit_round_trip(self, tmp_path):
+    def test_generate_reconstruct_fit_round_trip(self, tmp_path, capsys):
         kappa = 0.025
         n_steps = 20  # n_steps * kappa = 0.5
         gen_dir = tmp_path / "gen"
@@ -396,12 +397,31 @@ class TestPipeline:
             ]
         )
         assert rc == 0
+        assert capsys.readouterr().err == ""  # a trustworthy fit prints no warning
         report = io.read_config(str(fit_dir / "fit_report.txt"))
         assert report["n_slices"] == "1"
         r = {k.removeprefix("slice.0."): float(v) for k, v in report.items()}
         assert abs(r["tau_best"] - 0.5) < 0.03
         assert r["tau_err_dchi2_100"] > r["tau_err_dchi2_1"] > 0
         assert r["t_us"] == n_steps * 0.5
+
+    @pytest.mark.parametrize("mode", ["fit", "report"])
+    def test_scan_edge_warns_on_stderr(self, tmp_path, capsys, mode):
+        # slice 20 of g = 0.03/us at dt = 0.5 us has tau = 0.3, past the scan's end
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=5", "--n_traj=2000", "--n_steps=20",
+                    "--g_per_us=0.03", "--slices=20"]) == 0
+        capsys.readouterr()
+        assert run([mode, f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
+                    "--slices=10,20", "--tau_min=0.0", "--tau_max=0.2", "--tau_step=0.01"]) == 0
+        report = io.read_config(str(tmp_path / "fit" / "fit_report.txt"))
+        assert float(report["slice.1.tau_best"]) == 0.2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: slice 20: the chi2 minimum tau_best = 0.2 is at the edge of the tau "
+            "scan; widen tau_min..tau_max",
+            "warning: slice 20: chi2 stays below chi2_min + 100 on one side of the tau scan, "
+            "so tau_err_dchi2_100 is not bracketed; widen tau_min..tau_max",
+        ]
 
     def test_manifest_records_the_files_x0(self, tmp_path):
         # the fit runs at the x0 in the ensemble's header, so the manifest
@@ -640,3 +660,70 @@ def test_import_loads_no_heavy_scipy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+# the README pipeline at CI size: a process's own checks, then its fit reports
+SIMD_PIPELINE = """\
+import json, sys
+import numpy as np
+from qtraj import io
+from qtraj.cli import main
+
+out = sys.argv[1]
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("generate", f"--out={out}/gen", "--seed=2024", "--n_traj=20000", "--n_steps=20",
+    "--x0=0.305", "--i0=1", "--i1=-1", "--sigma=6.324555320336759")
+run("reconstruct", f"--out={out}/rec", f"--input={out}/gen/records.qrec")
+latent = io.read_ensemble(f"{out}/gen/latent.qens").values.view(np.uint64)
+rebuilt = io.read_ensemble(f"{out}/rec/reconstructed.qens").values.view(np.uint64)
+assert np.array_equal(latent, rebuilt), "reconstructed != latent"
+ens = f"--input={out}/rec/reconstructed.qens"
+run("fit", f"--out={out}/fit", ens, "--tau_min=0.3", "--tau_max=0.7", "--tau_step=0.005")
+run("report", f"--out={out}/rep", ens, "--slices=10,20")
+run("fit", f"--out={out}/fit_rep", ens, "--slices=10,20")
+def text(path):
+    with open(path) as f:
+        return f.read()
+
+assert text(f"{out}/rep/fit_report.txt") == text(f"{out}/fit_rep/fit_report.txt")
+reports = {name: io.read_config(f"{out}/{name}/fit_report.txt") for name in ("fit", "rep")}
+tau, err = (float(reports["fit"][f"slice.0.{k}"]) for k in ("tau_best", "tau_err_dchi2_100"))
+assert abs(tau - 0.5) < err, (tau, err)
+print(json.dumps(reports))
+"""
+
+
+def _numpy_has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not _numpy_has_avx512(), reason="numpy reports no AVX-512")
+def test_readme_pipeline_agrees_across_simd_levels(tmp_path):
+    """numpy's exp and log differ in the last bit between its SIMD levels,
+    so the bytes are only reproducible on one level; with the AVX-512
+    kernels off, the pipeline still passes its checks and fits the same
+    numbers to 1e-12 relative."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for level, disabled in (("default", None), ("avx2", "AVX512_ICL AVX512_SPR X86_V4")):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = src
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run(
+            [sys.executable, "-c", SIMD_PIPELINE, str(tmp_path / level)], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (level, proc.stderr)
+        reports.append(json.loads(proc.stdout.splitlines()[-1]))
+    default, avx2 = reports
+    for name in ("fit", "rep"):
+        assert default[name].keys() == avx2[name].keys()
+        for key, value in default[name].items():
+            assert math.isclose(float(value), float(avx2[name][key]), rel_tol=1e-12), (name, key)

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from qtraj import core
-from qtraj.bayesian import _meas
+from qtraj.bayesian import _meas, generate_records
 from qtraj.core import (
     Z_CAP,
     CalibrationParams,
@@ -24,7 +25,9 @@ from qtraj.core import (
     to_logodds,
     to_rho,
 )
-from qtraj.sde import _rho
+from qtraj.io import read_records, write_records
+from qtraj.rng import SeedSpec
+from qtraj.sde import _rho, simulate_ensemble
 
 ULP = np.spacing(1.0)
 
@@ -361,14 +364,13 @@ class TestMemoryGuard:
         require_memory(1 << 62, "x")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc only")
-    def test_large_arrays_get_their_own_mapping(self):
-        """Importing qtraj pins glibc's mmap threshold at 1 MiB: in a fresh
-        process, whose heap has no 2 MiB free block, a 2 MiB array
-        allocated right after a 3 MiB one was freed is still mapped on its
-        own, where glibc's default would have raised the threshold to
-        3 MiB and carved it out of the heap."""
+    def test_import_leaves_mmap_threshold_dynamic(self):
+        """Importing qtraj changes no allocator setting: in a fresh process
+        a freed 3 MiB numpy block raises glibc's mmap threshold, as its
+        default does, so a 2 MiB array allocated next comes from the heap
+        where a threshold fixed below 2 MiB would map it on its own."""
         code = (
-            "import ctypes, numpy as np, qtraj\n"
+            "import ctypes, numpy as np, qtraj, qtraj.cli\n"
             "class MallInfo2(ctypes.Structure):\n"
             "    _fields_ = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks', 'smblks',\n"
             "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks',\n"
@@ -381,10 +383,15 @@ class TestMemoryGuard:
             "del big\n"
             "before = mallinfo2()\n"
             "mid = np.ones(2 << 17)\n"
-            "print(before.fordblks < mid.nbytes, mallinfo2().hblkhd - before.hblkhd >= mid.nbytes)\n"
+            "after = mallinfo2()\n"
+            "print(after.hblkhd - before.hblkhd < mid.nbytes,\n"
+            "      after.uordblks - before.uordblks >= mid.nbytes)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        # glibc's own tunables would fix the threshold before qtraj is imported
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env["PYTHONPATH"] = src
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
         )
@@ -392,3 +399,34 @@ class TestMemoryGuard:
             pytest.skip("no glibc mallinfo2")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "True"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_large_arrays_get_private_mappings_of_their_own(self, tmp_path):
+        """A simulated ensemble, a generated record set and a read file
+        body each live in an anonymous private mapping that holds nothing
+        else, so freeing one returns it to the system."""
+        params = ModelParams(g=0.05, T1=45.0, dt=0.5, x0=0.305, n_steps=8)
+        cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0 / math.sqrt(params.kappa),
+                                dt=params.dt, T1=params.T1)
+        records, latent = generate_records(params, cal, 1000, SeedSpec(master_seed=3))
+        path = str(tmp_path / "records.qrec")
+        write_records(path, records)
+        arrays = {
+            "ensemble": simulate_ensemble(params, 1000, SeedSpec(master_seed=3)).values,
+            "records": records.currents,
+            "latent": latent.values,
+            "read body": read_records(path).currents,
+        }
+        with open("/proc/self/maps") as f:
+            maps = [line.split() for line in f]
+        for what, a in arrays.items():
+            owner = a
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            owner = owner.obj if isinstance(owner, memoryview) else owner
+            assert isinstance(owner, mmap.mmap) and len(owner) == a.nbytes, what
+            addr = a.ctypes.data
+            (entry,) = [m for m in maps
+                        if int(m[0].split("-")[0], 16) <= addr < int(m[0].split("-")[1], 16)]
+            # perms ending in p: private; inode 0 and no path: anonymous
+            assert entry[1].endswith("p") and entry[4] == "0" and len(entry) == 5, (what, entry)

@@ -291,7 +291,9 @@ class TestSingleCopy:
             tracemalloc.stop()
         write_peak, read_peak = peaks
         assert write_peak < 0.01 * body.nbytes
-        assert read_peak <= 1.05 * body.nbytes
+        # the body is read into a mapping of its own, which tracemalloc
+        # does not see: any traced copy of it fails
+        assert read_peak < 0.05 * body.nbytes
         got = out.currents if kind == "record" else out.values
         assert got.tobytes() == body.tobytes()
 
