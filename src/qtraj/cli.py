@@ -10,7 +10,9 @@ Every mode checks its keys before it reads or computes, so a bad key
 exits 2 and writes nothing.  Two checks need the file and come after
 the read, still before any output: the slice range of fit/report (the
 file's n_steps) and, for the Fokker-Planck model, that the file's x0
-maps inside the z grid.
+maps inside the z grid.  Every mode names a time as a slice k, at
+t = k * dt_us (simulate's hist_<k>.txt, solve-fp's fp_<k>.txt), and
+bins rho00 into n_bins bins of width 1/n_bins.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .core import (
     CalibrationParams,
     ModelParams,
     build_histogram,
-    check_binning,
     histogram_counts,
     histogram_from_counts,
 )
@@ -36,8 +37,6 @@ from .rng import SeedSpec
 from .sde import simulate_batches
 
 __all__ = ["RunConfig", "main"]
-
-MODES = ("generate", "simulate", "solve-fp", "reconstruct", "fit", "calibrate", "report")
 
 USAGE = """\
 usage: qtraj MODE [--key=value ...]
@@ -53,13 +52,12 @@ modes:
 
 keys (any key is also a --key=value flag; --config=FILE loads a file first):
   out=DIR seed=INT n_traj=INT n_steps=INT dt_us=F g_per_us=F t1_us=F x0=F
-  i0=F i1=F sigma=F n_bins=INT bin_width=F slices=K1,K2,...
-  t_grid_us=T1,T2,... tau_min=F tau_max=F tau_step=F
+  i0=F i1=F sigma=F n_bins=INT slices=K1,K2,... tau_min=F tau_max=F tau_step=F
   input=FILE ground=FILE excited=FILE n_workers=INT
 
 fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise
-(8192 cells on z in [-12, 12], substep t1_us/100).  solve-fp substeps
-at t1_us/100 too; it does not read dt_us.
+(8192 cells on z in [-12, 12], substep t1_us/100).  solve-fp snapshots
+slices k at t = k*dt_us and substeps at t1_us/100 too.
 --seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
 No environment variable is read.
 """
@@ -84,9 +82,7 @@ class RunConfig:
     i1: float = -1.0
     sigma: float = 5.0
     n_bins: int = 100
-    bin_width: float = 0.01
     slices: str = ""
-    t_grid_us: str = ""
     tau_min: float = 0.0
     tau_max: float = 2.5
     tau_step: float = 0.01
@@ -113,11 +109,9 @@ class RunConfig:
                 raise UsageError(f"slice {k} out of range {first}..{n_steps}")
         return slices
 
-    def t_grid(self):
-        try:
-            return [float(s) for s in self.t_grid_us.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad t_grid_us value: {exc}") from exc
+    @property
+    def bin_width(self) -> float:
+        return 1.0 / self.n_bins
 
     def cal(self) -> CalibrationParams:
         return CalibrationParams(
@@ -143,20 +137,20 @@ def _coerce(key: str, value: str):
         raise UsageError(f"bad value for {key}: {value!r}") from exc
 
 
-def config_from_items(items: dict, mode: str | None = None) -> RunConfig:
+def config_from_items(items: dict, mode: str) -> RunConfig:
+    """The config of ``mode``, one of MODES, from key-value strings."""
     cfg = RunConfig()
     for key, value in items.items():
         if key not in _FIELD_TYPES:
             raise UsageError(f"unknown config key: {key}")
         setattr(cfg, key, _coerce(key, value))
-    if mode is not None:
-        if cfg.mode and cfg.mode != mode:
-            raise UsageError(f"config mode {cfg.mode!r} conflicts with command {mode!r}")
-        cfg.mode = mode
-    if cfg.mode not in MODES:
-        raise UsageError(f"unknown mode: {cfg.mode!r}")
+    if cfg.mode and cfg.mode != mode:
+        raise UsageError(f"config mode {cfg.mode!r} conflicts with command {mode!r}")
+    cfg.mode = mode
     if cfg.n_workers < 1:
         raise UsageError(f"n_workers={cfg.n_workers} must be >= 1")
+    if cfg.n_bins < 1:
+        raise UsageError(f"n_bins={cfg.n_bins} must be >= 1")
     return cfg
 
 
@@ -220,7 +214,6 @@ def cmd_simulate(cfg: RunConfig) -> None:
         g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
     )
     counts = dict.fromkeys(cfg.slice_list(cfg.n_steps, first=0), 0)
-    check_binning(cfg.n_bins, cfg.bin_width)
     batches = simulate_batches(params, cfg.n_traj, seeds, n_workers=cfg.n_workers)
 
     def counted(block):
@@ -241,15 +234,15 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 
 def cmd_solve_fp(cfg: RunConfig) -> None:
-    t_grid = cfg.t_grid()
-    if not t_grid:
-        raise UsageError("solve-fp requires t_grid_us")
-    check_binning(cfg.n_bins, cfg.bin_width)
-    grids = solve_fp(cfg.x0, cfg.g_per_us, cfg.t1_us, t_grid)
+    params = ModelParams(
+        g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
+    )
+    slices = sorted(cfg.slice_list(params.n_steps, first=0))  # the solver runs forward
+    grids = solve_fp(params.x0, params.g, params.T1, [k * params.dt for k in slices])
     _write_manifest(cfg)
-    for i, grid in enumerate(grids):
+    for k, grid in zip(slices, grids):
         snap = fp_snapshot_to_bins(grid, cfg.n_bins, cfg.bin_width)
-        io.write_histogram(os.path.join(cfg.out, f"fp_{i:05d}.txt"), snap)
+        io.write_histogram(os.path.join(cfg.out, f"fp_{k:05d}.txt"), snap)
 
 
 def cmd_reconstruct(cfg: RunConfig) -> None:
@@ -263,7 +256,6 @@ def cmd_fit(cfg: RunConfig):
     """Fit tau to the slices' histograms and write ``fit_report.txt``;
     returns what :func:`cmd_report`'s overlays need.  The keys are checked
     before the read, except the slice range and the x0 in the z grid."""
-    check_binning(cfg.n_bins, cfg.bin_width)
     scan = cfg.tau_scan()
     if not cfg.t1_us > 0:  # -inf and nan too, before the model choice
         raise ValueError("T1 must be > 0")
@@ -355,6 +347,7 @@ _COMMANDS = {
     "calibrate": cmd_calibrate,
     "report": cmd_report,
 }
+MODES = tuple(_COMMANDS)
 
 
 def parse_args(argv: list[str]) -> RunConfig:

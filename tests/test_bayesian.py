@@ -160,6 +160,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_records(params, CAL_SYM, 10, SeedSpec(1))
 
+    def test_count_and_t1_checked(self):
+        params = make_params(CAL_SYM, 0.5, 5)
+        with pytest.raises(ValueError, match="^n_traj must be >= 1$"):
+            generate_records(params, CAL_SYM, 0, SeedSpec(1))
+        with pytest.raises(ValueError, match=r"^params.T1 != cal.T1$"):
+            generate_records(make_params(CAL_SYM, 0.5, 5, T1=45.0), CAL_SYM, 10, SeedSpec(1))
+
+    def test_records_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"currents must be a 2-D array \(n_traj, n_steps\)"):
+            RecordSet(currents=np.zeros(5), cal=CAL_SYM, x0=0.5)
+
     def test_pinned_state_gives_gaussian_records(self):
         # latent pinned at rho00 = 1: currents are N(I0, sigma^2); the
         # Gaussian fit recovers the calibration parameters
@@ -240,6 +251,26 @@ class TestT1Estimate:
         cal = CalibrationParams(I0=128.4, I1=127.7, sigma=5.5, dt=0.5)
         est = estimate_T1(t, y, cal)
         assert abs(est.T1 - t1_true) / t1_true < 1e-6
+
+    def test_rising_series_fails(self):
+        # a current that moves away from the ground current has no decay
+        t = (np.arange(40) + 0.5) * 0.5
+        cal = CalibrationParams(I0=128.4, I1=127.7, sigma=5.5, dt=0.5)
+        with pytest.raises(FitFailureError, match="^fitted series does not decay$"):
+            estimate_T1(t, 128.4 + 0.7 * np.exp(t / 10.0), cal)
+
+    def test_unconverged_fit_fails(self, monkeypatch):
+        import scipy.optimize
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        t = (np.arange(40) + 0.5) * 0.5
+        y = 128.4 + (127.7 - 128.4) * np.exp(-t / 45.0)
+        with pytest.raises(FitFailureError,
+                           match="^T1 fit did not converge: Optimal parameters not found$"):
+            estimate_T1(t, y, CAL_WEAK)
 
     def test_constant_series_fails(self):
         t = np.arange(20) * 0.5

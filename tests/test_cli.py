@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj import cli, core, fitting, io
+from qtraj import cli, core, fitting, fokker_planck, io
 from qtraj.cli import USAGE, RunConfig, main, parse_args
 from qtraj.core import ModelParams, build_histogram
 from qtraj.rng import SeedSpec
@@ -25,10 +25,15 @@ def run(argv):
 def histogram_mass(path):
     """Total mass of a histogram file: its density column plus the
     ``# mass0=`` and ``# mass1=`` boundary masses."""
-    lines = Path(path).read_text().splitlines()
-    head = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("#"))
-    rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    head = histogram_head(path)
+    rows = [ln.split(",") for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     return sum(float(r[1]) for r in rows) + float(head["mass0"]) + float(head["mass1"])
+
+
+def histogram_head(path):
+    """The ``# key=value`` header lines of a histogram file."""
+    lines = Path(path).read_text().splitlines()
+    return dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("#"))
 
 
 def sigma_for_kappa(kappa, di=2.0):
@@ -47,7 +52,7 @@ def packed_records(currents, x0=0.5, dt=0.5):
 class TestParsing:
     def test_unknown_mode(self, capsys):
         assert run(["frobnicate"]) == 2
-        assert "unknown mode" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("unknown mode 'frobnicate'\n\nusage:")
 
     def test_help(self, capsys):
         assert run(["--help"]) == 0
@@ -101,6 +106,26 @@ class TestParsing:
         with pytest.raises(Exception):
             parse_args(["generate", f"--config={cfg}"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "seed=1"], "expected --key=value, got 'seed=1'"),
+        (["simulate", "--seed"], "expected --key=value, got '--seed'"),
+        (["fit", "--config=/nope/c.txt"], "config file does not exist: /nope/c.txt"),
+        (["generate", "--config={mode}"],
+         "config mode 'simulate' conflicts with command 'generate'"),
+    ])
+    def test_argument_errors_exit_2_with_their_message(self, tmp_path, capsys, argv, message):
+        mode = tmp_path / "mode.txt"
+        mode.write_text(f"mode = simulate\nout = {tmp_path / 'out'}\n")
+        assert run([a.format(mode=mode) for a in argv]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_modes_are_the_commands(self):
+        assert cli.MODES == ("generate", "simulate", "solve-fp", "reconstruct", "fit",
+                             "calibrate", "report")
+        for mode in cli.MODES:
+            assert f"\n  {mode} " in USAGE
+
 
 class TestSimulate:
     def test_single_frozen_trajectory(self, tmp_path):
@@ -149,7 +174,7 @@ class TestStreamedSimulate:
 
     N_TRAJ = 2 * CHUNK + 1234
     ARGS = ["--seed=11", f"--n_traj={N_TRAJ}", "--n_steps=3", "--g_per_us=0.05",
-            "--t1_us=4", "--slices=0,1,3", "--n_bins=50", "--bin_width=0.02"]
+            "--t1_us=4", "--slices=0,1,3", "--n_bins=50"]
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
@@ -179,7 +204,7 @@ class TestInputChecks:
     SMALL = ["--seed=1", "--n_traj=100", "--n_steps=4"]
 
     @pytest.mark.parametrize("g", ["nan", "inf"])
-    @pytest.mark.parametrize("mode, extra", [("simulate", SMALL), ("solve-fp", ["--t_grid_us=1"])])
+    @pytest.mark.parametrize("mode, extra", [("simulate", SMALL), ("solve-fp", ["--slices=1"])])
     def test_nonfinite_coupling(self, tmp_path, capsys, mode, extra, g):
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--g_per_us={g}", *extra]) == 2
@@ -220,12 +245,14 @@ class TestInputChecks:
         assert "slice" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    # binning flags and the message each must give
+    # binning flags and the message each must give: bins are 1/n_bins wide,
+    # and a bin_width flag (or an old manifest's line) is not a key
     BAD_BINNING = {
-        "--n_bins=10": "n_bins * bin_width must cover [0, 1]",
-        "--bin_width=inf": "bin_width=inf must be finite and > 0",
-        "--bin_width=nan": "bin_width=nan must be finite and > 0",
-        "--n_bins=-5 --bin_width=-1": "n_bins=-5 must be >= 1",
+        "--n_bins=0": "n_bins=0 must be >= 1",
+        "--n_bins=-5": "n_bins=-5 must be >= 1",
+        "--bin_width=inf": "unknown config key: bin_width",
+        "--bin_width=nan": "unknown config key: bin_width",
+        "--n_bins=-5 --bin_width=-1": "unknown config key: bin_width",
     }
 
     def test_simulate_checks_binning_first(self, tmp_path, capsys):
@@ -273,7 +300,20 @@ class TestInputChecks:
     def test_fit_and_report_check_keys_first(self, tmp_path, capsys, reads, ensemble, mode, flag):
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--input={ensemble}", *flag.split()]) == 2
-        assert self.NOT_KEYED.get(flag, flag[2:].split("=")[0]) in capsys.readouterr().err
+        want = {**self.BAD_BINNING, **self.NOT_KEYED}.get(flag, flag[2:].split("=")[0])
+        assert want in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_n_bins_checked_before_any_read(self, tmp_path, capsys, reads, ensemble, records,
+                                            mode):
+        inputs = {"reconstruct": [f"--input={records}"], "fit": [f"--input={ensemble}"],
+                  "report": [f"--input={ensemble}"],
+                  "calibrate": [f"--ground={records}", f"--excited={records}"]}
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", *self.SMALL, *inputs.get(mode, []), "--n_bins=0"]) == 2
+        assert capsys.readouterr().err == "n_bins=0 must be >= 1\n"
         assert reads == []
         assert not out.exists()
 
@@ -324,7 +364,7 @@ class TestInputChecks:
     def test_solve_fp_checks_binning_first(self, tmp_path, capsys):
         for i, (flag, message) in enumerate(self.BAD_BINNING.items()):
             out = tmp_path / f"out{i}"
-            assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=5,10",
+            assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--slices=10,20",
                         *flag.split()]) == 2, flag
             assert message in capsys.readouterr().err, flag
             assert not out.exists(), flag
@@ -332,17 +372,36 @@ class TestInputChecks:
     @pytest.mark.parametrize("flags", ["--t_grid_us=nan", "--t_grid_us=inf --t1_us=45",
                                        "--t_grid_us=inf"])
     def test_solve_fp_checks_t_grid_first(self, tmp_path, capsys, flags):
+        # solve-fp's times are slices of dt_us: a t_grid_us flag (or an old
+        # manifest's line) exits 2 before the solver runs
         out = tmp_path / "out"
         assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", *flags.split()]) == 2
-        assert "t_grid entries must be finite" in capsys.readouterr().err
+        assert "unknown config key: t_grid_us" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["-1", "inf", "nan"])
-    def test_solve_fp_checks_dt_first(self, tmp_path, capsys, dt):
+    def test_solve_fp_checks_dt_first(self, tmp_path, capsys, monkeypatch, dt):
+        monkeypatch.setattr(cli, "solve_fp", None)
         out = tmp_path / "out"
-        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--t_grid_us=40",
-                    "--t1_us=45", f"--fp_dt_us={dt}"]) == 2
-        assert "unknown config key: fp_dt_us" in capsys.readouterr().err
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", "--slices=40",
+                    "--t1_us=45", f"--dt_us={dt}"]) == 2
+        assert f"dt must be finite and > 0, got {float(dt)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--slices=81", "slice 81 out of range 0..80"),
+        ("--slices=2,4,2", "slice 2 given twice"),
+        ("--x0=1.5", "x0 must lie in [0, 1]"),
+        ("--n_steps=-1", "n_steps must be >= 0"),
+        ("--t1_us=0", "T1 must be > 0"),
+    ])
+    def test_solve_fp_checks_model_keys_first(self, tmp_path, capsys, monkeypatch, flags,
+                                              message):
+        # solve-fp checks its keys as simulate does, before the solver runs
+        monkeypatch.setattr(cli, "solve_fp", None)
+        out = tmp_path / "out"
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.03", *flags.split()]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture(scope="class")
@@ -457,12 +516,87 @@ class TestPipeline:
         rc = run(
             [
                 "solve-fp", f"--out={out}", "--g_per_us=0.03", "--x0=0.305",
-                "--t_grid_us=10.0,20.0",
+                "--slices=20,40",
             ]
         )
         assert rc == 0
-        for i in (0, 1):
-            assert math.isclose(histogram_mass(out / f"fp_{i:05d}.txt"), 1.0, abs_tol=1e-9)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fp_00020.txt", "fp_00040.txt", "manifest.txt"]
+        for k in (20, 40):
+            assert math.isclose(histogram_mass(out / f"fp_{k:05d}.txt"), 1.0, abs_tol=1e-9)
+            assert histogram_head(out / f"fp_{k:05d}.txt")["t_us"] == repr(k * 0.5)
+
+    @pytest.mark.parametrize("t1", ["inf", "45"])
+    def test_solve_fp_snapshots_the_slices_simulate_histograms(self, tmp_path, t1):
+        # the same keys name the same times: hist_<k> and fp_<k> for each
+        # slice k, at t = k * dt_us; the slices may come in any order
+        keys = ["--seed=3", "--n_traj=2000", "--n_steps=12", "--dt_us=0.25",
+                "--g_per_us=0.1", f"--t1_us={t1}", "--n_bins=40", "--slices=12,0,5"]
+        for mode in ("simulate", "solve-fp"):
+            assert run([mode, f"--out={tmp_path / mode}", *keys]) == 0
+        hist = sorted(p.name[5:] for p in (tmp_path / "simulate").glob("hist_*.txt"))
+        fp = sorted(p.name[3:] for p in (tmp_path / "solve-fp").glob("fp_*.txt"))
+        assert hist == fp == ["00000.txt", "00005.txt", "00012.txt"]
+        for name in hist:
+            head = histogram_head(tmp_path / "simulate" / f"hist_{name}")
+            assert histogram_head(tmp_path / "solve-fp" / f"fp_{name}")["t_us"] == head["t_us"]
+            rows = (tmp_path / "solve-fp" / f"fp_{name}").read_text().splitlines()
+            assert len([ln for ln in rows if not ln.startswith("#")]) == 40
+        assert run(["solve-fp", f"--out={tmp_path / 'sorted'}", *keys[:-1],
+                    "--slices=0,5,12"]) == 0
+        for name in fp:
+            assert ((tmp_path / "sorted" / f"fp_{name}").read_bytes()
+                    == (tmp_path / "solve-fp" / f"fp_{name}").read_bytes())
+
+    @pytest.mark.parametrize("mode, args", [
+        ("simulate", ["--seed=4", "--n_traj=500", "--n_steps=6", "--g_per_us=0.05",
+                      "--n_bins=50", "--slices=3,6"]),
+        ("solve-fp", ["--g_per_us=0.05", "--t1_us=20", "--n_bins=50", "--slices=3,6"]),
+    ])
+    def test_old_manifest_names_bin_width(self, tmp_path, capsys, mode, args):
+        # a manifest written before bins were 1/n_bins wide carries
+        # bin_width and t_grid_us lines: it exits 2 and writes nothing; with
+        # the two lines deleted it reruns to the same bytes
+        new = tmp_path / "new"
+        assert run([mode, f"--out={new}", *args]) == 0
+        lines = (new / "manifest.txt").read_text().splitlines(keepends=True)
+        old = []
+        for ln in lines:
+            old.append(ln)
+            if ln.startswith("n_bins = "):
+                old.append("bin_width = 0.02\n")
+            if ln.startswith("slices = "):
+                old.append("t_grid_us = \n")
+        (tmp_path / "old.txt").write_text("".join(old))
+        rerun = tmp_path / "rerun"
+        assert run([mode, f"--config={tmp_path / 'old.txt'}", f"--out={rerun}"]) == 2
+        assert capsys.readouterr().err == "unknown config key: bin_width\n"
+        assert not rerun.exists()
+        kept = [ln for ln in old if not ln.startswith(("bin_width = ", "t_grid_us = "))]
+        (tmp_path / "old.txt").write_text("".join(kept))
+        assert run([mode, f"--config={tmp_path / 'old.txt'}", f"--out={rerun}"]) == 0
+        names = sorted(p.name for p in new.iterdir())
+        assert sorted(p.name for p in rerun.iterdir()) == names
+        for name in names:
+            want = (new / name).read_bytes()
+            if name == "manifest.txt":
+                want = want.replace(str(new).encode(), str(rerun).encode())
+            assert (rerun / name).read_bytes() == want, name
+
+    def test_solve_fp_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a solver invariant that breaks is an error (exit 1), never an
+        # output: no table and no manifest
+        apply = fokker_planck._Diffusion.apply
+
+        def creates_mass(self, s):
+            apply(self, s)
+            s.mass1 += 1e-6
+
+        monkeypatch.setattr(fokker_planck._Diffusion, "apply", creates_mass)
+        out = tmp_path / "fp"
+        assert run(["solve-fp", f"--out={out}", "--g_per_us=0.2", "--slices=2"]) == 1
+        assert capsys.readouterr().err == "error: mass drift 1.000e-06 at t = 1.0\n"
+        assert not out.exists()
 
     def test_report_overlays(self, tmp_path):
         sim_dir = tmp_path / "sim"

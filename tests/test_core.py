@@ -1,6 +1,7 @@
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,13 @@ from qtraj.bayesian import _meas, generate_records
 from qtraj.core import (
     Z_CAP,
     CalibrationParams,
+    DistributionSnapshot,
     ModelParams,
     TrajectoryEnsemble,
     available_memory,
     bin_index,
     build_histogram,
+    check_binning,
     histogram_counts,
     histogram_from_counts,
     require_memory,
@@ -172,9 +175,38 @@ class TestParams:
         for dt in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
                 CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=dt)
+        for T1 in (0.0, -45.0, math.nan):
+            with pytest.raises(ValueError, match="^T1 must be > 0$"):
+                CalibrationParams(I0=1.0, I1=-1.0, sigma=1.0, dt=0.5, T1=T1)
+
+    def test_ensemble_shape_and_times(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "values shape (3, 4) != (n_traj, n_steps + 1) = (3, 3)")):
+            TrajectoryEnsemble(n_traj=3, n_steps=2, dt=0.5, values=np.zeros((3, 4)))
+        ens = TrajectoryEnsemble(n_traj=3, n_steps=3, dt=0.5, values=np.zeros((3, 4)))
+        assert ens.times.tolist() == [0.0, 0.5, 1.0, 1.5]
+
+    def test_snapshot_shape(self):
+        for density, errors in ((np.zeros(9), np.zeros(10)), (np.zeros(10), np.zeros((10, 1)))):
+            with pytest.raises(ValueError, match=re.escape("density/errors must have shape")):
+                DistributionSnapshot(n_bins=10, bin_width=0.1, density=density, errors=errors,
+                                     mass0=0.0, mass1=0.0, t=0.0)
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("n_bins, bin_width, message", [
+        (0, 0.01, "n_bins=0 must be >= 1"),
+        (100, 0.0, "bin_width=0.0 must be finite and > 0"),
+        (100, math.inf, "bin_width=inf must be finite and > 0"),
+        (100, math.nan, "bin_width=nan must be finite and > 0"),
+        (10, 0.01, "n_bins * bin_width must cover [0, 1]"),
+    ])
+    def test_check_binning(self, n_bins, bin_width, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_binning(n_bins, bin_width)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            histogram_counts(np.array([0.5]), n_bins, bin_width)
+
     def test_delta_single_bin(self):
         ens = make_ensemble(np.full((50, 1), 0.305))
         snap = build_histogram(ens, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtraj import fitting
 from qtraj.bayesian import generate_records
 from qtraj.core import (
     CalibrationParams,
@@ -197,6 +198,23 @@ class TestFitTau:
         gen = make_analytic_model_gen(0.5, 2)
         with pytest.raises(ValueError, match="wrong number of slices"):
             fit_tau([obs], lambda tau, which: gen(tau), np.arange(20, 61) * 0.01)
+
+    def test_degenerate_parabola_gives_infinite_error(self, monkeypatch):
+        # chi2 values near the float maximum: the parabola's second
+        # difference overflows to -inf, so the minimum stays on its grid
+        # point and both errors are infinite rather than a sqrt of a
+        # negative curvature
+        scan = np.arange(11) * 0.1
+        obs = sample_mixture_hist(0.305, 0.5, 1000, 31)
+        gen = make_analytic_model_gen(0.305, 1)
+        monkeypatch.setattr(fitting, "chi2",
+                            lambda o, m: 1e308 * (1.0 + abs(m.t - 0.5)))
+        with np.errstate(over="ignore"):
+            (res,) = fit_tau([obs], lambda tau, which: [dataclasses.replace(gen(tau)[0], t=tau)],
+                             scan)
+        assert res.tau_best == scan[5] and res.chi2_min == 1e308
+        assert res.tau_error == res.tau_error_dchi2_1 == math.inf
+        assert not res.at_edge
 
     def test_fp_model_gen_matches_analytic_when_t1_infinite(self):
         gen_fp = make_fp_model_gen(0.305, math.inf, [10.0], n_cells=4096)

@@ -38,6 +38,22 @@ def mixture_cdf(z, x0, tau):
     return x0 * ndtr((z - z0 - tau) / s) + (1.0 - x0) * ndtr((z - z0 + tau) / s)
 
 
+def broken_diffusion(fault):
+    """``_Diffusion.apply`` that then takes 1e-6 from the first cell
+    ("negative") or adds 1e-6 to the rho00 = 1 bucket ("drift")."""
+    apply = fp._Diffusion.apply
+
+    def broken(self, s):
+        apply(self, s)
+        if fault == "negative":
+            s.w = s.w.copy()
+            s.w[0] -= 1e-6
+        else:
+            s.mass1 += 1e-6
+
+    return broken
+
+
 class TestAnalyticZ:
     def test_symmetric_initial_state(self):
         # centers at -1 and +1, weights 1/2: half of the lower branch lies below -1
@@ -234,6 +250,22 @@ class TestSolveFP:
         for dt in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="dt=.* must be finite and > 0"):
                 solve_fp(0.5, 0.1, 20.0, [1.0], dt=dt)
+        for t_grid in ([math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="t_grid entries must be finite"):
+                solve_fp(0.5, 0.1, 20.0, t_grid)
+        with pytest.raises(ValueError, match="nodes and weights must be matching 1-D arrays"):
+            DensityGrid(nodes=np.zeros(4), weights=np.zeros(5), mass0=0.0, mass1=0.0, t=0.0)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("negative", "negative density -1.000e-06 at t = 1.0"),
+        ("drift", "mass drift 1.000e-06 at t = 1.0"),
+    ])
+    def test_broken_operator_raises(self, monkeypatch, fault, message):
+        # each snapshot is checked: a diffusion that leaves a negative cell
+        # or creates mass fails the run instead of returning the snapshot
+        monkeypatch.setattr(fp._Diffusion, "apply", broken_diffusion(fault))
+        with pytest.raises(fp.FPSolverError, match=f"^{message}$"):
+            solve_fp(0.305, 0.1, math.inf, [1.0])
 
     def test_pure_diffusion_ignores_dt(self):
         # at T1 = inf each interval is one substep with zero relaxation

@@ -1,3 +1,4 @@
+import io as stdio
 import math
 import os
 import re
@@ -152,6 +153,29 @@ def test_binary_container_diagnostics(tmp_path, records, ensemble, kind):
         bad.write_bytes(data)
         with pytest.raises(io.FormatError, match=re.escape(f"{bad.name}: {message}")):
             read(str(bad))
+
+
+@pytest.mark.parametrize("kind", ["record", "ensemble"])
+def test_short_body_read(tmp_path, monkeypatch, records, ensemble, kind):
+    # a body that reads short of the size fstat gave (a file truncated
+    # while it is read) is a format error, not a partly filled array
+    write, read, obj, body = {
+        "record": (io.write_records, io.read_records, records, records.currents),
+        "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
+    }[kind]
+    p = tmp_path / "short.bin"
+    write(str(p), obj)
+    head_end = p.stat().st_size - body.nbytes
+
+    class ShortReader(stdio.BufferedReader):
+        def readinto(self, b):
+            return super().readinto(memoryview(b).cast("B")[:-8])
+
+    monkeypatch.setattr(io, "open", lambda path, mode: ShortReader(stdio.FileIO(path, mode)),
+                        raising=False)
+    with pytest.raises(io.FormatError, match=re.escape(
+            f"short.bin: body shorter than {body.nbytes} bytes at offset {head_end}")):
+        read(str(p))
 
 
 class TestEnsembleFiles:
