@@ -113,6 +113,10 @@ class RunConfig:
     def bin_width(self) -> float:
         return 1.0 / self.n_bins
 
+    def params(self) -> ModelParams:
+        return ModelParams(g=self.g_per_us, T1=self.t1_us, dt=self.dt_us, x0=self.x0,
+                           n_steps=self.n_steps)
+
     def cal(self) -> CalibrationParams:
         return CalibrationParams(
             I0=self.i0, I1=self.i1, sigma=self.sigma, dt=self.dt_us, T1=self.t1_us
@@ -210,9 +214,7 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 def cmd_simulate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
-    params = ModelParams(
-        g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
-    )
+    params = cfg.params()
     counts = dict.fromkeys(cfg.slice_list(cfg.n_steps, first=0), 0)
     batches = simulate_batches(params, cfg.n_traj, seeds, n_workers=cfg.n_workers)
 
@@ -234,9 +236,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 
 def cmd_solve_fp(cfg: RunConfig) -> None:
-    params = ModelParams(
-        g=cfg.g_per_us, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps
-    )
+    params = cfg.params()
     slices = sorted(cfg.slice_list(params.n_steps, first=0))  # the solver runs forward
     grids = solve_fp(params.x0, params.g, params.T1, [k * params.dt for k in slices])
     _write_manifest(cfg)

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DistributionSnapshot, require_memory
-from .fokker_planck import FP_CELLS, _Solver, _rebin, _rebin_map, analytic_bin_masses
+from .fokker_planck import FP_CELLS, _Solver, _edge_cells, _rebin, analytic_bin_masses
 
 __all__ = [
     "FitResult",
@@ -170,7 +170,9 @@ def fit_tau(
     Returns
     -------
     list of FitResult, one per slice.  A minimum on the scan edge is
-    flagged in ``at_edge``, never silently interpolated.
+    flagged in ``at_edge``, never silently interpolated.  The scan
+    tables take two words per grid point and slice; without that much
+    memory available the fit is refused before any model call.
 
     Notes
     -----
@@ -195,6 +197,7 @@ def fit_tau(
     """
     scan = _check_scan(scan)
     n = scan.size
+    require_memory(16 * n * len(observed), f"a scan of {len(observed)} slices at {n} tau points")
     results = [None] * len(observed)
     t_prev = tau_prev = 0.0
     for k in sorted(range(len(observed)), key=lambda k: observed[k].t):
@@ -316,9 +319,9 @@ def make_fp_model_gen(
     For slice time t and trial tau the model is the density evolved with
     the constant coupling g = tau/t up to t, including relaxation, on
     ``n_cells`` cells of the solver's z range [-12, 12].  Every
-    slice runs on one solver, so the grid, the start state, the rebinning
-    map onto the rho00 bins and the relaxation operators are built once
-    here; a call builds only the diffusion of each slice it solves and
+    slice runs on one solver, so the grid, the start state, the cells
+    holding the rho00 bin edges and the relaxation operators are built
+    once here; a call builds only the diffusion of each slice it solves and
     runs its substep loop.  The generator holds three words per cell for
     each distinct relaxation exponent, two per slice at most.
     ``gen(tau, which)`` solves only the slices ``times[k]`` for k in
@@ -330,11 +333,11 @@ def make_fp_model_gen(
     solver = _Solver(x0, T1, n_cells=n_cells, dt=dt)
     for t in times:  # every slice's relaxations up front: a solve builds only its diffusion
         solver.interval(t)
-    rebin_map = _rebin_map(solver.nodes, n_bins, bin_width)
+    edge_cells = _edge_cells(solver.nodes, n_bins, bin_width)
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:
         ks = range(len(times)) if which is None else which
-        return [_rebin(solver.run(tau / times[k], [times[k]])[0], rebin_map, n_bins, bin_width)
+        return [_rebin(solver.run(tau / times[k], [times[k]])[0], edge_cells, n_bins, bin_width)
                 for k in ks]
 
     return gen

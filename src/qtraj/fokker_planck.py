@@ -66,7 +66,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import expit, ndtr
 
-from .core import Z_CAP, DistributionSnapshot, bin_index, check_binning, to_logodds, to_rho
+from .core import Z_CAP, DistributionSnapshot, check_binning, to_logodds, to_rho
 from .sde import _relax
 
 __all__ = [
@@ -463,52 +463,32 @@ def solve_fp(x0: float, g: float, T1: float, t_grid, *,
     return _Solver(x0, T1, dt=dt).run(g, t_grid)
 
 
-def _rebin_map(nodes: np.ndarray, n_bins: int, bin_width: float):
-    """Conservative rebinning of z cells onto uniform rho00 bins.
-
-    Returns ``(cell, bin, frac)``: cell ``cell[i]`` puts the fraction
-    ``frac[i]`` of its mass into bin ``bin[i]``.  Cells inside one bin
-    come first (fraction 1), then the cells straddling bin edges in index
-    order, each split assuming a uniform within-cell distribution in z.
-    """
+def _edge_cells(nodes: np.ndarray, n_bins: int, bin_width: float):
+    """``(k, frac, cell_bin)`` of a uniform z grid: rho00 bin edge b
+    (``b * bin_width``, at most 1) lies ``frac[b]`` of the way up cell
+    ``k[b]``, at ``(0, 0)`` or ``(n - 1, 1)`` off the grid; cell j goes
+    whole to bin ``cell_bin[j]``, that of the last edge at or below it."""
     check_binning(n_bins, bin_width)
     half = 0.5 * float(np.diff(nodes).mean())
-    lo_c = nodes - half
-    hi_c = nodes + half
-    r_lo = to_rho(lo_c)
-    r_hi = to_rho(hi_c)
-
-    edges = np.arange(n_bins + 1) * bin_width
-    b_lo = bin_index(r_lo, n_bins, bin_width)
-    b_hi = bin_index(r_hi, n_bins, bin_width)
-
-    whole = np.flatnonzero(b_lo == b_hi)
-    # a straddling cell's n_cut interior edges b_lo + 1 .. b_hi cut it into
-    # parts over bins b_lo .. b_hi; edge e (of all, in cell order) lies in
-    # straddling cell q[e] and ends part e + q[e] (of all, in cell order)
-    cut = np.flatnonzero(b_lo != b_hi)
-    n_cut = b_hi[cut] - b_lo[cut]
-    q = np.repeat(np.arange(cut.size), n_cut)
-    e = np.arange(q.size)
-    c = cut[q]
-    z_cut = to_logodds(edges[b_lo[c] + 1 + e - np.repeat(np.cumsum(n_cut) - n_cut, n_cut)])
-    f = np.clip((z_cut - lo_c[c]) / (hi_c[c] - lo_c[c]), 0.0, 1.0)
-    upper, lower = np.ones(cut.size + q.size), np.zeros(cut.size + q.size)
-    upper[e + q] = f
-    lower[e + q + 1] = f
-    cells = np.repeat(cut, n_cut + 1)
-    part = np.arange(cells.size) - np.repeat(np.cumsum(n_cut + 1) - (n_cut + 1), n_cut + 1)
-    return (np.concatenate((whole, cells)), np.concatenate((b_lo[whole], b_lo[cells] + part)),
-            np.concatenate((np.ones(whole.size), upper - lower)))
+    lo_c, hi_c = nodes - half, nodes + half
+    z = to_logodds(np.minimum(np.arange(n_bins + 1) * bin_width, 1.0))
+    k = np.clip(np.searchsorted(lo_c, z, side="right") - 1, 0, nodes.size - 1)
+    frac = np.clip((z - lo_c[k]) / (hi_c[k] - lo_c[k]), 0.0, 1.0)
+    return k, frac, np.searchsorted(k, np.arange(nodes.size), side="right") - 1
 
 
-def _rebin(grid: DensityGrid, rebin_map, n_bins: int, bin_width: float) -> DistributionSnapshot:
-    """Apply a :func:`_rebin_map` of the grid's nodes to its weights."""
-    cell, bins, frac = rebin_map
+def _rebin(grid: DensityGrid, edge_cells, n_bins: int, bin_width: float) -> DistributionSnapshot:
+    """Bin the grid's weights at the :func:`_edge_cells` of its nodes: bin
+    b gets its whole cells, less the part of cell ``k[b]`` below edge b,
+    plus the part of cell ``k[b + 1]`` below edge b + 1."""
+    k, frac, cell_bin = edge_cells
+    w = grid.weights
+    part = frac * w[k]
+    whole = np.bincount(cell_bin, w, minlength=n_bins + 1)[:n_bins]
     return DistributionSnapshot(
         n_bins=n_bins,
         bin_width=bin_width,
-        density=np.bincount(bins, grid.weights[cell] * frac, minlength=n_bins),
+        density=whole - part[:-1] + part[1:],
         errors=np.zeros(n_bins),
         mass0=grid.mass0,
         mass1=grid.mass1,
@@ -523,9 +503,9 @@ def fp_snapshot_to_bins(
 ) -> DistributionSnapshot:
     """Conservatively rebin a density grid onto uniform rho00 bins.
 
-    Cells falling inside one bin contribute whole; cells straddling bin
-    edges are split assuming a uniform within-cell distribution in z.
+    Each cell's mass is uniform in z: a bin gets the cells between its
+    two edges whole, and the parts of the edges' cells inside it.
     Boundary point masses are carried through.  The result has zero
     per-bin errors (it is a model, not data).
     """
-    return _rebin(grid, _rebin_map(grid.nodes, n_bins, bin_width), n_bins, bin_width)
+    return _rebin(grid, _edge_cells(grid.nodes, n_bins, bin_width), n_bins, bin_width)

@@ -718,9 +718,9 @@ class TestPipeline:
         assert not (tmp_path / "fit" / "fit_report.txt").exists()
 
     def test_memory_refusal_exit_codes(self, tmp_path, capsys, monkeypatch):
-        # a computed ensemble or tau grid that cannot fit is a usage error
-        # (exit 2); a file whose body cannot fit is an input error naming
-        # it (exit 1)
+        # a computed ensemble, tau grid or set of scan tables that cannot
+        # fit is a usage error (exit 2); a file whose body cannot fit is an
+        # input error naming it (exit 1)
         sim = tmp_path / "sim"
         assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100",
                     "--n_steps=4", "--g_per_us=0.03"]) == 0
@@ -740,6 +740,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "ensemble.qens: ensemble body of 100 x 5 values needs 4000 bytes" in err
         assert not (tmp_path / "fit").exists()
+        # four slices' scan tables of the 251-point default grid need 16064
+        # bytes: the grid's 8032 and the 4000-byte body fit, the fit does not
+        monkeypatch.setattr(core, "available_memory", lambda: 16063)
+        assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
+                    "--slices=1,2,3,4"]) == 2
+        err = capsys.readouterr().err
+        assert "a scan of 4 slices at 251 tau points needs 16064 bytes of memory" in err
+        assert not (tmp_path / "fit").exists()
+        monkeypatch.setattr(core, "available_memory", lambda: 16064)
+        assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
+                    "--slices=1,2,3,4"]) == 0
 
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):

@@ -676,6 +676,44 @@ def ref_rebin(grid, n_bins=100, bin_width=0.01):
     return density
 
 
+def ref_rebin_edges(grid, n_bins=100, bin_width=0.01):
+    """Edge-located rebinning loop: each edge's cell and the fraction of
+    it below the edge, every cell added whole in cell order to the bin of
+    the last edge at or below it, then the edge parts; returns the bin
+    masses."""
+    nodes, w = grid.nodes, grid.weights
+    half = 0.5 * float(np.diff(nodes).mean())
+    lo_c, hi_c = nodes - half, nodes + half
+    z = to_logodds(np.minimum(np.arange(n_bins + 1) * bin_width, 1.0))
+    k, frac = [], []
+    for zb in z:
+        j = max(int(np.count_nonzero(lo_c <= zb)) - 1, 0)
+        k.append(j)
+        frac.append(min(max((zb - lo_c[j]) / (hi_c[j] - lo_c[j]), 0.0), 1.0))
+    whole = [0.0] * (n_bins + 1)
+    b = 0
+    for j in range(nodes.size):
+        while b < n_bins and k[b + 1] <= j:
+            b += 1
+        whole[b] += w[j]
+    part = [f * w[j] for j, f in zip(k, frac)]
+    return np.array([whole[b] - part[b] + part[b + 1] for b in range(n_bins)])
+
+
+def assert_rebinned(snap, grid, n_bins=100, bin_width=0.01):
+    """``snap`` is bitwise the edge-located loop's binning of ``grid``,
+    non-negative, of the grid's mass within 1e-15 relative, and within
+    rounding of the per-cell split loop's: the same zero bins, each bin
+    within 1e-13 relative or 4e-15 absolute."""
+    assert np.array_equal(snap.density, ref_rebin_edges(grid, n_bins, bin_width))
+    assert snap.density.min() >= 0.0
+    assert abs(snap.density.sum() - grid.weights.sum()) <= 1e-15 * grid.weights.sum()
+    split = ref_rebin(grid, n_bins, bin_width)
+    assert np.array_equal(snap.density == 0.0, split == 0.0)
+    diff = np.abs(snap.density - split)
+    assert np.all((diff <= 4e-15) | (diff <= 1e-13 * np.abs(split)))
+
+
 # (x0, g, T1, t_grid, solver keywords); T1 = 20 with the default substep
 # min(T1/100, t) = 0.2, so kappa = 0.2 g.  At g = 2 mass reaches both
 # boundary buckets of [-12, 12], and the rho00 = 0 bucket re-enters
@@ -745,7 +783,7 @@ class TestBitwiseOracle:
         for sol, (w, mass0, mass1) in zip(sols, refs):
             assert np.array_equal(sol.weights, w)
             assert sol.mass0 == mass0 and sol.mass1 == mass1
-            assert np.array_equal(fp_snapshot_to_bins(sol).density, ref_rebin(sol))
+            assert_rebinned(fp_snapshot_to_bins(sol), sol)
         if "boundary" in case or case == "reentry-below":
             # rho00 = 0 re-entries: the relaxations that empty the bucket
             assert sum(reentries) > 0
@@ -780,15 +818,34 @@ class TestBitwiseOracle:
         assert_near_earlier_scheme(case, ref_diffuse_two_inverse)
 
     def test_rebin_matches_per_cell_reference(self):
-        # a coarse grid whose cells straddle several bins, and a fine one
-        for n_cells, n_bins, width in ((16, 50, 0.02), (32768, 100, 0.01)):
+        # a coarse grid whose cells hold several edges each, a fine one, a
+        # coarse binning, and bins past rho00 = 1
+        for n_cells, n_bins, width in ((16, 50, 0.02), (32768, 100, 0.01),
+                                       (8192, 7, 1.0 / 7), (2048, 60, 0.02)):
             nodes = -5.0 + (np.arange(n_cells) + 0.5) * (10.0 / n_cells)
             weights = np.random.default_rng(n_cells).random(n_cells)
             weights[::3] = 0.0
             grid = DensityGrid(nodes=nodes, weights=weights, mass0=0.1, mass1=0.2, t=1.0)
             snap = fp_snapshot_to_bins(grid, n_bins, width)
-            assert np.array_equal(snap.density, ref_rebin(grid, n_bins, width))
+            assert_rebinned(snap, grid, n_bins, width)
             assert (snap.mass0, snap.mass1, snap.t) == (0.1, 0.2, 1.0)
+            k, _, _ = fp._edge_cells(nodes, n_bins, width)
+            assert np.any(np.diff(k) == 0) == (n_cells == 16 or n_bins * width > 1.0)
+            if n_bins * width > 1.0:
+                assert np.all(snap.density[50:] == 0.0)
+
+    def test_rebin_edge_on_cell_boundary(self):
+        # on 16 cells of [-5, 5] the boundary of cells 7 and 8 is z = 0
+        # exactly, the edge rho00 = 0.5: it sits at the bottom of cell 8
+        # with part 0, and bin 24 ends with the part of cell 7 above edge 24
+        nodes = -5.0 + (np.arange(16) + 0.5) * (10.0 / 16)
+        weights = np.random.default_rng(3).random(16)
+        grid = DensityGrid(nodes=nodes, weights=weights, mass0=0.0, mass1=0.0, t=0.0)
+        k, frac, cell_bin = fp._edge_cells(nodes, 50, 0.02)
+        assert (k[24], k[25], frac[25], cell_bin[7]) == (7, 8, 0.0, 24)
+        snap = fp_snapshot_to_bins(grid, 50, 0.02)
+        assert snap.density[24] == weights[7] - frac[24] * weights[7]
+        assert_rebinned(snap, grid, 50, 0.02)
 
     @pytest.mark.parametrize("n_cells", [8192, 2048])
     def test_model_gen_matches_solve_and_rebin(self, n_cells):
