@@ -1,5 +1,5 @@
 """Command-line pipeline: generate | simulate | solve-fp | reconstruct |
-fit | calibrate | report.
+fit | calibrate.
 
 Every run writes a manifest echoing the fully resolved configuration;
 rerunning a command with the manifest as its config reproduces the
@@ -8,8 +8,8 @@ environment variable is read.
 
 Every mode checks its keys before it reads or computes, so a bad key
 exits 2 and writes nothing.  Two checks need the file and come after
-the read, still before any output: the slice range of fit/report (the
-file's n_steps) and, for the Fokker-Planck model, that the file's x0
+the read, still before any output: the slice range of fit (the file's
+n_steps) and, for the Fokker-Planck model, that the file's x0
 maps inside the z grid.  Every mode names a time as a slice k, at
 t = k * dt_us (simulate's hist_<k>.txt, solve-fp's fp_<k>.txt), and
 bins rho00 into n_bins bins of width 1/n_bins.
@@ -46,16 +46,16 @@ modes:
   simulate     trajectory ensemble + per-slice histograms
   solve-fp     density snapshots from the Fokker-Planck solver
   reconstruct  trajectories from a record file
-  fit          tau scan fit of per-slice histograms
+  fit          tau scan fit of per-slice histograms, with observed / best-fit /
+               no-relaxation overlays
   calibrate    I0/I1/sigma/T1 extraction from eigenstate record files
-  report       observed / best-fit / no-relaxation histogram overlays
 
 keys (any key is also a --key=value flag; --config=FILE loads a file first):
   out=DIR seed=INT n_traj=INT n_steps=INT dt_us=F g_per_us=F t1_us=F x0=F
   i0=F i1=F sigma=F n_bins=INT slices=K1,K2,... tau_min=F tau_max=F tau_step=F
   input=FILE ground=FILE excited=FILE n_workers=INT
 
-fit/report model: closed form at t1_us=inf, Fokker-Planck otherwise
+fit model: closed form at t1_us=inf, Fokker-Planck otherwise
 (8192 cells on z in [-12, 12], substep t1_us/100).  solve-fp snapshots
 slices k at t = k*dt_us and substeps at t1_us/100 too.
 --seed (an integer >= 0) is mandatory for generate and simulate (no silent entropy).
@@ -252,24 +252,25 @@ def cmd_reconstruct(cfg: RunConfig) -> None:
     io.write_ensemble(os.path.join(cfg.out, "reconstructed.qens"), ens)
 
 
-def cmd_fit(cfg: RunConfig):
-    """Fit tau to the slices' histograms and write ``fit_report.txt``;
-    returns what :func:`cmd_report`'s overlays need.  The keys are checked
-    before the read, except the slice range and the x0 in the z grid."""
+def cmd_fit(cfg: RunConfig) -> None:
+    """Fit tau to the slices' histograms and write ``fit_report.txt``, then
+    one observed / best-fit / no-relaxation (T1 -> infinity) overlay per
+    slice.  The keys are checked before the read, except the slice range
+    and the x0 in the z grid."""
     scan = cfg.tau_scan()
     if not cfg.t1_us > 0:  # -inf and nan too, before the model choice
         raise ValueError("T1 must be > 0")
-    cfg.slice_list(None, first=1)
+    # an empty slices key names one slice, the file's last
+    fitting._require_scan_memory(len(cfg.slice_list(None, first=1)), scan.size)
     ens = io.read_ensemble(_require_input(cfg.input, "input"))
     slices = cfg.slice_list(ens.n_steps, first=1)
     observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
     if ens.x0 is not None:  # the manifest records the x0 the fit uses
         cfg.x0 = ens.x0
-    if math.isinf(cfg.t1_us):
-        gen = fitting.make_analytic_model_gen(cfg.x0, len(slices), cfg.n_bins, cfg.bin_width)
-    else:
-        gen = fitting.make_fp_model_gen(cfg.x0, cfg.t1_us, [obs.t for obs in observed],
-                                        cfg.n_bins, cfg.bin_width)
+    # the closed form takes one snapshot for every slice: the model at T1 = inf
+    norelax_gen = fitting.make_analytic_model_gen(cfg.x0, 1, cfg.n_bins, cfg.bin_width)
+    gen = norelax_gen if math.isinf(cfg.t1_us) else fitting.make_fp_model_gen(
+        cfg.x0, cfg.t1_us, [obs.t for obs in observed], cfg.n_bins, cfg.bin_width)
     results = fitting.fit_tau(observed, gen, scan)
     _write_manifest(cfg)
     io.write_fit_report(os.path.join(cfg.out, "fit_report.txt"), [
@@ -292,17 +293,9 @@ def cmd_fit(cfg: RunConfig):
             print(f"warning: slice {k}: chi2 stays below chi2_min + 100 on one side of the "
                   "tau scan, so tau_err_dchi2_100 is not bracketed; widen tau_min..tau_max",
                   file=sys.stderr)
-    return slices, observed, results, gen
-
-
-def cmd_report(cfg: RunConfig) -> None:
-    """:func:`cmd_fit`, then observed / best-fit / no-relaxation
-    (T1 -> infinity) overlays."""
-    slices, observed, results, gen = cmd_fit(cfg)
-    norelax_gen = fitting.make_analytic_model_gen(cfg.x0, 1, cfg.n_bins, cfg.bin_width)
-    for i, (k, obs, res) in enumerate(zip(slices, observed, results)):
-        io.write_overlay(os.path.join(cfg.out, f"report_{k:05d}.txt"), obs, res.tau_best,
-                         res.chi2_min, gen(res.tau_best, (i,))[0], norelax_gen(res.tau_best)[0])
+    for i, (k, obs, r) in enumerate(zip(slices, observed, results)):
+        io.write_overlay(os.path.join(cfg.out, f"report_{k:05d}.txt"), obs, r.tau_best,
+                         r.chi2_min, gen(r.tau_best, (i,))[0], norelax_gen(r.tau_best)[0])
 
 
 def _fit_file(path: str, fit, *args):
@@ -345,7 +338,6 @@ _COMMANDS = {
     "reconstruct": cmd_reconstruct,
     "fit": cmd_fit,
     "calibrate": cmd_calibrate,
-    "report": cmd_report,
 }
 MODES = tuple(_COMMANDS)
 

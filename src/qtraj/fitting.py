@@ -115,6 +115,12 @@ def default_tau_scan(
     return _check_scan(tau_min + tau_step * np.arange(n + 1))
 
 
+def _require_scan_memory(n_slices: int, n_points: int) -> None:
+    """Refuse scan tables, 16 bytes per tau point and slice, past the memory available."""
+    require_memory(16 * n_points * n_slices,
+                   f"a scan of {n_slices} slices at {n_points} tau points")
+
+
 def _check_scan(scan) -> np.ndarray:
     """``scan`` as floats, if it has 3+ points and one increasing step."""
     scan = np.asarray(scan, dtype=float)
@@ -197,7 +203,7 @@ def fit_tau(
     """
     scan = _check_scan(scan)
     n = scan.size
-    require_memory(16 * n * len(observed), f"a scan of {len(observed)} slices at {n} tau points")
+    _require_scan_memory(len(observed), n)
     results = [None] * len(observed)
     t_prev = tau_prev = 0.0
     for k in sorted(range(len(observed)), key=lambda k: observed[k].t):

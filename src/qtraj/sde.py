@@ -76,6 +76,8 @@ TILE = 8
 # z = +-Z_CAP of the log-odds coordinate.
 _O_CAP = math.exp(2.0 * Z_CAP)
 _O_FLOOR = math.exp(-2.0 * Z_CAP)
+# log of the largest double: math.exp overflows past it
+_DELTA_MAX = 709.782712893384
 
 
 def _snap(o, mask=None, lower=True):
@@ -109,11 +111,15 @@ def _relax(o, delta: float, mask=None):
     """Exact relaxation rho11 -> rho11*e^-delta of the odds ``o``, in
     place: the affine map ``o <- e^delta*o + expm1(delta)``.  o = +inf
     stays put and o = 0 re-enters (rho00 = 0 is not absorbing under
-    relaxation); a state pushed past the upper cap snaps to +inf.
-    ``mask`` is bool scratch for the snap."""
+    relaxation); a state pushed past the upper cap snaps to +inf, and
+    past exp's range every state does.  ``mask`` is bool scratch for the
+    snap."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta == 0.0:
+        return o
+    if delta > _DELTA_MAX:
+        o.fill(math.inf)
         return o
     np.multiply(o, math.exp(delta), out=o)
     np.add(o, math.expm1(delta), out=o)

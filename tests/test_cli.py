@@ -122,7 +122,7 @@ class TestParsing:
 
     def test_modes_are_the_commands(self):
         assert cli.MODES == ("generate", "simulate", "solve-fp", "reconstruct", "fit",
-                             "calibrate", "report")
+                             "calibrate")
         for mode in cli.MODES:
             assert f"\n  {mode} " in USAGE
 
@@ -151,8 +151,8 @@ class TestSimulate:
             "simulate": ["--seed=42", "--n_traj=500", "--g_per_us=0.03", "--n_steps=10",
                          "--slices=5,10"],
             "reconstruct": [f"--input={gen / 'records.qrec'}", "--n_workers=2"],
-            # the Fokker-Planck model, at a finite T1
-            "report": [f"--input={tmp_path / 'reconstruct' / 'reconstructed.qens'}",
+            # the Fokker-Planck model, at a finite T1, with its overlays
+            "fit": [f"--input={tmp_path / 'reconstruct' / 'reconstructed.qens'}",
                        "--t1_us=45", "--slices=5,10", "--tau_max=1", "--tau_step=0.05"],
         }
         for mode, args in runs.items():
@@ -296,7 +296,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("flag", [*BAD_BINNING, "--model=bogus", "--tau_step=0",
                                       "--tau_max=inf", "--slices=a", "--tau_min=-0.5",
                                       "--slices=,", *NOT_KEYED])
-    @pytest.mark.parametrize("mode", ["fit", "report"])
+    @pytest.mark.parametrize("mode", ["fit"])
     def test_fit_and_report_check_keys_first(self, tmp_path, capsys, reads, ensemble, mode, flag):
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", f"--input={ensemble}", *flag.split()]) == 2
@@ -309,7 +309,6 @@ class TestInputChecks:
     def test_n_bins_checked_before_any_read(self, tmp_path, capsys, reads, ensemble, records,
                                             mode):
         inputs = {"reconstruct": [f"--input={records}"], "fit": [f"--input={ensemble}"],
-                  "report": [f"--input={ensemble}"],
                   "calibrate": [f"--ground={records}", f"--excited={records}"]}
         out = tmp_path / "out"
         assert run([mode, f"--out={out}", *self.SMALL, *inputs.get(mode, []), "--n_bins=0"]) == 2
@@ -340,7 +339,7 @@ class TestInputChecks:
         assert reads == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["simulate", "fit", "report"])
+    @pytest.mark.parametrize("mode", ["simulate", "fit"])
     def test_repeated_slice_rejected(self, tmp_path, capsys, reads, ensemble, mode):
         # one histogram or report block per slice: a repeat is a usage error
         out = tmp_path / "out"
@@ -350,7 +349,7 @@ class TestInputChecks:
         assert reads == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["fit", "report"])
+    @pytest.mark.parametrize("mode", ["fit"])
     def test_default_slice_is_range_checked(self, tmp_path, capsys, mode):
         # the default slice is the file's last one, which a 0-step ensemble
         # does not have (slice 0 is the initial state, never fitted)
@@ -464,7 +463,7 @@ class TestPipeline:
         assert r["tau_err_dchi2_100"] > r["tau_err_dchi2_1"] > 0
         assert r["t_us"] == n_steps * 0.5
 
-    @pytest.mark.parametrize("mode", ["fit", "report"])
+    @pytest.mark.parametrize("mode", ["fit"])
     def test_scan_edge_warns_on_stderr(self, tmp_path, capsys, mode):
         # slice 20 of g = 0.03/us at dt = 0.5 us has tau = 0.3, past the scan's end
         sim = tmp_path / "sim"
@@ -497,6 +496,18 @@ class TestPipeline:
         assert (tmp_path / "rerun" / "fit_report.txt").read_bytes() == report
         assert run([*fit, f"--out={tmp_path / 'fp'}", "--t1_us=20"]) == 0
         assert (tmp_path / "fp" / "fit_report.txt").read_bytes() == report
+
+    def test_relaxation_past_exp_range(self, tmp_path):
+        # dt/T1 = 5000, past math.exp's range: every state relaxes to rho00 = 1
+        flags = ["--seed=1", "--t1_us=1e-4", "--n_traj=10", "--n_steps=2"]
+        sim, gen, rec = tmp_path / "sim", tmp_path / "gen", tmp_path / "rec"
+        assert run(["simulate", f"--out={sim}", *flags]) == 0
+        assert histogram_head(sim / "hist_00002.txt")["mass1"] == "1.0"
+        assert run(["generate", f"--out={gen}", *flags]) == 0
+        latent = io.read_ensemble(str(gen / "latent.qens")).values
+        assert np.all(latent[:, 1:] == 1.0)
+        assert run(["reconstruct", f"--out={rec}", f"--input={gen / 'records.qrec'}"]) == 0
+        assert np.array_equal(io.read_ensemble(str(rec / "reconstructed.qens")).values, latent)
 
     def test_generate_rejects_inconsistent_g(self, tmp_path, capsys):
         # i0=1, i1=-1, sigma=5 give kappa = 0.04 per 0.5 us step: g = 0.08/us
@@ -610,7 +621,7 @@ class TestPipeline:
         assert rc == 0
         rc = run(
             [
-                "report", f"--out={rep_dir}", f"--input={sim_dir / 'ensemble.qens'}",
+                "fit", f"--out={rep_dir}", f"--input={sim_dir / 'ensemble.qens'}",
                 "--t1_us=45.0", "--slices=10,20", "--tau_min=0.0", "--tau_max=1.0",
                 "--tau_step=0.05",
             ]
@@ -626,6 +637,38 @@ class TestPipeline:
             # three aligned model columns per bin
             for ln in rows[:3]:
                 assert len(ln.split(",")) == 5
+
+    def test_old_report_manifest(self, tmp_path, capsys):
+        # the report mode is gone: fit writes the overlays; an old report
+        # manifest conflicts with fit, and with its mode line set to fit it
+        # reruns to the files of a fit with the same keys
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=5", "--n_traj=2000", "--n_steps=20",
+                    "--g_per_us=0.03", "--slices=20"]) == 0
+        fit = tmp_path / "fit"
+        assert run(["fit", f"--out={fit}", f"--input={sim / 'ensemble.qens'}",
+                    "--slices=10,20", "--tau_max=1", "--tau_step=0.05"]) == 0
+        names = sorted(p.name for p in fit.iterdir())
+        assert names == ["fit_report.txt", "manifest.txt", "report_00010.txt",
+                         "report_00020.txt"]
+        manifest = (fit / "manifest.txt").read_text()
+        assert manifest.startswith("mode = fit\n")
+        old = tmp_path / "old.txt"
+        old.write_text(manifest.replace("mode = fit\n", "mode = report\n", 1))
+        capsys.readouterr()
+        assert run(["report", f"--out={tmp_path / 'rep'}", f"--config={old}"]) == 2
+        assert capsys.readouterr().err.startswith("unknown mode 'report'\n\nusage:")
+        assert run(["fit", f"--out={tmp_path / 'rep'}", f"--config={old}"]) == 2
+        assert "config mode 'report' conflicts with command 'fit'" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+        old.write_text(manifest)
+        assert run(["fit", f"--out={tmp_path / 'rerun'}", f"--config={old}"]) == 0
+        assert sorted(p.name for p in (tmp_path / "rerun").iterdir()) == names
+        for name in names:
+            want = (fit / name).read_bytes()
+            if name == "manifest.txt":
+                want = want.replace(str(fit).encode(), str(tmp_path / "rerun").encode())
+            assert (tmp_path / "rerun" / name).read_bytes() == want, name
 
     def test_fit_uses_default_fp_grid(self, tmp_path):
         # at a finite T1 the CLI fits the library's default Fokker-Planck model
@@ -741,13 +784,17 @@ class TestPipeline:
         assert "ensemble.qens: ensemble body of 100 x 5 values needs 4000 bytes" in err
         assert not (tmp_path / "fit").exists()
         # four slices' scan tables of the 251-point default grid need 16064
-        # bytes: the grid's 8032 and the 4000-byte body fit, the fit does not
+        # bytes: the grid's 8032 would fit, the tables do not, and they are
+        # refused before the file is read
         monkeypatch.setattr(core, "available_memory", lambda: 16063)
+        read_ensemble = io.read_ensemble
+        monkeypatch.setattr(io, "read_ensemble", lambda *a: pytest.fail("file read"))
         assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
                     "--slices=1,2,3,4"]) == 2
         err = capsys.readouterr().err
         assert "a scan of 4 slices at 251 tau points needs 16064 bytes of memory" in err
         assert not (tmp_path / "fit").exists()
+        monkeypatch.setattr(io, "read_ensemble", read_ensemble)
         monkeypatch.setattr(core, "available_memory", lambda: 16064)
         assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
                     "--slices=1,2,3,4"]) == 0
@@ -826,13 +873,7 @@ rebuilt = io.read_ensemble(f"{out}/rec/reconstructed.qens").values.view(np.uint6
 assert np.array_equal(latent, rebuilt), "reconstructed != latent"
 ens = f"--input={out}/rec/reconstructed.qens"
 run("fit", f"--out={out}/fit", ens, "--tau_min=0.3", "--tau_max=0.7", "--tau_step=0.005")
-run("report", f"--out={out}/rep", ens, "--slices=10,20")
-run("fit", f"--out={out}/fit_rep", ens, "--slices=10,20")
-def text(path):
-    with open(path) as f:
-        return f.read()
-
-assert text(f"{out}/rep/fit_report.txt") == text(f"{out}/fit_rep/fit_report.txt")
+run("fit", f"--out={out}/rep", ens, "--slices=10,20")
 reports = {name: io.read_config(f"{out}/{name}/fit_report.txt") for name in ("fit", "rep")}
 tau, err = (float(reports["fit"][f"slice.0.{k}"]) for k in ("tau_best", "tau_err_dchi2_100"))
 assert abs(tau - 0.5) < err, (tau, err)

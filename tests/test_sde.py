@@ -327,6 +327,14 @@ class TestRelaxation:
         # a state pushed onto the upper cap snaps to the eigenstate
         assert _relax(np.array([O_CAP * 0.999]), 0.01)[0] == np.inf
 
+    def test_delta_past_exp_range(self):
+        # math.exp overflows past delta ~ 709.78; the map already sends
+        # every state to the eigenstate o = +inf from delta ~ 60 on
+        o = np.array([0.0, 1e-30, 1.0, np.inf])
+        want = _relax(o.copy(), 100.0)
+        assert np.all(want == np.inf)
+        assert same_bits(_relax(o.copy(), 1000.0), want)
+
     def test_half_steps_compose(self):
         rng = np.random.default_rng(0)
         o = np.exp(2.0 * rng.uniform(-28, 28, 500))
