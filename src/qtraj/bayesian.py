@@ -16,10 +16,11 @@ strength ``kappa = (I0 - I1)^2 / (4 sigma^2)``.
 Synthetic generation (:func:`generate_records`) draws the mixture weight
 from the state *after* the leading relaxation half-step and advances the
 latent state through the identical update.  Generator and reconstructor
-both run the simulator's one step loop, :func:`qtraj.sde._evolve`, and
-differ only in the middle update they pass it, so they are exactly
-adjoint: reconstructing generated records reproduces the latent
-trajectories bit for bit.
+both run the simulator's one step loop, :func:`qtraj.sde._evolve`: the
+generator has it draw and store each step's current, the reconstructor
+has it load them, and both middle updates end in the one :func:`_meas`,
+so they are exactly adjoint: reconstructing generated records
+reproduces the latent trajectories bit for bit.
 
 Calibration helpers extract (I0, I1, sigma) by closed-form Gaussian ML
 fits and T1 from the decay of the ensemble-averaged current of an
@@ -41,8 +42,8 @@ from .core import (
     _mapped_empty,
     require_memory,
 )
-from .rng import SeedSpec, _step_draws, _traj_key
-from .sde import _evolve, _mask, _rho, _snap, _tile
+from .rng import SeedSpec
+from .sde import _evolve, _rho, _snap
 
 __all__ = [
     "FitFailureError",
@@ -145,22 +146,11 @@ def reconstruct_ensemble(records: RecordSet, n_workers: int = 1) -> TrajectoryEn
     """
     cal = records.cal
 
-    def block(rows, traj, work):
-        currents, mask, tile = records.currents[rows], _mask(work), _tile(work)
+    def measure(o, u, xi, tmp, mask, im):
+        _meas(o, im, cal.I0, cal.I1, cal.sigma, tmp, mask)
 
-        def measure(o, s):
-            # the next steps' currents, loaded time-major into the rows of
-            # the loop's tile that take their rho00 later
-            j = s % len(tile)
-            if j == 0:
-                part = currents[:, s : s + len(tile)]
-                tile[: part.shape[1]] = part.T
-            _meas(o, tile[j], cal.I0, cal.I1, cal.sigma, work[0], mask)
-
-        return measure
-
-    return _evolve(records.n_traj, records.n_steps, cal.dt, records.x0,
-                   cal.dt / cal.T1, n_workers, block, records.master_seed)
+    return _evolve(records.n_traj, records.n_steps, cal.dt, records.x0, cal.dt / cal.T1,
+                   n_workers, measure, records.master_seed, load=records.currents)
 
 
 def generate_records(
@@ -198,31 +188,18 @@ def generate_records(
                    f"{n_traj} records of {params.n_steps} steps with their latent ensemble")
     currents = _mapped_empty((n_traj, params.n_steps))
 
-    def block(rows, traj, work):
-        key = _traj_key(seed, traj)
-        out = currents[rows]
-        u, xi, mask = work[0], work[1], _mask(work)
-        # the currents of TILE steps, time-major, stored in the rows at once
-        stage = np.empty_like(_tile(work))
-        levels = np.array([cal.I1, cal.I0])
+    levels = np.array([cal.I1, cal.I0], dtype=float)
 
-        def record(o, s):
-            j = s % len(stage)
-            im = stage[j]
-            _step_draws(key, s, u, xi, im.view(np.uint64))
-            # im = (I0 if u < rho00 else I1) + sigma * xi
-            np.less(u, _rho(o, out=im), out=mask)
-            np.take(levels, mask.view(np.uint8), out=im)
-            np.multiply(xi, cal.sigma, out=xi)
-            np.add(im, xi, out=im)
-            if j == len(stage) - 1 or s == params.n_steps - 1:
-                out[:, s - j : s + 1] = stage[: j + 1].T
-            _meas(o, im, cal.I0, cal.I1, cal.sigma, u, mask)
-
-        return record
+    def record(o, u, xi, tmp, mask, im):
+        # im = (I0 if u < rho00 else I1) + sigma * xi
+        np.less(u, _rho(o, out=im), out=mask)
+        np.take(levels, mask.view(np.uint8), out=im)
+        np.multiply(xi, cal.sigma, out=xi)
+        np.add(im, xi, out=im)
+        _meas(o, im, cal.I0, cal.I1, cal.sigma, tmp, mask)
 
     latent = _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
-                     n_workers, block, seed)
+                     n_workers, record, seed, store=currents)
     return RecordSet(currents=currents, cal=cal, x0=params.x0, master_seed=seed), latent
 
 

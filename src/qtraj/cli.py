@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import chdtrc
 
 from . import bayesian, fitting, io
 from .core import (
@@ -293,6 +294,11 @@ def cmd_fit(cfg: RunConfig) -> None:
             print(f"warning: slice {k}: chi2 stays below chi2_min + 100 on one side of the "
                   "tau scan, so tau_err_dchi2_100 is not bracketed; widen tau_min..tau_max",
                   file=sys.stderr)
+        # n_bins - 1 degrees of freedom: chi2's (at most two) boundary-mass
+        # terms are left out of the count, which moves so loose a bound little
+        if chdtrc(r.n_bins - 1, r.chi2_min) < 1e-6:
+            print(f"warning: slice {k}: chi2_min = {r.chi2_min:.1f} on {r.n_bins} bins has chance "
+                  "probability < 1e-6; check t1_us and the tau scan", file=sys.stderr)
     for i, (k, obs, r) in enumerate(zip(slices, observed, results)):
         io.write_overlay(os.path.join(cfg.out, f"report_{k:05d}.txt"), obs, r.tau_best,
                          r.chi2_min, gen(r.tau_best, (i,))[0], norelax_gen(r.tau_best)[0])

@@ -67,7 +67,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import expit, ndtr
 
 from .core import Z_CAP, DistributionSnapshot, check_binning, to_logodds, to_rho
-from .sde import _relax
+from .sde import _DELTA_MAX, _relax
 
 __all__ = [
     "FPSolverError",
@@ -297,12 +297,14 @@ class _Relaxation:
         fac = math.exp(-delta)
         # landing positions z' = log(relax(e^{2z}))/2 through the Monte
         # Carlo's odds map, nodes snapped to rho00 = 1 landing on the cap;
-        # the rho00 = 0 bucket re-enters at relax(0) = expm1(delta)
+        # the rho00 = 0 bucket re-enters at relax(0) = expm1(delta), or on
+        # the cap past exp's range
         y = np.minimum(0.5 * np.log(_relax(np.exp(2.0 * s.nodes), delta)), Z_CAP)
         k, alpha, above = s.land(y, s.r11 * fac)
         m = above.size - int(above.sum())
+        yr = 0.5 * math.log(math.expm1(delta)) if delta <= _DELTA_MAX else Z_CAP
         (kr,), (self.reentry_alpha,), (self.reentry_above,) = s.land(
-            np.array([0.5 * math.log(math.expm1(delta))]), np.array([fac]))
+            np.array([yr]), np.array([fac]))
         self.index = np.concatenate((k[:m], k[:m] + 1, [kr, kr + 1]))
         self.alpha = alpha[:m]
         self.floor = int(self.index.min())
@@ -339,8 +341,9 @@ class _Relaxation:
                 value[n:] = s.mass0 * (1.0 - self.reentry_alpha), s.mass0 * self.reentry_alpha
                 n += 2
             s.mass0 = 0.0
+        # float even when every source went to the rho00 = 1 bucket (n = 0)
         s.w = np.bincount((self.index if index is None else index)[:n], value[:n],
-                          minlength=w.size)
+                          minlength=w.size).astype(float, copy=False)
 
 
 class _Diffusion:

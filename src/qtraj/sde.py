@@ -29,26 +29,29 @@ diffusion, half relaxation), giving O(dt^2) global splitting error; both
 sub-steps individually are exact.  That layout is one step loop,
 :func:`_evolve`, which the record generator and the reconstructor of
 :mod:`qtraj.bayesian` drive too, each passing only its middle update;
-this is what makes their trajectories agree bit for bit.
+this is what makes their trajectories agree bit for bit.  The loop owns
+the random draws, the scratch and the tiles; an update is plain physics.
 
-Each kernel updates its odds in place, in scratch its caller owns: in
-:func:`_evolve` every chunk of trajectories holds its odds, four
-scratch rows and a tile of TILE rows, and a step allocates no
-chunk-sized array.  The ensemble is row-major, one row per trajectory,
-so a step's rho00 is a column of it; each step writes its column into
-the time-major tile instead, and every TILE steps the tile goes into
-the ensemble at once, TILE adjacent values (64 bytes) per trajectory
-where a column store would touch one cache line per value.
+Each kernel updates its odds in place, in scratch the loop owns: every
+chunk of trajectories holds its odds, four scratch rows and a tile of
+TILE rows, and a step allocates no chunk-sized array.  The ensemble is
+row-major, one row per trajectory, so a step's rho00 is a column of
+it; each step writes its column into the time-major tile instead, and
+every TILE steps the tile goes into the ensemble at once, TILE adjacent
+values (64 bytes) per trajectory where a column store would touch one
+cache line per value.  Current records go through a second tile the
+same way: loaded for the reconstructor, stored for the generator.
 
-Ensembles use the counter-based streams of :mod:`qtraj.rng` (each
-chunk's trajectory keys computed once, one step hash shared by the
-branch and noise streams), and every kernel works on each trajectory
-alone, so a row's bytes do not depend on the chunk it runs in: the
-output is byte-identical for any worker count and any chunk split.
-:func:`_evolve` splits the trajectories into equal chunks of at most
-CHUNK, as many as a multiple of the worker count, so the workers get
-equal shares.  :func:`simulate_batches` yields the same rows in blocks,
-so an ensemble can be written out without ever being held in memory.
+Ensembles use the counter-based streams of :mod:`qtraj.rng`: the loop
+computes each chunk's trajectory keys once and draws every step's
+branch uniforms and noise normals from one step hash.  Every kernel
+works on each trajectory alone, so a row's bytes do not depend on the
+chunk it runs in: the output is byte-identical for any worker count and
+any chunk split.  :func:`_evolve` splits the trajectories into equal
+chunks of at most CHUNK, as many as a multiple of the worker count, so
+the workers get equal shares.  :func:`simulate_batches` yields the same
+rows in blocks, so an ensemble can be written out without ever being
+held in memory.
 """
 
 from __future__ import annotations
@@ -146,18 +149,6 @@ def _diffuse(o, kappa: float, u, xi, tmp, mask=None):
     return _snap(o, mask)
 
 
-def _mask(work):
-    """The bool snap scratch of :func:`_evolve`'s ``work``: the first
-    bytes of its fourth row."""
-    return work[3].view(np.bool_)[: work.shape[1]]
-
-
-def _tile(work):
-    """The time-major tile of :func:`_evolve`'s ``work``: its rows after
-    the four scratch rows, row ``s % TILE`` for step ``s``."""
-    return work[4:]
-
-
 def _evolve(
     n_traj: int,
     n_steps: int,
@@ -165,9 +156,12 @@ def _evolve(
     x0: float,
     delta: float,
     n_workers: int,
-    update: Callable[[slice, np.ndarray, np.ndarray], Callable[[np.ndarray, int], None]],
+    update: Callable[..., None],
     master_seed: int | None,
     first: int = 0,
+    *,
+    load: np.ndarray | None = None,
+    store: np.ndarray | None = None,
 ) -> TrajectoryEnsemble:
     """The one step loop: every trajectory starts at rho00 = x0 and runs
     ``n_steps`` symmetric Trotter steps relax(delta/2), ``update``,
@@ -177,27 +171,28 @@ def _evolve(
     fewest blocks of at most CHUNK rows, rounded up to a multiple of
     ``n_workers``, all of one size but the last, so every worker gets
     an equal share.  Each block's working set is its odds ``o`` and a
-    ``work`` array of 4 + TILE float rows the size of the block: four
-    scratch rows, the fourth of them the bool ``mask`` of the snaps
-    (:func:`_mask`), then the time-major tile (:func:`_tile`).  Step
-    ``s`` writes rho00 into tile row ``s % TILE`` after its trailing
-    half relaxation, and after every TILE-th and the last step the
-    tile's filled rows go into the block's next columns at once.  Every
-    kernel writes into these arrays, so a step allocates no block-sized
-    array.
+    ``work`` array of 4 + TILE float rows the size of the block: the
+    scratch rows ``u``, ``xi``, ``tmp`` and the bool ``mask`` of the
+    snaps, then the time-major tile.  Step ``s`` writes rho00 into tile
+    row ``s % TILE`` after its trailing half relaxation, and after every
+    TILE-th and the last step the tile's filled rows go into the block's
+    next columns at once.  Every kernel writes into these arrays, so a
+    step allocates no block-sized array.
 
-    ``update(rows, traj, work)`` is called once per block (a slice of
-    rows, with trajectory indices ``traj``) and returns ``step(o, s)``,
-    which applies the middle update of step ``s`` to ``o`` in place and
-    may overwrite the four scratch rows.  During step ``s`` it may read
-    and write tile rows ``s % TILE`` and up (the loop writes row ``s %
-    TILE`` only after the update, and the higher rows in later steps),
-    never the rows below, which hold the tile's values not yet stored.
-    Per-block constants such as the trajectories' random-stream keys
-    are computed in ``update`` once.  An update touches only its own
-    rows, so the output does not depend on the worker count or the
-    blocks.  Row ``i`` is trajectory ``first + i``, so a run split into
-    row blocks gives the same rows bit for bit.
+    ``update(o, u, xi, tmp, mask, im)`` applies step ``s``'s middle
+    update to ``o`` in place and may overwrite ``u``, ``xi``, ``tmp`` and
+    ``mask``.  A step's data comes from the random streams or from the
+    loaded records: without ``load``, each block computes its
+    trajectories' stream keys once, and before every update ``u`` and
+    ``xi`` hold the step's branch uniforms and noise normals of
+    ``master_seed``.  With ``load`` or ``store``, (n_traj, n_steps)
+    current arrays, ``im`` is the step's row of a second, time-major
+    tile of TILE rows: filled from ``load`` every TILE steps, and stored
+    into ``store`` with the rho00 tile, so an update reads the step's
+    current from ``im`` or writes it there.  Otherwise ``im`` is None.  An update touches only
+    its own rows, so the output does not depend on the worker count or
+    the blocks.  Row ``i`` is trajectory ``first + i``, so a run split
+    into row blocks gives the same rows bit for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -215,22 +210,32 @@ def _evolve(
 
     def run(lo: int) -> None:
         rows = slice(lo, min(lo + size, n_traj))
-        traj = np.arange(first + rows.start, first + rows.stop, dtype=np.uint64)
-        o = np.full(traj.size, o0)
-        work = np.empty((4 + TILE, traj.size))
-        mask, tile = _mask(work), _tile(work)
-        step = update(rows, traj, work)
-        del traj  # the update has made its keys: one row less while the chunk runs
+        if load is None:
+            key = _traj_key(master_seed, np.arange(first + rows.start, first + rows.stop,
+                                                   dtype=np.uint64))
+        o = np.full(rows.stop - rows.start, o0)
+        work = np.empty((4 + TILE, o.size))
+        u, xi, tmp, tile = work[0], work[1], work[2], work[4:]
+        mask = work[3].view(np.bool_)[: o.size]
+        recs = np.empty((TILE, o.size)) if load is not None or store is not None else None
         block = out[rows]
-        block[:, 0] = _rho(o, out=work[0])
+        block[:, 0] = _rho(o, out=u)
         for s in range(n_steps):
             j = s % TILE
+            if load is not None and j == 0:
+                n = min(TILE, n_steps - s)
+                recs[:n] = load[rows, s : s + n].T
+            im = None if recs is None else recs[j]
             _relax(o, half, mask)
-            step(o, s)
+            if load is None:
+                _step_draws(key, s, u, xi, tmp.view(np.uint64))
+            update(o, u, xi, tmp, mask, im)
             _relax(o, half, mask)
             _rho(o, out=tile[j])
             if j == TILE - 1 or s == n_steps - 1:
                 block[:, s - j + 1 : s + 2] = tile[: j + 1].T
+                if store is not None:
+                    store[rows, s - j : s + 1] = recs[: j + 1].T
 
     starts = range(0, n_traj, size)
     if n_workers > 1 and len(starts) > 1:
@@ -243,23 +248,14 @@ def _evolve(
                               x0=x0, master_seed=master_seed)
 
 
-def _diffusion(params: ModelParams, seeds: SeedSpec):
-    """The simulator's middle update: diffusion on the counter streams,
-    with each block's trajectory keys computed once and one step hash
-    per step shared by the branch and noise streams."""
-    seed, kappa = seeds.master_seed, params.kappa
-
-    def block(rows, traj, work):
-        key = _traj_key(seed, traj)
-        u, xi, tmp, mask = work[0], work[1], work[2], _mask(work)
-
-        def diffuse(o, s):
-            _step_draws(key, s, u, xi, tmp.view(np.uint64))
-            _diffuse(o, kappa, u, xi, tmp, mask)
-
-        return diffuse
-
-    return block
+def _simulate(params: ModelParams, n_traj: int, seeds: SeedSpec, n_workers: int,
+              first: int = 0) -> TrajectoryEnsemble:
+    """Rows ``first`` to ``first + n_traj`` of the simulated ensemble:
+    :func:`_evolve` with diffusion on the counter streams."""
+    kappa = params.kappa
+    return _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta, n_workers,
+                   lambda o, u, xi, tmp, mask, im: _diffuse(o, kappa, u, xi, tmp, mask),
+                   seeds.master_seed, first)
 
 
 def simulate_ensemble(
@@ -287,8 +283,7 @@ def simulate_ensemble(
     n_workers : int
         Thread count for chunk-parallel execution.
     """
-    return _evolve(n_traj, params.n_steps, params.dt, params.x0, params.delta,
-                   n_workers, _diffusion(params, seeds), seeds.master_seed)
+    return _simulate(params, n_traj, seeds, n_workers)
 
 
 def simulate_batches(
@@ -312,9 +307,5 @@ def simulate_batches(
     if n_workers < 1:
         raise ValueError(f"n_workers={n_workers} must be >= 1")
     batch = n_workers * CHUNK
-    diffuse = _diffusion(params, seeds)
-    return (
-        _evolve(min(batch, n_traj - first), params.n_steps, params.dt, params.x0,
-                params.delta, n_workers, diffuse, seeds.master_seed, first).values
-        for first in range(0, n_traj, batch)
-    )
+    return (_simulate(params, min(batch, n_traj - first), seeds, n_workers, first).values
+            for first in range(0, n_traj, batch))

@@ -155,6 +155,17 @@ class TestReconstruct:
 
 
 class TestGenerate:
+    def test_integer_calibration_matches_float(self):
+        # int levels once failed to cast the drawn currents; ints and the
+        # equal floats give the same records and latent ensemble bit for bit
+        runs = []
+        for cal in (CalibrationParams(I0=1.0, I1=-1.0, sigma=2.0, dt=1.0, T1=9.0),
+                    CalibrationParams(I0=1, I1=-1, sigma=2, dt=1, T1=9)):
+            recs, latent = generate_records(make_params(cal, 0.4, 11, T1=cal.T1), cal, 300,
+                                            SeedSpec(6))
+            runs.append([recs.currents.view(np.uint64), latent.values.view(np.uint64)])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
     def test_consistency_enforced(self):
         params = ModelParams(g=0.9, T1=math.inf, dt=0.5, x0=0.5, n_steps=5)
         with pytest.raises(ValueError):

@@ -479,7 +479,33 @@ class TestPipeline:
             "scan; widen tau_min..tau_max",
             "warning: slice 20: chi2 stays below chi2_min + 100 on one side of the tau scan, "
             "so tau_err_dchi2_100 is not bracketed; widen tau_min..tau_max",
+            # a tau held off the minimum misses the data too
+            "warning: slice 20: chi2_min = 300.9 on 100 bins has chance probability < 1e-6; "
+            "check t1_us and the tau scan",
         ]
+
+    def test_chi2_far_past_chance_warns_on_stderr(self, tmp_path, capsys):
+        # T1 = 20 us data fitted at T1 = inf reads chi2_min 11283.6 on 100
+        # bins and warns, still exiting 0; the fit at the data's T1 warns not
+        gen, rec = tmp_path / "gen", tmp_path / "rec"
+        assert run(["generate", f"--out={gen}", "--seed=3", "--n_traj=20000", "--n_steps=40",
+                    "--dt_us=0.125", "--t1_us=20"]) == 0
+        assert run(["reconstruct", f"--out={rec}", f"--input={gen / 'records.qrec'}"]) == 0
+        ens = f"--input={rec / 'reconstructed.qens'}"
+        capsys.readouterr()
+        assert run(["fit", f"--out={tmp_path / 'inf'}", ens, "--slices=40"]) == 0
+        report = io.read_config(str(tmp_path / "inf" / "fit_report.txt"))
+        assert round(float(report["slice.0.chi2_min"]), 1) == 11283.6
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: slice 40: chi2_min = 11283.6 on 100 bins has chance probability < 1e-6; "
+            "check t1_us and the tau scan",
+        ]
+        assert run(["fit", f"--out={tmp_path / 't1'}", ens, "--slices=10,20,40",
+                    "--t1_us=20"]) == 0
+        report = io.read_config(str(tmp_path / "t1" / "fit_report.txt"))
+        chi2 = [round(float(report[f"slice.{i}.chi2_min"]), 1) for i in range(3)]
+        assert chi2 == [89.8, 95.7, 123.3]
+        assert capsys.readouterr().err == ""
 
     def test_manifest_records_the_files_x0(self, tmp_path):
         # the fit runs at the x0 in the ensemble's header, so the manifest

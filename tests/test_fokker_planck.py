@@ -568,6 +568,22 @@ def test_relaxation_lands_where_the_log_odds_form_does(n_cells):
         assert np.array_equal(r.alpha, alpha[:m])
 
 
+def test_relaxation_past_exp_range():
+    # past exp's range (delta > 709.78) every node and the rho00 = 0
+    # bucket's re-entry go to the rho00 = 1 bucket, as sde._relax sends
+    # every state there; the emptied grid stays float
+    (snap,) = solve_fp(0.305, 0.1, 1e-4, [0.5], dt=0.5)
+    assert (snap.mass0, snap.mass1) == (0.0, 1.0)
+    assert snap.weights.dtype == np.float64 and not snap.weights.any()
+    s = fp._Solver(0.305, 1e-4)
+    r = fp._Relaxation(s, 1000.0)
+    assert r.reentry_above and r.alpha.size == 0
+    s.w, s.mass0, s.mass1 = 0.75 * s.w0, 0.25, 0.0
+    r.apply(s)
+    assert s.mass0 == 0.0 and math.isclose(s.mass1, 1.0, rel_tol=1e-15)
+    assert s.w.dtype == np.float64 and not s.w.any()
+
+
 @pytest.mark.parametrize("g", [0.03, 0.4, 2.0])
 @pytest.mark.parametrize("dt", [None, 0.0625])
 @pytest.mark.parametrize("T1", [20.0, 45.0, 1e3])
