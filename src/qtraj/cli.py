@@ -8,9 +8,10 @@ environment variable is read.
 
 Every mode checks its keys before it reads or computes, so a bad key
 exits 2 and writes nothing.  Two checks need the file and come after
-the read, still before any output: the slice range of fit (the file's
-n_steps) and, for the Fokker-Planck model, that the file's x0
-maps inside the z grid.  Every mode names a time as a slice k, at
+its header is read, still before any output: the slice range of fit
+(the file's n_steps) and that the file's x0 suits the model (inside
+the z grid for Fokker-Planck, not an eigenstate for the closed form).
+Every mode names a time as a slice k, at
 t = k * dt_us (simulate's hist_<k>.txt, solve-fp's fp_<k>.txt), and
 bins rho00 into n_bins bins of width 1/n_bins.
 """
@@ -20,7 +21,9 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 from scipy.special import chdtrc
@@ -29,7 +32,6 @@ from . import bayesian, fitting, io
 from .core import (
     CalibrationParams,
     ModelParams,
-    build_histogram,
     histogram_counts,
     histogram_from_counts,
 )
@@ -192,6 +194,15 @@ def _require_input(path: str, what: str) -> str:
 # commands
 
 
+def _counted(cfg: RunConfig, counts: dict, block: np.ndarray) -> np.ndarray:
+    """Add each slice k's histogram counts of the row ``block`` to
+    ``counts[k]`` and return the block: integer counts, so their sum over
+    a file's row blocks is the whole slice's."""
+    for k in counts:
+        counts[k] += histogram_counts(block[:, k], cfg.n_bins, cfg.bin_width)
+    return block
+
+
 def cmd_generate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
     cal = cfg.cal()
@@ -218,17 +229,11 @@ def cmd_simulate(cfg: RunConfig) -> None:
     params = cfg.params()
     counts = dict.fromkeys(cfg.slice_list(cfg.n_steps, first=0), 0)
     batches = simulate_batches(params, cfg.n_traj, seeds, n_workers=cfg.n_workers)
-
-    def counted(block):
-        # integer bin counts, so their sum over blocks is the whole slice's
-        for k in counts:
-            counts[k] += histogram_counts(block[:, k], cfg.n_bins, cfg.bin_width)
-        return block
-
     # the ensemble goes to its file one batch at a time: memory holds
     # O(n_workers * CHUNK * n_steps) values for any n_traj
     os.makedirs(cfg.out, exist_ok=True)
-    io.write_ensemble_blocks(os.path.join(cfg.out, "ensemble.qens"), map(counted, batches),
+    io.write_ensemble_blocks(os.path.join(cfg.out, "ensemble.qens"),
+                             map(lambda block: _counted(cfg, counts, block), batches),
                              cfg.n_traj, params.n_steps, params.dt, params.x0, seeds.master_seed)
     _write_manifest(cfg)
     for k, c in counts.items():
@@ -263,11 +268,16 @@ def cmd_fit(cfg: RunConfig) -> None:
         raise ValueError("T1 must be > 0")
     # an empty slices key names one slice, the file's last
     fitting._require_scan_memory(len(cfg.slice_list(None, first=1)), scan.size)
-    ens = io.read_ensemble(_require_input(cfg.input, "input"))
-    slices = cfg.slice_list(ens.n_steps, first=1)
-    observed = [build_histogram(ens, k, cfg.n_bins, cfg.bin_width) for k in slices]
-    if ens.x0 is not None:  # the manifest records the x0 the fit uses
-        cfg.x0 = ens.x0
+    # row blocks of a few MiB, so memory is bounded for any file size
+    with closing(io.read_ensemble_blocks(_require_input(cfg.input, "input"))) as blocks:
+        head = next(blocks)  # the header is checked with the first block
+        counts = dict.fromkeys(cfg.slice_list(head.n_steps, first=1), 0)
+        for block in chain([head], blocks):
+            _counted(cfg, counts, block.values)
+    slices = list(counts)
+    observed = [histogram_from_counts(c, k * head.dt, cfg.bin_width) for k, c in counts.items()]
+    if head.x0 is not None:  # the manifest records the x0 the fit uses
+        cfg.x0 = head.x0
     # the closed form takes one snapshot for every slice: the model at T1 = inf
     norelax_gen = fitting.make_analytic_model_gen(cfg.x0, 1, cfg.n_bins, cfg.bin_width)
     gen = norelax_gen if math.isinf(cfg.t1_us) else fitting.make_fp_model_gen(

@@ -321,31 +321,6 @@ class DistributionSnapshot:
         return float(self.density.sum() + self.mass0 + self.mass1)
 
 
-def bin_index(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
-    """Bin assignment with edges ``edges[k] = k*w``, bin k holding
-    [edges[k], edges[k+1]); the value 1.0 is excluded upstream (boundary
-    mass), everything else in [0, 1) gets a bin, and values outside the
-    edges go to the end bins.
-
-    ``floor(v/w)`` is off by at most one against the rounded edges, so a
-    +-1 fix-up against the edges gives exactly
-    ``clip(searchsorted(edges, v, "right") - 1, 0, n_bins - 1)`` for any
-    value that is not NaN, without a binary search.  Each edge is formed
-    as ``k*w`` where it is compared, the same product as ``edges =
-    arange(n_bins + 1)*w``, so no table is gathered.
-    """
-    guess = np.divide(values, bin_width)
-    np.floor(guess, out=guess)
-    np.clip(guess, 0, n_bins - 1, out=guess)
-    idx = guess.astype(np.intp)
-    edge = np.multiply(idx, bin_width, out=guess)
-    idx -= edge > values
-    idx += 1
-    np.multiply(idx, bin_width, out=edge)
-    idx -= edge > values
-    return np.clip(idx, 0, n_bins - 1, out=idx)
-
-
 def build_histogram(
     ensemble: TrajectoryEnsemble,
     slice_index: int,
@@ -388,21 +363,42 @@ def check_binning(n_bins: int, bin_width: float) -> None:
 
 def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
     """Integer counts of populations ``values``: the ``n_bins`` interior
-    bins, then the values exactly 0.0, then those exactly 1.0.  They are
-    binned ``_HIST_BLOCK`` at a time, so no temporary is slice-sized."""
+    bins, bin k holding [k*w, (k+1)*w) for ``w = bin_width`` and the last
+    bin everything above, then the values exactly 0.0, then those
+    exactly 1.0.
+
+    A value v lies in sub-cell ``int(v*L)``, L the least power of two
+    >= 2/w: v*L is exact, and each sub-cell holds at most one edge.
+    Tables built per call give each sub-cell's cell below that edge and
+    the edge itself, the cell at or above it being the next one, so
+    ``v >= edge`` adds the step.  0.0 and 1.0 get cells of their own:
+    sub-cell L holds only 1.0, and in sub-cell 0 the edge is the least
+    subnormal.  The values are binned ``_HIST_BLOCK`` at a time, so no
+    temporary is slice-sized."""
     check_binning(n_bins, bin_width)
+    L = 1
+    while L * bin_width < 2.0:
+        L *= 2
+    # cell 0 holds 0.0, cell 1 + k bin k and cell n_bins + 1 holds 1.0
+    edges = np.arange(n_bins + 1) * bin_width
+    cell = np.clip(np.searchsorted(edges, np.arange(L + 1) / L, "right") - 1, 0, n_bins - 1) + 1
+    cell[0], cell[L] = 0, n_bins + 1
+    scaled = edges[1:n_bins] * L
+    scaled = scaled[scaled < L]  # the edges below 1; those k >= n_bins stay out (the clip)
+    sub = scaled.astype(np.intp)
+    edge = np.full(L + 1, math.inf)
+    edge[sub] = np.where(sub < scaled, scaled / L, math.inf)  # an edge on j/L is cell[j]'s
+    edge[0] = 5e-324
     counts = np.zeros(n_bins + 2, dtype=np.intp)
     for lo in range(0, len(values), _HIST_BLOCK):
         block = np.ascontiguousarray(values[lo : lo + _HIST_BLOCK])
         if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
             raise ValueError("ensemble values outside [0, 1]")
-        counts[:n_bins] += np.bincount(bin_index(block, n_bins, bin_width), minlength=n_bins)
-        counts[n_bins] += np.count_nonzero(block == 0.0)
-        counts[n_bins + 1] += np.count_nonzero(block == 1.0)
-    # every value was binned: take the boundary values back out of their bins
-    counts[0] -= counts[n_bins]
-    counts[bin_index(np.array([1.0]), n_bins, bin_width)[0]] -= counts[n_bins + 1]
-    return counts
+        sub = (block * L).astype(np.intp)
+        c = cell.take(sub)
+        c += block >= edge.take(sub)
+        counts += np.bincount(c, minlength=n_bins + 2)
+    return np.concatenate((counts[1:-1], counts[[0, -1]]))
 
 
 def histogram_from_counts(counts: np.ndarray, t: float, bin_width: float) -> DistributionSnapshot:

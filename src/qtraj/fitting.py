@@ -292,8 +292,12 @@ def make_analytic_model_gen(
     The distribution depends on tau only, so every slice shares one
     snapshot per trial value.  Bin masses are exact integrals, with zero
     model errors.  ``gen(tau, which)`` returns one copy per index in
-    ``which`` instead of ``n_slices``.
+    ``which`` instead of ``n_slices``.  An x0 of 0 or 1 is a ValueError:
+    at an eigenstate the distribution does not depend on tau.
     """
+    if x0 in (0.0, 1.0):
+        raise ValueError(f"x0={x0!r} is an eigenstate, where the closed form does not "
+                         "depend on tau")
     edges = np.arange(n_bins + 1) * bin_width
 
     def gen(tau: float, which: Sequence[int] | None = None) -> list[DistributionSnapshot]:

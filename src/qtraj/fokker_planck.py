@@ -83,6 +83,8 @@ FP_Z_MAX = 12.0
 
 _MASS_TOL = 1e-8
 _NEG_TOL = -1e-12
+# substeps one interval may take: about 20 s at 8192 cells
+_MAX_SUBSTEPS = 100_000
 # Gaussian kernels are truncated at this many sigma; the cut mass
 # (~2e-17 per side) is routed to the boundary buckets, not dropped.
 _KERNEL_TAIL = 8.5
@@ -209,13 +211,15 @@ class _Solver:
             raise ValueError(f"t_grid entries must be finite, got {t_grid.tolist()!r}")
         if np.any(np.diff(t_grid) < 0) or np.any(t_grid < -1e-12):
             raise ValueError("t_grid must be nondecreasing and start at/after 0")
+        # every interval's substep count is checked before the first substep
+        spans = np.diff(t_grid, prepend=0.0)
+        plans = [self.interval(float(span)) if span > 0.0 else None for span in spans]
         self.w, self.mass0, self.mass1 = self.w0, 0.0, self.mass1_0
         out: list[DensityGrid] = []
         t = 0.0
-        for t_next in t_grid:
-            span = float(t_next - t)
-            if span > 0.0:
-                n_sub, h, half, relax = self.interval(span)
+        for t_next, plan in zip(t_grid, plans):
+            if plan is not None:
+                n_sub, h, half, relax = plan
                 # the diffusion spreads the cells from the half step's floor,
                 # the lowest the interval's deposits write; the deposits
                 # after it skip the cells below its own floor, which it
@@ -261,9 +265,14 @@ class _Solver:
 
     def interval(self, span: float):
         """Substep count and length of an interval of length ``span`` > 0,
-        and its half- and full-step relaxations, built on first use."""
+        and its half- and full-step relaxations, built on first use.  An
+        interval of more than ``_MAX_SUBSTEPS`` substeps is a ValueError."""
         # an interval shorter than sub is one substep, as is any at T1 = inf
         sub = self.T1 / 100.0 if self.dt is None or math.isinf(self.T1) else self.dt
+        if span > _MAX_SUBSTEPS * sub:  # a product, as T1/100 may round to 0
+            count = span / sub if sub > 0.0 else math.inf
+            raise ValueError(f"an interval of length {span!r} at T1 = {self.T1!r} needs "
+                             f"{count:.6g} substeps of {sub!r}, more than {_MAX_SUBSTEPS}")
         n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
         h = span / n_sub
         delta = h / self.T1
@@ -459,6 +468,9 @@ def solve_fp(x0: float, g: float, T1: float, t_grid, *,
 
     Raises
     ------
+    ValueError
+        If an interval between snapshot times needs more than 1e5
+        substeps; this is checked before the first substep.
     FPSolverError
         If mass conservation drifts beyond 1e-8 or densities go negative
         beyond -1e-12.

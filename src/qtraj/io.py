@@ -9,7 +9,8 @@ and all text tables use full round-trip decimal precision.  qtraj reads
 records, ensembles and config files (a fit report is one), and for
 each of them write -> read -> write is byte-identical.  Binary
 reads and writes hold one copy of the payload: the writer sends each
-array buffer straight to the file and the reader fills one array.
+array buffer straight to the file and the reader fills one array, or
+one block-sized buffer when it reads in row blocks.
 Output files get the mode ``open()`` would give them (0o666 less the
 umask).  Times in files are microseconds.
 """
@@ -36,6 +37,7 @@ __all__ = [
     "write_ensemble",
     "write_ensemble_blocks",
     "read_ensemble",
+    "read_ensemble_blocks",
     "write_histogram",
     "write_overlay",
     "write_fit_report",
@@ -54,6 +56,7 @@ _REC_HEADER = struct.Struct("<IQQddddddQ")
 # little-endian: version u32, n_traj u64, n_slices u64, dt f64, x0 f64,
 # master_seed u64
 _ENS_HEADER = struct.Struct("<IQQddQ")
+_READ_BLOCK = 4 << 20  # bytes of body per row block of read_ensemble_blocks
 
 
 class FormatError(ValueError):
@@ -114,10 +117,16 @@ def _write_binary(path: str, magic: bytes, header: struct.Struct, shape, blocks,
             raise ValueError(f"row blocks hold {shape[0] - n_rows} rows, header says {shape[0]}")
 
 
-def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, build):
-    """Inverse of :func:`_write_binary`: ``build(body, *header fields after
-    n_cols)``, the body read into one preallocated array.  A ValueError from
-    ``build`` or the memory check becomes a FormatError naming the file."""
+def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, build,
+                 block_bytes: int | None = None):
+    """Inverse of :func:`_write_binary`: generate ``build(rows, *header
+    fields after n_cols)`` of the body's consecutive row blocks.  By
+    default one block, the whole body, is read into one preallocated
+    array once the memory check passes; with ``block_bytes`` every block
+    of at most that many bytes (and at least one row) is read into one
+    reused buffer, so a block holds its values until the next is read.
+    A ValueError from ``build`` or the memory check becomes a FormatError
+    naming the file."""
     try:
         with open(path, "rb") as f:
             if f.read(len(magic)) != magic:
@@ -136,11 +145,18 @@ def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, buil
                 raise FormatError(
                     f"{path}: body has {size} bytes at offset {off}, expected {expected}"
                 )
-            require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
-            body = _mapped_empty((n_traj, n_cols))
-            if f.readinto(body) != expected:
-                raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
-        return build(body, *meta)
+            if block_bytes is None:
+                require_memory(expected, f"{kind} body of {n_traj} x {n_cols} values")
+                rows = max(n_traj, 1)
+            else:
+                rows = max(1, block_bytes // max(8 * n_cols, 1))
+            buf = _mapped_empty((min(rows, n_traj), n_cols))
+            # an empty body is one empty block, which build rejects
+            for lo in range(0, max(n_traj, 1), rows):
+                block = buf[: min(rows, n_traj - lo)]
+                if f.readinto(block) != block.nbytes:
+                    raise FormatError(f"{path}: body shorter than {expected} bytes at offset {off}")
+                yield build(block, *meta)
     except FormatError:
         raise
     except ValueError as exc:
@@ -169,7 +185,8 @@ def read_records(path: str) -> RecordSet:
     """Read a record file; values the record model rejects (a non-finite
     current, sigma <= 0, an x0 outside [0, 1]) raise FormatError too, as
     does a body larger than the memory the system reports available."""
-    return _read_binary(path, RECORD_MAGIC, _REC_HEADER, "record", _build_records)
+    (records,) = _read_binary(path, RECORD_MAGIC, _REC_HEADER, "record", _build_records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +219,19 @@ def read_ensemble(path: str) -> TrajectoryEnsemble:
     """Read an ensemble file; header values the ensemble model rejects
     (no trajectories or slices, a bad dt or x0) raise FormatError too,
     as does a body larger than the memory the system reports available."""
-    return _read_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble", _build_ensemble)
+    (ens,) = _read_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble", _build_ensemble)
+    return ens
+
+
+def read_ensemble_blocks(path: str):
+    """Generate the ensemble file's consecutive row blocks, each a
+    TrajectoryEnsemble of at most ``_READ_BLOCK`` bytes of values, read
+    into one reused buffer: a block's values hold until the next block
+    is read.  Memory stays bounded for any file size, so no memory check
+    is made; the header and the body size are checked as
+    :func:`read_ensemble` checks them."""
+    return _read_binary(path, ENSEMBLE_MAGIC, _ENS_HEADER, "ensemble", _build_ensemble,
+                        _READ_BLOCK)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,32 @@ class TestInputChecks:
         assert f"dt must be finite and > 0, got {float(dt)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_substeps_refused(self, tmp_path, capsys):
+        # t1_us = 1e-4 substeps at 1e-6 us: slice 1 (0.5 us) would take 5e5
+        out = tmp_path / "out"
+        assert run(["solve-fp", f"--out={out}", "--t1_us=1e-4", "--g_per_us=0.1",
+                    "--slices=1"]) == 2
+        assert "needs 500000 substeps of 1e-06, more than 100000" in capsys.readouterr().err
+        assert not out.exists()
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100", "--n_steps=1",
+                    "--g_per_us=0.1"]) == 0
+        assert run(["fit", f"--out={out}", f"--input={sim / 'ensemble.qens'}",
+                    "--t1_us=1e-4"]) == 2
+        assert "needs 500000 substeps of 1e-06, more than 100000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0", ["0.0", "1.0"])
+    def test_fit_refuses_eigenstate_x0(self, tmp_path, capsys, x0):
+        # every trajectory stays at the eigenstate, so the closed form has
+        # no tau to fit: exit 2 before any output
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=1000", "--n_steps=10",
+                    f"--x0={x0}", "--g_per_us=0.1"]) == 0
+        assert run(["fit", f"--out={out}", f"--input={sim / 'ensemble.qens'}"]) == 2
+        assert f"x0={x0} is an eigenstate" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         ("--slices=81", "slice 81 out of range 0..80"),
         ("--slices=2,4,2", "slice 2 given twice"),
@@ -789,10 +815,12 @@ class TestPipeline:
     def test_memory_refusal_exit_codes(self, tmp_path, capsys, monkeypatch):
         # a computed ensemble, tau grid or set of scan tables that cannot
         # fit is a usage error (exit 2); a file whose body cannot fit is an
-        # input error naming it (exit 1)
-        sim = tmp_path / "sim"
+        # input error naming it (exit 1), unless it is read in row blocks
+        sim, gen = tmp_path / "sim", tmp_path / "gen"
         assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100",
                     "--n_steps=4", "--g_per_us=0.03"]) == 0
+        assert run(["generate", f"--out={gen}", "--seed=1", "--n_traj=100",
+                    "--n_steps=4"]) == 0
         monkeypatch.setattr(core, "available_memory", lambda: 1000)
         assert run(["simulate", f"--out={tmp_path / 'big'}", "--seed=1", "--n_traj=100",
                     "--n_steps=4"]) == 2
@@ -803,24 +831,30 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "a tau grid of 25000000001 points needs 800000000032 bytes" in err
         assert not (tmp_path / "tau").exists()
-        # a 3-point tau grid (96 bytes) fits, so the file's body is refused
-        assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
-                    "--tau_max=0.02"]) == 1
+        # reconstruct reads the whole 3200-byte body of records, which is
+        # refused; a fit on a 3-point tau grid (96 bytes) reads its ensemble
+        # in row blocks, so its 4000-byte body needs no memory
+        assert run(["reconstruct", f"--out={tmp_path / 'rec'}",
+                    f"--input={gen / 'records.qrec'}"]) == 1
         err = capsys.readouterr().err
-        assert "ensemble.qens: ensemble body of 100 x 5 values needs 4000 bytes" in err
-        assert not (tmp_path / "fit").exists()
+        assert "records.qrec: record body of 100 x 4 values needs 3200 bytes" in err
+        assert not (tmp_path / "rec").exists()
+        assert run(["fit", f"--out={tmp_path / 'blocks'}", f"--input={sim / 'ensemble.qens'}",
+                    "--tau_max=0.02"]) == 0
+        assert (tmp_path / "blocks" / "fit_report.txt").exists()
+        capsys.readouterr()
         # four slices' scan tables of the 251-point default grid need 16064
         # bytes: the grid's 8032 would fit, the tables do not, and they are
         # refused before the file is read
         monkeypatch.setattr(core, "available_memory", lambda: 16063)
-        read_ensemble = io.read_ensemble
-        monkeypatch.setattr(io, "read_ensemble", lambda *a: pytest.fail("file read"))
+        read_blocks = io.read_ensemble_blocks
+        monkeypatch.setattr(io, "read_ensemble_blocks", lambda *a: pytest.fail("file read"))
         assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
                     "--slices=1,2,3,4"]) == 2
         err = capsys.readouterr().err
         assert "a scan of 4 slices at 251 tau points needs 16064 bytes of memory" in err
         assert not (tmp_path / "fit").exists()
-        monkeypatch.setattr(io, "read_ensemble", read_ensemble)
+        monkeypatch.setattr(io, "read_ensemble_blocks", read_blocks)
         monkeypatch.setattr(core, "available_memory", lambda: 16064)
         assert run(["fit", f"--out={tmp_path / 'fit'}", f"--input={sim / 'ensemble.qens'}",
                     "--slices=1,2,3,4"]) == 0

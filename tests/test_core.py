@@ -19,7 +19,6 @@ from qtraj.core import (
     ModelParams,
     TrajectoryEnsemble,
     available_memory,
-    bin_index,
     build_histogram,
     check_binning,
     histogram_counts,
@@ -331,7 +330,11 @@ ORACLE_Z = np.concatenate([
     SPECIAL_Z,
     np.random.default_rng(23).normal(0.0, 8.0, 400).clip(-Z_CAP, Z_CAP),
 ])
-BINNINGS = [(100, 0.01), (7, 0.15), (1000, 0.001), (3, 1 / 3), (13, 1 / 13), (1, 1.0), (10, 0.11)]
+# 1/64 puts every edge on a sub-cell bound and one ulp either side just
+# off them (one ulp below, 64 bins end just below 1)
+BINNINGS = [(100, 0.01), (7, 0.15), (1000, 0.001), (3, 1 / 3), (13, 1 / 13), (1, 1.0), (10, 0.11),
+            (64, 1 / 64), (64, np.nextafter(1 / 64, 1.0)), (64, np.nextafter(1 / 64, 0.0)),
+            (1, 5.0), (100_000, 1e-5)]
 
 
 class TestKernelOracles:
@@ -342,20 +345,19 @@ class TestKernelOracles:
             assert same_bits(to_rho(float(z)), want[ORACLE_Z == z][0])
 
     @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
-    def test_bin_index_at_every_edge(self, n_bins, bin_width):
-        edges = np.arange(n_bins + 1) * bin_width
-        values = np.concatenate([
-            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-            np.random.default_rng(4).random(500), [-0.0, -1.0, 2.0, math.inf, -math.inf],
-        ])
-        assert np.array_equal(bin_index(values, n_bins, bin_width),
-                              bin_index_ref(values, n_bins, bin_width))
-
-    @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
     def test_counts_at_every_edge(self, n_bins, bin_width):
-        edges = np.arange(n_bins + 1) * bin_width
-        values = np.concatenate([edges, np.nextafter(edges, -np.inf),
-                                 np.nextafter(edges, np.inf), [0.0, 0.0, 1.0]])
+        # every bin edge and every bound j/L of the sub-cells the counts
+        # look up (L the least power of two with L*w >= 2), each with its
+        # neighbours, the values at and next to 0 and 1, and uniforms
+        sub_cells = 1
+        while sub_cells * bin_width < 2.0:
+            sub_cells *= 2
+        bounds = np.concatenate([np.arange(n_bins + 1) * bin_width,
+                                 np.arange(sub_cells + 1) / sub_cells])
+        values = np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                                 np.nextafter(bounds, np.inf),
+                                 [0.0, 0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0],
+                                 np.random.default_rng(4).random(500)])
         values = values[(values >= 0.0) & (values <= 1.0)]
         strided = np.repeat(values[:, None], 3, axis=1)[:, 1]
         assert np.array_equal(histogram_counts(strided, n_bins, bin_width),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ class TestFitTau:
         for scan in ([0.0, 0.2, 0.45, 0.5, 0.7, 1.0], [0.5, 0.4, 0.3]):
             with pytest.raises(ValueError, match="uniform"):
                 fit_tau([obs], gen, np.array(scan))
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0])
+    def test_eigenstate_x0_refused(self, x0):
+        # every trajectory stays at the eigenstate whatever tau is
+        with pytest.raises(ValueError, match=re.escape(f"x0={x0} is an eigenstate")):
+            make_analytic_model_gen(x0, 1)
 
     def test_model_gen_slice_mismatch(self):
         # every call selects one slice; a generator that ignores the

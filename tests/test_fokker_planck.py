@@ -1,5 +1,7 @@
 import gc
 import math
+import re
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -275,6 +277,23 @@ class TestSolveFP:
             for sol, r in zip(solve_fp(0.305, 0.05, math.inf, t_grid, dt=dt), ref, strict=True):
                 assert np.array_equal(sol.weights, r.weights)
                 assert (sol.mass0, sol.mass1, sol.t) == (r.mass0, r.mass1, r.t)
+
+    def test_substep_count_refused_before_the_first_substep(self, monkeypatch):
+        # T1 = 1e-4 substeps at T1/100 = 1e-6: the first interval (0.5)
+        # would take 5e5 substeps; with dt = 0.5 the same call runs at once
+        monkeypatch.setattr(fp._Diffusion, "apply", lambda *a: pytest.fail("substep ran"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                "an interval of length 0.5 at T1 = 0.0001 needs 500000 substeps of 1e-06, "
+                "more than 100000")):
+            solve_fp(0.305, 0.1, 1e-4, [0.5, 1.0])
+        assert time.perf_counter() - start < 1.0
+        # a later interval is refused before the first one runs, too
+        with pytest.raises(ValueError, match="needs 100001 substeps of 1e-06"):
+            solve_fp(0.305, 0.1, 1e-4, [1e-6, 1e-6 + 0.100001])
+        monkeypatch.undo()
+        solve_fp(0.305, 0.1, 1e-4, [0.5, 1.0], dt=0.5)
+        assert fp._Solver(0.305, 1e-4).interval(1e5 * 1e-6)[0] == 100_000  # at the limit
 
     def test_reentry_beyond_the_grid(self, monkeypatch):
         # a full step of delta = 30 re-enters the rho00 = 0 bucket at

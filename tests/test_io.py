@@ -42,6 +42,19 @@ def file_bytes(path):
         return f.read()
 
 
+def read_in_blocks(path):
+    """The ensemble of a file read by ``io.read_ensemble_blocks``: the
+    blocks' values stacked, and the header the blocks share."""
+    blocks = [(b, b.values.copy()) for b in io.read_ensemble_blocks(path)]
+    head = blocks[0][0]
+    for b, _ in blocks:
+        assert (b.n_steps, b.dt, b.x0, b.master_seed) == (head.n_steps, head.dt, head.x0,
+                                                          head.master_seed)
+    values = np.concatenate([v for _, v in blocks])
+    return TrajectoryEnsemble(n_traj=len(values), n_steps=head.n_steps, dt=head.dt,
+                              values=values, x0=head.x0, master_seed=head.master_seed)
+
+
 def read_histogram(path):
     """A histogram file parsed back into a snapshot: ``# key=value``
     header lines, then center,density,error rows.  qtraj writes these
@@ -125,14 +138,14 @@ class TestRecordFiles:
             io.read_records(str(p))
 
 
-@pytest.mark.parametrize("kind", ["record", "ensemble"])
-def test_binary_container_diagnostics(tmp_path, records, ensemble, kind):
+@pytest.mark.parametrize("kind", ["record", "ensemble", "ensemble blocks"])
+def test_binary_container_diagnostics(tmp_path, monkeypatch, records, ensemble, kind):
     # record and ensemble files share one container: magic, header
-    # (version u32, n_traj u64, n_cols u64, ...), row-major <f8 body
-    write, read, obj, body = {
-        "record": (io.write_records, io.read_records, records, records.currents),
-        "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
-    }[kind]
+    # (version u32, n_traj u64, n_cols u64, ...), row-major <f8 body; a
+    # read in row blocks (two rows each here) gives the same messages
+    monkeypatch.setattr(io, "_READ_BLOCK", 2 * ensemble.values[0].nbytes)
+    write, read, obj, body = binary_io(kind, records, ensemble)
+    kind = kind.split()[0]
     good = tmp_path / "good.bin"
     write(str(good), obj)
     raw = file_bytes(good)
@@ -147,6 +160,8 @@ def test_binary_container_diagnostics(tmp_path, records, ensemble, kind):
                          f"truncated header at byte offset {head_end - 1}"),
         "long_body": (raw + bytes(8), f"body has {body.nbytes + 8} bytes at offset "
                       f"{head_end}, expected {body.nbytes}"),
+        "short_body": (raw[:-8], f"body has {body.nbytes - 8} bytes at offset "
+                       f"{head_end}, expected {body.nbytes}"),
     }
     for name, (data, message) in cases.items():
         bad = tmp_path / f"{name}.bin"
@@ -155,14 +170,12 @@ def test_binary_container_diagnostics(tmp_path, records, ensemble, kind):
             read(str(bad))
 
 
-@pytest.mark.parametrize("kind", ["record", "ensemble"])
+@pytest.mark.parametrize("kind", ["record", "ensemble", "ensemble blocks"])
 def test_short_body_read(tmp_path, monkeypatch, records, ensemble, kind):
     # a body that reads short of the size fstat gave (a file truncated
     # while it is read) is a format error, not a partly filled array
-    write, read, obj, body = {
-        "record": (io.write_records, io.read_records, records, records.currents),
-        "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
-    }[kind]
+    monkeypatch.setattr(io, "_READ_BLOCK", 2 * ensemble.values[0].nbytes)
+    write, read, obj, body = binary_io(kind, records, ensemble)
     p = tmp_path / "short.bin"
     write(str(p), obj)
     head_end = p.stat().st_size - body.nbytes
@@ -206,11 +219,27 @@ class TestEnsembleFiles:
             return io.ENSEMBLE_MAGIC + head + bytes(8 * n_traj * n_cols)
 
         p = tmp_path / "bad.qens"
-        p.write_bytes(packed())
-        assert io.read_ensemble(str(p)).x0 == 0.305
-        p.write_bytes(packed(**fields))
-        with pytest.raises(io.FormatError, match=re.escape(f"{p.name}: {message}")):
-            io.read_ensemble(str(p))
+        # the whole-body read and the read in row blocks check alike
+        for read in (io.read_ensemble, read_in_blocks):
+            p.write_bytes(packed())
+            assert read(str(p)).x0 == 0.305
+            p.write_bytes(packed(**fields))
+            with pytest.raises(io.FormatError, match=re.escape(f"{p.name}: {message}")):
+                read(str(p))
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 6])
+    def test_row_blocks(self, tmp_path, monkeypatch, ensemble, rows):
+        # blocks of at most _READ_BLOCK bytes and at least one row, whose
+        # values stack to the whole body
+        p = tmp_path / "e.qens"
+        io.write_ensemble(str(p), ensemble)
+        row = ensemble.values[0].nbytes
+        monkeypatch.setattr(io, "_READ_BLOCK", rows * row + row // 2 if rows > 1 else 1)
+        sizes = [b.n_traj for b in io.read_ensemble_blocks(str(p))]
+        assert sizes == [min(rows, 5 - lo) for lo in range(0, 5, rows)]
+        back = read_in_blocks(str(p))
+        assert back.values.tobytes() == ensemble.values.tobytes()
+        assert (back.dt, back.x0, back.master_seed) == (0.5, 0.4, 7)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "no.qens"
@@ -288,6 +317,7 @@ def binary_io(kind, records, ensemble):
     return {
         "record": (io.write_records, io.read_records, records, records.currents),
         "ensemble": (io.write_ensemble, io.read_ensemble, ensemble, ensemble.values),
+        "ensemble blocks": (io.write_ensemble, read_in_blocks, ensemble, ensemble.values),
     }[kind]
 
 
