@@ -361,11 +361,10 @@ def check_binning(n_bins: int, bin_width: float) -> None:
         raise ValueError("n_bins * bin_width must cover [0, 1]")
 
 
-def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
-    """Integer counts of populations ``values``: the ``n_bins`` interior
-    bins, bin k holding [k*w, (k+1)*w) for ``w = bin_width`` and the last
-    bin everything above, then the values exactly 0.0, then those
-    exactly 1.0.
+def _cell_lookup(n_bins: int, bin_width: float):
+    """The cell of each value in [0, 1], as a function of the values:
+    cell 0 holds 0.0, cell 1 + k bin k (the last bin everything above
+    ``(n_bins - 1)*w``) and cell n_bins + 1 holds 1.0.
 
     A value v lies in sub-cell ``int(v*L)``, L the least power of two
     >= 2/w: v*L is exact, and each sub-cell holds at most one edge.
@@ -373,13 +372,10 @@ def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.nd
     the edge itself, the cell at or above it being the next one, so
     ``v >= edge`` adds the step.  0.0 and 1.0 get cells of their own:
     sub-cell L holds only 1.0, and in sub-cell 0 the edge is the least
-    subnormal.  The values are binned ``_HIST_BLOCK`` at a time, so no
-    temporary is slice-sized."""
-    check_binning(n_bins, bin_width)
+    subnormal."""
     L = 1
     while L * bin_width < 2.0:
         L *= 2
-    # cell 0 holds 0.0, cell 1 + k bin k and cell n_bins + 1 holds 1.0
     edges = np.arange(n_bins + 1) * bin_width
     cell = np.clip(np.searchsorted(edges, np.arange(L + 1) / L, "right") - 1, 0, n_bins - 1) + 1
     cell[0], cell[L] = 0, n_bins + 1
@@ -389,15 +385,44 @@ def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.nd
     edge = np.full(L + 1, math.inf)
     edge[sub] = np.where(sub < scaled, scaled / L, math.inf)  # an edge on j/L is cell[j]'s
     edge[0] = 5e-324
+
+    def cells(v: np.ndarray) -> np.ndarray:
+        sub = (v * L).astype(np.intp)
+        c = cell.take(sub)
+        c += v >= edge.take(sub)
+        return c
+
+    return cells
+
+
+def bin_index(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
+    """Bin of each value through the cells :func:`histogram_counts`
+    counts: ``clip(searchsorted(edges, v, "right") - 1, 0, n_bins - 1)``
+    for ``edges = arange(n_bins + 1)*w`` and any value that is not NaN,
+    values outside [0, 1] going to the end bins."""
+    check_binning(n_bins, bin_width)
+    idx = _cell_lookup(n_bins, bin_width)(np.clip(values, 0.0, 1.0))
+    idx -= 1
+    return np.clip(idx, 0, n_bins - 1, out=idx)
+
+
+def histogram_counts(values: np.ndarray, n_bins: int, bin_width: float) -> np.ndarray:
+    """Integer counts of populations ``values``: the ``n_bins`` interior
+    bins, bin k holding [k*w, (k+1)*w) for ``w = bin_width`` and the last
+    bin everything above, then the values exactly 0.0, then those
+    exactly 1.0.
+
+    Each value costs two table lookups and one ``bincount``
+    (:func:`_cell_lookup`).  The values are binned ``_HIST_BLOCK`` at a
+    time, so no temporary is slice-sized."""
+    check_binning(n_bins, bin_width)
+    cells = _cell_lookup(n_bins, bin_width)
     counts = np.zeros(n_bins + 2, dtype=np.intp)
     for lo in range(0, len(values), _HIST_BLOCK):
         block = np.ascontiguousarray(values[lo : lo + _HIST_BLOCK])
         if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
             raise ValueError("ensemble values outside [0, 1]")
-        sub = (block * L).astype(np.intp)
-        c = cell.take(sub)
-        c += block >= edge.take(sub)
-        counts += np.bincount(c, minlength=n_bins + 2)
+        counts += np.bincount(cells(block), minlength=n_bins + 2)
     return np.concatenate((counts[1:-1], counts[[0, -1]]))
 
 

@@ -19,6 +19,7 @@ from qtraj.core import (
     ModelParams,
     TrajectoryEnsemble,
     available_memory,
+    bin_index,
     build_histogram,
     check_binning,
     histogram_counts,
@@ -343,6 +344,16 @@ class TestKernelOracles:
         assert same_bits(to_rho(ORACLE_Z), want)
         for z in SPECIAL_Z:
             assert same_bits(to_rho(float(z)), want[ORACLE_Z == z][0])
+
+    @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
+    def test_bin_index_at_every_edge(self, n_bins, bin_width):
+        edges = np.arange(n_bins + 1) * bin_width
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.random.default_rng(4).random(500), [-0.0, -1.0, 2.0, math.inf, -math.inf],
+        ])
+        assert np.array_equal(bin_index(values, n_bins, bin_width),
+                              bin_index_ref(values, n_bins, bin_width))
 
     @pytest.mark.parametrize("n_bins, bin_width", BINNINGS)
     def test_counts_at_every_edge(self, n_bins, bin_width):
