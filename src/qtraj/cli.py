@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from contextlib import closing
-from dataclasses import dataclass, fields
-from itertools import chain
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import chdtrc
@@ -34,6 +32,7 @@ from .core import (
     ModelParams,
     histogram_counts,
     histogram_from_counts,
+    require_memory,
 )
 from .fokker_planck import FPSolverError, fp_snapshot_to_bins, solve_fp
 from .rng import SeedSpec
@@ -120,37 +119,19 @@ class RunConfig:
         return ModelParams(g=self.g_per_us, T1=self.t1_us, dt=self.dt_us, x0=self.x0,
                            n_steps=self.n_steps)
 
-    def cal(self) -> CalibrationParams:
-        return CalibrationParams(
-            I0=self.i0, I1=self.i1, sigma=self.sigma, dt=self.dt_us, T1=self.t1_us
-        )
-
-    def tau_scan(self) -> np.ndarray:
-        return fitting.default_tau_scan(self.tau_min, self.tau_max, self.tau_step)
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(key: str, value: str):
-    t = _FIELD_TYPES[key]
-    try:
-        if t == "int":
-            return int(value)
-        if t == "float":
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {value!r}") from exc
-
 
 def config_from_items(items: dict, mode: str) -> RunConfig:
-    """The config of ``mode``, one of MODES, from key-value strings."""
+    """The config of ``mode``, one of MODES, from key-value strings,
+    each converted to the type of its key's default."""
     cfg = RunConfig()
+    names = {f.name for f in fields(cfg)}
     for key, value in items.items():
-        if key not in _FIELD_TYPES:
+        if key not in names:
             raise UsageError(f"unknown config key: {key}")
-        setattr(cfg, key, _coerce(key, value))
+        try:
+            setattr(cfg, key, type(getattr(RunConfig, key))(value))
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key}: {value!r}") from exc
     if cfg.mode and cfg.mode != mode:
         raise UsageError(f"config mode {cfg.mode!r} conflicts with command {mode!r}")
     cfg.mode = mode
@@ -158,20 +139,17 @@ def config_from_items(items: dict, mode: str) -> RunConfig:
         raise UsageError(f"n_workers={cfg.n_workers} must be >= 1")
     if cfg.n_bins < 1:
         raise UsageError(f"n_bins={cfg.n_bins} must be >= 1")
+    # the sub-cell lookup of every histogram holds two tables of at most
+    # 4 n_bins + 1 entries and six arrays of at most n_bins + 1 at once
+    require_memory(8 * (2 * (4 * cfg.n_bins + 1) + 6 * (cfg.n_bins + 1)),
+                   f"binning into n_bins={cfg.n_bins} bins")
     return cfg
-
-
-def config_items(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = repr(v) if isinstance(v, float) else str(v)
-    return out
 
 
 def _write_manifest(cfg: RunConfig) -> None:
     os.makedirs(cfg.out, exist_ok=True)
-    io.write_config(os.path.join(cfg.out, "manifest.txt"), config_items(cfg))
+    items = {f.name: str(getattr(cfg, f.name)) for f in fields(cfg)}  # str(float) is repr
+    io.write_config(os.path.join(cfg.out, "manifest.txt"), items)
 
 
 def _require_seed(cfg: RunConfig) -> SeedSpec:
@@ -205,7 +183,7 @@ def _counted(cfg: RunConfig, counts: dict, block: np.ndarray) -> np.ndarray:
 
 def cmd_generate(cfg: RunConfig) -> None:
     seeds = _require_seed(cfg)
-    cal = cfg.cal()
+    cal = CalibrationParams(I0=cfg.i0, I1=cfg.i1, sigma=cfg.sigma, dt=cfg.dt_us, T1=cfg.t1_us)
     g = cal.kappa / cfg.dt_us
     # the records fix g through kappa = (i0 - i1)^2 / (4 sigma^2); 0 derives it
     if cfg.g_per_us != 0.0 and not math.isclose(cfg.g_per_us, g, rel_tol=1e-12):
@@ -213,9 +191,7 @@ def cmd_generate(cfg: RunConfig) -> None:
             f"g_per_us={cfg.g_per_us!r} disagrees with the calibration's "
             f"kappa/dt_us = {g!r}; leave it 0 to derive it"
         )
-    params = ModelParams(
-        g=g, T1=cfg.t1_us, dt=cfg.dt_us, x0=cfg.x0, n_steps=cfg.n_steps,
-    )
+    params = replace(cfg.params(), g=g)
     recs, latent = bayesian.generate_records(
         params, cal, cfg.n_traj, seeds, n_workers=cfg.n_workers
     )
@@ -263,21 +239,21 @@ def cmd_fit(cfg: RunConfig) -> None:
     one observed / best-fit / no-relaxation (T1 -> infinity) overlay per
     slice.  The keys are checked before the read, except the slice range
     and the x0 in the z grid."""
-    scan = cfg.tau_scan()
+    scan = fitting.default_tau_scan(cfg.tau_min, cfg.tau_max, cfg.tau_step)
     if not cfg.t1_us > 0:  # -inf and nan too, before the model choice
         raise ValueError("T1 must be > 0")
     # an empty slices key names one slice, the file's last
     fitting._require_scan_memory(len(cfg.slice_list(None, first=1)), scan.size)
     # row blocks of a few MiB, so memory is bounded for any file size
-    with closing(io.read_ensemble_blocks(_require_input(cfg.input, "input"))) as blocks:
-        head = next(blocks)  # the header is checked with the first block
-        counts = dict.fromkeys(cfg.slice_list(head.n_steps, first=1), 0)
-        for block in chain([head], blocks):
-            _counted(cfg, counts, block.values)
-    slices = list(counts)
-    observed = [histogram_from_counts(c, k * head.dt, cfg.bin_width) for k, c in counts.items()]
-    if head.x0 is not None:  # the manifest records the x0 the fit uses
-        cfg.x0 = head.x0
+    counts = None
+    for block in io.read_ensemble_blocks(_require_input(cfg.input, "input")):
+        if counts is None:  # the header is checked with the first block
+            counts = dict.fromkeys(cfg.slice_list(block.n_steps, first=1), 0)
+        _counted(cfg, counts, block.values)
+    slices = list(counts)  # the last block still holds the header's dt and x0
+    observed = [histogram_from_counts(c, k * block.dt, cfg.bin_width) for k, c in counts.items()]
+    if block.x0 is not None:  # the manifest records the x0 the fit uses
+        cfg.x0 = block.x0
     # the closed form takes one snapshot for every slice: the model at T1 = inf
     norelax_gen = fitting.make_analytic_model_gen(cfg.x0, 1, cfg.n_bins, cfg.bin_width)
     gen = norelax_gen if math.isinf(cfg.t1_us) else fitting.make_fp_model_gen(

@@ -276,10 +276,6 @@ class TrajectoryEnsemble:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def slice_values(self, k: int) -> np.ndarray:
-        """Populations of every trajectory at time-slice k."""
-        return self.values[:, k]
-
 
 @dataclass(frozen=True)
 class DistributionSnapshot:
@@ -346,7 +342,7 @@ def build_histogram(
     """
     if not 0 <= slice_index <= ensemble.n_steps:
         raise ValueError(f"slice_index {slice_index} out of range")
-    counts = histogram_counts(ensemble.slice_values(slice_index), n_bins, bin_width)
+    counts = histogram_counts(ensemble.values[:, slice_index], n_bins, bin_width)
     return histogram_from_counts(counts, slice_index * ensemble.dt, bin_width)
 
 

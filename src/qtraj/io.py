@@ -57,6 +57,9 @@ _REC_HEADER = struct.Struct("<IQQddddddQ")
 # master_seed u64
 _ENS_HEADER = struct.Struct("<IQQddQ")
 _READ_BLOCK = 4 << 20  # bytes of body per row block of read_ensemble_blocks
+# what a file of the other format is, said after its bad magic
+_OTHER = {RECORD_MAGIC: " (a record file, which reconstruct and calibrate read)",
+          ENSEMBLE_MAGIC: " (an ensemble file, which fit reads)"}
 
 
 class FormatError(ValueError):
@@ -129,8 +132,9 @@ def _read_binary(path: str, magic: bytes, header: struct.Struct, kind: str, buil
     naming the file."""
     try:
         with open(path, "rb") as f:
-            if f.read(len(magic)) != magic:
-                raise FormatError(f"{path}: bad magic at byte offset 0")
+            start = f.read(len(magic))
+            if start != magic:
+                raise FormatError(f"{path}: bad magic at byte offset 0{_OTHER.get(start, '')}")
             off = len(magic)
             head = f.read(header.size)
             if len(head) < header.size:

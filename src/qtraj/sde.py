@@ -117,8 +117,6 @@ def _relax(o, delta: float, mask=None):
     relaxation); a state pushed past the upper cap snaps to +inf, and
     past exp's range every state does.  ``mask`` is bool scratch for the
     snap."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
     if delta == 0.0:
         return o
     if delta > _DELTA_MAX:
@@ -137,8 +135,6 @@ def _diffuse(o, kappa: float, u, xi, tmp, mask=None):
     normal; ``xi`` and the float scratch ``tmp`` are overwritten.  The
     eigenstates stay fixed, whatever they draw, and states pushed past
     a cap snap onto it; kappa = 0 leaves every state unchanged."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
     _rho(o, out=tmp)
     np.subtract(u, tmp, out=tmp)
     np.copysign(2.0 * kappa, tmp, out=tmp)

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -67,6 +68,11 @@ class TestParsing:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         readme_block = readme.split("\nConfig keys", 1)[1].split("```\n", 2)[1]
         assert readme_block.splitlines() == [ln.strip() for ln in block.splitlines()]
+
+    def test_defaults_have_their_annotated_types(self):
+        # a key's value is converted with the type of its default
+        for f in dataclasses.fields(RunConfig):
+            assert type(f.default).__name__ == f.type, f.name
 
     def test_unknown_key(self, capsys):
         assert run(["simulate", "--bogus=1"]) == 2
@@ -315,6 +321,37 @@ class TestInputChecks:
         assert capsys.readouterr().err == "n_bins=0 must be >= 1\n"
         assert reads == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_huge_n_bins_refused_before_any_read(self, tmp_path, capsys, monkeypatch, reads,
+                                                 ensemble, records, mode):
+        # the sub-cell lookup of 10**6 bins holds at most 8 * (2 * (4e6 + 1)
+        # + 6 * (1e6 + 1)) bytes: one byte less available exits 2 unread
+        inputs = {"reconstruct": [f"--input={records}"], "fit": [f"--input={ensemble}"],
+                  "calibrate": [f"--ground={records}", f"--excited={records}"]}
+        monkeypatch.setattr(io, "read_ensemble_blocks", lambda *a: pytest.fail("file read"))
+        monkeypatch.setattr(core, "available_memory", lambda: 112000063)
+        out = tmp_path / "out"
+        assert run([mode, f"--out={out}", *self.SMALL, *inputs.get(mode, []),
+                    "--n_bins=1000000"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: binning into n_bins=1000000 bins needs 112000064 bytes of memory "
+            "but only 112000063 bytes are available\n")
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_bins", [1000, 16385, 100000])
+    def test_n_bins_memory_check_covers_the_lookup(self, monkeypatch, n_bins):
+        # 16385 bins take the largest sub-cell table, 4 * 16384 + 1 entries
+        tracemalloc.start()
+        try:
+            core._cell_lookup(n_bins, 1.0 / n_bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(core, "available_memory", lambda: peak - 1)
+        with pytest.raises(ValueError, match=f"binning into n_bins={n_bins} bins needs"):
+            cli.config_from_items({"n_bins": str(n_bins)}, "simulate")
 
     def test_model_key_is_gone(self, tmp_path, capsys, reads, ensemble):
         # the model follows t1_us; a --model flag or an old manifest's line exits 2
@@ -690,6 +727,26 @@ class TestPipeline:
             for ln in rows[:3]:
                 assert len(ln.split(",")) == 5
 
+    @pytest.mark.parametrize("t1", ["inf", "45"])
+    def test_fit_in_row_blocks_writes_the_same_files(self, tmp_path, monkeypatch, t1):
+        # blocks of 3 rows, the last one of 2, give the counts of one block
+        sim = tmp_path / "sim"
+        assert run(["simulate", f"--out={sim}", "--seed=5", "--n_traj=2000", "--n_steps=20",
+                    "--g_per_us=0.03", "--t1_us=45"]) == 0
+        fit = ["fit", f"--input={sim / 'ensemble.qens'}", f"--t1_us={t1}", "--slices=10,20",
+               "--tau_max=1.0", "--tau_step=0.05"]
+        assert run([*fit, f"--out={tmp_path / 'one'}"]) == 0
+        monkeypatch.setattr(io, "_READ_BLOCK", 3 * 21 * 8)
+        blocks = []
+        read_blocks = io.read_ensemble_blocks
+        monkeypatch.setattr(io, "read_ensemble_blocks",
+                            lambda path: (blocks.append(b.n_traj) or b for b in read_blocks(path)))
+        assert run([*fit, f"--out={tmp_path / 'rows'}"]) == 0
+        assert blocks == [3] * 666 + [2]
+        one, rows = tmp_path / "one", tmp_path / "rows"
+        for name in ("fit_report.txt", "report_00010.txt", "report_00020.txt"):
+            assert (rows / name).read_bytes() == (one / name).read_bytes()
+
     def test_old_report_manifest(self, tmp_path, capsys):
         # the report mode is gone: fit writes the overlays; an old report
         # manifest conflicts with fit, and with its mode line set to fit it
@@ -815,29 +872,30 @@ class TestPipeline:
     def test_memory_refusal_exit_codes(self, tmp_path, capsys, monkeypatch):
         # a computed ensemble, tau grid or set of scan tables that cannot
         # fit is a usage error (exit 2); a file whose body cannot fit is an
-        # input error naming it (exit 1), unless it is read in row blocks
+        # input error naming it (exit 1), unless it is read in row blocks;
+        # 20000 bytes hold the 11264-byte binning lookup of 100 bins
         sim, gen = tmp_path / "sim", tmp_path / "gen"
-        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=100",
+        assert run(["simulate", f"--out={sim}", "--seed=1", "--n_traj=1000",
                     "--n_steps=4", "--g_per_us=0.03"]) == 0
-        assert run(["generate", f"--out={gen}", "--seed=1", "--n_traj=100",
+        assert run(["generate", f"--out={gen}", "--seed=1", "--n_traj=1000",
                     "--n_steps=4"]) == 0
-        monkeypatch.setattr(core, "available_memory", lambda: 1000)
-        assert run(["simulate", f"--out={tmp_path / 'big'}", "--seed=1", "--n_traj=100",
+        monkeypatch.setattr(core, "available_memory", lambda: 20000)
+        assert run(["simulate", f"--out={tmp_path / 'big'}", "--seed=1", "--n_traj=1000",
                     "--n_steps=4"]) == 2
-        assert "needs 4000 bytes of memory but only 1000 bytes" in capsys.readouterr().err
+        assert "needs 40000 bytes of memory but only 20000 bytes" in capsys.readouterr().err
         assert not list((tmp_path / "big").iterdir())
         assert run(["fit", f"--out={tmp_path / 'tau'}", f"--input={sim / 'ensemble.qens'}",
                     "--tau_step=1e-10"]) == 2
         err = capsys.readouterr().err
         assert "a tau grid of 25000000001 points needs 800000000032 bytes" in err
         assert not (tmp_path / "tau").exists()
-        # reconstruct reads the whole 3200-byte body of records, which is
+        # reconstruct reads the whole 32000-byte body of records, which is
         # refused; a fit on a 3-point tau grid (96 bytes) reads its ensemble
-        # in row blocks, so its 4000-byte body needs no memory
+        # in row blocks, so its 40000-byte body needs no memory
         assert run(["reconstruct", f"--out={tmp_path / 'rec'}",
                     f"--input={gen / 'records.qrec'}"]) == 1
         err = capsys.readouterr().err
-        assert "records.qrec: record body of 100 x 4 values needs 3200 bytes" in err
+        assert "records.qrec: record body of 1000 x 4 values needs 32000 bytes" in err
         assert not (tmp_path / "rec").exists()
         assert run(["fit", f"--out={tmp_path / 'blocks'}", f"--input={sim / 'ensemble.qens'}",
                     "--tau_max=0.02"]) == 0

@@ -153,7 +153,9 @@ def test_binary_container_diagnostics(tmp_path, monkeypatch, records, ensemble, 
     head_end = len(raw) - body.nbytes
     other_magic = io.ENSEMBLE_MAGIC if kind == "record" else io.RECORD_MAGIC
     cases = {
-        "magic": (other_magic + raw[magic_end:], "bad magic at byte offset 0"),
+        "magic": (other_magic + raw[magic_end:], "bad magic at byte offset 0 " + (
+            "(an ensemble file, which fit reads)" if kind == "record"
+            else "(a record file, which reconstruct and calibrate read)")),
         "version": (raw[:magic_end] + struct.pack("<I", 2) + raw[magic_end + 4 :],
                     f"unsupported {kind} format version 2"),
         "short_header": (raw[: head_end - 1],

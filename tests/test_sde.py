@@ -232,8 +232,8 @@ class TestKernelOracles:
             im = np.where(u < rho_ref(o_gen), cal.I0, cal.I1) + cal.sigma * xi
             assert same_bits(recs.currents[:, s], im)
             o_gen = relax_ref(meas_ref(o_gen, im, cal.I0, cal.I1, cal.sigma), half)
-            assert same_bits(ens.slice_values(s + 1), rho_ref(o_sim))
-            assert same_bits(latent.slice_values(s + 1), rho_ref(o_gen))
+            assert same_bits(ens.values[:, s + 1], rho_ref(o_sim))
+            assert same_bits(latent.values[:, s + 1], rho_ref(o_gen))
         assert same_bits(reconstruct_ensemble(recs).values, latent.values)
 
 
@@ -311,10 +311,6 @@ class TestRelaxation:
         o = np.array([1.3])
         assert _relax(o, 0.0) is o
         assert o[0] == 1.3
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            _relax(np.zeros(1), -0.1)
 
     def test_cap_reentry(self):
         # rho00 = 0 is not absorbing under relaxation: o = 0 re-enters
@@ -422,7 +418,7 @@ class TestTrotter:
         o = np.full(50, _odds(0.57))
         for step in range(3):
             o = diffuse(o, 0.2, *draws(8, 50, step))
-            assert np.array_equal(ens.slice_values(step + 1), _rho(o))
+            assert np.array_equal(ens.values[:, step + 1], _rho(o))
 
     def test_no_diffusion_reduces_to_relaxation(self):
         params = ModelParams(g=0.0, T1=6.25, dt=0.5, x0=0.4, n_steps=1)
@@ -488,7 +484,7 @@ class TestSimulateEnsemble:
         n = 100_000
         ens = simulate_ensemble(params, n, SeedSpec(6))
         for k in (1, 10, 20, 40):
-            v = ens.slice_values(k)
+            v = ens.values[:, k]
             se = max(v.std() / math.sqrt(n), 1e-12)
             assert abs(v.mean() - 0.305) < 4 * se
 
@@ -502,7 +498,7 @@ class TestSimulateEnsemble:
         for k in (20, 40, 80):
             t = k * 0.5
             expected = 1.0 - 0.695 * math.exp(-t / 45.0)
-            v = ens.slice_values(k)
+            v = ens.values[:, k]
             se = v.std() / math.sqrt(n)
             assert abs(v.mean() - expected) < 4 * se
         assert math.isclose(
@@ -514,7 +510,7 @@ class TestSimulateEnsemble:
         params = ModelParams(g=2.0, T1=math.inf, dt=0.5, x0=0.3, n_steps=12)
         n = 20_000
         ens = simulate_ensemble(params, n, SeedSpec(44))
-        final = ens.slice_values(params.n_steps)
+        final = ens.values[:, params.n_steps]
         frac_up = (final > 0.99).mean()
         frac_dn = (final < 0.01).mean()
         assert abs(frac_up - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
