@@ -9,12 +9,16 @@ reported alongside; it is 10x smaller for a parabolic minimum).  The
 scan fits one slice at a time, shortest slice time first.  Each slice
 starts at a grid point and its two neighbours: the point nearest
 tau_prev * t / t_prev, where a constant coupling (tau = g t) puts its
-minimum, or the grid's second point for the first slice and any slice
-at t <= 0 or right after one.  It steps outward by 1, 2, 4, ... points
-while the minimum is on the edge of what it evaluated, then evaluates
-only the points its minimum depends on, bisecting first the gap beside
-the lower of the two values that bracket it.  No slice looks at the
-whole grid first, so a deeper second dip can go unseen.
+minimum.  The first slice, and any slice at t <= 0 or right after one,
+starts instead at the point nearest a moment estimate from its own
+histogram: the tau whose no-relaxation log-odds variance
+tau + 4 x0 (1 - x0) tau^2 is the histogram's, x0 being its mean; or at
+the grid's second point when its bins hold no mass.  It steps outward
+by 1, 2, 4, ... points while the minimum is on the edge of what it
+evaluated, then evaluates only the points its minimum depends on,
+bisecting first the gap beside the lower of the two values that bracket
+it.  No slice looks at the whole grid first, so a deeper second dip can
+go unseen.
 
 Model histograms come either from the closed-form no-relaxation
 solution or from the Fokker-Planck solver.  Every generator is called
@@ -36,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DistributionSnapshot, require_memory
+from .core import DistributionSnapshot, require_memory, to_logodds
 from .fokker_planck import FP_CELLS, _Solver, _edge_cells, _rebin, analytic_bin_masses
 
 __all__ = [
@@ -188,7 +192,12 @@ def fit_tau(
     ``model_gen(tau, (k,))``.  A slice starts at a seed index and its
     two neighbours: the grid index nearest tau_prev * t / t_prev when it
     and the slice fitted before it both have t > 0, tau_prev being the
-    earlier slice's tau_best, and index 1 otherwise.  A minimum on the
+    earlier slice's tau_best.  Otherwise (the first slice, say) it is
+    the index nearest the closed-form moment estimate of the slice's
+    histogram: the root tau >= 0 of tau + 4 x0 (1 - x0) tau^2 = V, V
+    being the variance in z = atanh(2 rho00 - 1) of its bin centers below
+    rho00 = 1 and x0 their mean rho00, weighted by bin mass; and index 1
+    when those bins hold no mass.  A minimum on the
     edge of that seed steps outward by 1, 2, 4, ... points until a value
     rises.  The bracket then shrinks until the neighbours of its
     minimum, and all points up to the first larger value right of it,
@@ -217,9 +226,9 @@ def fit_tau(
             ok[j] = True
 
         t = observed[k].t
-        j0 = 1  # unseeded: the grid's first three points
-        if t > 0.0 and t_prev > 0.0:
-            j0 = int(np.abs(scan - tau_prev * t / t_prev).argmin())
+        guess = tau_prev * t / t_prev if t > 0.0 and t_prev > 0.0 else _moment_tau(observed[k])
+        # no estimate: the grid's first three points
+        j0 = int(np.abs(scan - guess).argmin()) if math.isfinite(guess) else 1
         for j in range(max(j0 - 1, 0), min(j0 + 2, n)):
             evaluate(j)
         _shrink(c, ok, evaluate)
@@ -246,6 +255,22 @@ def fit_tau(
         )
         t_prev, tau_prev = t, tau_best
     return results
+
+
+def _moment_tau(obs: DistributionSnapshot) -> float:
+    """tau at which the no-relaxation log-odds variance tau + 4 x0 (1 - x0)
+    tau^2 equals the variance of the bins' centers in z, x0 being their
+    mean population; nan when the bins below rho00 = 1 hold no mass."""
+    c = obs.bin_centers
+    inside = c < 1.0
+    c, p = c[inside], obs.density[inside]
+    total = p.sum()
+    if not total > 0.0:
+        return math.nan
+    p = p / total
+    x0, z = p @ c, to_logodds(c)
+    var, a = p @ (z - p @ z) ** 2, 4.0 * x0 * (1.0 - x0)
+    return float(2.0 * var / (1.0 + math.sqrt(1.0 + 4.0 * a * var)))
 
 
 def _shrink(c: np.ndarray, ok: np.ndarray, evaluate: Callable[[int], None]) -> None:

@@ -32,6 +32,15 @@ substep loop, so the fit's model generator builds the grid and the
 relaxations once for all trial tau.  At infinite T1 the loop takes one
 substep of the interval with zero relaxation.
 
+The first interval of a run starts from the start state, which does
+not depend on g: its half relaxation is deposited once per solver and
+exponent and kept (one grid each, freed with the solver), and every
+later run reuses it bitwise.  That relaxed start is non-zero in at most
+four cells, so the interval's first diffusion places each cell's two
+weighted, truncated kernels directly instead of transforming the
+window, with the same branch weights, kernels and tails; the two differ
+by the transform's rounding.  At infinite T1 that is the whole solve.
+
 Relaxation maps every node, and the re-entering rho00 = 0 bucket, to
 ``z >= log(expm1(delta))/2``, so it leaves every cell below its lowest
 landing cell (its floor) exactly 0.  Every diffusion follows a
@@ -44,7 +53,9 @@ correlations through the conjugate spectra, and each substep makes one
 two-row forward transform of the weighted branches and one inverse
 transform of their sum in the frequency domain, clamped at 0 once.  The
 cells below the window's reach stay exactly 0, and the deposit after a
-diffusion skips them, with a bitwise unchanged result.
+diffusion skips them, with a bitwise unchanged result.  ``scipy.fft`` is
+imported by the first diffusion built, so the modes that solve nothing
+do not pay for it.
 
 Mass leaving the grid ends is accumulated in point masses at the
 eigenstates; with finite T1 each relaxation re-injects the rho00 = 0
@@ -63,7 +74,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import expit, ndtr
 
 from .core import Z_CAP, DistributionSnapshot, check_binning, to_logodds, to_rho
@@ -162,10 +172,11 @@ def analytic_bin_masses(x0: float, tau: float, edges: np.ndarray) -> np.ndarray:
 class _Solver:
     """One grid (``n_cells`` cells on z in [-12, 12]), the start state on
     it (the delta at x0, deposited mean-exactly), the relaxation operators
-    (one per exponent) and the working state ``w``, ``mass0``, ``mass1``
-    of a run.  The arguments but g and ``t_grid`` are checked once here;
-    every :meth:`run` shares the operators and the deposit scratch, so
-    runs must not overlap.
+    and the start state after each half step (one per exponent, made on
+    first use) and the working state ``w``, ``mass0``, ``mass1`` of a run.
+    The arguments but g and ``t_grid`` are checked once here; every
+    :meth:`run` shares the operators and the deposit scratch, so runs
+    must not overlap.
     """
 
     def __init__(self, x0: float, T1: float, *, n_cells: int = FP_CELLS, dt: float | None = None):
@@ -198,12 +209,14 @@ class _Solver:
         self.total0 = self.w0.sum() + self.mass1_0
         self.scratch = np.empty(2 * n_cells + 2)
         self.relaxations: dict[float, _Relaxation] = {}
+        self.starts: dict[float, tuple] = {}  # by the half step's exponent
 
     def run(self, g: float, t_grid) -> list[DensityGrid]:
         """The snapshots at coupling g and times ``t_grid`` from the start
         state, each checked for mass drift and negative density.  Each
         interval runs one substep loop with its relaxations taken from
-        the cache and its diffusion built for g."""
+        the cache and its diffusion built for g; the first interval takes
+        its relaxed start from the cache too and spreads it directly."""
         if not (g >= 0 and math.isfinite(g)):
             raise ValueError("g must be finite and >= 0")
         t_grid = np.asarray(t_grid, dtype=float)
@@ -225,10 +238,15 @@ class _Solver:
                 # after it skip the cells below its own floor, which it
                 # leaves 0
                 diffuse = _Diffusion(self, g * h, half.floor)
-                half.apply(self)
+                if self.w is self.w0:  # the start state, until an operator replaces w
+                    cells = self.relaxed_start(half)
+                else:
+                    half.apply(self)
+                    cells = None
                 steps = relax.window(diffuse.floor), half.window(diffuse.floor)
                 for j in range(n_sub):
-                    diffuse.apply(self)
+                    diffuse.apply(self, cells)
+                    cells = None
                     last = j == n_sub - 1
                     (half if last else relax).apply(self, *steps[last])
                 t = float(t_next)
@@ -241,6 +259,19 @@ class _Solver:
             out.append(DensityGrid(nodes=self.nodes, weights=self.w.copy(),
                                    mass0=self.mass0, mass1=self.mass1, t=t))
         return out
+
+    def relaxed_start(self, half: _Relaxation) -> np.ndarray:
+        """Set the working state to the start state after the half step
+        ``half`` and return its non-zero cells (at most four).  The relaxed
+        start is a full-grid deposit, made on first use per exponent and
+        kept read-only, so every later run reuses it bitwise."""
+        if half.delta not in self.starts:
+            self.w, self.mass0, self.mass1 = self.w0, 0.0, self.mass1_0
+            half.apply(self)
+            self.w.setflags(write=False)
+            self.starts[half.delta] = self.w, self.mass0, self.mass1, np.flatnonzero(self.w)
+        self.w, self.mass0, self.mass1, cells = self.starts[half.delta]
+        return cells
 
     def land(self, y: np.ndarray, r11_target: np.ndarray):
         """Where point masses at z positions y land on the grid.
@@ -365,7 +396,8 @@ class _Diffusion:
     and both transforms, cover the window [k0, n) of the grid.  Each
     application transforms the two weighted branches as the two rows of
     the zero-padded buffer ``pad``, adds their products with the spectra
-    and transforms the sum back once.  It leaves every cell below
+    and transforms the sum back once; on a relaxed start it adds the
+    kernels of its few cells instead.  It leaves every cell below
     ``floor = max(k0 + lo, 0)`` exactly 0, lo being the kernel's lowest
     offset.
     """
@@ -374,6 +406,10 @@ class _Diffusion:
         self.kappa, self.k0, self.floor = kappa, k0, 0
         if kappa == 0.0:
             return
+        # deferred: only the Fokker-Planck modes pay scipy.fft's import
+        from scipy.fft import irfft, next_fast_len, rfft
+
+        self.rfft, self.irfft = rfft, irfft
         sig = math.sqrt(kappa)
         lo = int(math.floor((-kappa - _KERNEL_TAIL * sig) / s.dz)) - 1
         hi = int(math.ceil((kappa + _KERNEL_TAIL * sig) / s.dz)) + 1
@@ -384,7 +420,8 @@ class _Diffusion:
         n = s.nodes.size - k0
         self.size, self.n_fft = n + hi - lo, next_fast_len(n + hi - lo, real=True)
         cdf = ndtr((edges_rel - np.array([[kappa], [-kappa]])) / sig)
-        self.spectra = rfft(np.diff(cdf), self.n_fft)
+        self.kernels = np.diff(cdf)
+        self.spectra = rfft(self.kernels, self.n_fft)
         self.tail_lo, self.tail_hi = cdf[:, 0], 1.0 - cdf[:, -1]
 
         # discrete post-step population means of each branch, the "valid"
@@ -404,24 +441,38 @@ class _Diffusion:
         self.lo, self.floor = lo, max(a, 0)
         self.pad = np.zeros((2, self.n_fft))
 
-    def apply(self, s: _Solver) -> None:
+    def apply(self, s: _Solver, cells: np.ndarray | None = None) -> None:
+        """Spread ``s`` one substep.  Given ``cells``, the ascending
+        indices of the window's only non-zero cells (a relaxed start), it
+        places each one's two weighted kernels directly instead of
+        transforming the window."""
         if self.kappa == 0.0:
             return
         n, k0, pre = s.nodes.size, self.k0, self.floor
-        w = s.w[k0:]
-        wp, wm = self.pad[:, : n - k0]  # the padding past the window stays zero
-        np.multiply(self.xt, w, out=wp)
-        np.subtract(w, wp, out=wm)
-        spec = rfft(self.pad)
-        spec *= self.spectra
-        spec[0] += spec[1]
-        # the two branches' sum, clamped at 0 once, after ``pre`` empty
-        # cells: full[j] is the mass landing on grid index j + min(k0 + lo,
-        # 0), so the grid is full[b : b + n] and the rest is past its ends
-        full = np.empty(pre + self.size)
-        full[:pre] = 0.0
-        np.maximum(irfft(spec[0], self.n_fft)[: self.size], 0.0, out=full[pre:])
+        # full[j] is the mass landing on grid index j + min(k0 + lo, 0),
+        # after ``pre`` empty cells: the grid is full[b : b + n] and the
+        # rest is past its ends
         b = pre - k0 - self.lo
+        if cells is None:
+            w = s.w[k0:]
+            wp, wm = self.pad[:, : n - k0]  # the padding past the window stays zero
+            np.multiply(self.xt, w, out=wp)
+            np.subtract(w, wp, out=wm)
+            spec = self.rfft(self.pad)
+            spec *= self.spectra
+            spec[0] += spec[1]
+            # the two branches' sum, clamped at 0 once
+            full = np.empty(pre + self.size)
+            full[:pre] = 0.0
+            np.maximum(self.irfft(spec[0], self.n_fft)[: self.size], 0.0, out=full[pre:])
+        else:
+            w = s.w[cells]
+            wp = self.xt[cells - k0] * w
+            wm = w - wp
+            full = np.zeros(pre + self.size)
+            taps = self.kernels.shape[1]
+            for i, p, m in zip(cells + b + self.lo, wp, wm):
+                full[i : i + taps] += p * self.kernels[0] + m * self.kernels[1]
         s.w = full[b : b + n]
         s.mass0 += float(full[:b].sum())
         s.mass1 += float(full[b + n :].sum())
@@ -455,11 +506,14 @@ def solve_fp(x0: float, g: float, T1: float, t_grid, *,
         Each interval between snapshot times runs one substep loop with
         its operators built once; at infinite T1 that loop takes one
         substep of the whole interval with zero relaxation, whatever dt
-        is.  Memory beyond the grid is one interval's diffusion on its
-        window, the landing index of that interval's two deposits on
-        the window (two words per window cell each, freed when the run
-        ends) and, per distinct relaxation exponent, a landing index and
-        split of three words per cell.
+        is.  The first interval starts from the start state's half
+        relaxation, deposited once, and spreads its (at most four)
+        non-zero cells directly, without a transform.  Memory beyond the
+        grid is one interval's diffusion on its window, the landing index
+        of that interval's two deposits on the window (two words per
+        window cell each, freed when the run ends), per distinct
+        relaxation exponent a landing index and split of three words per
+        cell, and the relaxed start, one word per cell.
 
     Returns
     -------

@@ -272,11 +272,16 @@ class TestInputChecks:
     def reads(self, monkeypatch):
         """The io readers called in the test, by name, in call order."""
         calls = []
-        for name in ("read_ensemble", "read_records"):
+        for name in ("read_ensemble", "read_ensemble_blocks", "read_records"):
             real = getattr(io, name)
             monkeypatch.setattr(io, name,
                                 lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
         return calls
+
+    def test_reads_sees_the_fit_read(self, tmp_path, reads, ensemble):
+        # the spy the key-check cases rely on sees fit's row-block read
+        assert run(["fit", f"--out={tmp_path / 'out'}", f"--input={ensemble}"]) == 0
+        assert reads == ["read_ensemble_blocks"]
 
     @pytest.fixture(scope="class")
     def ensemble(self, tmp_path_factory):
@@ -685,11 +690,13 @@ class TestPipeline:
 
     def test_solve_fp_solver_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # a solver invariant that breaks is an error (exit 1), never an
-        # output: no table and no manifest
+        # output: no table and no manifest.  At T1 = inf the one substep
+        # is the direct spread of the start's cells
         apply = fokker_planck._Diffusion.apply
 
-        def creates_mass(self, s):
-            apply(self, s)
+        def creates_mass(self, s, cells=None):
+            assert cells is not None
+            apply(self, s, cells)
             s.mass1 += 1e-6
 
         monkeypatch.setattr(fokker_planck._Diffusion, "apply", creates_mass)

@@ -362,12 +362,14 @@ class TestCoarseToFineScan:
 
     def test_default_grid_evaluation_count(self):
         # three slices at tau = 0.25, 0.5, 1.0 (t = 1, 2, 4) on the default
-        # 251-point grid: the first starts at 0.0, 0.01, 0.02 and gallops
-        # to 0.33, then bisects; the other two start at twice the previous
+        # 251-point grid: the first starts at its histogram's moment
+        # estimate (0.2504), on 0.24, 0.25, 0.26, whose outer two close its
+        # error bracket; the other two start at twice the previous
         # tau_best, and both grid ends close their error brackets.  The
         # third's minimum lies on its seed's right edge (1.01); one step
-        # out (1.02) rises.  26 slice evaluations; a 17-point coarse pass
-        # for the first slice took 32, and one for every slice 64
+        # out (1.02) rises.  14 slice evaluations; starting the first at
+        # 0.0, 0.01, 0.02 took 26, a 17-point coarse pass for it 32, and
+        # one for every slice 64
         observed = [dataclasses.replace(sample_mixture_hist(0.305, tau, 100_000, 40 + i),
                                         t=4.0 * tau)
                     for i, tau in enumerate((0.25, 0.5, 1.0))]
@@ -379,36 +381,55 @@ class TestCoarseToFineScan:
             return base(tau, ks)
 
         results = fit_tau(observed, counting, default_tau_scan())
-        assert [ks for _, ks in calls] == [(0,)] * 15 + [(1,)] * 5 + [(2,)] * 6
+        assert [ks for _, ks in calls] == [(0,)] * 3 + [(1,)] * 5 + [(2,)] * 6
         assert [round(tau, 2) for tau, _ in calls] == [
-            0.0, 0.01, 0.02, 0.03, 0.05, 0.09, 0.17, 0.33, 0.25, 0.21, 0.23, 0.24, 0.29, 0.27,
-            0.26, 0.49, 0.5, 0.51, 0.0, 2.5, 0.99, 1.0, 1.01, 1.02, 0.0, 2.5]
+            0.24, 0.25, 0.26, 0.49, 0.5, 0.51, 0.0, 2.5, 0.99, 1.0, 1.01, 1.02, 0.0, 2.5]
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, default_tau_scan()))
 
     def test_fp_three_slices_seeded(self):
         # pipeline_t1's shape: T1 = 20 us, dt = 0.0625 us, kappa = 0.025,
         # slices 10, 20, 40 (t = 0.625, 1.25, 2.5 us, tau = 0.25, 0.5, 1.0)
-        # on a 21-point grid.  Starting the first slice at the grid's low
-        # end and seeding the later ones takes 12 slice solves; a coarse
-        # pass for the first took 16, and one for every slice 24
+        # on a 21-point grid.  Starting the first slice at its histogram's
+        # moment estimate (0.228, the grid point 0.25) and seeding the
+        # later ones takes 11 slice solves; starting it at the grid's low
+        # end took 12, a coarse pass for the first 16, and one for every
+        # slice 24
         cal = CalibrationParams(I0=1.0, I1=-1.0, sigma=6.324555320336759, dt=0.0625, T1=20.0)
         params = ModelParams(g=cal.kappa / cal.dt, T1=20.0, dt=0.0625, x0=0.305, n_steps=40)
         _, ens = generate_records(params, cal, 20_000, SeedSpec(2024))
         observed = [build_histogram(ens, k, 100, 0.01) for k in (10, 20, 40)]
         assert [o.t for o in observed] == [0.625, 1.25, 2.5]
         base = make_fp_model_gen(0.305, 20.0, [o.t for o in observed], n_cells=2048)
-        solves = []
+        calls = []
 
         def counting(tau, which):
-            solves.extend(which)
+            calls.append((round(tau, 2), which))
             return base(tau, which)
 
         scan = default_tau_scan(0.15, 1.15, 0.05)
         results = fit_tau(observed, counting, scan)
-        assert len(solves) == 12
+        assert calls == [(0.2, (0,)), (0.25, (0,)), (0.3, (0,)), (0.45, (1,)), (0.5, (1,)),
+                         (0.55, (1,)), (0.95, (2,)), (1.0, (2,)), (1.05, (2,)), (0.15, (2,)),
+                         (1.15, (2,))]
         assert_matches_full_scan(results, full_scan_fit_tau(observed, base, scan))
         for r, tau in zip(results, (0.25, 0.5, 1.0)):
             assert abs(r.tau_best - tau) < r.tau_error
+
+    def test_first_slice_without_a_moment_estimate(self):
+        # all mass in the boundary buckets: the bins give no estimate, so
+        # the first slice starts at the grid's first three points.  Bins
+        # past rho00 = 1 are left out of an estimate
+        table = ((np.arange(251.0) - 100) ** 2)[:, None]
+        scan = default_tau_scan()
+        gen = TableGen(table, scan)
+        (obs,) = gen.observed()
+        obs = dataclasses.replace(obs, mass1=1.0, mass1_err=1.0)
+        assert math.isnan(fitting._moment_tau(obs))
+        results = fit_tau([obs], gen, scan)
+        assert [j for j, _ in gen.evals][:3] == [0, 1, 2]
+        assert results[0].tau_best == scan[100]
+        wide = sample_mixture_hist(0.305, 0.5, 100_000, 50, n_bins=60, bin_width=0.02)
+        assert abs(fitting._moment_tau(wide) - 0.5) < 0.02
 
     @pytest.mark.parametrize("minimum, gallop, n_evals", [
         (42, [0, 1, 2, 3, 5, 9, 17, 33, 65], 15),

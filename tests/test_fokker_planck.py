@@ -40,13 +40,17 @@ def mixture_cdf(z, x0, tau):
     return x0 * ndtr((z - z0 - tau) / s) + (1.0 - x0) * ndtr((z - z0 + tau) / s)
 
 
-def broken_diffusion(fault):
+def broken_diffusion(fault, fft_only=False):
     """``_Diffusion.apply`` that then takes 1e-6 from the first cell
-    ("negative") or adds 1e-6 to the rho00 = 1 bucket ("drift")."""
+    ("negative") or adds 1e-6 to the rho00 = 1 bucket ("drift"); with
+    ``fft_only``, only where it transforms the window, not where it
+    spreads a relaxed start's cells directly."""
     apply = fp._Diffusion.apply
 
-    def broken(self, s):
-        apply(self, s)
+    def broken(self, s, cells=None):
+        apply(self, s, cells)
+        if fft_only and cells is not None:
+            return
         if fault == "negative":
             s.w = s.w.copy()
             s.w[0] -= 1e-6
@@ -264,10 +268,14 @@ class TestSolveFP:
     ])
     def test_broken_operator_raises(self, monkeypatch, fault, message):
         # each snapshot is checked: a diffusion that leaves a negative cell
-        # or creates mass fails the run instead of returning the snapshot
-        monkeypatch.setattr(fp._Diffusion, "apply", broken_diffusion(fault))
-        with pytest.raises(fp.FPSolverError, match=f"^{message}$"):
-            solve_fp(0.305, 0.1, math.inf, [1.0])
+        # or creates mass fails the run instead of returning the snapshot.
+        # At T1 = inf the one substep from the start is a direct spread of
+        # its cells; the one from the snapshot at 0.5 transforms the window
+        direct, fft = broken_diffusion(fault), broken_diffusion(fault, fft_only=True)
+        for broken, t_grid in ((direct, [1.0]), (fft, [0.5, 1.0])):
+            monkeypatch.setattr(fp._Diffusion, "apply", broken)
+            with pytest.raises(fp.FPSolverError, match=f"^{message}$"):
+                solve_fp(0.305, 0.1, math.inf, t_grid)
 
     def test_pure_diffusion_ignores_dt(self):
         # at T1 = inf each interval is one substep with zero relaxation
@@ -420,12 +428,14 @@ class TestFFTConvolve:
 # ---------------------------------------------------------------------------
 # per-substep references: the solver as it was before its operators were
 # built once per interval.  They rebuild everything on every substep and
-# deposit with np.add.at; the solver must agree with them bitwise.  Two
-# earlier diffusions are references too: the full-grid one before the
-# window (ref_diffuse_full_grid) and the one before its branches shared
-# one inverse transform (ref_diffuse_two_inverse).  The solver must match
-# each within 1e-13 wherever the two schemes' branch weights agree to
-# rounding.
+# deposit with np.add.at, and they spread the relaxed start's few cells
+# directly (ref_spread); the solver must agree with them bitwise.  Three
+# earlier diffusions are references too, each run on every substep: the
+# window's transform on the first substep as well (ref_diffuse), the
+# full-grid one before the window (ref_diffuse_full_grid) and the one
+# before its branches shared one inverse transform
+# (ref_diffuse_two_inverse).  The solver must match each within 1e-13
+# wherever the two schemes' branch weights agree to rounding.
 
 
 def ref_kernels(s, kappa):
@@ -512,6 +522,25 @@ def ref_diffuse(s, kappa, k0=0):
     wm = s.w[k0:] - wp
     full = irfft(rfft(wp, n_fft) * specs[0] + rfft(wm, n_fft) * specs[1], n_fft)
     ref_land_full(s, full[: wp.size + hi - lo], k0 + lo, wp, wm, branches)
+
+
+def ref_spread(s, kappa, k0=0):
+    """The scheme's first substep from a start that is non-zero in a few
+    cells: each cell's two kernels, weighted by the scheme's branch
+    weights, added cell by cell in ascending order on the window's reach,
+    with no transform; the truncated tails of those cells' branches."""
+    if kappa == 0.0:
+        return
+    lo, hi, branches, _, xt = ref_scheme(s, kappa, k0)
+    cells = np.flatnonzero(s.w)
+    assert cells.size <= 4 and cells.min(initial=k0) >= k0
+    full = np.zeros(s.nodes.size - k0 + hi - lo)  # from grid index k0 + lo
+    wp = xt[cells - k0] * s.w[cells]
+    wm = s.w[cells] - wp
+    (kp, _, _), (km, _, _) = branches
+    for i, p, m in zip(cells, wp, wm):
+        np.add.at(full, i - k0 + np.arange(kp.size), p * kp + m * km)
+    ref_land_full(s, full, k0 + lo, wp, wm, branches)
 
 
 def ref_diffuse_full_grid(s, kappa, k0):
@@ -626,9 +655,9 @@ def test_window_holds_only_empty_cells(T1, dt, g, monkeypatch):
         floors.append(r.floor)
         seen.append(f)
 
-    def diffuse(d, s):
+    def diffuse(d, s, cells=None):
         assert d.k0 <= floors[-1] and not s.w[: d.k0].any()
-        diffuse_apply(d, s)
+        diffuse_apply(d, s, cells)
         assert not s.w[: d.floor].any()
         seen.append(d.k0)
 
@@ -653,13 +682,15 @@ def ref_relax(s, delta):
         s.mass0 = 0.0
 
 
-def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse):
+def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse,
+                 first=ref_spread):
     """Delta initial condition on ``n_cells`` cells of z in [-12, 12], then
     per-substep diffuse/relax; returns (weights, mass0, mass1) per
-    snapshot time.  Each diffusion is told the window k0 it may take: the
-    cell of the half step's re-entry point log(expm1(delta/2))/2, the
-    lowest any of the interval's relaxations deposits in (0 below the
-    grid and at T1 = inf)."""
+    snapshot time.  The first diffusion, on the relaxed start, is
+    ``first``, every other one ``diffuse``.  Each diffusion is told the
+    window k0 it may take: the cell of the half step's re-entry point
+    log(expm1(delta/2))/2, the lowest any of the interval's relaxations
+    deposits in (0 below the grid and at T1 = inf)."""
     nodes = -12.0 + (np.arange(n_cells) + 0.5) * (24.0 / n_cells)
     assert np.array_equal(fp._Solver(x0, T1, n_cells=n_cells).nodes, nodes)
     s = SimpleNamespace(nodes=nodes, dz=float(nodes[1] - nodes[0]), r11=expit(-2.0 * nodes),
@@ -667,11 +698,13 @@ def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse):
     ref_deposit(s, np.array([to_logodds(x0)]), np.array([1.0 - x0]), np.array([1.0]))
     t = 0.0
     out = []
+    scheme = first  # then diffuse
     for t_next in t_grid:
         span = float(t_next - t)
         if span > 0.0:
             if math.isinf(T1):
-                diffuse(s, g * span, 0)
+                scheme(s, g * span, 0)
+                scheme = diffuse
             else:
                 sub = dt if dt is not None else min(T1 / 100.0, span)
                 n_sub = max(1, int(math.ceil(span / sub - 1e-12)))
@@ -681,7 +714,8 @@ def ref_solve_fp(x0, g, T1, t_grid, n_cells=8192, dt=None, diffuse=ref_diffuse):
                 k0 = min(max(math.floor((y0 - nodes[0]) / s.dz), 0), n_cells - 2)
                 ref_relax(s, 0.5 * delta)
                 for j in range(n_sub):
-                    diffuse(s, g * h, k0)
+                    scheme(s, g * h, k0)
+                    scheme = diffuse
                     ref_relax(s, delta if j < n_sub - 1 else 0.5 * delta)
             t = float(t_next)
         out.append((s.w.copy(), s.mass0, s.mass1))
@@ -772,15 +806,16 @@ def oracle_solve(x0, g, T1, t_grid, n_cells, dt=None):
 
 
 def assert_near_earlier_scheme(case, before):
-    """The deliberate changes of scheme move no cell and no boundary mass
-    by more than 1e-13.  Where mass reaches the grid ends, tanh
-    saturates, mp - mm falls towards its 1e-9 cut-off and the branch
-    weights' division amplifies the rounding difference of two
-    correlations (another form, or another transform length); there the
-    mass moves, in L1, by at most the summed split bound plus rounding.
-    That bound is 8.8e-9 and 7.3e-9 against the full-grid scheme, and
-    1.1e-8 and 7.5e-9 against the two-inverse one, for fft-boundary and
-    coarse-boundary."""
+    """The deliberate changes of scheme, ``before`` being the earlier one
+    on every substep, move no cell and no boundary mass by more than
+    1e-13.  Where mass reaches the grid ends, tanh saturates, mp - mm
+    falls towards its 1e-9 cut-off and the branch weights' division
+    amplifies the rounding difference of two correlations (another form,
+    or another transform length); there the mass moves, in L1, by at
+    most the summed split bound plus rounding.  That bound is 8.8e-9 and
+    7.3e-9 against the full-grid scheme, and 1.1e-8 and 7.5e-9 against
+    the two-inverse one, for fft-boundary and coarse-boundary; against
+    the FFT-first one, whose branch weights are the solver's, it is 0."""
     x0, g, T1, t_grid, kw = ORACLE_CASES[case]
     split = []
 
@@ -788,7 +823,7 @@ def assert_near_earlier_scheme(case, before):
         split.append(before(s, kappa, k0))
 
     sols = oracle_solve(x0, g, T1, t_grid, **kw)
-    refs = ref_solve_fp(x0, g, T1, t_grid, **kw, diffuse=diffuse)
+    refs = ref_solve_fp(x0, g, T1, t_grid, **kw, diffuse=diffuse, first=diffuse)
     for sol, (w, mass0, mass1) in zip(sols, refs):
         if "boundary" in case:
             moved = (np.abs(sol.weights - w).sum() + abs(sol.mass0 - mass0)
@@ -851,6 +886,41 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_solve_fp_near_two_inverse_reference(self, case):
         assert_near_earlier_scheme(case, ref_diffuse_two_inverse)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_solve_fp_near_fft_first_substep(self, case):
+        # the direct first spread moves no cell and no boundary mass by
+        # more than 1e-13 from transforming the window, as every substep
+        # after it does; both use the same branch weights (split 0)
+        assert_near_earlier_scheme(case, lambda s, kappa, k0: ref_diffuse(s, kappa, k0) or 0.0)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_relaxed_start_cached_bitwise(self, case, monkeypatch):
+        # the start's half step is deposited once per exponent and kept,
+        # read-only: it is bitwise the deposit made afresh, and a second
+        # run reuses it instead of relaxing the start again
+        x0, g, T1, t_grid, kw = ORACLE_CASES[case]
+        from_start = []
+        apply = fp._Relaxation.apply
+
+        def watch(relaxation, s, *window):
+            from_start.append(s.w is s.w0)
+            apply(relaxation, s, *window)
+
+        monkeypatch.setattr(fp._Relaxation, "apply", watch)
+        solver = fp._Solver(x0, T1, **kw)
+        runs = [solver.run(g, t_grid) for _ in range(2)]
+        assert sum(from_start) == 1
+        ((w, mass0, mass1, cells),) = solver.starts.values()
+        assert not w.flags.writeable and 0 < cells.size <= 4
+        assert np.array_equal(cells, np.flatnonzero(w))
+        fresh = fp._Solver(x0, T1, **kw)
+        fresh.w, fresh.mass0, fresh.mass1 = fresh.w0, 0.0, fresh.mass1_0
+        fresh.interval(t_grid[0])[2].apply(fresh)
+        assert np.array_equal(w, fresh.w) and (mass0, mass1) == (fresh.mass0, fresh.mass1)
+        for sol, again in zip(*runs, strict=True):
+            assert np.array_equal(sol.weights, again.weights)
+            assert (sol.mass0, sol.mass1) == (again.mass0, again.mass1)
 
     def test_rebin_matches_per_cell_reference(self):
         # a coarse grid whose cells hold several edges each, a fine one, a
